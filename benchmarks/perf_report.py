@@ -31,7 +31,8 @@ The report schema::
     }
 
 ``baseline_speedup_vs_reference`` measures each ported comparison
-baseline's fast ``process`` against its retained object-API
+baseline's fast ``process`` (a singleton call into the replay engine,
+the only fast engine) against its retained object-API
 ``process_reference`` *in the same run*, so the ratio is
 machine-independent and CI can put regression floors under it.
 
@@ -206,9 +207,9 @@ def measure_baselines(quick: bool) -> dict:
 
 #: Architectures timed by the replay metric: a seven-design group per
 #: cache side, mixing the batchable designs (one shared
-#: ``access_fast_batch`` sweep) with the stateful ones (set buffer,
-#: filter cache, MA links, way-memo) that replay their own loop fed
-#: from the shared columnar pre-split.
+#: ``access_fast_batch`` sweep, including the set buffer and MA links)
+#: with the stateful ones (filter cache, way-memo, line buffer) that
+#: replay their own loop fed from the shared columnar pre-split.
 REPLAY_GROUPS = {
     "dcache": ("original", "two-phase", "way-prediction", "set-buffer",
                "filter-cache", "way-memo-2x8", "way-memo+line-buffer"),
@@ -216,8 +217,9 @@ REPLAY_GROUPS = {
                "way-prediction", "two-phase", "way-memo-2x16"),
 }
 
-#: Stateful designs whose grouped-replay derivation is timed against
-#: their retained reference loops (same-process ratio, CI-floorable).
+#: Designs with a side structure whose counters the engine derives,
+#: timed against their retained reference loops (same-process ratio,
+#: CI-floorable).
 REPLAY_STATEFUL = (
     ("set_buffer_dcache", "dcache", "set-buffer"),
     ("filter_cache_dcache", "dcache", "filter-cache"),
@@ -229,16 +231,16 @@ def measure_replay(quick: bool) -> dict:
     """Grouped single-pass replay vs per-spec evaluation timing.
 
     Runs a seven-architecture batch per cache side both ways — per
-    spec (each controller's own ``process``) and grouped
+    spec (each controller's own ``process``: a singleton engine call
+    with its own column split and sweep) and grouped
     (:func:`repro.replay.engine.replay_counters`: one columnar
     pre-split, one shared batch sweep for the batchable members) — in
     the same process, so the speedups are machine-independent and CI
     can put regression floors under them.  ``speedup`` is the worse
     of the two sides (the back-compatible headline number); each side
     also reports its own ratio.  ``stateful_speedup`` additionally
-    times each stateful design's replay derivation (a singleton
-    group, i.e. the exact engine path) against its retained
-    object-API reference loop.
+    times each derived design's singleton engine call against its
+    retained object-API reference loop.
 
     The streams stay full-size even under ``--quick``: the recorded
     metrics are *ratios*, and short streams understate them because

@@ -189,40 +189,6 @@ def _fault_leg(specs: List[RunSpec], workers: int) -> List[str]:
             reset_default_stores()
 
 
-def _replay_leg(
-    specs: List[RunSpec], workers: int
-) -> Tuple[List[str], List[str]]:
-    """Evaluate per-spec (grouped replay disabled), serial and pooled.
-
-    The default legs already run with replay grouping on; this leg
-    forces ``REPRO_REPLAY=off`` so the strictly per-spec path is
-    exercised too — grouped vs per-spec vs serial must all be
-    byte-identical.
-    """
-    import os
-
-    from repro.replay.engine import REPLAY_ENV
-
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = "off"
-    try:
-        serial = [
-            r.to_json()
-            for r in evaluate_many(specs, workers=1, use_cache=False)
-        ]
-        pooled = [
-            r.to_json()
-            for r in evaluate_many(specs, workers=workers,
-                                   use_cache=False)
-        ]
-        return serial, pooled
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
-
-
 #: The shipped scenario the ``--scenario`` leg renders: the cheapest
 #: one (six synthetic design points, no ISS runs needed).
 SCENARIO_NAME = "thrash-adversarial"
@@ -366,12 +332,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the HTTP-service leg of the check",
     )
     parser.add_argument(
-        "--replay", action="store_true",
-        help="add a replay leg: re-evaluate with grouped replay "
-             "disabled (REPRO_REPLAY=off), serial and pooled, and "
-             "require byte-identity with the grouped runs",
-    )
-    parser.add_argument(
         "--scenario", action="store_true",
         help="add a scenario leg: render the shipped "
              f"'{SCENARIO_NAME}' scenario table serially, pooled and "
@@ -406,23 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _report_mismatch("1 vs N workers", specs, serial, pooled)
         return 1
     legs = f"1 vs {args.workers} workers"
-    if args.replay:
-        per_spec_serial, per_spec_pooled = _replay_leg(
-            specs, args.workers
-        )
-        if serial != per_spec_serial:
-            _report_mismatch(
-                "grouped vs per-spec serial", specs, serial,
-                per_spec_serial,
-            )
-            return 1
-        if serial != per_spec_pooled:
-            _report_mismatch(
-                "grouped vs per-spec pooled", specs, serial,
-                per_spec_pooled,
-            )
-            return 1
-        legs += " vs per-spec replay-off (serial and pooled)"
     if not args.no_service:
         from repro.experiments import report
 

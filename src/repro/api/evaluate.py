@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cache.config import FRV_DCACHE, FRV_ICACHE
 from repro.cache.stats import AccessCounters
 from repro.energy import CachePowerModel, MABHardwareModel
+from repro.replay.engine import plan_groups, replay_specs
 from repro.workloads import generate_synthetic, load_workload
 
 from repro.api.parallel import parallel_map, warm_trace_cache
@@ -101,9 +102,9 @@ def _finish_result(
 ) -> RunResult:
     """Price counters with Equation (1) and wrap them as a RunResult.
 
-    Shared tail of the per-spec path (:func:`_run`) and the grouped
-    replay path (:func:`repro.replay.engine.replay_specs`) — one
-    pricing implementation keeps the two byte-identical.
+    Shared tail of the reference engine (:func:`_run`) and the replay
+    engine (:func:`repro.replay.engine.replay_specs`) — one pricing
+    implementation keeps the two byte-identical.
     """
     geometry = info.mab_geometry(params)
     power = _power_model(spec.cache, spec.technology).power(
@@ -119,6 +120,14 @@ def _finish_result(
 
 
 def _run(spec: RunSpec) -> RunResult:
+    """Simulate one spec (no caching).
+
+    A fast-engine spec is a singleton replay group — the exact path it
+    takes inside any batch; the reference engine runs the design's
+    ``process_reference`` loop, the executable specification.
+    """
+    if spec.engine == "fast":
+        return replay_specs([spec])[0]
     with trace_span(
         "simulate", cache=spec.cache, arch=spec.arch,
         workload=spec.workload, engine=spec.engine,
@@ -126,18 +135,8 @@ def _run(spec: RunSpec) -> RunResult:
         _begin_simulation()
         info = get_architecture(spec.cache, spec.arch)
         params = spec.param_dict
-        controller = info.build(params)
         stream, cycles = _resolve_stream(spec)
-        if spec.engine == "reference":
-            process = getattr(controller, "process_reference", None)
-            if process is None:
-                raise ValueError(
-                    f"architecture {spec.arch!r} ({spec.cache}) has no "
-                    "reference engine; use engine='fast'"
-                )
-        else:
-            process = controller.process
-        counters: AccessCounters = process(stream)
+        counters = info.build(params).process_reference(stream)
         return _finish_result(spec, info, params, counters, cycles)
 
 
@@ -204,31 +203,18 @@ def evaluate(spec: RunSpec, use_cache: bool = True) -> RunResult:
     return result
 
 
-def _evaluate_payload(payload: str) -> RunResult:
-    """Worker entry point: JSON spec in, result out.
-
-    Round-tripping the spec through its serialized form in every
-    worker keeps the wire format honest: anything expressible from
-    the library is expressible from a JSON file and vice versa.
-    """
-    return _run(RunSpec.from_json(payload))
-
-
 def _evaluate_task(payloads: Tuple[str, ...]) -> List[RunResult]:
-    """Worker entry point for one replay group of JSON specs.
+    """Worker entry point for one planned group of JSON specs.
 
-    Singleton groups take the classic per-spec path; larger groups —
-    fresh fast-engine specs sharing (cache side, workload), as planned
-    by :func:`repro.replay.engine.plan_groups` — replay the workload
-    once through the single-pass multi-architecture engine.  Both
-    paths produce byte-identical results (the determinism check's
-    ``--replay`` leg asserts it).
+    Round-tripping the specs through their serialized form in every
+    worker keeps the wire format honest.  A fast-engine group — specs
+    sharing (cache side, workload), as planned by
+    :func:`repro.replay.engine.plan_groups` — replays the workload
+    once; reference-engine specs are always planned alone.
     """
     specs = [RunSpec.from_json(payload) for payload in payloads]
-    if len(specs) == 1:
-        return [_run(specs[0])]
-    from repro.replay.engine import replay_specs
-
+    if specs[0].engine == "reference":
+        return [_run(spec) for spec in specs]
     return replay_specs(specs)
 
 
@@ -244,14 +230,12 @@ def evaluate_many(
     deterministic.  The parent warms the on-disk trace cache for the
     batch's benchmarks before forking, so workers never run the ISS.
     Fresh fast-engine specs sharing (cache side, workload) are routed
-    through the single-pass replay engine as one task (disable with
-    ``REPRO_REPLAY=0``); the results are byte-identical either way.
+    through the single-pass replay engine as one task; the results are
+    byte-identical to evaluating each spec alone.
 
     ``use_cache=False`` bypasses both cache layers completely: no
     reads from the per-process cache or the store, no write-back.
     """
-    from repro.replay.engine import plan_groups
-
     specs = list(specs)
     with trace_span("evaluate_many", batch=len(specs)) as batch_span:
         keys = [spec.key() for spec in specs]

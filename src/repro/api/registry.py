@@ -8,15 +8,12 @@ JSON-serializable parameter defaults, and the metadata the power model
 needs (MAB geometry for way-memo variants, auxiliary storage bits for
 the baselines' side structures).
 
-This registry is the single source of truth that the historical
-per-module registries are now thin aliases over:
-
-* ``experiments/runner.py:DCACHE_ARCHS`` / ``ICACHE_ARCHS`` — the
-  zero-argument factory dicts, re-exported from here.
-* ``experiments/runner.py:AUX_BITS`` / ``MAB_GEOMETRY`` — power-model
-  metadata, derived from the registered defaults.
-* ``experiments/extension_baselines.py:D_ARCHS`` / ``I_ARCHS`` — the
-  baseline-comparison orderings, derived from ``comparison_rank``.
+This registry is the single source of truth: callers iterate
+:func:`architectures`, read power-model metadata through
+:meth:`ArchitectureInfo.resolved_aux_bits` /
+:meth:`ArchitectureInfo.mab_geometry`, and take the baseline-comparison
+orderings (``experiments/extension_baselines.py:D_ARCHS`` /
+``I_ARCHS``) from :func:`comparison_archs`.
 
 Fixed-geometry labels like ``way-memo-2x8`` are presets: the same
 factory as the parametric ``way-memo`` entry with pinned defaults.
@@ -44,6 +41,7 @@ from repro.baselines import (
     WayPredictionDCache,
     WayPredictionICache,
 )
+from repro.cache.config import FRV_DCACHE, FRV_ICACHE
 from repro.core import (
     LineBufferWayMemoDCache,
     MABConfig,
@@ -81,8 +79,8 @@ class ArchitectureInfo:
     aux_bits: Optional[Callable[[Mapping[str, Any]], int]] = None
     #: Position in the extension_baselines comparison (None = not in it).
     comparison_rank: Optional[int] = None
-    #: Parametric entries (e.g. ``way-memo``) are the sweep surface and
-    #: are excluded from the legacy fixed-label alias dicts.
+    #: Parametric entries (e.g. ``way-memo``) are the sweep surface
+    #: rather than one fixed design point.
     parametric: bool = False
 
     def merged_params(
@@ -177,17 +175,23 @@ def comparison_archs(side: str) -> Tuple[str, ...]:
 # registrations
 # ----------------------------------------------------------------------
 
+# Like the controller classes, every factory also takes the cache
+# geometry as ``cache_config`` (not a spec parameter: specs always run
+# the FR-V caches), so tests can build any entry on a tiny cache.
+
 def _way_memo_dcache(tag_entries=2, index_entries=8, consistency="paper",
-                     policy="lru"):
+                     policy="lru", cache_config=FRV_DCACHE):
     return WayMemoDCache(
+        cache_config,
         mab_config=MABConfig(tag_entries, index_entries, consistency),
         policy=policy,
     )
 
 
 def _way_memo_icache(tag_entries=2, index_entries=16, consistency="paper",
-                     policy="lru"):
+                     policy="lru", cache_config=FRV_ICACHE):
     return WayMemoICache(
+        cache_config,
         mab_config=MABConfig(tag_entries, index_entries, consistency),
         policy=policy,
     )
@@ -195,8 +199,9 @@ def _way_memo_icache(tag_entries=2, index_entries=16, consistency="paper",
 
 def _line_buffer_way_memo(tag_entries=2, index_entries=8,
                           consistency="paper", line_buffer_entries=1,
-                          policy="lru"):
+                          policy="lru", cache_config=FRV_DCACHE):
     return LineBufferWayMemoDCache(
+        cache_config,
         mab_config=MABConfig(tag_entries, index_entries, consistency),
         line_buffer_entries=line_buffer_entries,
         policy=policy,
@@ -204,7 +209,7 @@ def _line_buffer_way_memo(tag_entries=2, index_entries=8,
 
 
 #: Storage-bit formulas for the baselines' auxiliary structures, per
-#: resolved parameters (defaults reproduce runner.py's old AUX_BITS).
+#: resolved parameters.
 def _set_buffer_bits(params: Mapping[str, Any]) -> int:
     # entries x (2 tags + index) per buffered set.
     return int(params["entries"]) * (2 * 18 + 9)
@@ -234,7 +239,7 @@ def _mab_defaults(tag_entries: int, index_entries: int,
     }
 
 
-# -- D-cache (registration order preserves the legacy dict order) ------
+# -- D-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
     id="original", side="dcache", factory=OriginalDCache,
@@ -348,33 +353,3 @@ register(ArchitectureInfo(
     defaults=_mab_defaults(2, 16), uses_mab=True, parametric=True,
 ))
 
-
-# ----------------------------------------------------------------------
-# legacy aliases (the old per-module registries, now derived views)
-# ----------------------------------------------------------------------
-
-def _legacy_factories(side: str) -> Dict[str, Callable[[], object]]:
-    return {
-        info.id: info.build
-        for info in architectures(side) if not info.parametric
-    }
-
-
-#: Zero-argument factory dicts, as experiments/runner.py used to define.
-DCACHE_ARCHS: Dict[str, Callable[[], object]] = _legacy_factories("dcache")
-ICACHE_ARCHS: Dict[str, Callable[[], object]] = _legacy_factories("icache")
-
-#: Auxiliary storage bits by label (default parameters), both sides.
-AUX_BITS: Dict[str, int] = {}
-#: (Nt, Ns) by way-memo label (default parameters), both sides.
-MAB_GEOMETRY: Dict[str, Tuple[int, int]] = {}
-for _info in architectures():
-    if _info.parametric:
-        continue
-    _bits = _info.resolved_aux_bits()
-    if _bits is not None:
-        AUX_BITS.setdefault(_info.id, _bits)
-    _geom = _info.mab_geometry()
-    if _geom is not None:
-        MAB_GEOMETRY.setdefault(_info.id, _geom)
-del _info

@@ -29,9 +29,10 @@ from repro.workloads import BENCHMARK_NAMES, parse_workload
 #: Version of the serialized spec layout.
 SPEC_SCHEMA_VERSION = 1
 
-#: ``process()`` (fast kernels) vs ``process_reference()`` (object-API
-#: executable spec); both are bit-for-bit equivalent by the
-#: differential tests, so ``fast`` is the default.
+#: The replay engine (:mod:`repro.replay.engine`) vs
+#: ``process_reference()`` (object-API executable spec); both are
+#: bit-for-bit equivalent by the differential tests, so ``fast`` is the
+#: default.
 ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 #: Prefix of synthetic workload names, e.g.

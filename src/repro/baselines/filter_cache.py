@@ -11,10 +11,11 @@ linger in the L0 after its L1 eviction, and a write-through on such a
 stale L0 hit would silently miss-fill L1 with uncharged energy — a
 consistency bug the fast/reference differential matrix exposed).
 
-:meth:`_FilterCache.process_columns` is the fast engine, driven by the
-shared columnar pre-split (:mod:`repro.replay.columns`).  L0 hits skip
-L1 entirely, so this design cannot ride the shared batch sweep — the
-L1 access subsequence depends on the L0 classification.  But the
+:meth:`_FilterCache.process_columns` is the fast path the replay engine
+drives, fed from the shared columnar pre-split
+(:mod:`repro.replay.columns`).  L0 hits skip L1 entirely, so this
+design cannot ride the shared batch sweep — the L1 access subsequence
+depends on the L0 classification.  But the
 coupling in the *other* direction is almost nil: the L0 (an LRU list
 over lines) evolves independently of L1 except when an L1 eviction
 invalidates an L0-resident line through the inclusion listener, which
@@ -44,7 +45,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.columns import columns_for_stream
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
@@ -63,7 +64,7 @@ _F_WRITEBACK = 1 << 10
 _F_TAG_SHIFT = 11
 
 
-class _FilterCache:
+class _FilterCache(Controller):
     """Shared L0 + L1 machinery."""
 
     def __init__(self, cache_config: CacheConfig, l0_lines: int,
@@ -828,9 +829,6 @@ class FilterCacheDCache(_FilterCache):
                  l0_lines: int = DEFAULT_L0_LINES, policy: str = "lru"):
         super().__init__(cache_config, l0_lines, policy)
 
-    def process(self, trace: DataTrace) -> AccessCounters:
-        return self.process_columns(columns_for_stream(trace))
-
     def process_reference(self, trace: DataTrace) -> AccessCounters:
         counters = AccessCounters()
         for base, disp, is_store in zip(
@@ -853,9 +851,6 @@ class FilterCacheICache(_FilterCache):
     def __init__(self, cache_config: CacheConfig = FRV_ICACHE,
                  l0_lines: int = DEFAULT_L0_LINES, policy: str = "lru"):
         super().__init__(cache_config, l0_lines, policy)
-
-    def process(self, fetch: FetchStream) -> AccessCounters:
-        return self.process_columns(columns_for_stream(fetch))
 
     def process_reference(self, fetch: FetchStream) -> AccessCounters:
         counters = AccessCounters()

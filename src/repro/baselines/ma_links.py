@@ -21,25 +21,21 @@ line); lines containing several distinct taken branches thrash their
 branch link, which is the structural disadvantage relative to the
 MAB's decoupled address table.
 
-:meth:`MaLinksICache.process` is the fast engine: vectorized address
-splitting, packed-int :meth:`SetAssociativeCache.access_fast` calls,
-and a single-scan :meth:`SetAssociativeCache.hit_confirm` on the
-link-hit path (replacing the historical ``probe()`` + ``access()``
-double scan) over the same ``_links``/``_reverse`` dictionaries;
-:meth:`process_reference` keeps the object-API loop as the executable
-specification.
+:meth:`process_reference` keeps the object-API loop over the
+``_links``/``_reverse`` dictionaries as the executable specification.
 
-:meth:`MaLinksICache.replay_counters` goes further for the grouped
-replay engine: the cache sees exactly one access per fetch on every
-path (a confirmed link hit is state-equivalent to a hitting access),
-so link validity can be *derived* from the shared batch results
-without replaying the link tables at all.  A link consult at access
-``i`` hits iff the most recent prior consult ``m`` with the same
-(source line, kind) key targeted the same line and neither that
-target line nor the source line was evicted strictly between ``m``
-and ``i`` — the previous-consult structure falls out of a stable sort
-by key (the way-prediction trick), and the eviction windows out of a
-``searchsorted`` over the shared pass's packed eviction events.
+:meth:`MaLinksICache.replay_counters` is the fast path: the cache sees
+exactly one access per fetch on every path (a confirmed link hit is
+state-equivalent to a hitting access), so the replay engine's shared
+batch sweep serves this design too, and link validity is *derived*
+from its results without replaying the link tables at all.  A link
+consult at access ``i`` hits iff the most recent prior consult ``m``
+with the same (source line, kind) key targeted the same line and
+neither that target line nor the source line was evicted strictly
+between ``m`` and ``i`` — the previous-consult structure falls out of
+a stable sort by key (the way-prediction trick), and the eviction
+windows out of a ``searchsorted`` over the shared pass's packed
+eviction events.
 """
 
 from __future__ import annotations
@@ -53,13 +49,14 @@ from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import FetchColumns, SharedPass
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchKind, FetchStream
 
 #: Link kinds.
 _SEQ, _BRANCH = 0, 1
 
 
-class MaLinksICache:
+class MaLinksICache(Controller):
     """I-cache with per-line sequential and branch way links."""
 
     name = "ma-links"
@@ -112,107 +109,7 @@ class MaLinksICache:
         )
 
     # ------------------------------------------------------------------
-
-    def process(self, fetch: FetchStream) -> AccessCounters:
-        """Replay the fetch stream and return counters (fast engine).
-
-        The cache sees exactly one access per fetch on every path, so
-        each iteration is one packed-int kernel call; a valid link is
-        verified and completed with a single tag comparison
-        (:meth:`~repro.cache.cache.SetAssociativeCache.hit_confirm` —
-        the memoized way holds the tag iff any way does), instead of
-        the reference's stateless ``probe()`` followed by a second
-        full ``access()`` scan.
-        """
-        counters = AccessCounters()
-        cfg = self.cache_config
-        cache = self.cache
-        nways = cache.ways
-        access_fast = cache.access_fast
-        hit_confirm = cache.hit_confirm
-        links_get = self._links.get
-        set_link = self._set_link
-        seq = int(FetchKind.SEQ)
-        branch = int(FetchKind.BRANCH)
-
-        addr64 = fetch.addr.astype(np.int64)
-        lines = (addr64 & ~np.int64(cfg.line_bytes - 1)).tolist()
-        tags = (addr64 >> cache.tag_shift).tolist()
-        sets = ((addr64 >> cache.offset_bits) & cache.set_mask).tolist()
-        kinds = fetch.kind.tolist()
-
-        last_line: Optional[int] = None
-
-        intra_line_hits = 0
-        mab_lookups = 0
-        mab_hits = 0
-        stale_hits = 0
-        cache_hits = 0
-        cache_misses = 0
-        tag_accesses = 0
-        way_accesses = 0
-
-        for i in range(len(kinds)):
-            kind = kinds[i]
-            line = lines[i]
-            tag = tags[i]
-            set_index = sets[i]
-
-            if kind == seq and line == last_line:
-                # Intra-line sequential: way known, free ([3, 4, 10],
-                # which [11] also builds upon).
-                intra_line_hits += 1
-                access_fast(tag, set_index, False)
-                cache_hits += 1
-                way_accesses += 1
-                continue  # last_line already equals line
-
-            link_kind = _SEQ if kind == seq else _BRANCH
-            consults_link = last_line is not None and kind in (seq, branch)
-            if consults_link:
-                mab_lookups += 1  # link consult (for hit rate)
-                link = links_get((last_line, link_kind))
-            else:
-                link = None
-            if link is not None and link[0] == line:
-                # Valid link: skip the tag search (single-scan verify).
-                if hit_confirm(tag, set_index, link[1], False):
-                    mab_hits += 1  # link hit (reuses counter)
-                    cache_hits += 1
-                    way_accesses += 1
-                    last_line = line
-                    continue
-                stale_hits += 1  # should never happen
-
-            # Full access, then learn the link.
-            packed = access_fast(tag, set_index, False)
-            tag_accesses += nways
-            way = (packed >> 1) & 0xFF
-            if packed & 1:
-                cache_hits += 1
-                way_accesses += nways
-            else:
-                cache_misses += 1
-                way_accesses += nways + 1
-            if consults_link:
-                set_link(last_line, link_kind, line, way)
-            last_line = line
-
-        n = len(kinds)
-        counters.accesses = n
-        counters.aux_accesses = n  # link bits read with the line
-        counters.intra_line_hits = intra_line_hits
-        counters.mab_lookups = mab_lookups
-        counters.mab_hits = mab_hits
-        counters.stale_hits = stale_hits
-        counters.cache_hits = cache_hits
-        counters.cache_misses = cache_misses
-        counters.tag_accesses = tag_accesses
-        counters.way_accesses = way_accesses
-        return counters
-
-    # ------------------------------------------------------------------
-    # grouped replay derivation
+    # fast engine
     # ------------------------------------------------------------------
 
     def replay_counters(
@@ -220,22 +117,18 @@ class MaLinksICache:
     ) -> AccessCounters:
         """Counters from the shared packed results (pure derivation).
 
-        Valid for a fresh controller (the replay engine always builds
-        one): after any consulting access ``m``, the consulted key's
-        link is (line_m, resident way of line_m) — the full path wrote
-        it, and a link hit means it already held exactly that value —
-        so the consult at ``i`` hits iff its most recent same-key
-        predecessor ``m`` exists, targeted ``i``'s line, and neither
-        the target nor the source line was evicted strictly between
-        them (evictions *at* ``m`` precede the link write; the consult
-        at ``i`` precedes access ``i``'s eviction).  Stale hits
-        provably never fire: a surviving link's target is resident
-        with an unchanged way, so ``hit_confirm`` always succeeds.
+        Derived as for a fresh controller: after any consulting access
+        ``m``, the consulted key's link is (line_m, resident way of
+        line_m) — the full path wrote it, and a link hit means it
+        already held exactly that value — so the consult at ``i`` hits
+        iff its most recent same-key predecessor ``m`` exists,
+        targeted ``i``'s line, and neither the target nor the source
+        line was evicted strictly between them (evictions *at* ``m``
+        precede the link write; the consult at ``i`` precedes access
+        ``i``'s eviction).  Stale hits provably never fire: a surviving
+        link's target is resident with an unchanged way, so the
+        verifying probe always succeeds.
         """
-        if self._links:
-            raise ValueError(
-                "MA-links replay derivation requires a fresh controller"
-            )
         counters = AccessCounters()
         cache = self.cache
         nways = cache.ways

@@ -6,13 +6,12 @@ happens after tag compare); stores resolve the way first through the
 write-back buffer and write a single way (paper Section 4, which is why
 the original D-cache's ways-per-access is below 2 in Figure 4).
 
-Both controllers run on the shared ``access_fast_batch`` kernel with
-the columnar pre-split from :mod:`repro.replay.columns`; the counters
-are a pure function of the columns and the packed per-access results
-(:meth:`replay_counters`), which lets the multi-architecture replay
-engine share one batch sweep across every batchable architecture.
-``process_reference`` keeps the original object-API loops as the
-executable specification for the differential tests.
+Both controllers' counters are a pure function of the columnar
+pre-split from :mod:`repro.replay.columns` and the packed per-access
+results of the replay engine's shared ``access_fast_batch`` sweep
+(:meth:`replay_counters`), so one sweep serves every batchable
+architecture.  ``process_reference`` keeps the original object-API
+loops as the executable specification for the differential tests.
 """
 
 from __future__ import annotations
@@ -22,17 +21,13 @@ from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
-from repro.replay.columns import (
-    DataColumns,
-    FetchColumns,
-    SharedPass,
-    columns_for_stream,
-)
+from repro.replay.columns import DataColumns, FetchColumns, SharedPass
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
 
-class OriginalDCache:
+class OriginalDCache(Controller):
     """Baseline D-cache: parallel tag + data access, single-way stores."""
 
     name = "original"
@@ -84,22 +79,6 @@ class OriginalDCache:
         cols.apply_load_store(counters)
         return counters
 
-    def process(self, trace: DataTrace) -> AccessCounters:
-        cols = columns_for_stream(trace)
-        cache = self.cache
-        tags, sets = cols.cache_streams(
-            cache.offset_bits, cache.index_bits
-        )
-        # The write buffer only sees the ordered store sub-stream, and
-        # the cache sees every access regardless of hit/miss or store
-        # flag, so the two replays decouple: push the stores, then run
-        # the whole access stream through the shared batch kernel.
-        wbuf_push = self.write_buffer.push
-        for addr in cols.store_addrs():
-            wbuf_push(addr)
-        packed = cache.access_fast_batch(tags, sets, cols.writes())
-        return self.replay_counters(cols, SharedPass(packed))
-
     def process_reference(self, trace: DataTrace) -> AccessCounters:
         """Replay via the original object-API path (spec for diff tests)."""
         counters = AccessCounters()
@@ -126,7 +105,7 @@ class OriginalDCache:
         return counters
 
 
-class OriginalICache:
+class OriginalICache(Controller):
     """Baseline I-cache: every fetch reads all tags and all ways."""
 
     name = "original"
@@ -161,15 +140,6 @@ class OriginalICache:
             cache_hits * nways + cache_misses * (nways + 1)
         )
         return counters
-
-    def process(self, fetch: FetchStream) -> AccessCounters:
-        cols = columns_for_stream(fetch)
-        cache = self.cache
-        tags, sets = cols.cache_streams(
-            cache.offset_bits, cache.index_bits
-        )
-        packed = cache.access_fast_batch(tags, sets)
-        return self.replay_counters(cols, SharedPass(packed))
 
     def process_reference(self, fetch: FetchStream) -> AccessCounters:
         """Replay via the original object-API path (spec for diff tests)."""

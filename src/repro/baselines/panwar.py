@@ -10,12 +10,12 @@ I-cache baseline in Figure 8 ("original + approach [4]").
 Whether a fetch is intra-line depends only on the stream (its kind and
 the previous access's line), never on cache state, and the cache is
 accessed once per fetch either way.  The fast path therefore reads the
-intra-line mask off the columnar pre-split, replays the address stream
-through :meth:`SetAssociativeCache.access_fast_batch`, and derives all
-counters from the packed hit bits — a pure function of (columns,
-packed results) exposed as :meth:`replay_counters` for the shared
-multi-architecture replay pass.  :meth:`process_reference` keeps the
-per-access object-API loop as the executable specification.
+intra-line mask off the columnar pre-split and derives all counters
+from the packed hit bits of the replay engine's shared
+:meth:`SetAssociativeCache.access_fast_batch` sweep — a pure function
+of (columns, packed results) exposed as :meth:`replay_counters`.
+:meth:`process_reference` keeps the per-access object-API loop as the
+executable specification.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.columns import (
-    FetchColumns,
-    SharedPass,
-    columns_for_stream,
-)
+from repro.replay.columns import FetchColumns, SharedPass
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchKind, FetchStream
 
 
-class PanwarICache:
+class PanwarICache(Controller):
     """I-cache with intra-cache-line sequential-flow optimisation only."""
 
     name = "panwar"
@@ -79,17 +76,6 @@ class PanwarICache:
             n_intra + full_hits * nways + misses * (nways + 1)
         )
         return counters
-
-    def process(self, fetch: FetchStream) -> AccessCounters:
-        if len(fetch) == 0:
-            return AccessCounters()
-        cols = columns_for_stream(fetch)
-        cache = self.cache
-        tags, sets = cols.cache_streams(
-            cache.offset_bits, cache.index_bits
-        )
-        packed = cache.access_fast_batch(tags, sets)
-        return self.replay_counters(cols, SharedPass(packed))
 
     # -- executable specification ---------------------------------------
 

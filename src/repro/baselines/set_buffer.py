@@ -17,27 +17,24 @@ Accounting (Figure 4's "approach [14]" bars):
 * buffer miss: full parallel access (all tags, all ways for loads) and
   the set's tags are copied into the buffer (LRU replacement).
 
-:meth:`SetBufferDCache.process` is the fast engine.  The cache is
-accessed exactly once per reference on both buffer paths, so the whole
-address stream batches through
-:meth:`SetAssociativeCache.access_fast_batch` and the buffer's
-behaviour is *derived* from the packed results without a per-access
-loop (:meth:`replay_counters`, shareable across architectures by the
-replay engine): the buffered snapshot of a set always mirrors the live
-tag row, so "buffered tag matches" is exactly "the set is buffered and
-the access hits", and buffer membership is a pure function of the set
-index stream — the LRU set of the last ``entries`` distinct set
-indices.  Collapsing the stream into runs of equal set index makes
-membership vectorizable (for the default two-entry buffer a run head
-is buffered iff its set recurs two runs back); :meth:`process` adds
-the state carry (final LRU list + snapshots) for chunked replay.
-:meth:`process_reference` keeps the object-API loop as the executable
-specification.
+The cache is accessed exactly once per reference on both buffer paths,
+so the replay engine's shared
+:meth:`SetAssociativeCache.access_fast_batch` sweep serves this design
+too and the buffer's behaviour is *derived* from the packed results
+without a per-access loop (:meth:`replay_counters`): the buffered
+snapshot of a set always mirrors the live tag row, so "buffered tag
+matches" is exactly "the set is buffered and the access hits", and
+buffer membership is a pure function of the set index stream — the
+LRU set of the last ``entries`` distinct set indices.  Collapsing the
+stream into runs of equal set index makes membership vectorizable (for
+the default two-entry buffer a run head is buffered iff its set recurs
+two runs back).  :meth:`process_reference` keeps the object-API loop
+as the executable specification.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -46,11 +43,12 @@ from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
-from repro.replay.columns import DataColumns, SharedPass, columns_for_stream
+from repro.replay.columns import DataColumns, SharedPass
+from repro.replay.engine import Controller
 from repro.sim.trace import DataTrace
 
 
-class SetBufferDCache:
+class SetBufferDCache(Controller):
     """D-cache fronted by an N-entry set buffer.
 
     The default of two buffered sets reflects the "lightweight"
@@ -108,10 +106,10 @@ class SetBufferDCache:
     # fast engine
     # ------------------------------------------------------------------
 
-    def _derive(
-        self, cols: DataColumns, hit: np.ndarray
-    ) -> Tuple[AccessCounters, np.ndarray]:
-        """Counters from the per-access hit vector (pure derivation).
+    def replay_counters(
+        self, cols: DataColumns, shared: SharedPass
+    ) -> AccessCounters:
+        """Counters from the shared packed results (pure derivation).
 
         The buffered snapshot of a set always mirrors that set's live
         tag row (hits never change tags, other sets can't touch this
@@ -122,10 +120,9 @@ class SetBufferDCache:
         index: every non-head access is buffered; a run head is
         buffered iff its set is among the previous ``entries`` distinct
         run values (adjacent run values always differ, so for the
-        default ``entries == 2`` that is ``r[k] == r[k - 2]``, with the
-        first ``entries`` run heads consulting the carried-in LRU
-        state).  Returns (counters, run values) so callers can carry
-        the buffer state forward.
+        default ``entries == 2`` that is ``r[k] == r[k - 2]``).  The
+        write buffer and the snapshot refreshes are side state only —
+        no counter reads them — so the derivation skips both.
         """
         counters = AccessCounters()
         nways = self.cache_config.ways
@@ -134,10 +131,11 @@ class SetBufferDCache:
         counters.notes["set_buffer_entries"] = entries
         if n == 0:
             cols.apply_load_store(counters)
-            return counters, np.empty(0, dtype=np.int64)
+            return counters
 
-        cache = self.cache
-        sets = cols.sets_array(cache.offset_bits, cache.index_bits)
+        sets = cols.sets_array(
+            self.cache.offset_bits, self.cache.index_bits
+        )
         head = np.empty(n, dtype=bool)
         head[0] = True
         head[1:] = sets[1:] != sets[:-1]
@@ -146,26 +144,22 @@ class SetBufferDCache:
         m = len(runs)
 
         head_in = np.zeros(m, dtype=bool)
-        if entries <= 2:
-            if entries == 2 and m > 2:
-                head_in[2:] = runs[2:] == runs[:-2]
-            seeded = min(m, entries)
-        else:
-            seeded = m
-        # The first `entries` run heads (or every head, for larger
-        # buffers) consult the carried-in LRU membership directly.
-        members = dict.fromkeys(self._lru)
-        for k in range(seeded):
-            value = int(runs[k])
-            if value in members:
-                head_in[k] = True
-                del members[value]
-            members[value] = None
-            if len(members) > entries:
-                del members[next(iter(members))]
+        if entries == 2:
+            head_in[2:] = runs[2:] == runs[:-2]
+        elif entries > 2:
+            # Wider buffers walk the run heads through an LRU list.
+            members: Dict[int, None] = {}
+            for k, value in enumerate(runs.tolist()):
+                if value in members:
+                    head_in[k] = True
+                    del members[value]
+                members[value] = None
+                if len(members) > entries:
+                    del members[next(iter(members))]
 
         in_buffer = np.ones(n, dtype=bool)
         in_buffer[head_idx] = head_in
+        hit = shared.hit
         matched = in_buffer & hit
 
         store = cols.store_mask
@@ -177,7 +171,7 @@ class SetBufferDCache:
         miss_stores = int((unmatched_miss & store).sum())
         miss_loads = int(unmatched_miss.sum()) - miss_stores
 
-        hits = int(hit.sum())
+        hits = shared.hit_count
         counters.accesses = n
         counters.aux_accesses = n  # the buffer is probed every access
         counters.cache_hits = hits
@@ -191,56 +185,6 @@ class SetBufferDCache:
             + miss_loads * (nways + 1)       # parallel load + refill
         )
         cols.apply_load_store(counters)
-        return counters, runs
-
-    def replay_counters(
-        self, cols: DataColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation).
-
-        The write buffer and the snapshot refreshes are side state
-        only — no counter reads them — so the shared-pass path may
-        skip both entirely and leave the controller untouched.
-        """
-        counters, _ = self._derive(cols, shared.hit)
-        return counters
-
-    def process(self, trace: DataTrace) -> AccessCounters:
-        """Replay ``trace`` and return the access counters (fast engine).
-
-        Batches the whole stream through the cache kernel, derives the
-        buffer's behaviour from the hit vector, and reconstructs the
-        end-of-chunk buffer state: the final LRU list is the last
-        ``entries`` distinct run values by last occurrence, and each
-        surviving snapshot is a copy of the live flat tag row (with
-        invalid ways as ``None``, exactly like the reference's
-        ``line_state`` form) — the invariant the derivation rests on.
-        """
-        cols = columns_for_stream(trace)
-        cache = self.cache
-        # The write buffer only sees the ordered store sub-stream and
-        # the cache sees every access regardless of the buffer outcome,
-        # so the replays decouple (same argument as the original
-        # D-cache): push the stores, then batch the access stream.
-        wbuf_push = self.write_buffer.push
-        for addr in cols.store_addrs():
-            wbuf_push(addr)
-        tags, sets = cols.cache_streams(cache.offset_bits, cache.index_bits)
-        packed = cache.access_fast_batch(tags, sets, cols.writes())
-        shared = SharedPass(packed)
-        counters, runs = self._derive(cols, shared.hit)
-
-        # Carry the buffer state: membership/order by last touch.
-        members = dict.fromkeys(self._lru)
-        for value in runs.tolist():
-            members.pop(value, None)
-            members[value] = None
-        final = list(members)[-self.entries:]
-        ctags = cache._tags
-        self._lru = final
-        self._buffer = {
-            s: [t if t >= 0 else None for t in ctags[s]] for s in final
-        }
         return counters
 
     # ------------------------------------------------------------------

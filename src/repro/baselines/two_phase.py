@@ -6,13 +6,12 @@ access, costing a cycle of latency on every access — the performance
 loss the paper's MAB avoids while reaching similar way-access counts.
 
 The cache sees every access exactly once whatever the phase outcome,
-so the fast path replays the whole pre-split address stream through
-:meth:`SetAssociativeCache.access_fast_batch` and derives the counters
-from the totals (every access costs all tags, one way and one cycle)
-— a pure function of the columns and packed results
-(:meth:`replay_counters`), shareable across architectures by the
-replay engine.  :meth:`process_reference` keeps the per-access
-object-API loop as the executable specification.
+so the counters derive from the totals of the replay engine's shared
+:meth:`SetAssociativeCache.access_fast_batch` sweep (every access
+costs all tags, one way and one cycle) — a pure function of the
+columns and packed results (:meth:`replay_counters`).
+:meth:`process_reference` keeps the per-access object-API loop as the
+executable specification.
 """
 
 from __future__ import annotations
@@ -21,12 +20,13 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.columns import SharedPass, columns_for_stream
+from repro.replay.columns import SharedPass
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
 
-class _TwoPhaseCache:
+class _TwoPhaseCache(Controller):
     replay_batchable = True
 
     def __init__(self, cache_config: CacheConfig, policy: str):
@@ -51,15 +51,6 @@ class _TwoPhaseCache:
         counters.extra_cycles = n                # serialised phases
         cols.apply_load_store(counters)
         return counters
-
-    def process(self, stream) -> AccessCounters:
-        cols = columns_for_stream(stream)
-        cache = self.cache
-        tags, sets = cols.cache_streams(
-            cache.offset_bits, cache.index_bits
-        )
-        packed = cache.access_fast_batch(tags, sets, cols.writes())
-        return self.replay_counters(cols, SharedPass(packed))
 
     # -- executable specification ---------------------------------------
 

@@ -7,17 +7,15 @@ remaining ways (their tags and data), costing one extra cycle — the
 performance loss the paper's MAB technique avoids.
 
 The prediction table never influences which line the cache loads —
-every access touches the cache exactly once — so the fast path batches
-the whole address stream through
-:meth:`SetAssociativeCache.access_fast_batch` and then derives the MRU
-table's behaviour from the packed (hit, way) results *without any
-per-access loop* (:meth:`replay_counters`, shareable across
-architectures by the replay engine since it never touches the cache
-itself): a stable sort groups accesses by set, so each access's
-predicted way is simply the previous resident way *within its set
-group* — numpy shifts and a segment-boundary mask replace the MRU
-table evolution entirely.  :meth:`process_reference` keeps the
-per-access object-API loop as the executable specification.
+every access touches the cache exactly once — so the fast path derives
+the MRU table's behaviour from the packed (hit, way) results of the
+replay engine's shared :meth:`SetAssociativeCache.access_fast_batch`
+sweep *without any per-access loop* (:meth:`replay_counters`): a
+stable sort groups accesses by set, so each access's predicted way is
+simply the previous resident way *within its set group* — numpy shifts
+and a segment-boundary mask replace the MRU table evolution entirely.
+:meth:`process_reference` keeps the per-access object-API loop as the
+executable specification.
 """
 
 from __future__ import annotations
@@ -28,12 +26,13 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.columns import SharedPass, columns_for_stream
+from repro.replay.columns import SharedPass
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
 
-class _WayPredictingCache:
+class _WayPredictingCache(Controller):
     """Shared machinery for I/D way-predicting caches."""
 
     replay_batchable = True
@@ -53,10 +52,9 @@ class _WayPredictingCache:
         """Derive the MRU table's behaviour from the shared results.
 
         The prediction for an access is the resident way of the
-        previous access *to the same set* (or the table's entry for
-        sets not yet touched).  A stable sort by set index makes that
-        neighbour adjacent, so the whole derivation — including the
-        final MRU table state for chunked processing — is numpy
+        previous access *to the same set* (or the fresh table's way 0
+        for a set's first access).  A stable sort by set index makes
+        that neighbour adjacent, so the whole derivation is numpy
         shifts and boolean reductions; no per-access loop.
         """
         counters = AccessCounters()
@@ -75,29 +73,16 @@ class _WayPredictingCache:
         boundary = s_sorted[1:] != s_sorted[:-1]
 
         # Predicted way = previous resident way within the set group;
-        # group heads read the carried-in MRU table instead.
-        pred_table = np.asarray(self._predicted, dtype=np.int64)
-        predicted = np.empty(n, dtype=np.int64)
+        # group heads read the fresh MRU table's way 0.
+        predicted = np.zeros(n, dtype=np.int64)
         predicted[1:] = w_sorted[:-1]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = boundary
-        predicted[first] = pred_table[s_sorted[first]]
+        predicted[1:][boundary] = 0
 
         # Second phase fires on every miss and every mispredicted hit.
         correct = h_sorted & (predicted == w_sorted)
         second = n - int(correct.sum())
         hits = shared.hit_count
         misses = n - hits
-
-        # Carry the MRU table forward: each touched set ends at its
-        # group's last resident way (exactly what the scalar loop's
-        # final writes leave behind).
-        last = np.empty(n, dtype=bool)
-        last[:-1] = boundary
-        last[-1] = True
-        pred_table[s_sorted[last]] = w_sorted[last]
-        self._predicted = pred_table.tolist()
 
         counters.accesses = n
         counters.aux_accesses = n  # prediction table read per access
@@ -111,15 +96,6 @@ class _WayPredictingCache:
         counters.way_accesses = n + second * (nways - 1) + misses
         cols.apply_load_store(counters)
         return counters
-
-    def process(self, stream) -> AccessCounters:
-        cols = columns_for_stream(stream)
-        cache = self.cache
-        tags, sets = cols.cache_streams(
-            cache.offset_bits, cache.index_bits
-        )
-        packed = cache.access_fast_batch(tags, sets, cols.writes())
-        return self.replay_counters(cols, SharedPass(packed))
 
     # -- executable specification ---------------------------------------
 

@@ -16,11 +16,11 @@ Every MAB hit is verified against the actual cache content; a mismatch
 is a *stale hit* and is counted (``AccessCounters.stale_hits``).  The
 paper's consistency argument predicts zero.
 
-:meth:`WayMemoDCache.process` is the fast engine: it inlines the
-flat-state MAB and cache kernels into one loop, verifies a MAB hit
-and performs the LRU touch in a *single* tag comparison instead of
-the historical ``probe()`` + ``access()`` double scan, and
-accumulates counters in local ints.
+:meth:`WayMemoDCache.process_columns` is the fast path the replay
+engine drives: it inlines the flat-state MAB and cache kernels into
+one loop, verifies a MAB hit and performs the LRU touch in a *single*
+tag comparison instead of the historical ``probe()`` + ``access()``
+double scan, and accumulates counters in local ints.
 :meth:`WayMemoDCache.process_reference` keeps the original
 object-API implementation verbatim as the executable specification;
 ``tests/test_fastpath_differential.py`` asserts the two agree
@@ -35,11 +35,12 @@ from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
 from repro.core.mab import MAB, MABConfig
-from repro.replay.columns import DataColumns, columns_for_stream
+from repro.replay.columns import DataColumns
+from repro.replay.engine import Controller
 from repro.sim.trace import DataTrace
 
 
-class WayMemoDCache:
+class WayMemoDCache(Controller):
     """D-cache with the paper's way-memoization MAB in front.
 
     Parameters
@@ -72,10 +73,6 @@ class WayMemoDCache:
             self.cache.add_eviction_listener(self.mab.invalidate_line)
 
     # ------------------------------------------------------------------
-
-    def process(self, trace: DataTrace) -> AccessCounters:
-        """Replay ``trace`` and return the access counters (fast engine)."""
-        return self.process_columns(columns_for_stream(trace))
 
     def process_columns(self, cols: DataColumns) -> AccessCounters:
         """Replay a pre-split columnar trace (fast engine).

@@ -17,8 +17,9 @@ The controller tracks the line address of the previous access to
 classify intra- vs inter-line flow, mirroring the hardware's
 "same-line" detector.
 
-:meth:`WayMemoICache.process` is the fast engine (flat kernels, single
-tag scan on MAB hits, vectorized address splitting, local counters);
+:meth:`WayMemoICache.process_columns` is the fast path the replay
+engine drives (flat kernels, single tag scan on MAB hits, pre-split
+columns, local counters);
 :meth:`WayMemoICache.process_reference` keeps the original object-API
 implementation as the executable specification for the differential
 tests.
@@ -31,11 +32,12 @@ from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.core.mab import MAB, MABConfig
-from repro.replay.columns import FetchColumns, columns_for_stream
+from repro.replay.columns import FetchColumns
+from repro.replay.engine import Controller
 from repro.sim.fetch import FetchKind, FetchStream
 
 
-class WayMemoICache:
+class WayMemoICache(Controller):
     """I-cache with intra-line tracking plus the paper's MAB.
 
     Parameters
@@ -65,10 +67,6 @@ class WayMemoICache:
             self.cache.add_eviction_listener(self.mab.invalidate_line)
 
     # ------------------------------------------------------------------
-
-    def process(self, fetch: FetchStream) -> AccessCounters:
-        """Replay the fetch stream and return counters (fast engine)."""
-        return self.process_columns(columns_for_stream(fetch))
 
     def process_columns(self, cols: FetchColumns) -> AccessCounters:
         """Replay a pre-split columnar fetch stream (fast engine).

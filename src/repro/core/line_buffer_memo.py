@@ -13,6 +13,10 @@ This module implements that combination for the D-cache:
 The buffer is kept coherent with the cache via the eviction listener,
 and dirty data is assumed written through to the cache arrays when a
 line leaves the buffer (energy for that is charged as a way access).
+
+:meth:`process_reference` is the executable specification.  The design
+has no columnar fast path yet, so the replay engine runs this loop for
+its ``process`` too.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from repro.cache.line_buffer import LineBuffer
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.core.mab import MAB, MABConfig
+from repro.replay.engine import Controller
 from repro.sim.trace import DataTrace
 
 
-class LineBufferWayMemoDCache:
+class LineBufferWayMemoDCache(Controller):
     """D-cache with line buffer + MAB way memoization stacked."""
 
     name = "way-memo+line-buffer"
@@ -58,7 +63,7 @@ class LineBufferWayMemoDCache:
 
     # ------------------------------------------------------------------
 
-    def process(self, trace: DataTrace) -> AccessCounters:
+    def process_reference(self, trace: DataTrace) -> AccessCounters:
         counters = AccessCounters()
         cfg = self.cache_config
         cache = self.cache

@@ -7,9 +7,6 @@ experiment modules (and external callers) grew up with:
 * ``dcache_counters`` / ``icache_counters`` / ``dcache_power`` /
   ``icache_power`` — per-(benchmark, architecture) evaluation, cached
   per process through the api's result cache.
-* ``DCACHE_ARCHS`` / ``ICACHE_ARCHS`` / ``AUX_BITS`` /
-  ``MAB_GEOMETRY`` — legacy alias views re-exported from
-  :mod:`repro.api.registry`, the single defining site.
 * ``arch_spec`` — the canonical :class:`~repro.api.spec.RunSpec` for a
   (cache, architecture, benchmark) point; the registered experiments
   (:mod:`repro.experiments.registry`) build their declared ``specs()``
@@ -28,12 +25,6 @@ from functools import lru_cache
 from typing import Tuple
 
 from repro.api import RunSpec, evaluate
-from repro.api.registry import (  # noqa: F401  (re-exported aliases)
-    AUX_BITS,
-    DCACHE_ARCHS,
-    ICACHE_ARCHS,
-    MAB_GEOMETRY,
-)
 from repro.cache.stats import AccessCounters
 from repro.energy import PowerBreakdown
 

@@ -11,20 +11,22 @@ repetition:
   (and the narrow-adder MAB key column) computed once per geometry
   with vectorized numpy, cached in process and persisted as ``.npz``
   archives next to the trace cache.
-* :mod:`repro.replay.engine` — the replay engine: runs *all requested
-  architectures in one pass* over the columns.  Architectures whose
-  cache access stream is state-independent (original, two-phase,
-  way-prediction, Panwar) share literally one
+* :mod:`repro.replay.engine` — the one fast engine: runs *all
+  requested architectures in one pass* over the columns.
+  Architectures whose cache access stream is state-independent
+  (original, two-phase, way-prediction, Panwar, set buffer, MA-links)
+  share literally one
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
-  sweep and derive their counters from the shared packed results;
-  stateful controllers replay their own loop but share the columnar
-  pre-split.
+  sweep per (geometry, replacement policy) and derive their counters
+  from the shared packed results; stateful controllers replay their
+  own loop but share the columnar pre-split.
 
-``evaluate_many`` routes groups of fresh specs sharing
-``(cache side, workload, engine="fast")`` through
-:func:`~repro.replay.engine.replay_specs` transparently; results are
-byte-identical to per-spec evaluation (set ``REPRO_REPLAY=0`` to
-disable the grouping for debugging).
+Every controller's ``process`` is a singleton
+:func:`~repro.replay.engine.replay_counters` call, ``evaluate`` runs a
+fast-engine spec as a singleton :func:`~repro.replay.engine.replay_specs`
+group, and ``evaluate_many`` groups fresh specs sharing
+``(cache side, workload, engine="fast")`` — so a result never depends
+on the company its spec keeps.
 """
 
 from repro.replay.columns import (
@@ -35,11 +37,10 @@ from repro.replay.columns import (
     columns_for_stream,
 )
 from repro.replay.engine import (
-    REPLAY_ENV,
+    Controller,
     clear_columns_cache,
     plan_groups,
     replay_counters,
-    replay_enabled,
     replay_specs,
 )
 
@@ -49,10 +50,9 @@ __all__ = [
     "FetchColumns",
     "SharedPass",
     "columns_for_stream",
-    "REPLAY_ENV",
+    "Controller",
     "clear_columns_cache",
     "plan_groups",
     "replay_counters",
-    "replay_enabled",
     "replay_specs",
 ]

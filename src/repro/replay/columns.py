@@ -338,7 +338,6 @@ class DataColumns(_ColumnsBase):
         self.addr64 = (self.base64 + self.disp64) & 0xFFFFFFFF
         self.store_mask = trace.store
         self._stores: Optional[List[bool]] = None
-        self._store_addrs: Optional[List[int]] = None
         self._num_stores: Optional[int] = None
 
     def writes(self) -> List[bool]:
@@ -351,12 +350,6 @@ class DataColumns(_ColumnsBase):
         if "addrs" not in self._lists:
             self._lists["addrs"] = self.addr64.tolist()
         return self._lists["addrs"]
-
-    def store_addrs(self) -> List[int]:
-        """Effective addresses of the store sub-stream, in order."""
-        if self._store_addrs is None:
-            self._store_addrs = self.addr64[self.store_mask].tolist()
-        return self._store_addrs
 
     @property
     def num_stores(self) -> int:

@@ -1,104 +1,107 @@
 """Multi-architecture replay engine: N architectures, one pass.
 
+This is the one fast engine.  Every design has exactly two
+implementations: its readable ``process_reference`` (the executable
+specification) and one fast path that only this engine drives.
+Every controller inherits the one shared :meth:`Controller.process`,
+a singleton :func:`replay_counters` call, and ``evaluate`` routes
+every fast-engine spec through :func:`replay_specs`, so a design
+point computes the same way alone or inside a batch.
+
 Two layers:
 
 * :func:`replay_counters` — the kernel-level engine.  Given built
   controllers and one access stream, it partitions them into
   *batchable* architectures (marked ``replay_batchable``: their cache
   access stream is independent of any auxiliary state, so identical
-  geometry + LRU policy means identical per-access outcomes) and
-  stateful ones.  Each batchable subgroup shares literally one
+  geometry + replacement policy means identical per-access outcomes)
+  and stateful ones.  Batchable controllers sharing a (geometry,
+  policy name) share literally one
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
-  sweep over a shadow cache; every member derives its counters from
-  the shared packed results via its ``replay_counters`` hook.
-  Stateful controllers replay their own loop, fed from the shared
-  :mod:`~repro.replay.columns` pre-split where they support it
-  (``process_columns``).
+  sweep over a fresh shadow cache; every member derives its counters
+  from the shared packed results via its ``replay_counters`` hook and
+  is itself left untouched.  Stateful controllers replay on their own
+  instance, fed from the shared :mod:`~repro.replay.columns` pre-split
+  (``process_columns``); a design without a columnar path yet runs its
+  ``process_reference`` loop.
 
-* :func:`replay_specs` — the spec-level engine behind
+* :func:`replay_specs` — the spec-level engine behind ``evaluate`` and
   ``evaluate_many``.  All specs must share one ``(cache side,
   workload)``; the workload's columns are resolved once (through the
   in-process and on-disk column caches) and every spec's counters are
-  priced into a :class:`~repro.api.result.RunResult` by the same
-  helpers the per-spec path uses, so grouping can never change a
-  byte.
-
-Set ``REPRO_REPLAY=0`` (or ``off``) to disable grouped replay
-everywhere — ``evaluate_many`` and the service worker pool fall back
-to strictly per-spec evaluation, which must be (and is checked to be)
-byte-identical.
+  priced into a :class:`~repro.api.result.RunResult`, so grouping can
+  never change a byte.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.replacement import LRUPolicy
+from repro.cache.config import CacheConfig
+from repro.cache.replacement import make_policy
+from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass, columns_for_stream
 from repro.telemetry import metrics as telemetry
 from repro.telemetry.tracing import span as trace_span
-
-#: Environment variable gating grouped replay ("0"/"off" disables).
-REPLAY_ENV = "REPRO_REPLAY"
-
-
-def replay_enabled() -> bool:
-    """Whether grouped replay is enabled (default: yes)."""
-    env = os.environ.get(REPLAY_ENV)
-    if env is None:
-        return True
-    return env.strip().lower() not in ("", "0", "off", "no", "false")
 
 
 # ----------------------------------------------------------------------
 # kernel-level engine
 # ----------------------------------------------------------------------
 
-def _shared_pass_cache(controller) -> Optional[SetAssociativeCache]:
-    """The controller's cache, when it can join a shared batch sweep.
+class Controller:
+    """Base of every cache controller: the one shared fast ``process``.
 
-    Batchable architectures with the plain LRU policy evolve their
-    cache identically for identical input streams; any other policy
-    (or a policy subclass) falls back to the controller's own replay.
+    A subclass provides ``process_reference`` plus at most one fast
+    path for the engine: ``replay_counters(cols, shared)`` when it sets
+    ``replay_batchable`` (a pure derivation from a shared sweep, which
+    must neither read nor write the controller's own state), or
+    ``process_columns(cols)`` for a stateful design.
     """
-    if not getattr(controller, "replay_batchable", False):
-        return None
-    cache = getattr(controller, "cache", None)
-    if cache is None or type(cache.policy) is not LRUPolicy:
-        return None
-    return cache
+
+    #: Whether the design's cache access stream is independent of its
+    #: side structures (see :func:`replay_counters`).
+    replay_batchable = False
+
+    def process(self, stream) -> AccessCounters:
+        """Replay ``stream`` and return the counters (fast engine).
+
+        Batchable designs sweep a shadow cache and leave this instance
+        untouched; stateful designs replay on this instance, so
+        successive calls carry their cache and side state forward.
+        """
+        return replay_counters([self], stream)[0]
 
 
 def replay_counters(
-    controllers: Sequence[object], stream, cols=None
-) -> List[object]:
+    controllers: Sequence[Controller], stream, cols=None
+) -> List[AccessCounters]:
     """Replay ``stream`` through every controller in one pass.
 
     Returns one :class:`~repro.cache.stats.AccessCounters` per
-    controller, in input order, byte-identical to calling each
-    controller's ``process(stream)`` on a fresh instance.  Only the
-    counters are produced: the batchable controllers' own cache and
-    side state are left untouched (the engine evaluates throwaway
-    instances).
+    controller, in input order, byte-identical to running each
+    controller's ``process_reference`` on a fresh instance.  Batchable
+    controllers are evaluated on throwaway shadow caches and keep
+    their own state untouched; stateful ones replay on themselves.
     """
     if cols is None:
         cols = columns_for_stream(stream)
-    out: List[object] = [None] * len(controllers)
-    shared: Dict[object, List[int]] = {}
+    out: List[AccessCounters] = [None] * len(controllers)
+    shared: Dict[Tuple[CacheConfig, str], List[int]] = {}
     singles: List[int] = []
     for index, controller in enumerate(controllers):
-        cache = _shared_pass_cache(controller)
-        if cache is not None:
-            shared.setdefault(cache.config, []).append(index)
+        if controller.replay_batchable:
+            cache = controller.cache
+            key = (cache.config, cache.policy.name)
+            shared.setdefault(key, []).append(index)
         else:
             singles.append(index)
 
-    for config, members in shared.items():
+    for (config, policy), members in shared.items():
         shadow = SetAssociativeCache(
-            config, LRUPolicy(config.sets, config.ways)
+            config, make_policy(policy, config.sets, config.ways)
         )
         tags, sets = cols.cache_streams(
             config.offset_bits, config.index_bits
@@ -137,7 +140,7 @@ def replay_counters(
         if process_columns is not None:
             out[index] = process_columns(cols)
         else:
-            out[index] = controller.process(stream)
+            out[index] = controller.process_reference(stream)
     return out
 
 
@@ -149,16 +152,15 @@ def plan_groups(specs: Sequence[object]) -> List[List[object]]:
     """Partition unique specs into replay groups and singletons.
 
     Fast-engine specs sharing ``(cache side, workload)`` replay the
-    same stream and form one group; everything else (reference-engine
-    specs, lone specs) stays a singleton.  Output order is by first
-    appearance, so the plan — and therefore every downstream byte —
-    is a pure function of the input sequence.  With replay disabled
-    (``REPRO_REPLAY=0``) every spec is its own group.
+    same stream and form one group; reference-engine specs stay
+    singletons.  Output order is by first appearance, so the plan —
+    and therefore every downstream byte — is a pure function of the
+    input sequence.
     """
     groups: List[List[object]] = []
     by_key: Dict[Tuple[str, str], List[object]] = {}
     for spec in specs:
-        if replay_enabled() and spec.engine == "fast":
+        if spec.engine == "fast":
             key = (spec.cache, spec.workload)
             group = by_key.get(key)
             if group is None:
@@ -223,7 +225,7 @@ def replay_specs(specs: Sequence[object]) -> List[object]:
     All specs must share ``(cache side, workload)`` and use the fast
     engine (:func:`plan_groups` guarantees this).  Returns one
     :class:`~repro.api.result.RunResult` per spec, in input order,
-    byte-identical to mapping the per-spec evaluation over the group.
+    byte-identical to evaluating each spec as its own singleton group.
     """
     # ``repro.api`` re-exports the evaluate *function* under the
     # submodule's name, so plain import syntax resolves to it; load

@@ -107,8 +107,7 @@ class WorkerPool:
         self.count = resolve_worker_count(count)
         self.task_timeout = task_timeout
         #: Max tasks claimed as one shared-workload replay group (one
-        #: fatter subprocess instead of N); clamped to 1 when grouped
-        #: replay is disabled via $REPRO_REPLAY.
+        #: fatter subprocess instead of N).
         self.group_limit = max(1, group_limit)
         #: The lease must outlive a full attempt (timeout + kill
         #: grace), or a *live* worker's task would be double-claimed.
@@ -166,13 +165,12 @@ class WorkerPool:
     # -- supervision ---------------------------------------------------
 
     def _supervise(self) -> None:
-        from repro.replay.engine import replay_enabled
-
         while not self._stop.is_set():
             if self._draining.is_set():
                 return
-            limit = self.group_limit if replay_enabled() else 1
-            tasks = self.queue.claim_group(self.lease_seconds, limit)
+            tasks = self.queue.claim_group(
+                self.lease_seconds, self.group_limit
+            )
             if not tasks:
                 if self._draining.is_set():
                     return

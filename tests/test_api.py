@@ -4,8 +4,8 @@ Locks down the tentpole contracts: the central registry is complete
 and constructs every architecture; specs round-trip losslessly through
 JSON and evaluate to identical counters afterwards; results are
 schema-versioned and byte-stable; ``evaluate_many`` is deterministic
-for any worker count; and the legacy registry names are thin aliases
-over the central registry.
+for any worker count; and the registry carries the power-model
+metadata of every design.
 """
 
 from __future__ import annotations
@@ -85,27 +85,23 @@ def test_comparison_archs_match_paper_order():
     )
 
 
-def test_legacy_aliases_are_views_of_the_registry():
-    from repro.api.registry import (
-        AUX_BITS,
-        DCACHE_ARCHS,
-        ICACHE_ARCHS,
-        MAB_GEOMETRY,
-    )
-    from repro.experiments import runner
+def test_registry_prices_aux_bits_and_mab_geometry():
+    def aux_bits(side, arch):
+        return get_architecture(side, arch).resolved_aux_bits()
 
-    assert runner.DCACHE_ARCHS is DCACHE_ARCHS
-    assert runner.ICACHE_ARCHS is ICACHE_ARCHS
-    assert runner.AUX_BITS is AUX_BITS
-    assert runner.MAB_GEOMETRY is MAB_GEOMETRY
-    # The historical values survive the migration.
-    assert AUX_BITS["set-buffer"] == 2 * (2 * 18 + 9)
-    assert AUX_BITS["filter-cache"] == 8 * (32 * 8 + 27)
-    assert AUX_BITS["way-prediction"] == 512
-    assert AUX_BITS["ma-links"] == 4096
-    assert MAB_GEOMETRY["way-memo-2x8"] == (2, 8)
-    assert MAB_GEOMETRY["way-memo-2x16"] == (2, 16)
-    assert MAB_GEOMETRY["way-memo+line-buffer"] == (2, 8)
+    def geometry(side, arch):
+        return get_architecture(side, arch).mab_geometry()
+
+    # The historical per-architecture values, at default parameters.
+    assert aux_bits("dcache", "set-buffer") == 2 * (2 * 18 + 9)
+    for side in CACHE_SIDES:
+        assert aux_bits(side, "filter-cache") == 8 * (32 * 8 + 27)
+        assert aux_bits(side, "way-prediction") == 512
+        assert aux_bits(side, "original") is None
+    assert aux_bits("icache", "ma-links") == 4096
+    assert geometry("dcache", "way-memo-2x8") == (2, 8)
+    assert geometry("icache", "way-memo-2x16") == (2, 16)
+    assert geometry("dcache", "way-memo+line-buffer") == (2, 8)
 
 
 def test_unknown_ids_raise_with_available_listing():
@@ -177,6 +173,22 @@ def test_parametric_way_memo_matches_fixed_preset():
     ))
     assert preset.counters.__dict__ == parametric.counters.__dict__
     assert preset.power.total_mw == parametric.power.total_mw
+
+
+def test_reference_engine_evaluates_for_every_registered_architecture():
+    """engine="reference" runs every design's ``process_reference``
+    and prices it exactly like the fast engine's result."""
+    for side in CACHE_SIDES:
+        for info in architectures(side):
+            fast = evaluate(_tiny_spec(side, info), use_cache=False)
+            ref = evaluate(RunSpec(
+                cache=side, arch=info.id, workload=TINY[side],
+                engine="reference",
+            ), use_cache=False)
+            assert ref.counters.as_dict() == fast.counters.as_dict(), (
+                side, info.id
+            )
+            assert ref.power == fast.power, (side, info.id)
 
 
 def test_reference_engine_agrees_with_fast_engine():

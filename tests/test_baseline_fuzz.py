@@ -1,37 +1,30 @@
-"""Randomized lockstep fuzzing of every baseline's fast kernel.
+"""Randomized fuzzing of every registered design's fast engine.
 
-Each test drives a freshly seeded access stream through a *fast*
-controller (``process``) and a *reference* controller
-(``process_reference``) in lockstep chunks, comparing every
-:class:`AccessCounters` field and the complete cache + auxiliary state
-after each chunk.  On a divergence the harness re-drives two fresh
-controllers access by access over the failing prefix and reports the
+Each test drives a freshly seeded access stream through the replay
+engine — a design's ``process``, or one grouped pass over many
+designs — and through each design's ``process_reference``, comparing
+every :class:`AccessCounters` field (plus the end state of the
+stateful designs, which replay on their own instance).  On a
+divergence the harness re-runs growing stream prefixes and reports the
 first offending access index, so a kernel bug pinpoints the exact
 reference the two engines disagree on.
 
 The streams deliberately hammer a tiny cache (heavy conflict misses,
 evictions and write-backs) and include a 4-way geometry so the generic
-(non-2-way) scan paths of the batch kernel are fuzzed too.
+(non-2-way) scan paths of the batch kernel are fuzzed too.  The
+designs come from the architecture registry
+(:data:`test_fastpath_differential.DESIGNS`), so a newly registered
+design is fuzzed without being listed here.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    FilterCacheDCache,
-    FilterCacheICache,
-    MaLinksICache,
-    OriginalDCache,
-    OriginalICache,
-    PanwarICache,
-    SetBufferDCache,
-    TwoPhaseDCache,
-    TwoPhaseICache,
-    WayPredictionDCache,
-    WayPredictionICache,
-)
+from repro.baselines import OriginalDCache, OriginalICache
 from repro.cache.config import CacheConfig
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
@@ -39,36 +32,29 @@ from repro.workloads import synthetic_fetch_stream, synthetic_kinds
 
 from test_fastpath_differential import (
     COUNTER_FIELDS,
-    assert_baseline_state_equal,
-    assert_controller_state_equal,
+    DESIGNS,
+    assert_state_equal,
+    build_design,
 )
 
 #: Small geometries that evict constantly under the fuzz streams.
 TINY_2WAY = CacheConfig(size_bytes=1024, ways=2, line_bytes=32)
 TINY_4WAY = CacheConfig(size_bytes=2048, ways=4, line_bytes=32)
 
-#: Lockstep chunk length (prime, so chunk boundaries drift across the
-#: stream's block structure instead of aligning with it).
+#: Prefix step of the divergence search (prime, so probe boundaries
+#: drift across the stream's block structure instead of aligning with
+#: it).
 CHUNK = 257
 
 NUM_ACCESSES = 4_000
 
-DCACHE_FACTORIES = {
-    "original": OriginalDCache,
-    "set-buffer": SetBufferDCache,
-    "filter-cache": FilterCacheDCache,
-    "way-prediction": WayPredictionDCache,
-    "two-phase": TwoPhaseDCache,
-}
 
-ICACHE_FACTORIES = {
-    "original": OriginalICache,
-    "panwar": PanwarICache,
-    "ma-links": MaLinksICache,
-    "filter-cache": FilterCacheICache,
-    "way-prediction": WayPredictionICache,
-    "two-phase": TwoPhaseICache,
-}
+def registry_factories(side, config, **params):
+    """Zero-argument factories for every registered design of a side."""
+    return {
+        design: partial(build_design, side, design, config, **params)
+        for design in DESIGNS[side]
+    }
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +94,7 @@ def slice_fetch(fs: FetchStream, lo: int, hi: int) -> FetchStream:
 
 
 # ----------------------------------------------------------------------
-# lockstep harness
+# replay harness
 # ----------------------------------------------------------------------
 
 def _diff_counters(cf, cr):
@@ -117,147 +103,6 @@ def _diff_counters(cf, cr):
         for field in COUNTER_FIELDS
         if getattr(cf, field) != getattr(cr, field)
     ]
-
-
-def _first_divergent_access(make, stream, slicer, limit, state_check):
-    """Re-drive access by access; return the first divergent index."""
-    fast = make()
-    ref = make()
-    for i in range(limit):
-        cf = fast.process(slicer(stream, i, i + 1))
-        cr = ref.process_reference(slicer(stream, i, i + 1))
-        if _diff_counters(cf, cr):
-            return i
-        try:
-            state_check(fast, ref)
-        except AssertionError:
-            return i
-    return None
-
-
-def run_lockstep(make, stream, slicer, total, context,
-                 state_check=assert_baseline_state_equal):
-    fast = make()
-    ref = make()
-    for lo in range(0, total, CHUNK):
-        hi = min(lo + CHUNK, total)
-        cf = fast.process(slicer(stream, lo, hi))
-        cr = ref.process_reference(slicer(stream, lo, hi))
-        mismatches = _diff_counters(cf, cr)
-        state_error = None
-        if not mismatches:
-            try:
-                state_check(
-                    fast, ref, f"{context} accesses [{lo}, {hi})"
-                )
-            except AssertionError as exc:
-                state_error = exc
-        if mismatches or state_error is not None:
-            index = _first_divergent_access(
-                make, stream, slicer, hi, state_check
-            )
-            detail = (
-                "; ".join(
-                    f"{f}: fast={a} ref={b}" for f, a, b in mismatches
-                )
-                or str(state_error)
-            )
-            where = (
-                f"access index {index}" if index is not None
-                else f"chunk [{lo}, {hi})"
-            )
-            pytest.fail(
-                f"{context}: fast/reference divergence at {where}: "
-                f"{detail}"
-            )
-
-
-# ----------------------------------------------------------------------
-# the fuzz matrix
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
-                         ids=["2way", "4way"])
-@pytest.mark.parametrize("seed", [101, 202])
-@pytest.mark.parametrize("arch", sorted(DCACHE_FACTORIES))
-def test_fuzz_dcache_baseline(arch, seed, config):
-    trace = fuzz_data_trace(seed)
-    factory = DCACHE_FACTORIES[arch]
-    run_lockstep(
-        lambda: factory(config), trace, slice_data, len(trace),
-        f"{arch} seed={seed} ways={config.ways}",
-    )
-
-
-@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
-                         ids=["2way", "4way"])
-@pytest.mark.parametrize("seed", [303, 404])
-@pytest.mark.parametrize("arch", sorted(ICACHE_FACTORIES))
-def test_fuzz_icache_baseline(arch, seed, config):
-    fs = fuzz_fetch_stream(seed)
-    factory = ICACHE_FACTORIES[arch]
-    run_lockstep(
-        lambda: factory(config), fs, slice_fetch, len(fs),
-        f"{arch} seed={seed} ways={config.ways}",
-    )
-
-
-def test_fuzz_streams_actually_stress_the_cache():
-    """The fuzz traffic must exercise misses, evictions and stores."""
-    ctrl = OriginalDCache(TINY_2WAY)
-    counters = ctrl.process(fuzz_data_trace(101))
-    assert counters.cache_misses > 100
-    assert ctrl.cache.evictions > 100
-    assert ctrl.cache.writebacks > 0
-    assert counters.stores > 0
-
-    ictrl = OriginalICache(TINY_2WAY)
-    icounters = ictrl.process(fuzz_fetch_stream(303))
-    assert icounters.cache_misses > 100
-    assert ictrl.cache.evictions > 100
-
-
-def test_way_memo_dcache_lockstep_fuzz():
-    """The way-memo controller joins the lockstep fuzz too."""
-    from repro.core import WayMemoDCache
-
-    trace = fuzz_data_trace(515)
-    run_lockstep(
-        WayMemoDCache, trace, slice_data, len(trace), "way-memo",
-        state_check=assert_controller_state_equal,
-    )
-
-
-# ----------------------------------------------------------------------
-# grouped replay vs per-architecture scalar replay
-# ----------------------------------------------------------------------
-
-def _replay_dcache_factories(config):
-    from repro.core import LineBufferWayMemoDCache, WayMemoDCache
-
-    return {
-        "original": lambda: OriginalDCache(config),
-        "set-buffer": lambda: SetBufferDCache(config),
-        "filter-cache": lambda: FilterCacheDCache(config),
-        "way-prediction": lambda: WayPredictionDCache(config),
-        "two-phase": lambda: TwoPhaseDCache(config),
-        "way-memo-2x8": lambda: WayMemoDCache(config),
-        "way-memo+line-buffer": lambda: LineBufferWayMemoDCache(config),
-    }
-
-
-def _replay_icache_factories(config):
-    from repro.core import WayMemoICache
-
-    return {
-        "original": lambda: OriginalICache(config),
-        "panwar": lambda: PanwarICache(config),
-        "ma-links": lambda: MaLinksICache(config),
-        "filter-cache": lambda: FilterCacheICache(config),
-        "way-prediction": lambda: WayPredictionICache(config),
-        "two-phase": lambda: TwoPhaseICache(config),
-        "way-memo-2x16": lambda: WayMemoICache(config),
-    }
 
 
 def _first_replay_divergence(factories, stream, slicer, total,
@@ -303,22 +148,27 @@ def run_replay_lockstep(factories, stream, slicer, total, context,
                         method="process"):
     """One grouped pass vs fresh per-arch replays, field by field.
 
-    ``method`` selects the per-arch leg: ``process`` (the scalar or
-    vectorized fast path) or ``process_reference`` (the executable
-    specification — the strongest check for derived counters).
+    ``method`` selects the per-arch leg: ``process`` (the design
+    replayed alone, a singleton engine call) or ``process_reference``
+    (the executable specification — the strongest check).  A group of
+    one design is exactly that design's ``process``.  Stateful members
+    replay on their own instance, so their end state is compared with
+    the per-arch leg's too.
     """
     from repro.replay.engine import replay_counters
 
-    grouped = replay_counters(
-        [factory() for factory in factories.values()], stream
-    )
-    mismatched = {
-        name: _diff_counters(got, getattr(factory(), method)(stream))
-        for (name, factory), got in zip(factories.items(), grouped)
-    }
-    mismatched = {
-        name: diff for name, diff in mismatched.items() if diff
-    }
+    controllers = [factory() for factory in factories.values()]
+    grouped = replay_counters(controllers, stream)
+    mismatched = {}
+    for (name, factory), controller, got in zip(
+        factories.items(), controllers, grouped
+    ):
+        expected = factory()
+        diff = _diff_counters(got, getattr(expected, method)(stream))
+        if diff:
+            mismatched[name] = diff
+        else:
+            assert_state_equal(controller, expected, f"{context} {name}")
     if not mismatched:
         return
     where = _first_replay_divergence(
@@ -337,13 +187,111 @@ def run_replay_lockstep(factories, stream, slicer, total, context,
     )
 
 
+# ----------------------------------------------------------------------
+# the fuzz matrix: every registered design vs its reference
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
+                         ids=["2way", "4way"])
+@pytest.mark.parametrize("seed", [101, 202])
+@pytest.mark.parametrize("arch", sorted(DESIGNS["dcache"]))
+def test_fuzz_dcache_baseline(arch, seed, config):
+    trace = fuzz_data_trace(seed)
+    run_replay_lockstep(
+        {arch: partial(build_design, "dcache", arch, config)},
+        trace, slice_data, len(trace),
+        f"{arch} seed={seed} ways={config.ways}",
+        method="process_reference",
+    )
+
+
+@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
+                         ids=["2way", "4way"])
+@pytest.mark.parametrize("seed", [303, 404])
+@pytest.mark.parametrize("arch", sorted(DESIGNS["icache"]))
+def test_fuzz_icache_baseline(arch, seed, config):
+    fs = fuzz_fetch_stream(seed)
+    run_replay_lockstep(
+        {arch: partial(build_design, "icache", arch, config)},
+        fs, slice_fetch, len(fs),
+        f"{arch} seed={seed} ways={config.ways}",
+        method="process_reference",
+    )
+
+
+def test_fuzz_streams_actually_stress_the_cache():
+    """The fuzz traffic must exercise misses, evictions and stores."""
+    ctrl = OriginalDCache(TINY_2WAY)
+    counters = ctrl.process_reference(fuzz_data_trace(101))
+    assert counters.cache_misses > 100
+    assert ctrl.cache.evictions > 100
+    assert ctrl.cache.writebacks > 0
+    assert counters.stores > 0
+
+    ictrl = OriginalICache(TINY_2WAY)
+    icounters = ictrl.process_reference(fuzz_fetch_stream(303))
+    assert icounters.cache_misses > 100
+    assert ictrl.cache.evictions > 100
+
+
+def test_way_memo_dcache_lockstep_fuzz():
+    """The way-memo controller on the default geometry, state included."""
+    from repro.core import WayMemoDCache
+
+    trace = fuzz_data_trace(515)
+    run_replay_lockstep(
+        {"way-memo": WayMemoDCache}, trace, slice_data, len(trace),
+        "way-memo", method="process_reference",
+    )
+
+
+#: Batchable designs sweep a fresh shadow cache keyed by (geometry,
+#: replacement policy), so every policy gets its own shared sweep.
+NON_LRU_POLICIES = ("fifo", "plru", "random")
+
+
+@pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
+                         ids=["2way", "4way"])
+@pytest.mark.parametrize("policy", NON_LRU_POLICIES)
+def test_batchable_designs_match_reference_under_non_lru_policies(
+    policy, config
+):
+    for side, stream, slicer in (
+        ("dcache", fuzz_data_trace(101), slice_data),
+        ("icache", fuzz_fetch_stream(303), slice_fetch),
+    ):
+        batchable = {
+            design: factory
+            for design, factory in registry_factories(
+                side, config, policy=policy
+            ).items()
+            if factory().replay_batchable
+        }
+        assert batchable, side
+        context = f"{side} policy={policy} ways={config.ways}"
+        for design, factory in batchable.items():
+            run_replay_lockstep(
+                {design: factory}, stream, slicer, len(stream),
+                f"{design} {context}", method="process_reference",
+            )
+        # ...and the whole set as one group sharing a single sweep.
+        run_replay_lockstep(
+            batchable, stream, slicer, len(stream), context,
+            method="process_reference",
+        )
+
+
+# ----------------------------------------------------------------------
+# grouped replay vs each design replayed alone
+# ----------------------------------------------------------------------
+
 @pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
                          ids=["2way", "4way"])
 @pytest.mark.parametrize("seed", [101, 202])
 def test_fuzz_dcache_replay_matches_scalar(seed, config):
     trace = fuzz_data_trace(seed)
     run_replay_lockstep(
-        _replay_dcache_factories(config), trace, slice_data,
+        registry_factories("dcache", config), trace, slice_data,
         len(trace), f"dcache replay seed={seed} ways={config.ways}",
     )
 
@@ -354,7 +302,7 @@ def test_fuzz_dcache_replay_matches_scalar(seed, config):
 def test_fuzz_icache_replay_matches_scalar(seed, config):
     fs = fuzz_fetch_stream(seed)
     run_replay_lockstep(
-        _replay_icache_factories(config), fs, slice_fetch,
+        registry_factories("icache", config), fs, slice_fetch,
         len(fs), f"icache replay seed={seed} ways={config.ways}",
     )
 
@@ -363,19 +311,21 @@ def test_fuzz_icache_replay_matches_scalar(seed, config):
 # newly derived stateful designs vs the executable specification
 # ----------------------------------------------------------------------
 
-#: The designs whose grouped-replay counters are *derived* (set buffer
-#: and MA-links from the shared sweep, the filter cache from the
-#: columnar run walk) rather than replayed scalar — each one is fuzzed
-#: directly against ``process_reference``, the strongest oracle.
+#: The designs whose counters are *derived* (set buffer and MA-links
+#: from the shared sweep, the filter cache from the columnar run walk)
+#: rather than replayed scalar, including a non-default set-buffer
+#: depth — each one fuzzed directly against ``process_reference``.
 STATEFUL_DERIVED_DCACHE = {
-    "set-buffer": SetBufferDCache,
-    "set-buffer-3": lambda config: SetBufferDCache(config, entries=3),
-    "filter-cache": FilterCacheDCache,
+    "set-buffer": partial(build_design, "dcache", "set-buffer"),
+    "set-buffer-3": partial(
+        build_design, "dcache", "set-buffer", entries=3
+    ),
+    "filter-cache": partial(build_design, "dcache", "filter-cache"),
 }
 
 STATEFUL_DERIVED_ICACHE = {
-    "ma-links": MaLinksICache,
-    "filter-cache": FilterCacheICache,
+    "ma-links": partial(build_design, "icache", "ma-links"),
+    "filter-cache": partial(build_design, "icache", "filter-cache"),
 }
 
 
@@ -387,7 +337,7 @@ def test_fuzz_dcache_replay_matches_reference(arch, seed, config):
     trace = fuzz_data_trace(seed)
     factory = STATEFUL_DERIVED_DCACHE[arch]
     run_replay_lockstep(
-        {arch: lambda: factory(config)}, trace, slice_data, len(trace),
+        {arch: partial(factory, config)}, trace, slice_data, len(trace),
         f"{arch} vs reference seed={seed} ways={config.ways}",
         method="process_reference",
     )
@@ -401,7 +351,7 @@ def test_fuzz_icache_replay_matches_reference(arch, seed, config):
     fs = fuzz_fetch_stream(seed)
     factory = STATEFUL_DERIVED_ICACHE[arch]
     run_replay_lockstep(
-        {arch: lambda: factory(config)}, fs, slice_fetch, len(fs),
+        {arch: partial(factory, config)}, fs, slice_fetch, len(fs),
         f"{arch} vs reference seed={seed} ways={config.ways}",
         method="process_reference",
     )
@@ -428,7 +378,7 @@ def _kind_stream(cache, kind):
 def test_generator_kind_dcache_replay_matches_scalar(kind):
     trace = _kind_stream("dcache", kind)
     run_replay_lockstep(
-        _replay_dcache_factories(TINY_2WAY), trace, slice_data,
+        registry_factories("dcache", TINY_2WAY), trace, slice_data,
         len(trace), f"dcache replay kind={kind}",
     )
 
@@ -437,21 +387,27 @@ def test_generator_kind_dcache_replay_matches_scalar(kind):
 def test_generator_kind_icache_replay_matches_scalar(kind):
     fs = _kind_stream("icache", kind)
     run_replay_lockstep(
-        _replay_icache_factories(TINY_2WAY), fs, slice_fetch,
+        registry_factories("icache", TINY_2WAY), fs, slice_fetch,
         len(fs), f"icache replay kind={kind}",
     )
 
 
 def test_way_prediction_lockstep_on_thrash_stream():
-    """The vectorized MRU derivation survives chunked adversarial
-    traffic (every set group re-entered across chunk boundaries)."""
+    """The vectorized MRU derivation survives adversarial traffic
+    (every set group re-entered over and over)."""
     trace = _kind_stream("dcache", "mab-thrash")
-    run_lockstep(
-        lambda: WayPredictionDCache(TINY_2WAY), trace, slice_data,
-        len(trace), "way-prediction mab-thrash",
+    run_replay_lockstep(
+        {"way-prediction": partial(
+            build_design, "dcache", "way-prediction", TINY_2WAY
+        )},
+        trace, slice_data, len(trace), "way-prediction mab-thrash",
+        method="process_reference",
     )
     fs = _kind_stream("icache", "mab-thrash")
-    run_lockstep(
-        lambda: WayPredictionICache(TINY_4WAY), fs, slice_fetch,
-        len(fs), "way-prediction mab-thrash icache",
+    run_replay_lockstep(
+        {"way-prediction": partial(
+            build_design, "icache", "way-prediction", TINY_4WAY
+        )},
+        fs, slice_fetch, len(fs), "way-prediction mab-thrash icache",
+        method="process_reference",
     )

@@ -2,11 +2,8 @@
 
 import pytest
 
+from repro.api import architectures
 from repro.experiments.runner import (
-    AUX_BITS,
-    DCACHE_ARCHS,
-    ICACHE_ARCHS,
-    MAB_GEOMETRY,
     average,
     dcache_counters,
     dcache_power,
@@ -36,11 +33,11 @@ def test_counters_are_cached():
 
 
 def test_every_registered_arch_runs_on_one_benchmark():
-    for arch in DCACHE_ARCHS:
-        counters = dcache_counters("whetstone", arch)
+    for info in architectures("dcache"):
+        counters = dcache_counters("whetstone", info.id)
         assert counters.accesses > 0
-    for arch in ICACHE_ARCHS:
-        counters = icache_counters("whetstone", arch)
+    for info in architectures("icache"):
+        counters = icache_counters("whetstone", info.id)
         assert counters.accesses > 0
 
 
@@ -63,11 +60,10 @@ def test_mab_archs_pay_mab_power_others_do_not():
 def test_aux_structures_are_charged():
     buffered = dcache_power("whetstone", "set-buffer")
     assert buffered.aux_mw > 0
-    # Sanity: registry keys referenced by AUX_BITS/MAB_GEOMETRY exist.
-    for key in AUX_BITS:
-        assert key in DCACHE_ARCHS or key in ICACHE_ARCHS
-    for key in MAB_GEOMETRY:
-        assert key in DCACHE_ARCHS or key in ICACHE_ARCHS
+    # Every design with a priced side structure pays for it.
+    for info in architectures("dcache"):
+        if info.resolved_aux_bits() or info.mab_geometry():
+            assert dcache_power("whetstone", info.id).aux_mw > 0, info.id
 
 
 def test_unknown_arch_raises():

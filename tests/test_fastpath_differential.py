@@ -1,40 +1,33 @@
 """Fast engine vs. reference engine differential tests.
 
-The fast engine (inlined flat-state controller loops, block-compiling
-ISS) must be *bit-for-bit* equivalent to the retained reference
-implementations:
+The fast engine (the replay engine behind every controller's
+``process``, block-compiling ISS) must be *bit-for-bit* equivalent to
+the retained reference implementations:
 
 * :meth:`WayMemoDCache.process` vs. :meth:`process_reference`
 * :meth:`WayMemoICache.process` vs. :meth:`process_reference`
-* every comparison baseline's fast ``process`` vs. its retained
-  ``process_reference`` (the full seven-architecture matrix)
+* every design in the architecture registry — each parametric entry
+  at a sampled set of MAB geometries — ``process`` vs. its
+  ``process_reference``, so a newly registered design cannot skip the
+  oracle (an entry without a reference fails it)
 * ``CPU.run(engine="fast")`` vs. ``CPU.run(engine="interp")``
 
 Equivalence is asserted on every :class:`AccessCounters` field
 (including ``stale_hits``, ``way_accesses`` and ``tag_accesses``), the
-final cache/MAB state, each baseline's buffer/predictor/link state,
+final cache/MAB/L0 state of the stateful designs (a batchable design's
+``process`` sweeps a shadow cache and leaves the controller fresh),
 and — for the ISS — registers, memory, data and flow traces, the
 instruction mix and the instruction count, over all bundled workloads
 plus seeded synthetic traffic that exercises bypasses, stores and
 evictions.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    FilterCacheDCache,
-    FilterCacheICache,
-    MaLinksICache,
-    OriginalDCache,
-    OriginalICache,
-    PanwarICache,
-    SetBufferDCache,
-    TwoPhaseDCache,
-    TwoPhaseICache,
-    WayPredictionDCache,
-    WayPredictionICache,
-)
+from repro.api import architectures
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 from repro.isa import assemble
 from repro.sim import CPU, CPUError, run_program
@@ -73,34 +66,6 @@ def assert_cache_state_equal(fc, rc, context=""):
         assert fc._lru == rc._lru, f"{context}: LRU stacks differ"
 
 
-#: Auxiliary structures of the baseline architectures (set buffer
-#: snapshots, L0 contents, predictor tables, way links) that must come
-#: out identical from the fast and reference engines.
-BASELINE_AUX_STATE = (
-    "_buffer", "_lru", "_l0", "_predicted", "_links", "_reverse",
-)
-
-
-def assert_baseline_state_equal(fast, ref, context=""):
-    """Cache + auxiliary (buffer/predictor/link) state must match."""
-    assert_cache_state_equal(fast.cache, ref.cache, context)
-    for attr in BASELINE_AUX_STATE:
-        if hasattr(ref, attr):
-            assert getattr(fast, attr) == getattr(ref, attr), (
-                f"{context}: baseline state {attr} differs"
-            )
-    wf = getattr(fast, "write_buffer", None)
-    if wf is not None:
-        wr = ref.write_buffer
-        assert (
-            wf._pending, wf.inserts, wf.coalesced, wf.drains,
-            wf.max_occupancy,
-        ) == (
-            wr._pending, wr.inserts, wr.coalesced, wr.drains,
-            wr.max_occupancy,
-        ), f"{context}: write buffer state differs"
-
-
 def assert_controller_state_equal(fast, ref, context=""):
     """Final cache + MAB state must match exactly."""
     assert_cache_state_equal(fast.cache, ref.cache, context)
@@ -117,6 +82,73 @@ def assert_controller_state_equal(fast, ref, context=""):
     ), f"{context}: MAB stats differ"
     fm.check_invariants()
     rm.check_invariants()
+
+
+def assert_state_equal(fast, ref, context=""):
+    """End state of a stateful design (way-memo MAB, filter-cache L0).
+
+    Stateful designs replay on their own instance, so their final
+    cache and side structures must match the reference's.  Batchable
+    designs are skipped: their ``process`` sweeps a shadow cache.
+    """
+    if fast.replay_batchable:
+        return
+    if hasattr(ref, "mab"):
+        assert_controller_state_equal(fast, ref, context)
+    else:
+        assert_cache_state_equal(fast.cache, ref.cache, context)
+    if hasattr(ref, "_l0"):
+        assert fast._l0 == ref._l0, f"{context}: L0 contents differ"
+
+
+# ----------------------------------------------------------------------
+# the registry-driven design matrix
+# ----------------------------------------------------------------------
+
+#: (Nt, Ns) samples standing in for each parametric registry entry:
+#: a one-entry tag side with a deep index side, and more tag entries
+#: than the 2-way caches have ways (which lets memoizations go stale).
+PARAMETRIC_SAMPLES = ((1, 32), (4, 4))
+
+
+def _registry_designs(side):
+    """Every registered design of one side: id -> (info, params)."""
+    designs = {}
+    for info in architectures(side):
+        if not info.parametric:
+            designs[info.id] = (info, {})
+            continue
+        for nt, ns in PARAMETRIC_SAMPLES:
+            designs[f"{info.id}-{nt}x{ns}"] = (
+                info, {"tag_entries": nt, "index_entries": ns},
+            )
+    return designs
+
+
+DESIGNS = {side: _registry_designs(side) for side in ("dcache", "icache")}
+
+
+def build_design(side, design, cache_config=None, **params):
+    """A fresh controller for one registry design, optionally on
+    another cache geometry or with parameter overrides."""
+    info, base = DESIGNS[side][design]
+    kwargs = info.merged_params({**base, **params})
+    if cache_config is not None:
+        kwargs["cache_config"] = cache_config
+    return info.factory(**kwargs)
+
+
+@lru_cache(maxsize=None)
+def _workload_runs(side, design, name):
+    """(fast controller, counters, reference controller, counters) for
+    one design on one bundled workload, shared by every test asking."""
+    from repro.workloads import load_workload
+
+    workload = load_workload(name)
+    stream = workload.trace.data if side == "dcache" else workload.fetch
+    fast = build_design(side, design)
+    ref = build_design(side, design)
+    return fast, fast.process(stream), ref, ref.process_reference(stream)
 
 
 # ----------------------------------------------------------------------
@@ -230,68 +262,44 @@ def test_dcache_fast_matches_reference_on_stale_hits():
 # ----------------------------------------------------------------------
 
 def test_dcache_fast_matches_reference_on_workload(workload):
-    fast = WayMemoDCache()
-    ref = WayMemoDCache()
-    cf = fast.process(workload.trace.data)
-    cr = ref.process_reference(workload.trace.data)
+    fast, cf, ref, cr = _workload_runs(
+        "dcache", "way-memo-2x8", workload.name
+    )
+    assert type(fast) is WayMemoDCache
     assert_counters_equal(cf, cr, workload.name)
     assert_controller_state_equal(fast, ref, workload.name)
 
 
 def test_icache_fast_matches_reference_on_workload(workload):
-    fast = WayMemoICache()
-    ref = WayMemoICache()
-    cf = fast.process(workload.fetch)
-    cr = ref.process_reference(workload.fetch)
+    fast, cf, ref, cr = _workload_runs(
+        "icache", "way-memo-2x16", workload.name
+    )
+    assert type(fast) is WayMemoICache
     assert_counters_equal(cf, cr, workload.name)
     assert_controller_state_equal(fast, ref, workload.name)
 
 
 # ----------------------------------------------------------------------
-# baselines: the full seven-architecture matrix, every bundled workload
+# every registered design, every bundled workload
 # ----------------------------------------------------------------------
 
-DCACHE_BASELINES = {
-    "original": OriginalDCache,
-    "set-buffer": SetBufferDCache,
-    "filter-cache": FilterCacheDCache,
-    "way-prediction": WayPredictionDCache,
-    "two-phase": TwoPhaseDCache,
-}
-
-ICACHE_BASELINES = {
-    "original": OriginalICache,
-    "panwar": PanwarICache,
-    "ma-links": MaLinksICache,
-    "filter-cache": FilterCacheICache,
-    "way-prediction": WayPredictionICache,
-    "two-phase": TwoPhaseICache,
-}
-
-
-@pytest.mark.parametrize("arch", sorted(DCACHE_BASELINES))
+@pytest.mark.parametrize("arch", sorted(DESIGNS["dcache"]))
 def test_dcache_baseline_fast_matches_reference_on_workload(arch, workload):
-    fast = DCACHE_BASELINES[arch]()
-    ref = DCACHE_BASELINES[arch]()
-    cf = fast.process(workload.trace.data)
-    cr = ref.process_reference(workload.trace.data)
+    fast, cf, ref, cr = _workload_runs("dcache", arch, workload.name)
     context = f"{arch}/{workload.name}"
     assert_counters_equal(cf, cr, context)
-    assert_baseline_state_equal(fast, ref, context)
+    assert_state_equal(fast, ref, context)
 
 
-@pytest.mark.parametrize("arch", sorted(ICACHE_BASELINES))
+@pytest.mark.parametrize("arch", sorted(DESIGNS["icache"]))
 def test_icache_baseline_fast_matches_reference_on_workload(arch, workload):
-    fast = ICACHE_BASELINES[arch]()
-    ref = ICACHE_BASELINES[arch]()
-    cf = fast.process(workload.fetch)
-    cr = ref.process_reference(workload.fetch)
+    fast, cf, ref, cr = _workload_runs("icache", arch, workload.name)
     context = f"{arch}/{workload.name}"
     assert_counters_equal(cf, cr, context)
-    assert_baseline_state_equal(fast, ref, context)
+    assert_state_equal(fast, ref, context)
 
 
-@pytest.mark.parametrize("arch", sorted(DCACHE_BASELINES))
+@pytest.mark.parametrize("arch", sorted(DESIGNS["dcache"]))
 @pytest.mark.parametrize("seed,stores", [(41, 0.3), (42, 1.0), (43, 0.0)])
 def test_dcache_baseline_fast_matches_reference_synthetic(
     arch, seed, stores
@@ -300,15 +308,15 @@ def test_dcache_baseline_fast_matches_reference_synthetic(
         num_accesses=5_000, seed=seed, store_fraction=stores,
         num_bases=8, base_region_bytes=1 << 15,
     )
-    fast = DCACHE_BASELINES[arch]()
-    ref = DCACHE_BASELINES[arch]()
+    fast = build_design("dcache", arch)
+    ref = build_design("dcache", arch)
     cf = fast.process(trace)
     cr = ref.process_reference(trace)
     assert_counters_equal(cf, cr, f"{arch} seed={seed}")
-    assert_baseline_state_equal(fast, ref, f"{arch} seed={seed}")
+    assert_state_equal(fast, ref, f"{arch} seed={seed}")
 
 
-@pytest.mark.parametrize("arch", sorted(ICACHE_BASELINES))
+@pytest.mark.parametrize("arch", sorted(DESIGNS["icache"]))
 def test_icache_baseline_fast_matches_reference_synthetic(arch):
     # A tiny cache under a wide text footprint forces conflict
     # evictions, exercising the miss/eviction paths (and ma-links'
@@ -319,13 +327,13 @@ def test_icache_baseline_fast_matches_reference_synthetic(arch):
     fs = synthetic_fetch_stream(
         num_blocks=1_500, seed=23, text_bytes=1 << 18, num_targets=24,
     )
-    fast = ICACHE_BASELINES[arch](small)
-    ref = ICACHE_BASELINES[arch](small)
+    fast = build_design("icache", arch, small)
+    ref = build_design("icache", arch, small)
     cf = fast.process(fs)
     cr = ref.process_reference(fs)
     assert ref.cache.evictions > 0, "stream should evict"
     assert_counters_equal(cf, cr, arch)
-    assert_baseline_state_equal(fast, ref, arch)
+    assert_state_equal(fast, ref, arch)
 
 
 # ----------------------------------------------------------------------

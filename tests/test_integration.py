@@ -9,14 +9,10 @@ architecture-independent).
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import architectures
 from repro.baselines import OriginalDCache, OriginalICache, PanwarICache
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
-from repro.experiments.runner import (
-    DCACHE_ARCHS,
-    ICACHE_ARCHS,
-    dcache_counters,
-    icache_counters,
-)
+from repro.experiments.runner import dcache_counters, icache_counters
 from repro.workloads import BENCHMARK_NAMES, synthetic_data_trace
 
 
@@ -48,12 +44,14 @@ def test_zero_performance_penalty(workload):
 
 def test_no_stale_mab_hits_anywhere(workload):
     """MAB-hit => line resident, across every way-memo variant."""
-    for arch in DCACHE_ARCHS:
-        if "way-memo" in arch:
-            assert dcache_counters(workload.name, arch).stale_hits == 0
-    for arch in ICACHE_ARCHS:
-        if "way-memo" in arch:
-            assert icache_counters(workload.name, arch).stale_hits == 0
+    for info in architectures("dcache"):
+        if info.uses_mab:
+            c = dcache_counters(workload.name, info.id)
+            assert c.stale_hits == 0
+    for info in architectures("icache"):
+        if info.uses_mab:
+            c = icache_counters(workload.name, info.id)
+            assert c.stale_hits == 0
 
 
 def test_way_access_bounds(workload):
@@ -62,10 +60,10 @@ def test_way_access_bounds(workload):
     buffer, filter cache) legitimately touch zero L1 ways on buffer
     hits and are excluded from the lower bound."""
     front_buffered = ("way-memo+line-buffer", "filter-cache")
-    for arch in DCACHE_ARCHS:
-        c = dcache_counters(workload.name, arch)
+    for info in architectures("dcache"):
+        c = dcache_counters(workload.name, info.id)
         assert c.ways_per_access <= 3.0
-        if arch not in front_buffered:
+        if info.id not in front_buffered:
             assert c.way_accesses >= c.accesses
 
 

@@ -1,13 +1,13 @@
 """Tests for the single-pass multi-architecture replay engine.
 
-Locks down the tentpole contracts: ``replay_counters`` reproduces each
-architecture's own ``process`` exactly (the batchable designs share
-literally one batch sweep); ``plan_groups`` partitions batches
-deterministically and degrades to singletons when grouping is
-disabled; ``evaluate_many`` routes shared-workload groups through the
-engine byte-identically to the per-spec path, with unchanged per-spec
-simulation accounting and store write-back; and the columnar disk
-archives round-trip, validate, and regenerate when corrupt.
+Locks down the tentpole contracts: a grouped ``replay_counters`` pass
+reproduces each architecture's own singleton ``process`` exactly (the
+batchable designs share literally one batch sweep per geometry and
+policy); ``plan_groups`` partitions batches deterministically;
+``evaluate_many`` routes shared-workload groups through the engine
+byte-identically to evaluating each spec alone, with unchanged
+per-spec simulation accounting and store write-back; and the columnar
+disk archives round-trip, validate, and regenerate when corrupt.
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ from repro.api import (
     RunSpec,
     architectures,
     clear_result_cache,
+    evaluate,
     evaluate_many,
 )
 from repro.api.evaluate import simulation_count
 from repro.replay.columns import DataColumns, columns_for_stream
-from repro.replay.engine import (
-    REPLAY_ENV,
-    plan_groups,
-    replay_counters,
-    replay_enabled,
-    replay_specs,
-)
+from repro.replay.engine import plan_groups, replay_counters, replay_specs
 from repro.store import STORE_ENV, default_store, reset_default_stores
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
 
@@ -98,23 +93,6 @@ def test_plan_groups_shares_workloads_in_first_appearance_order():
     assert groups == [[d1, d2], [i1], [ref]]
 
 
-def test_plan_groups_disabled_yields_singletons(monkeypatch):
-    monkeypatch.setenv(REPLAY_ENV, "0")
-    d1, d2 = _spec("original"), _spec("two-phase")
-    assert plan_groups([d1, d2]) == [[d1], [d2]]
-
-
-def test_replay_enabled_env_gate(monkeypatch):
-    monkeypatch.delenv(REPLAY_ENV, raising=False)
-    assert replay_enabled()
-    for value in ("0", "off", "OFF", "no", "false", ""):
-        monkeypatch.setenv(REPLAY_ENV, value)
-        assert not replay_enabled(), value
-    for value in ("1", "on", "yes"):
-        monkeypatch.setenv(REPLAY_ENV, value)
-        assert replay_enabled(), value
-
-
 def test_replay_specs_rejects_mixed_workloads():
     with pytest.raises(ValueError, match="mixes workloads"):
         replay_specs([_spec("original"), _spec("original", side="icache")])
@@ -124,10 +102,10 @@ def test_replay_specs_rejects_mixed_workloads():
 # spec-level byte-identity
 # ----------------------------------------------------------------------
 
-def test_grouped_evaluate_many_is_byte_identical_to_per_spec(monkeypatch):
+def test_grouped_evaluate_many_is_byte_identical_to_per_spec():
     """Every registered architecture, both sides, one shared workload
     per side, plus a reference-engine singleton riding along — grouped
-    (serial and pooled) must match the strictly per-spec path."""
+    (serial and pooled) must match evaluating each spec alone."""
     specs = [
         _spec(info.id, side=side)
         for side in CACHE_SIDES
@@ -136,9 +114,7 @@ def test_grouped_evaluate_many_is_byte_identical_to_per_spec(monkeypatch):
     specs.append(_spec("original", engine="reference"))
     grouped_serial = evaluate_many(specs, workers=1, use_cache=False)
     grouped_pooled = evaluate_many(specs, workers=2, use_cache=False)
-    monkeypatch.setenv(REPLAY_ENV, "off")
-    per_spec = evaluate_many(specs, workers=1, use_cache=False)
-    expected = [r.to_json() for r in per_spec]
+    expected = [evaluate(spec, use_cache=False).to_json() for spec in specs]
     assert [r.to_json() for r in grouped_serial] == expected
     assert [r.to_json() for r in grouped_pooled] == expected
 

@@ -4,7 +4,7 @@ Every registered generator kind must produce a well-formed stream,
 deterministically per seed, and be addressable from a spec as
 ``synthetic:kind=<name>,k=v`` — with malformed spellings rejected at
 spec construction, and evaluation byte-identical across worker counts
-and with replay grouping on or off.
+and whether a spec is evaluated alone or inside a replay group.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, evaluate_many
+from repro.api import RunSpec, comparison_archs, evaluate, evaluate_many
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 from repro.workloads import (
@@ -148,17 +148,17 @@ def test_generator_specs_byte_identical_across_worker_counts():
     assert serial == pooled
 
 
-def test_generator_specs_byte_identical_replay_on_off(monkeypatch):
-    from repro.replay.engine import REPLAY_ENV
-
-    specs = _kind_specs()
+def test_generator_specs_byte_identical_grouped_or_alone():
+    """Every kind's stream replayed for the whole comparison set in one
+    group equals evaluating each design point on its own."""
+    specs = [
+        RunSpec(cache=spec.cache, arch=arch, workload=spec.workload)
+        for spec in _kind_specs()
+        for arch in comparison_archs(spec.cache)
+    ]
     grouped = [
         r.to_json()
         for r in evaluate_many(specs, workers=1, use_cache=False)
     ]
-    monkeypatch.setenv(REPLAY_ENV, "off")
-    per_spec = [
-        r.to_json()
-        for r in evaluate_many(specs, workers=1, use_cache=False)
-    ]
-    assert grouped == per_spec
+    alone = [evaluate(spec, use_cache=False).to_json() for spec in specs]
+    assert grouped == alone
