@@ -63,6 +63,7 @@ from repro.baselines import (
     WayPredictionDCache,
 )
 from repro.core import WayMemoDCache, WayMemoICache
+from repro.experiments.sweep import PAPER_INDEX_ENTRIES, PAPER_TAG_ENTRIES
 from repro.isa import assemble
 from repro.sim import run_program
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
@@ -207,9 +208,9 @@ def measure_baselines(quick: bool) -> dict:
 
 #: Architectures timed by the replay metric: a seven-design group per
 #: cache side, mixing the batchable designs (one shared
-#: ``access_fast_batch`` sweep, including the set buffer and MA links)
-#: with the stateful ones (filter cache, way-memo, line buffer) that
-#: replay their own loop fed from the shared columnar pre-split.
+#: ``access_fast_batch`` sweep, including the set buffer, MA links and
+#: way memoization) with the stateful ones (filter cache, line buffer)
+#: that replay their own loop fed from the shared columnar pre-split.
 REPLAY_GROUPS = {
     "dcache": ("original", "two-phase", "way-prediction", "set-buffer",
                "filter-cache", "way-memo-2x8", "way-memo+line-buffer"),
@@ -220,10 +221,12 @@ REPLAY_GROUPS = {
 #: Designs with a side structure whose counters the engine derives,
 #: timed against their retained reference loops (same-process ratio,
 #: CI-floorable).
-REPLAY_STATEFUL = (
+REPLAY_DERIVED = (
     ("set_buffer_dcache", "dcache", "set-buffer"),
     ("filter_cache_dcache", "dcache", "filter-cache"),
     ("ma_links_icache", "icache", "ma-links"),
+    ("way_memo_dcache", "dcache", "way-memo-2x8"),
+    ("way_memo_icache", "icache", "way-memo-2x16"),
 )
 
 
@@ -240,7 +243,10 @@ def measure_replay(quick: bool) -> dict:
     of the two sides (the back-compatible headline number); each side
     also reports its own ratio.  ``stateful_speedup`` additionally
     times each derived design's singleton engine call against its
-    retained object-API reference loop.
+    retained object-API reference loop, and ``grid_speedup`` the
+    paper's 12 (Nt, Ns) way-memo geometries as one ``replay_counters``
+    call (one sweep, one distance pass per value stream) against 12
+    reference runs.
 
     The streams stay full-size even under ``--quick``: the recorded
     metrics are *ratios*, and short streams understate them because
@@ -287,7 +293,7 @@ def measure_replay(quick: bool) -> dict:
     out["speedup"] = worst if worst is not None else 0.0
 
     stateful = {}
-    for name, side, arch in REPLAY_STATEFUL:
+    for name, side, arch in REPLAY_DERIVED:
         stream = streams[side]
         info = get_architecture(side, arch)
         replay_us = best_of(
@@ -311,6 +317,34 @@ def measure_replay(quick: bool) -> dict:
                "reference": entry["reference_us"]}
         for name, entry in stateful.items()
     }
+
+    grid = [
+        {"tag_entries": nt, "index_entries": ns}
+        for nt in PAPER_TAG_ENTRIES for ns in PAPER_INDEX_ENTRIES
+    ]
+    out["grid_us"] = {}
+    out["grid_speedup"] = {}
+    for side, stream in streams.items():
+        info = get_architecture(side, "way-memo")
+        replay_us = best_of(
+            lambda: replay_counters(
+                [info.build(params) for params in grid], stream
+            ),
+            repeats,
+        )
+
+        def references():
+            for params in grid:
+                info.build(params).process_reference(stream)
+
+        reference_us = best_of(references, 1 if quick else 2)
+        out["grid_us"][side] = {
+            "replay": round(replay_us, 1),
+            "reference": round(reference_us, 1),
+        }
+        out["grid_speedup"][side] = (
+            round(reference_us / replay_us, 2) if replay_us else 0.0
+        )
     return out
 
 
@@ -384,6 +418,7 @@ def append_history(report: dict, path: Path) -> None:
         },
         "replay_stateful_speedup":
             report["replay"]["stateful_speedup"],
+        "replay_grid_speedup": report["replay"]["grid_speedup"],
     }
     try:
         with path.open("a") as handle:
@@ -467,10 +502,15 @@ def main(argv=None) -> int:
             f"({entry['speedup']}x vs per-spec "
             f"{entry['per_spec_us']:,.1f} us)"
         )
-    print("stateful replay derivations vs reference:")
+    print("replay derivations vs reference:")
     for name, speedup in sorted(replay["stateful_speedup"].items()):
         us = replay["stateful_us"][name]
         print(f"  {name:28s} {us['replay']:12,.1f} us  "
+              f"({speedup}x vs reference {us['reference']:,.1f} us)")
+    print("way-memo paper grid (12 geometries, one group) vs reference:")
+    for side, speedup in sorted(replay["grid_speedup"].items()):
+        us = replay["grid_us"][side]
+        print(f"  {side:28s} {us['replay']:12,.1f} us  "
               f"({speedup}x vs reference {us['reference']:,.1f} us)")
     return 0
 

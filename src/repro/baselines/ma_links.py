@@ -171,37 +171,16 @@ class MaLinksICache(Controller):
         m_of = np.full(n, -1, dtype=np.int64)
         m_of[idx_sorted] = prev_consult
 
-        # Eviction events from the shared pass, as (line, time) keys
-        # sorted for windowed membership queries.  packed bit 9 flags
-        # an eviction; bits 11+ carry the victim's tag.
-        packed64 = shared.packed64
-        ev_at = np.flatnonzero((packed64 & (1 << 9)) != 0)
-        ev_line = ((packed64[ev_at] >> 11) << index_bits) | sets[ev_at]
-        span = np.int64(n + 1)
-        ev_keys = np.sort(ev_line * span + ev_at)
-
         cand = np.flatnonzero(m_of >= 0)
         mm = m_of[cand]
         same_target = lines[mm] == lines[cand]
         cand = cand[same_target]
         mm = mm[same_target]
-
-        def evicted_between(line_ids, lo, hi):
-            # Any eviction of `line_ids` at a time strictly inside
-            # (lo, hi)?  Keys for one line occupy a private [line*span,
-            # line*span + n] range, so a single sorted-array probe
-            # answers the window query.
-            base = line_ids * span
-            pos = np.searchsorted(ev_keys, base + hi)
-            prev = ev_keys[np.maximum(pos - 1, 0)]
-            return (pos > 0) & (prev > base + lo)
-
-        if len(cand) and len(ev_keys):
-            dead = evicted_between(lines[cand], mm, cand)
-            dead |= evicted_between(prev_line[mm], mm, cand)
-            link_hit_idx = cand[~dead]
-        else:
-            link_hit_idx = cand
+        dead = shared.evicted_between(sets, index_bits, lines[cand], mm, cand)
+        dead |= shared.evicted_between(
+            sets, index_bits, prev_line[mm], mm, cand
+        )
+        link_hit_idx = cand[~dead]
         if not bool(hit[link_hit_idx].all()):
             raise AssertionError("link target must be cache-resident")
 

@@ -25,18 +25,16 @@ without a per-access loop (:meth:`replay_counters`): the buffered
 snapshot of a set always mirrors the live tag row, so "buffered tag
 matches" is exactly "the set is buffered and the access hits", and
 buffer membership is a pure function of the set index stream — the
-LRU set of the last ``entries`` distinct set indices.  Collapsing the
-stream into runs of equal set index makes membership vectorizable (for
-the default two-entry buffer a run head is buffered iff its set recurs
-two runs back).  :meth:`process_reference` keeps the object-API loop
-as the executable specification.
+LRU set of the last ``entries`` distinct set indices, i.e. an LRU
+stack distance below ``entries`` (the columns' shared distance helper,
+fully vectorized for the default two-entry buffer).
+:meth:`process_reference` keeps the object-API loop as the executable
+specification.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE
@@ -116,49 +114,24 @@ class SetBufferDCache(Controller):
         row, and every mismatch path refreshes the snapshot after the
         access), so a buffered-tag match is exactly ``in_buffer & hit``.
         Buffer membership is the LRU set of the last ``entries``
-        distinct set indices, which collapses into runs of equal set
-        index: every non-head access is buffered; a run head is
-        buffered iff its set is among the previous ``entries`` distinct
-        run values (adjacent run values always differ, so for the
-        default ``entries == 2`` that is ``r[k] == r[k - 2]``).  The
-        write buffer and the snapshot refreshes are side state only —
-        no counter reads them — so the derivation skips both.
+        distinct set indices: an access is buffered iff its set's LRU
+        stack distance is below ``entries``
+        (:meth:`DataColumns.lru_distance`, which the MAB derivation
+        uses too).  The write buffer and the snapshot refreshes are
+        side state only — no counter reads them — so the derivation
+        skips both.
         """
         counters = AccessCounters()
         nways = self.cache_config.ways
         entries = self.entries
         n = cols.n
         counters.notes["set_buffer_entries"] = entries
-        if n == 0:
-            cols.apply_load_store(counters)
-            return counters
-
-        sets = cols.sets_array(
-            self.cache.offset_bits, self.cache.index_bits
-        )
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        head[1:] = sets[1:] != sets[:-1]
-        head_idx = np.flatnonzero(head)
-        runs = sets[head_idx]
-        m = len(runs)
-
-        head_in = np.zeros(m, dtype=bool)
-        if entries == 2:
-            head_in[2:] = runs[2:] == runs[:-2]
-        elif entries > 2:
-            # Wider buffers walk the run heads through an LRU list.
-            members: Dict[int, None] = {}
-            for k, value in enumerate(runs.tolist()):
-                if value in members:
-                    head_in[k] = True
-                    del members[value]
-                members[value] = None
-                if len(members) > entries:
-                    del members[next(iter(members))]
-
-        in_buffer = np.ones(n, dtype=bool)
-        in_buffer[head_idx] = head_in
+        offset_bits = self.cache.offset_bits
+        index_bits = self.cache.index_bits
+        sets = cols.sets_array(offset_bits, index_bits)
+        in_buffer = cols.lru_distance(
+            f"sets{offset_bits}x{index_bits}", lambda: sets, entries
+        ) < entries
         hit = shared.hit
         matched = in_buffer & hit
 

@@ -11,11 +11,12 @@ means invalid) and dirty flags, with the address-split geometry
 precomputed once in ``__init__``.  The allocation-free fast-path API
 (:meth:`SetAssociativeCache.access_fast`,
 :meth:`SetAssociativeCache.hit_confirm`) is the kernel-level form of
-the scans: baselines and the line-buffer controller call it directly,
-while the two hottest controllers (``core/dcache.py`` /
-``core/icache.py``) inline equivalent code over the same state.  The
-original object API (:meth:`access` returning :class:`AccessResult`)
-is a thin wrapper kept for tests and non-hot callers.
+the scans, and :meth:`SetAssociativeCache.access_fast_batch` runs a
+whole pre-split stream through it in one loop: the replay engine's
+shared sweep, from which every batchable controller — way
+memoization included — derives its counters.  The original object
+API (:meth:`access` returning :class:`AccessResult`) is a thin
+wrapper kept for the reference controllers and tests.
 """
 
 from __future__ import annotations
@@ -208,14 +209,14 @@ class SetAssociativeCache:
         order, with state changes identical to calling
         :meth:`access_fast` access by access.
 
-        This is the shared kernel behind the baseline fast paths whose
-        cache access stream does not depend on auxiliary state (the
-        original, two-phase, way-prediction and Panwar controllers
-        touch the cache once per access no matter what their side
-        structures hold, so the whole replay collapses into this one
-        loop).  The loop keeps the state lists in locals and special-
-        cases the ubiquitous 2-way + LRU geometry, mirroring the
-        inlined scans of ``core/dcache.py`` / ``core/icache.py``.
+        This is the shared kernel behind every fast path whose cache
+        access stream does not depend on auxiliary state (the
+        original, two-phase, way-prediction, Panwar, set-buffer,
+        MA-links and way-memo controllers touch the cache once per
+        access no matter what their side structures hold, so the whole
+        replay collapses into this one loop).  The loop keeps the state
+        lists in locals and special-cases the ubiquitous 2-way + LRU
+        geometry.
         """
         if writes is None:
             writes = [False] * len(tags)

@@ -32,14 +32,20 @@ cache") is maintained by two mechanisms selectable via
   ``ablation_consistency`` experiment measures whether the paper mode
   ever yields a stale hit on our workloads.
 
-Implementation notes (fast engine): state is flat — tag-side keys are
-packed ``(base_tag << 2) | cflag`` ints mirrored in a dict for O(1)
-match, ``vflag`` rows are int bitmasks, and LRU order is kept as
-monotonically increasing use-stamps (victim = argmin) so a touch never
-runs ``list.remove``.  The hot-path API is
-:meth:`MAB.lookup_fast`/:meth:`MAB.install_fast` (plain ints/tuples,
-no per-lookup object churn); :meth:`lookup`/:meth:`install` wrap them
-to keep the original dataclass-based API for tests and cold callers.
+Implementation notes: state is flat — tag-side keys are packed
+``(base_tag << 2) | cflag`` ints mirrored in a dict for O(1) match,
+``vflag`` rows are int bitmasks, and LRU order is kept as monotonically
+increasing use-stamps (victim = argmin) so a touch never runs
+``list.remove``.  :meth:`MAB.lookup` / :meth:`MAB.install` are the
+object API the reference controllers replay through.
+
+Fast engine: the MAB never changes what the cache does (a verified hit
+touches the line like any hit, a stale hit or miss falls back to an
+ordinary access), so the replay engine simulates no MAB at all.
+:func:`way_memo_counters` derives the MAB's outcomes from the shared
+cache sweep plus the LRU stack distances of the key and set streams —
+one pass per stream for every (Nt, Ns) geometry of a group (see
+:class:`_MabPairs` for the rule).
 """
 
 from __future__ import annotations
@@ -47,17 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cache.config import CacheConfig
+from repro.cache.stats import AccessCounters
 from repro.core.address import PartialSum, partial_add
 
 CONSISTENCY_MODES = ("paper", "evict_hook")
-
-#: ``status`` values of :meth:`MAB.lookup_fast`.
-LOOKUP_MISS = 0
-LOOKUP_HIT = 1
-LOOKUP_BYPASS = 2
-
-_M32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,16 @@ class MABLookup:
     partial: PartialSum = field(repr=False, default=None)
 
 
+def _key(partial: PartialSum) -> int:
+    """The tag side's packed ``(base_tag << 2) | cflag`` match key."""
+    return (partial.base_tag << 2) | partial.cflag
+
+
+def _lru_slot(stamps: List[int]) -> int:
+    """The least recently used slot (smallest use-stamp)."""
+    return min(range(len(stamps)), key=stamps.__getitem__)
+
+
 class MAB:
     """A Memory Address Buffer bound to a cache geometry."""
 
@@ -112,12 +124,7 @@ class MAB:
         self.cache_config = cache_config
         self.low_bits = cache_config.offset_bits + cache_config.index_bits
         self.tag_bits = 32 - self.low_bits
-        # Precomputed geometry for the inline narrow-adder datapath.
-        self._low_mask = (1 << self.low_bits) - 1
-        self._upper_mask = (1 << (32 - self.low_bits)) - 1
         self._tag_mask = (1 << self.tag_bits) - 1
-        self._offset_bits = cache_config.offset_bits
-        self._index_mask = (1 << cache_config.index_bits) - 1
         nt, ns = config.tag_entries, config.index_entries
         self._nt = nt
         self._ns = ns
@@ -143,114 +150,7 @@ class MAB:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    # fast path
-    # ------------------------------------------------------------------
-
-    def lookup_fast(
-        self, base: int, disp: int
-    ) -> Tuple[int, int, int, int, int, int, int]:
-        """Probe the MAB; allocation-free except for the result tuple.
-
-        Returns ``(status, way, tag_entry, index_entry, key,
-        target_tag, set_index)`` with ``status`` one of
-        :data:`LOOKUP_MISS` / :data:`LOOKUP_HIT` / :data:`LOOKUP_BYPASS`
-        and absent entries encoded as ``-1``.  ``key`` is the packed
-        ``(base_tag << 2) | cflag`` the tag side matches on; pass it
-        (with the entries and ``set_index``) to :meth:`install_fast`
-        after a miss resolves.  A hit touches both sides' LRU state.
-        """
-        self.lookups += 1
-        low_bits = self.low_bits
-        low_mask = self._low_mask
-        base &= _M32
-        disp &= _M32
-        raw = (base & low_mask) + (disp & low_mask)
-        set_index = ((raw & low_mask) >> self._offset_bits) & self._index_mask
-        upper = (disp >> low_bits) & self._upper_mask
-        if upper == 0:
-            sign = 0
-        elif upper == self._upper_mask:
-            sign = 1
-        else:
-            self.bypasses += 1
-            return (LOOKUP_BYPASS, -1, -1, -1, -1, -1, set_index)
-
-        base_tag = base >> low_bits
-        carry = raw >> low_bits
-        key = (base_tag << 2) | (carry << 1) | sign
-        target_tag = (base_tag + carry - sign) & self._tag_mask
-
-        tag_entry = self._key_map.get(key, -1)
-        index_entry = self._idx_map.get(set_index, -1)
-        if (
-            tag_entry >= 0
-            and index_entry >= 0
-            and self._vmask[tag_entry] >> index_entry & 1
-        ):
-            self.hits += 1
-            stamp = self._stamp
-            self._tag_stamp[tag_entry] = stamp
-            self._idx_stamp[index_entry] = stamp + 1
-            self._stamp = stamp + 2
-            return (
-                LOOKUP_HIT, self._ways[tag_entry][index_entry],
-                tag_entry, index_entry, key, target_tag, set_index,
-            )
-        return (
-            LOOKUP_MISS, -1, tag_entry, index_entry, key, target_tag,
-            set_index,
-        )
-
-    def install_fast(
-        self, tag_entry: int, index_entry: int, key: int,
-        set_index: int, way: int,
-    ) -> None:
-        """Memoize ``way`` after a miss (the four cases of Section 3.3).
-
-        ``tag_entry`` / ``index_entry`` are the slots reported by
-        :meth:`lookup_fast` (``-1`` = that side missed and its LRU
-        entry is replaced, clearing the row/column).
-        """
-        if tag_entry < 0:
-            stamps = self._tag_stamp
-            tag_entry = 0
-            best = stamps[0]
-            for slot in range(1, self._nt):
-                if stamps[slot] < best:
-                    best = stamps[slot]
-                    tag_entry = slot
-            old = self._keys[tag_entry]
-            if old >= 0:
-                del self._key_map[old]
-            self._keys[tag_entry] = key
-            self._key_map[key] = tag_entry
-            self._vmask[tag_entry] = 0
-        if index_entry < 0:
-            stamps = self._idx_stamp
-            index_entry = 0
-            best = stamps[0]
-            for slot in range(1, self._ns):
-                if stamps[slot] < best:
-                    best = stamps[slot]
-                    index_entry = slot
-            old = self._idx_vals[index_entry]
-            if old >= 0:
-                del self._idx_map[old]
-            self._idx_vals[index_entry] = set_index
-            self._idx_map[set_index] = index_entry
-            clear = ~(1 << index_entry)
-            vmask = self._vmask
-            for i in range(self._nt):
-                vmask[i] &= clear
-        self._vmask[tag_entry] |= 1 << index_entry
-        self._ways[tag_entry][index_entry] = way
-        stamp = self._stamp
-        self._tag_stamp[tag_entry] = stamp
-        self._idx_stamp[index_entry] = stamp + 1
-        self._stamp = stamp + 2
-
-    # ------------------------------------------------------------------
-    # object API (thin wrappers over the fast path)
+    # lookup / install
     # ------------------------------------------------------------------
 
     def lookup(self, base: int, disp: int) -> MABLookup:
@@ -259,40 +159,76 @@ class MAB:
         A hit touches both sides' LRU state (the paper updates MAB
         entries with an LRU policy on every use).
         """
-        status, way, tag_entry, index_entry, _, tag, set_index = (
-            self.lookup_fast(base, disp)
-        )
+        self.lookups += 1
         partial = partial_add(base, disp, self.low_bits)
-        if status == LOOKUP_BYPASS:
+        cache_config = self.cache_config
+        set_index = partial.set_index(
+            cache_config.offset_bits, cache_config.index_bits
+        )
+        if not partial.usable:
+            self.bypasses += 1
             return MABLookup(
                 hit=False, bypass=True, way=None, tag=None,
                 set_index=set_index, tag_entry=None, index_entry=None,
                 partial=partial,
             )
+        tag_entry = self._key_map.get(_key(partial))
+        index_entry = self._idx_map.get(set_index)
+        hit = (
+            tag_entry is not None and index_entry is not None
+            and bool(self._vmask[tag_entry] >> index_entry & 1)
+        )
+        way = None
+        if hit:
+            self.hits += 1
+            self._touch(tag_entry, index_entry)
+            way = self._ways[tag_entry][index_entry]
         return MABLookup(
-            hit=status == LOOKUP_HIT, bypass=False,
-            way=way if status == LOOKUP_HIT else None, tag=tag,
-            set_index=set_index,
-            tag_entry=tag_entry if tag_entry >= 0 else None,
-            index_entry=index_entry if index_entry >= 0 else None,
-            partial=partial,
+            hit=hit, bypass=False, way=way,
+            tag=partial.target_tag(self.tag_bits), set_index=set_index,
+            tag_entry=tag_entry, index_entry=index_entry, partial=partial,
         )
 
     def install(self, lookup: MABLookup, way: int) -> None:
         """Memoize the resolved ``way`` for the missed address.
 
         Implements the four hit/miss cases of Section 3.3, including
-        the row/column ``vflag`` clearing on entry replacement.
+        the row/column ``vflag`` clearing on entry replacement: a side
+        that missed replaces its LRU entry.
         """
         if lookup.bypass:
             raise ValueError("cannot install a bypassed lookup")
-        partial = lookup.partial
-        key = (partial.base_tag << 2) | partial.cflag
-        self.install_fast(
-            lookup.tag_entry if lookup.tag_entry is not None else -1,
-            lookup.index_entry if lookup.index_entry is not None else -1,
-            key, lookup.set_index, way,
-        )
+        tag_entry = lookup.tag_entry
+        if tag_entry is None:
+            tag_entry = _lru_slot(self._tag_stamp)
+            old = self._keys[tag_entry]
+            if old >= 0:
+                del self._key_map[old]
+            key = _key(lookup.partial)
+            self._keys[tag_entry] = key
+            self._key_map[key] = tag_entry
+            self._vmask[tag_entry] = 0
+        index_entry = lookup.index_entry
+        if index_entry is None:
+            index_entry = _lru_slot(self._idx_stamp)
+            old = self._idx_vals[index_entry]
+            if old >= 0:
+                del self._idx_map[old]
+            self._idx_vals[index_entry] = lookup.set_index
+            self._idx_map[lookup.set_index] = index_entry
+            clear = ~(1 << index_entry)
+            vmask = self._vmask
+            for i in range(self._nt):
+                vmask[i] &= clear
+        self._vmask[tag_entry] |= 1 << index_entry
+        self._ways[tag_entry][index_entry] = way
+        self._touch(tag_entry, index_entry)
+
+    def _touch(self, tag_entry: int, index_entry: int) -> None:
+        stamp = self._stamp
+        self._tag_stamp[tag_entry] = stamp
+        self._idx_stamp[index_entry] = stamp + 1
+        self._stamp = stamp + 2
 
     def on_bypass(self, set_index: int) -> None:
         """Apply the paper's large-displacement consistency rule.
@@ -409,3 +345,175 @@ class MAB:
             (s, j) for j, s in enumerate(self._idx_vals) if s >= 0
         ):
             raise AssertionError("index-side map out of sync")
+
+
+# ----------------------------------------------------------------------
+# fast engine: the MAB derived from the shared cache sweep
+# ----------------------------------------------------------------------
+
+def way_memo_counters(
+    controller, cols, shared, skip: Optional[np.ndarray] = None,
+    stores: Optional[np.ndarray] = None,
+) -> AccessCounters:
+    """Counters of one way-memo controller, derived from a shared sweep.
+
+    The shared derivation behind both way-memo controllers'
+    ``replay_counters``: ``controller`` supplies ``cache_config`` and
+    ``mab_config``; ``skip`` marks accesses that never consult the MAB
+    (intra-line fetches) and ``stores`` the accesses that write.
+    Every member of the sweep's group shares one :class:`_MabPairs`;
+    the eviction check is computed only when an ``evict_hook`` member
+    asks for it.
+    """
+    config = controller.cache_config
+    mab_config = controller.mab_config
+    group = [mab_config] + [
+        member.mab_config for member in shared.members
+        if hasattr(member, "mab_config")
+    ]
+    pairs = shared.memo(
+        "mab", lambda: _MabPairs(cols, shared, config, group, skip, stores)
+    )
+    hit = pairs.resident(mab_config)
+    if mab_config.consistency == "evict_hook":
+        hit &= shared.memo("mab-kept", lambda: pairs.kept(cols, shared))
+    verified_mask = hit & pairs.same_way
+    verified = int(np.count_nonzero(verified_mask))
+    verified_stores = (
+        0 if pairs.stored is None
+        else int(np.count_nonzero(verified_mask & pairs.stored))
+    )
+
+    n = cols.n
+    nways = config.ways
+    hits = shared.hit_count
+    lookups = pairs.lookups
+    counters = AccessCounters()
+    counters.accesses = n
+    counters.mab_lookups = lookups
+    counters.mab_hits = verified
+    counters.mab_bypasses = pairs.bypasses
+    counters.stale_hits = int(np.count_nonzero(hit)) - verified
+    counters.cache_hits = hits
+    counters.cache_misses = n - hits
+    counters.tag_accesses = nways * (lookups - verified)
+    # A full access reads every way for a load and the resolved one
+    # for a store, plus the refill on a miss (skipped accesses always
+    # hit).  A verified MAB hit, like a skipped access, reads one way.
+    counters.way_accesses = (
+        (n - lookups)
+        + pairs.stores + (lookups - pairs.stores) * nways + (n - hits)
+        - (verified - verified_stores) * (nways - 1)
+    )
+    counters.notes["mab_label"] = mab_config.label
+    return counters
+
+
+class _LruSide:
+    """One LRU side of the MAB over the lookups, in value-sorted order.
+
+    A stable sort by value lines up each value's lookups in stream
+    order, so "no lookup of this value in (p, q] was at distance >=
+    entries" is one comparison of a cumulative count at p and at q.
+    """
+
+    def __init__(self, values, distances, p, q):
+        order = np.argsort(values, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.distances = distances[order]
+        self.lo = rank[p]
+        self.hi = rank[q]
+
+    def unbroken(self, entries: int) -> np.ndarray:
+        broken = np.cumsum(self.distances >= entries)
+        return broken[self.lo] == broken[self.hi]
+
+
+class _MabPairs:
+    """What every MAB geometry of one sweep's group derives alike.
+
+    The MAB rule, over the lookups: an installing (non-bypass) lookup
+    with key ``k`` and set ``s`` is a MAB hit iff the previous
+    installing lookup of the same ``(k, s)`` pair exists — it left the
+    pair valid, memoizing the way the cache resolved — and, over the
+    lookups since then up to this one,
+
+    * every lookup of ``k`` had tag-side LRU stack distance < Nt (so
+      ``k``'s row was never evicted and cleared);
+    * every lookup of ``s`` had index-side stack distance < Ns (so
+      ``s``'s column was never evicted and cleared) and none of them
+      was a bypass (the paper's column-clear rule);
+    * in ``evict_hook`` mode, the sweep never evicted line
+      ``(tag, s)`` (:meth:`kept`).
+
+    Both sides are LRU and every installing lookup touches its key and
+    its set, hit or miss, so those distances are LRU stack distances of
+    the key and set streams.  A MAB hit is *verified* iff the sweep
+    hits now in the way it resolved at the pair's previous lookup, and
+    *stale* otherwise.  The distances come from the columns object,
+    walked once per stream with the widest (Nt, Ns) of the group.
+    """
+
+    def __init__(self, cols, shared, config: CacheConfig, group, skip,
+                 stores):
+        offset_bits, index_bits = config.offset_bits, config.index_bits
+        self._offset_bits = offset_bits
+        self._index_bits = index_bits
+        lookup = (
+            np.arange(cols.n) if skip is None else np.flatnonzero(~skip)
+        )
+        keys = cols.keys_array(offset_bits, index_bits)[lookup]
+        sets = cols.sets_array(offset_bits, index_bits)[lookup]
+        installs = np.flatnonzero(keys >= 0)
+        self.lookups = len(lookup)
+        self.bypasses = self.lookups - len(installs)
+        self.stores = (
+            0 if stores is None else int(np.count_nonzero(stores[lookup]))
+        )
+
+        # Pair every installing lookup q with its predecessor p on the
+        # same (key, set); ``earlier`` / ``later`` are their positions.
+        k = keys[installs]
+        s = sets[installs]
+        pair = (k << index_bits) | s
+        order = np.argsort(pair, kind="stable")
+        same = pair[order[1:]] == pair[order[:-1]]
+        p = installs[order[:-1][same]]
+        q = installs[order[1:][same]]
+        self.earlier = lookup[p]
+        self.later = lookup[q]
+
+        name = f"{offset_bits}x{index_bits}"
+        tag_cap = max(mab.tag_entries for mab in group)
+        index_cap = max(mab.index_entries for mab in group)
+        k_walk = cols.lru_distance(f"mab-keys{name}", lambda: k, tag_cap)
+        s_walk = cols.lru_distance(f"mab-sets{name}", lambda: s, index_cap)
+        # Per lookup: a bypass keeps key -1, which no pair shares, and
+        # counts as broken on the set side.
+        key_distances = np.zeros(self.lookups, dtype=k_walk.dtype)
+        key_distances[installs] = k_walk
+        set_distances = np.full(
+            self.lookups, np.iinfo(s_walk.dtype).max, dtype=s_walk.dtype
+        )
+        set_distances[installs] = s_walk
+        self._keys = _LruSide(keys, key_distances, p, q)
+        self._sets = _LruSide(sets, set_distances, p, q)
+        self.same_way = shared.same_way(self.earlier, self.later)
+        self.stored = None if stores is None else stores[self.later]
+
+    def resident(self, mab_config: MABConfig) -> np.ndarray:
+        """Pairs the paper's rules keep valid, per previous-lookup pair."""
+        return (
+            self._keys.unbroken(mab_config.tag_entries)
+            & self._sets.unbroken(mab_config.index_entries)
+        )
+
+    def kept(self, cols, shared) -> np.ndarray:
+        """Pairs whose line the sweep did not evict in between."""
+        tags = cols.tags_array(self._offset_bits, self._index_bits)
+        sets = cols.sets_array(self._offset_bits, self._index_bits)
+        lines = (tags[self.later] << self._index_bits) | sets[self.later]
+        return ~shared.evicted_between(
+            sets, self._index_bits, lines, self.earlier, self.later
+        )

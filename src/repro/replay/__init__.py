@@ -10,16 +10,18 @@ repetition:
   workload's access stream: the pre-split tag/index/store/kind columns
   (and the narrow-adder MAB key column) computed once per geometry
   with vectorized numpy, cached in process and persisted as ``.npz``
-  archives next to the trace cache.
+  archives next to the trace cache, plus the memoized LRU stack
+  distances of a value stream.
 * :mod:`repro.replay.engine` — the one fast engine: runs *all
   requested architectures in one pass* over the columns.
   Architectures whose cache access stream is state-independent
-  (original, two-phase, way-prediction, Panwar, set buffer, MA-links)
-  share literally one
+  (original, two-phase, way-prediction, Panwar, set buffer, MA-links,
+  way memoization at any MAB geometry) share literally one
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
   sweep per (geometry, replacement policy) and derive their counters
-  from the shared packed results; stateful controllers replay their
-  own loop but share the columnar pre-split.
+  from the shared packed results; the two stateful controllers
+  (filter cache, line buffer) replay their own loop but share the
+  columnar pre-split.
 
 Every controller's ``process`` is a singleton
 :func:`~repro.replay.engine.replay_counters` call, ``evaluate`` runs a

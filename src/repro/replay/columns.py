@@ -3,11 +3,14 @@
 Every fast engine starts the same way: vectorize the 32-bit address
 arithmetic over the whole trace (cache tag and set index per access,
 the narrow-adder MAB key for way-memo controllers, the intra-line mask
-for fetch streams) and convert the arrays to plain lists for the
-Python replay loop.  That work depends only on the stream and (parts
-of) the cache geometry — never on architecture state — so it is
-computed here exactly once and shared by every controller replaying
-the stream.
+for fetch streams), plus the tag/set lists the shared cache sweep
+walks.  That work depends only on the stream and (parts of) the cache
+geometry — never on architecture state — so it is computed here
+exactly once and shared by every controller replaying the stream.
+The same goes for the LRU stack distances of a value stream
+(:meth:`_ColumnsBase.lru_distance`), which decide membership in every
+LRU side structure the derivations model: the MAB's two sides and the
+set buffer.
 
 Each derived column is cached under the *narrowest* key it actually
 depends on:
@@ -22,7 +25,8 @@ depends on:
 Two cache levels:
 
 * per-instance memoization — a :class:`DataColumns`/:class:`FetchColumns`
-  object computes each derived array (and its list form) once;
+  object computes each derived array (and the sweep's list forms)
+  once;
 * an optional on-disk layer — when constructed with a ``disk_stem``
   (derived from the workload's trace-cache key, so the content digest
   keys the archive), the derived arrays are persisted as **one**
@@ -32,8 +36,8 @@ Two cache levels:
   cache; unreadable archives are ignored and regenerated.
 
 The tag column is the plain ``addr >> (offset_bits + index_bits)``
-split.  For non-bypass accesses the way-memo controllers historically
-computed it through the narrow-adder reconstruction
+split.  For non-bypass accesses the way-memo reference computes it
+through the narrow-adder reconstruction
 ``(base_tag + carry - sign) & tag_mask`` — the two are numerically
 identical (that equivalence *is* the paper's Figure 3 datapath), which
 the differential and lockstep fuzz suites assert for every
@@ -45,10 +49,12 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.cache import _F_EVICTED, _F_HIT, _F_TAG_SHIFT, _F_WAY_SHIFT
+from repro.cache.write_buffer import WriteBuffer
 from repro.sim.fetch import FetchKind, FetchStream
 from repro.sim.trace import DataTrace
 
@@ -58,15 +64,18 @@ from repro.sim.trace import DataTrace
 COLUMNS_VERSION = 2
 
 #: Per-process column machinery counters: how many derived arrays were
-#: actually computed vs served from a disk archive, and how often the
-#: archive file itself was read or rewritten.  Tests assert sweep
-#: groups compute their pre-split once per workload, not per geometry.
+#: actually computed vs served from a disk archive, how often the
+#: archive file itself was read or rewritten, and how many LRU-distance
+#: passes ran.  Tests assert sweep groups compute their pre-split once
+#: per workload and their distances once per value stream, not per
+#: geometry.
 _STATS: Dict[str, int] = {
     "array_computes": 0,
     "tags_computes": 0,
     "sets_computes": 0,
     "keys_computes": 0,
     "lines_computes": 0,
+    "distance_passes": 0,
     "archive_loads": 0,
     "archive_array_hits": 0,
     "archive_saves": 0,
@@ -94,17 +103,22 @@ class SharedPass:
     Architectures whose access stream is state-independent all observe
     the *same* per-access (hit, way, eviction) outcomes, so the engine
     runs the batch kernel once and hands every such architecture this
-    view of it.  The hit vector and hit count are derived lazily and
-    shared too.
+    view of it, together with the group of ``members`` deriving from
+    it.  The hit vector, the hit count and anything the members
+    :meth:`memo`-ize are derived lazily and shared too.
     """
 
-    __slots__ = ("packed", "_packed64", "_hit", "_hit_count")
+    __slots__ = (
+        "packed", "members", "_packed64", "_hit", "_hit_count", "_memo",
+    )
 
-    def __init__(self, packed: List[int]):
+    def __init__(self, packed: List[int], members: Sequence = ()):
         self.packed = packed
+        self.members = tuple(members)
         self._packed64: Optional[np.ndarray] = None
         self._hit: Optional[np.ndarray] = None
         self._hit_count: Optional[int] = None
+        self._memo: Dict[str, object] = {}
 
     @property
     def packed64(self) -> np.ndarray:
@@ -119,7 +133,7 @@ class SharedPass:
     def hit(self) -> np.ndarray:
         """Boolean hit vector (packed bit 0), one entry per access."""
         if self._hit is None:
-            self._hit = (self.packed64 & 1) == 1
+            self._hit = (self.packed64 & _F_HIT) == _F_HIT
         return self._hit
 
     @property
@@ -130,12 +144,110 @@ class SharedPass:
 
     @property
     def ways(self) -> np.ndarray:
-        """Resident way per access (packed bits 1-8)."""
-        return (self.packed64 >> 1) & 0xFF
+        """Resident way per access (packed bits 1-8): the hit way on
+        a hit, the fill way on a miss."""
+        return (self.packed64 >> _F_WAY_SHIFT) & 0xFF
+
+    def memo(self, key: str, compute: Callable[[], object]) -> object:
+        """A value every member of the group derives alike, computed
+        by the first member that asks."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = compute()
+        return got
+
+    def same_way(self, earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
+        """Whether access ``later[i]`` hits in the way that access
+        ``earlier[i]`` resolved."""
+        ways = self.ways
+        return self.hit[later] & (ways[later] == ways[earlier])
+
+    def evicted_between(
+        self, sets: np.ndarray, index_bits: int, lines: np.ndarray,
+        earlier: np.ndarray, later: np.ndarray,
+    ) -> np.ndarray:
+        """Whether the sweep evicts line ``lines[i]`` (``tag <<
+        index_bits | set``) strictly between accesses ``earlier[i]``
+        and ``later[i]``; ``sets`` is the sweep's set column.
+
+        Every eviction becomes a ``line * n + position`` key, so one
+        line's events sort into a private range and a window is two
+        binary searches.
+        """
+        span = len(self.packed)
+
+        def events() -> np.ndarray:
+            packed = self.packed64
+            at = np.flatnonzero(packed & _F_EVICTED)
+            evicted = ((packed[at] >> _F_TAG_SHIFT) << index_bits) | sets[at]
+            return np.sort(evicted * span + at)
+
+        sorted_events = self.memo(f"evictions{index_bits}", events)
+        base = lines * span
+        return (
+            np.searchsorted(sorted_events, base + earlier, "right")
+            < np.searchsorted(sorted_events, base + later, "left")
+        )
+
+
+def lru_distances(values: np.ndarray, cap: int) -> np.ndarray:
+    """Capped LRU stack distance of every element of ``values``.
+
+    An element's stack distance is the number of distinct other values
+    since the previous occurrence of its own value; ``cap`` stands for
+    "``cap`` or more", first occurrences included.  ``distance < C`` is
+    therefore membership in a C-entry LRU structure that every element
+    touches, for any ``C <= cap``.
+
+    Repeats of the previous element are at distance 0, so the stream
+    collapses into runs of equal values first.  Adjacent runs differ,
+    so a run head is at distance 1 iff its value recurs two runs back:
+    caps up to 2 are fully vectorized, and wider caps walk only the run
+    heads through a list of the last ``cap`` distinct values.
+    """
+    if cap < 1:
+        raise ValueError("LRU distance cap must be at least 1")
+    dtype = np.min_scalar_type(cap)
+    out = np.zeros(len(values), dtype=dtype)
+    if not len(values):
+        return out
+    head = np.empty(len(values), dtype=bool)
+    head[0] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    runs = values[heads]
+    if cap <= 2:
+        dist = np.full(len(runs), cap, dtype=dtype)
+        if cap == 2:
+            dist[2:][runs[2:] == runs[:-2]] = 1
+    else:
+        dist = np.array(_run_head_distances(runs.tolist(), cap), dtype=dtype)
+    out[heads] = dist
+    return out
+
+
+def _run_head_distances(runs: List[int], cap: int) -> List[int]:
+    recent: List[int] = []  # the last ``cap`` distinct values, newest first
+    present = set()
+    out: List[int] = []
+    append = out.append
+    for value in runs:
+        if value in present:
+            distance = recent.index(value)
+            del recent[distance]
+        else:
+            distance = cap
+            present.add(value)
+            if len(recent) == cap:
+                present.discard(recent.pop())
+        recent.insert(0, value)
+        append(distance)
+    return out
 
 
 class _ColumnsBase:
-    """Shared machinery: dependency-keyed arrays, lists, disk archive."""
+    """Shared machinery: dependency-keyed arrays, lists, LRU distances,
+    disk archive."""
 
     side = ""  # "dcache" | "icache" (set by subclasses)
 
@@ -145,6 +257,7 @@ class _ColumnsBase:
         self._disk_stem = disk_stem
         self._arrays: Dict[str, np.ndarray] = {}
         self._lists: Dict[str, list] = {}
+        self._distances: Dict[str, Tuple[int, np.ndarray]] = {}
         self._archive: Optional[Dict[str, np.ndarray]] = None
         self._archive_probed = False
 
@@ -316,13 +429,22 @@ class _ColumnsBase:
             "keys": self.keys_array(offset_bits, index_bits),
         }
 
-    def mab_keys(self, offset_bits: int, index_bits: int) -> List[int]:
-        """Packed narrow-adder MAB keys (-1 == bypass) per access."""
-        low = offset_bits + index_bits
-        return self._list(
-            f"keys{low}",
-            lambda: self.keys_array(offset_bits, index_bits),
-        )
+    def lru_distance(
+        self, name: str, values: Callable[[], np.ndarray], cap: int
+    ) -> np.ndarray:
+        """:func:`lru_distances` of the value stream ``name`` (memoized).
+
+        Exact below ``cap``: a stream already walked with a wider cap
+        is served from that pass, so a group that asks with its widest
+        cap first walks each value stream once for every geometry.
+        Distances stay in memory (they are cheap to redo and small).
+        """
+        walked, got = self._distances.get(name, (0, None))
+        if walked < cap:
+            got = lru_distances(values(), cap)
+            _count("distance_passes")
+            self._distances[name] = (cap, got)
+        return got
 
 
 class DataColumns(_ColumnsBase):
@@ -339,17 +461,13 @@ class DataColumns(_ColumnsBase):
         self.store_mask = trace.store
         self._stores: Optional[List[bool]] = None
         self._num_stores: Optional[int] = None
+        self._coalesced: Dict[int, int] = {}
 
     def writes(self) -> List[bool]:
         """The store flags, as the batch kernel's ``writes`` stream."""
         if self._stores is None:
             self._stores = self.store_mask.tolist()
         return self._stores
-
-    def addrs(self) -> List[int]:
-        if "addrs" not in self._lists:
-            self._lists["addrs"] = self.addr64.tolist()
-        return self._lists["addrs"]
 
     @property
     def num_stores(self) -> int:
@@ -361,6 +479,30 @@ class DataColumns(_ColumnsBase):
         """Fill the loads/stores split on a counters object."""
         counters.stores = self.num_stores
         counters.loads = counters.accesses - counters.stores
+
+    def write_buffer_coalesced(self, config) -> int:
+        """Stores that coalesce in a write buffer fed every store.
+
+        Every design stages every store, whatever its side structures
+        do, so the count is a property of the stream and the line size
+        alone, memoized per line size.  A store to the line the previous
+        store staged always coalesces, so only the first store of each
+        such run walks through the
+        :class:`~repro.cache.write_buffer.WriteBuffer` model.
+        """
+        got = self._coalesced.get(config.line_bytes)
+        if got is None:
+            addrs = self.addr64[self.store_mask]
+            lines = addrs >> config.offset_bits
+            head = np.ones(len(lines), dtype=bool)
+            head[1:] = lines[1:] != lines[:-1]
+            buffer = WriteBuffer(config)
+            for addr in addrs[head].tolist():
+                buffer.push(addr)
+            repeats = len(lines) - int(np.count_nonzero(head))
+            got = buffer.coalesced + repeats
+            self._coalesced[config.line_bytes] = got
+        return got
 
 
 class FetchColumns(_ColumnsBase):
@@ -375,7 +517,6 @@ class FetchColumns(_ColumnsBase):
         self.disp64 = fetch.disp.astype(np.int64)
         self.addr64 = fetch.addr.astype(np.int64)
         self.kind = fetch.kind
-        self._kinds: Optional[List[int]] = None
         self._intra: Dict[int, np.ndarray] = {}
 
     def lines_array(self, offset_bits: int, index_bits: int) -> np.ndarray:
@@ -395,18 +536,6 @@ class FetchColumns(_ColumnsBase):
         arrays = super().cache_arrays(offset_bits, index_bits)
         arrays["lines"] = self.lines_array(offset_bits, index_bits)
         return arrays
-
-    def kinds(self) -> List[int]:
-        if self._kinds is None:
-            self._kinds = self.kind.tolist()
-        return self._kinds
-
-    def lines(self, offset_bits: int, index_bits: int) -> List[int]:
-        """Line numbers (``addr >> offset_bits``) per access."""
-        return self._list(
-            f"lines{offset_bits}",
-            lambda: self.lines_array(offset_bits, index_bits),
-        )
 
     def intra_mask(self, offset_bits: int, index_bits: int) -> np.ndarray:
         """Boolean mask of intra-line sequential fetches.

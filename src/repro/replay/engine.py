@@ -20,10 +20,11 @@ Two layers:
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
   sweep over a fresh shadow cache; every member derives its counters
   from the shared packed results via its ``replay_counters`` hook and
-  is itself left untouched.  Stateful controllers replay on their own
-  instance, fed from the shared :mod:`~repro.replay.columns` pre-split
-  (``process_columns``); a design without a columnar path yet runs its
-  ``process_reference`` loop.
+  is itself left untouched.  That covers every design but two
+  stateful ones, which replay on their own instance: the filter cache,
+  fed from the shared :mod:`~repro.replay.columns` pre-split
+  (``process_columns``), and the line buffer, which has no columnar
+  path yet and runs its ``process_reference`` loop.
 
 * :func:`replay_specs` — the spec-level engine behind ``evaluate`` and
   ``evaluate_many``.  All specs must share one ``(cache side,
@@ -68,9 +69,11 @@ class Controller:
     def process(self, stream) -> AccessCounters:
         """Replay ``stream`` and return the counters (fast engine).
 
-        Batchable designs sweep a shadow cache and leave this instance
-        untouched; stateful designs replay on this instance, so
-        successive calls carry their cache and side state forward.
+        Batchable designs — all but the filter cache and the line
+        buffer — sweep a shadow cache and leave this instance
+        untouched, so every call starts from a cold cache; stateful
+        designs replay on this instance, so successive calls carry
+        their cache and side state forward.
         """
         return replay_counters([self], stream)[0]
 
@@ -107,7 +110,9 @@ def replay_counters(
             config.offset_bits, config.index_bits
         )
         packed = shadow.access_fast_batch(tags, sets, cols.writes())
-        shared_pass = SharedPass(packed)
+        shared_pass = SharedPass(
+            packed, [controllers[index] for index in members]
+        )
         telemetry.counter(
             "repro_replay_shared_sweeps_total",
             "Shared cache sweeps performed by the replay engine.",

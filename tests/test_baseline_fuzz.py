@@ -40,6 +40,9 @@ from test_fastpath_differential import (
 #: Small geometries that evict constantly under the fuzz streams.
 TINY_2WAY = CacheConfig(size_bytes=1024, ways=2, line_bytes=32)
 TINY_4WAY = CacheConfig(size_bytes=2048, ways=4, line_bytes=32)
+#: The direct-mapped and 8-way ends of extension_associativity's sweep.
+TINY_1WAY = CacheConfig(size_bytes=512, ways=1, line_bytes=32)
+TINY_8WAY = CacheConfig(size_bytes=4096, ways=8, line_bytes=32)
 
 #: Prefix step of the divergence search (prime, so probe boundaries
 #: drift across the stream's block structure instead of aligning with
@@ -308,34 +311,57 @@ def test_fuzz_icache_replay_matches_scalar(seed, config):
 
 
 # ----------------------------------------------------------------------
-# newly derived stateful designs vs the executable specification
+# derived designs vs the executable specification
 # ----------------------------------------------------------------------
 
-#: The designs whose counters are *derived* (set buffer and MA-links
-#: from the shared sweep, the filter cache from the columnar run walk)
-#: rather than replayed scalar, including a non-default set-buffer
-#: depth — each one fuzzed directly against ``process_reference``.
-STATEFUL_DERIVED_DCACHE = {
+def way_memo(side, tag_entries, index_entries, consistency="paper"):
+    """A way-memo factory at any MAB geometry (the parametric entry)."""
+    return partial(
+        build_design, side, "way-memo-4x4", tag_entries=tag_entries,
+        index_entries=index_entries, consistency=consistency,
+    )
+
+
+def way_memo_variants(side):
+    """MAB geometries around the 2-way fuzz caches: one tag entry,
+    more tag entries than ways (so memoizations go stale), a MAB far
+    larger than the cache, and the eviction-hook consistency mode."""
+    return {
+        "way-memo-1x4": way_memo(side, 1, 4),
+        "way-memo-4x4": way_memo(side, 4, 4),
+        "way-memo-8x64": way_memo(side, 8, 64),
+        "way-memo-2x8-evict": way_memo(side, 2, 8, "evict_hook"),
+    }
+
+
+#: The designs whose counters are *derived* rather than replayed
+#: scalar — set buffer, MA-links and way memoization from the shared
+#: sweep, the filter cache from the columnar run walk — including a
+#: non-default set-buffer depth and several MAB geometries, each one
+#: fuzzed directly against ``process_reference``.
+DERIVED_DCACHE = {
     "set-buffer": partial(build_design, "dcache", "set-buffer"),
     "set-buffer-3": partial(
         build_design, "dcache", "set-buffer", entries=3
     ),
     "filter-cache": partial(build_design, "dcache", "filter-cache"),
+    **way_memo_variants("dcache"),
 }
 
-STATEFUL_DERIVED_ICACHE = {
+DERIVED_ICACHE = {
     "ma-links": partial(build_design, "icache", "ma-links"),
     "filter-cache": partial(build_design, "icache", "filter-cache"),
+    **way_memo_variants("icache"),
 }
 
 
 @pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
                          ids=["2way", "4way"])
 @pytest.mark.parametrize("seed", [101, 202])
-@pytest.mark.parametrize("arch", sorted(STATEFUL_DERIVED_DCACHE))
+@pytest.mark.parametrize("arch", sorted(DERIVED_DCACHE))
 def test_fuzz_dcache_replay_matches_reference(arch, seed, config):
     trace = fuzz_data_trace(seed)
-    factory = STATEFUL_DERIVED_DCACHE[arch]
+    factory = DERIVED_DCACHE[arch]
     run_replay_lockstep(
         {arch: partial(factory, config)}, trace, slice_data, len(trace),
         f"{arch} vs reference seed={seed} ways={config.ways}",
@@ -346,15 +372,51 @@ def test_fuzz_dcache_replay_matches_reference(arch, seed, config):
 @pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
                          ids=["2way", "4way"])
 @pytest.mark.parametrize("seed", [303, 404])
-@pytest.mark.parametrize("arch", sorted(STATEFUL_DERIVED_ICACHE))
+@pytest.mark.parametrize("arch", sorted(DERIVED_ICACHE))
 def test_fuzz_icache_replay_matches_reference(arch, seed, config):
     fs = fuzz_fetch_stream(seed)
-    factory = STATEFUL_DERIVED_ICACHE[arch]
+    factory = DERIVED_ICACHE[arch]
     run_replay_lockstep(
         {arch: partial(factory, config)}, fs, slice_fetch, len(fs),
         f"{arch} vs reference seed={seed} ways={config.ways}",
         method="process_reference",
     )
+
+
+@pytest.mark.parametrize("config", [TINY_1WAY, TINY_8WAY],
+                         ids=["1way", "8way"])
+def test_way_memo_matches_reference_at_associativity_extremes(config):
+    """The MAB derivation on the direct-mapped and 8-way caches that
+    extension_associativity sweeps, both sides, one grouped pass."""
+    for side, stream, slicer in (
+        ("dcache", fuzz_data_trace(606), slice_data),
+        ("icache", fuzz_fetch_stream(707), slice_fetch),
+    ):
+        factories = {
+            name: partial(factory, config)
+            for name, factory in way_memo_variants(side).items()
+        }
+        run_replay_lockstep(
+            factories, stream, slicer, len(stream),
+            f"way-memo {side} ways={config.ways}",
+            method="process_reference",
+        )
+
+
+def test_every_design_matches_reference_on_an_empty_stream():
+    empty = {
+        "dcache": slice_data(fuzz_data_trace(1), 0, 0),
+        "icache": slice_fetch(fuzz_fetch_stream(1), 0, 0),
+    }
+    for side, stream in empty.items():
+        factories = {
+            **registry_factories(side, TINY_2WAY),
+            **(DERIVED_DCACHE if side == "dcache" else DERIVED_ICACHE),
+        }
+        for name, factory in factories.items():
+            got = factory().process(stream)
+            expected = factory().process_reference(stream)
+            assert got.as_dict() == expected.as_dict(), (side, name)
 
 
 # ----------------------------------------------------------------------

@@ -92,8 +92,12 @@ def test_dcache_invariants_random_traces(seed, large):
     trace = synthetic_data_trace(
         num_accesses=2000, large_disp_fraction=large, seed=seed
     )
+    # The fast engine leaves the controller untouched, so the end
+    # state comes from the reference replay it must match.
     memo = WayMemoDCache(mab_config=MABConfig(2, 8))
-    c = memo.process(trace)
+    c = memo.process_reference(trace)
+    fast = WayMemoDCache(mab_config=MABConfig(2, 8)).process(trace)
+    assert fast.as_dict() == c.as_dict()
     memo.mab.check_invariants()
     memo.cache.check_invariants()
     assert c.stale_hits == 0
@@ -110,7 +114,9 @@ def test_icache_invariants_random_streams(seed):
     from repro.workloads import synthetic_fetch_stream
     fs = synthetic_fetch_stream(num_blocks=400, seed=seed)
     memo = WayMemoICache(mab_config=MABConfig(2, 16))
-    c = memo.process(fs)
+    c = memo.process_reference(fs)
+    fast = WayMemoICache(mab_config=MABConfig(2, 16)).process(fs)
+    assert fast.as_dict() == c.as_dict()
     memo.mab.check_invariants()
     assert c.stale_hits == 0
     for tag, set_index, way in memo.mab.valid_pairs():

@@ -72,12 +72,32 @@ def test_replay_counters_match_fresh_per_arch_process(side):
 def test_replay_counters_leave_input_controllers_untouched():
     """The engine evaluates shadows; callers' instances stay fresh."""
     from repro.baselines import OriginalDCache
+    from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 
-    stream = synthetic_data_trace(num_accesses=256, seed=2)
-    controller = OriginalDCache()
-    replay_counters([controller], stream)
-    assert controller.cache.hits == 0
-    assert controller.cache.misses == 0
+    streams = {
+        "dcache": synthetic_data_trace(num_accesses=256, seed=2),
+        "icache": synthetic_fetch_stream(num_blocks=32, seed=2),
+    }
+    evict = MABConfig(2, 8, "evict_hook")
+    groups = {
+        "dcache": [OriginalDCache(), WayMemoDCache(),
+                   WayMemoDCache(mab_config=evict)],
+        "icache": [WayMemoICache(), WayMemoICache(mab_config=evict)],
+    }
+    for side, controllers in groups.items():
+        replay_counters(controllers, streams[side])
+        for controller in controllers:
+            cache = controller.cache
+            assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+            assert all(tag < 0 for row in cache._tags for tag in row)
+            mab = getattr(controller, "mab", None)
+            if mab is not None:
+                assert (mab.lookups, mab.hits, mab.bypasses) == (0, 0, 0)
+                assert mab.addresses_covered == 0
+                assert mab.invalidations == 0
+            buffer = getattr(controller, "write_buffer", None)
+            if buffer is not None:
+                assert buffer.inserts == 0
 
 
 # ----------------------------------------------------------------------
@@ -162,13 +182,13 @@ def test_columns_disk_archive_roundtrips_without_recompute(tmp_path):
     stem = tmp_path / "wl-deadbeef"
     first = DataColumns(trace, disk_stem=stem)
     tags, sets = first.cache_streams(5, 7)
-    keys = first.mab_keys(5, 7)
+    keys = first.keys_array(5, 7).tolist()
     _archive(tmp_path)
 
     second = DataColumns(trace, disk_stem=stem)
     _forbid_computes(second)
     assert second.cache_streams(5, 7) == (tags, sets)
-    assert second.mab_keys(5, 7) == keys
+    assert second.keys_array(5, 7).tolist() == keys
 
 
 def test_columns_corrupt_archive_is_regenerated(tmp_path):
@@ -213,7 +233,7 @@ def test_columns_archive_shared_across_geometries(tmp_path):
     stem = tmp_path / "wl-deadbeef"
     first = DataColumns(trace, disk_stem=stem)
     tags57, sets57 = first.cache_streams(5, 7)
-    keys57 = first.mab_keys(5, 7)
+    keys57 = first.keys_array(5, 7).tolist()
     _archive(tmp_path)
 
     # (4, 8) shares the 12-bit tag boundary with (5, 7).
@@ -222,7 +242,7 @@ def test_columns_archive_shared_across_geometries(tmp_path):
     second._compute_keys = None  # only sets may be computed
     tags48, sets48 = second.cache_streams(4, 8)
     assert tags48 == tags57
-    assert second.mab_keys(4, 8) == keys57
+    assert second.keys_array(4, 8).tolist() == keys57
     assert sets48 != sets57
     _archive(tmp_path)
 
@@ -231,18 +251,18 @@ def test_columns_archive_shared_across_geometries(tmp_path):
     _forbid_computes(third)
     assert third.cache_streams(5, 7) == (tags57, sets57)
     assert third.cache_streams(4, 8) == (tags48, sets48)
-    assert third.mab_keys(5, 7) == keys57
+    assert third.keys_array(5, 7).tolist() == keys57
 
 
 def test_columns_memoize_by_dependency_not_geometry():
     """In memory too, tags/keys are keyed by the tag boundary: two
-    geometries with the same boundary share the same list objects."""
+    geometries with the same boundary share the same objects."""
     trace = synthetic_data_trace(num_accesses=128, seed=9)
     cols = DataColumns(trace)
     tags57, _ = cols.cache_streams(5, 7)
     tags48, _ = cols.cache_streams(4, 8)
     assert tags48 is tags57
-    assert cols.mab_keys(4, 8) is cols.mab_keys(5, 7)
+    assert cols.keys_array(4, 8) is cols.keys_array(5, 7)
 
 
 def test_way_memo_sweep_group_splits_columns_once():
@@ -272,3 +292,52 @@ def test_way_memo_sweep_group_splits_columns_once():
             {"tag_entries": nt, "index_entries": ns}
         ).process(stream)
         assert counters.as_dict() == expected.as_dict(), (nt, ns)
+
+
+def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
+    """The paper's 12 (Nt, Ns) way-memo geometries plus the batchable
+    baselines of one side run as one shared sweep with no stateful
+    member, and walk each LRU value stream (the MAB's key and set
+    streams, the set buffer's set stream) once for every geometry."""
+    from repro.api.registry import get_architecture
+    from repro.experiments.sweep import (
+        PAPER_INDEX_ENTRIES,
+        PAPER_TAG_ENTRIES,
+    )
+    from repro.replay.columns import column_stats, reset_column_stats
+    from repro.telemetry import metrics as telemetry
+
+    streams = {
+        "dcache": synthetic_data_trace(
+            num_accesses=2048, seed=31, large_disp_fraction=0.02
+        ),
+        "icache": synthetic_fetch_stream(num_blocks=256, seed=31),
+    }
+    baselines = {
+        "dcache": ("original", "two-phase", "way-prediction",
+                   "set-buffer"),
+        "icache": ("original", "panwar", "ma-links", "way-prediction",
+                   "two-phase"),
+    }
+    value_streams = {"dcache": 3, "icache": 2}
+    sweeps = telemetry.counter("repro_replay_shared_sweeps_total")
+    stateful = telemetry.counter("repro_replay_stateful_members_total")
+    for side, stream in streams.items():
+        grid = [
+            {"tag_entries": nt, "index_entries": ns}
+            for nt in PAPER_TAG_ENTRIES
+            for ns in PAPER_INDEX_ENTRIES
+        ]
+        way_memo = get_architecture(side, "way-memo")
+        controllers = [way_memo.build(params) for params in grid] + [
+            get_architecture(side, arch).build() for arch in baselines[side]
+        ]
+        reset_column_stats()
+        sweeps_before, stateful_before = sweeps.value, stateful.value
+        grouped = replay_counters(controllers, stream)
+        assert sweeps.value - sweeps_before == 1, side
+        assert stateful.value == stateful_before, side
+        assert column_stats()["distance_passes"] == value_streams[side]
+        for params, counters in zip(grid, grouped):
+            expected = way_memo.build(params).process_reference(stream)
+            assert counters.as_dict() == expected.as_dict(), (side, params)
