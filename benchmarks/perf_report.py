@@ -27,7 +27,10 @@ The report schema::
       "metrics_us": {<name>: best-of-N microseconds, ...},
       "seed_baseline_us": {<name>: seed microseconds, ...},
       "speedup": {<name>: seed / current, ...},
-      "baseline_speedup_vs_reference": {<arch>: reference / fast, ...}
+      "baseline_speedup_vs_reference": {<arch>: reference / fast, ...},
+      "replay": {...grouped replay, derived designs, way-memo grid...},
+      "sweep_2way": {<side>: {"accesses", "batch_us", "loop_us",
+                              "speedup"}, ...}
     }
 
 ``baseline_speedup_vs_reference`` measures each ported comparison
@@ -47,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -100,6 +104,19 @@ def best_of(fn, repeats: int) -> float:
         t1 = time.perf_counter()
         best = min(best, t1 - t0)
     return best * 1e6
+
+
+def alternating_runs(fns, repeats: int) -> list:
+    """Wall times in microseconds of ``repeats`` rounds of ``fns``, one
+    list per function; each round runs every function back to back, so
+    the runs of one round see the same CPU speed."""
+    runs = [[] for _ in fns]
+    for _ in range(repeats):
+        for times, fn in zip(runs, fns):
+            t0 = time.perf_counter()
+            fn()
+            times.append((time.perf_counter() - t0) * 1e6)
+    return runs
 
 
 def measure(quick: bool) -> dict:
@@ -208,9 +225,10 @@ def measure_baselines(quick: bool) -> dict:
 
 #: Architectures timed by the replay metric: a seven-design group per
 #: cache side, mixing the batchable designs (one shared
-#: ``access_fast_batch`` sweep, including the set buffer, MA links and
-#: way memoization) with the stateful ones (filter cache, line buffer)
-#: that replay their own loop fed from the shared columnar pre-split.
+#: ``access_fast_batch`` sweep, including the set buffer, MA links,
+#: way memoization and the line buffer) with the stateful filter
+#: cache, which replays its own loop fed from the shared columnar
+#: pre-split.
 REPLAY_GROUPS = {
     "dcache": ("original", "two-phase", "way-prediction", "set-buffer",
                "filter-cache", "way-memo-2x8", "way-memo+line-buffer"),
@@ -227,6 +245,7 @@ REPLAY_DERIVED = (
     ("ma_links_icache", "icache", "ma-links"),
     ("way_memo_dcache", "dcache", "way-memo-2x8"),
     ("way_memo_icache", "icache", "way-memo-2x16"),
+    ("line_buffer_dcache", "dcache", "way-memo+line-buffer"),
 )
 
 
@@ -239,14 +258,17 @@ def measure_replay(quick: bool) -> dict:
     (:func:`repro.replay.engine.replay_counters`: one columnar
     pre-split, one shared batch sweep for the batchable members) — in
     the same process, so the speedups are machine-independent and CI
-    can put regression floors under them.  ``speedup`` is the worse
-    of the two sides (the back-compatible headline number); each side
-    also reports its own ratio.  ``stateful_speedup`` additionally
-    times each derived design's singleton engine call against its
-    retained object-API reference loop, and ``grid_speedup`` the
-    paper's 12 (Nt, Ns) way-memo geometries as one ``replay_counters``
-    call (one sweep, one distance pass per value stream) against 12
-    reference runs.
+    can put regression floors under them.  Each round times the two
+    legs back to back, and a side's ratio is the median over rounds of
+    per-spec / grouped time; ``per_spec_us`` / ``replay_us`` are each
+    leg's best run.  ``speedup`` is the worse of the two sides (the
+    back-compatible headline number); each side also reports its own
+    ratio.
+    ``stateful_speedup`` additionally times each derived design's
+    singleton engine call against its retained object-API reference
+    loop, and ``grid_speedup`` the paper's 12 (Nt, Ns) way-memo
+    geometries as one ``replay_counters`` call (one sweep, one
+    distance pass per value stream) against 12 reference runs.
 
     The streams stay full-size even under ``--quick``: the recorded
     metrics are *ratios*, and short streams understate them because
@@ -274,11 +296,18 @@ def measure_replay(quick: bool) -> dict:
         def grouped():
             replay_counters([info.build() for info in infos], stream)
 
-        per_spec_us = best_of(per_spec, repeats)
-        grouped_us = best_of(grouped, repeats)
-        speedup = (
-            round(per_spec_us / grouped_us, 2) if grouped_us else 0.0
+        # Five rounds in both modes, each timing the legs back to back
+        # so both see the same CPU speed.  On a VM flipping between two
+        # speeds the median of the per-round ratios held, where the
+        # legs' separate minima (and a median of three rounds) dipped
+        # ~20% under the typical ratio.
+        per_spec_runs, grouped_runs = alternating_runs(
+            (per_spec, grouped), 5
         )
+        per_spec_us, grouped_us = min(per_spec_runs), min(grouped_runs)
+        speedup = round(statistics.median(
+            p / g for p, g in zip(per_spec_runs, grouped_runs)
+        ), 2)
         out["sides"][side] = {
             "architectures": len(archs),
             "per_spec_us": round(per_spec_us, 1),
@@ -345,6 +374,60 @@ def measure_replay(quick: bool) -> dict:
         out["grid_speedup"][side] = (
             round(reference_us / replay_us, 2) if replay_us else 0.0
         )
+    return out
+
+
+def measure_sweep(quick: bool) -> dict:
+    """The shared 2-way LRU sweep vs a per-access ``access_fast`` loop.
+
+    Both legs replay the same columns of the synthetic D and I streams
+    through a fresh FR-V cache, built before timing, in the same
+    process: ``access_fast_batch`` takes the numpy columns as they are
+    (the vectorized kernel), the loop walks them as Python lists built
+    before timing too.  The ratio is machine-independent, so CI can put
+    a floor under it; the streams stay full-size under ``--quick``.
+    """
+    from repro.cache.cache import SetAssociativeCache
+    from repro.cache.config import FRV_DCACHE, FRV_ICACHE
+    from repro.replay.columns import columns_for_stream
+
+    repeats = 3 if quick else 5
+    streams = {
+        "dcache": (synthetic_data_trace(num_accesses=20_000, seed=1),
+                   FRV_DCACHE),
+        "icache": (synthetic_fetch_stream(num_blocks=3_000, seed=1),
+                   FRV_ICACHE),
+    }
+    out = {}
+    for side, (stream, config) in streams.items():
+        cols = columns_for_stream(stream)
+        tags = cols.tags_array(config.offset_bits, config.index_bits)
+        sets = cols.sets_array(config.offset_bits, config.index_bits)
+        writes = cols.store_mask
+        accesses = list(zip(
+            tags.tolist(), sets.tolist(),
+            [False] * cols.n if writes is None else writes.tolist(),
+        ))
+
+        def timed(run):
+            caches = [SetAssociativeCache(config) for _ in range(repeats)]
+            return best_of(lambda: run(caches.pop()), repeats)
+
+        def loop(cache):
+            access_fast = cache.access_fast
+            for tag, set_index, write in accesses:
+                access_fast(tag, set_index, write)
+
+        batch_us = timed(
+            lambda cache: cache.access_fast_batch(tags, sets, writes)
+        )
+        loop_us = timed(loop)
+        out[side] = {
+            "accesses": cols.n,
+            "batch_us": round(batch_us, 1),
+            "loop_us": round(loop_us, 1),
+            "speedup": round(loop_us / batch_us, 2) if batch_us else 0.0,
+        }
     return out
 
 
@@ -419,6 +502,10 @@ def append_history(report: dict, path: Path) -> None:
         "replay_stateful_speedup":
             report["replay"]["stateful_speedup"],
         "replay_grid_speedup": report["replay"]["grid_speedup"],
+        "sweep_2way_speedup": {
+            side: entry["speedup"]
+            for side, entry in report["sweep_2way"].items()
+        },
     }
     try:
         with path.open("a") as handle:
@@ -448,6 +535,7 @@ def main(argv=None) -> int:
     metrics = measure(args.quick)
     baselines = measure_baselines(args.quick)
     replay = measure_replay(args.quick)
+    sweep = measure_sweep(args.quick)
 
     report = {
         "schema": 2,
@@ -468,6 +556,7 @@ def main(argv=None) -> int:
             k: v["speedup"] for k, v in baselines.items()
         },
         "replay": replay,
+        "sweep_2way": sweep,
     }
 
     out = Path(args.output) if args.output else (
@@ -512,6 +601,11 @@ def main(argv=None) -> int:
         us = replay["grid_us"][side]
         print(f"  {side:28s} {us['replay']:12,.1f} us  "
               f"({speedup}x vs reference {us['reference']:,.1f} us)")
+    print("shared 2-way LRU sweep vs per-access access_fast loop:")
+    for side, entry in sorted(sweep.items()):
+        print(f"  {side:28s} {entry['batch_us']:12,.1f} us  "
+              f"({entry['speedup']}x vs loop {entry['loop_us']:,.1f} us, "
+              f"{entry['accesses']} accesses)")
     return 0
 
 

@@ -39,6 +39,7 @@ and machines.
 """
 
 from repro.api.evaluate import (
+    CounterInvariantError,
     cached_results,
     clear_result_cache,
     evaluate,
@@ -62,6 +63,7 @@ from repro.api.spec import ENGINES, SPEC_SCHEMA_VERSION, RunSpec
 __all__ = [
     "ArchitectureInfo",
     "CACHE_SIDES",
+    "CounterInvariantError",
     "ENGINES",
     "RESULT_SCHEMA_VERSION",
     "RunResult",

@@ -93,6 +93,49 @@ def _begin_simulation() -> None:
     faults.sleep_if_slow()
 
 
+class CounterInvariantError(RuntimeError):
+    """A design point's counters break an invariant that every correct
+    simulation obeys; the result is refused before it can be stored."""
+
+
+def _check_counters(
+    spec: RunSpec, info, params: Dict[str, object],
+    counters: AccessCounters,
+) -> None:
+    """Raise :class:`CounterInvariantError` naming ``spec`` and the
+    first invariant ``counters`` break.
+
+    Paper-mode way memoization can go stale (a key refreshed through
+    another set keeps its tag entry while its line is evicted), so
+    stale hits are rejected only in ``evict_hook`` mode.
+    """
+    c = counters
+    ways = _power_model(spec.cache, spec.technology).cache_config.ways
+    checks = (
+        ("hits + misses = accesses",
+         c.cache_hits + c.cache_misses == c.accesses),
+        ("loads + stores = accesses",
+         spec.cache != "dcache" or c.loads + c.stores == c.accesses),
+        ("mab_hits + stale_hits + mab_bypasses <= mab_lookups "
+         "<= accesses",
+         c.mab_hits + c.stale_hits + c.mab_bypasses
+         <= c.mab_lookups <= c.accesses),
+        ("tag_accesses <= ways x accesses",
+         c.tag_accesses <= ways * c.accesses),
+        ("way_accesses <= (ways + 1) x accesses",
+         c.way_accesses <= (ways + 1) * c.accesses),
+        ("zero stale hits in evict_hook mode",
+         not c.stale_hits
+         or info.merged_params(params).get("consistency")
+         != "evict_hook"),
+    )
+    for name, holds in checks:
+        if not holds:
+            raise CounterInvariantError(
+                f"{spec.key()}: counters break '{name}'"
+            )
+
+
 def _finish_result(
     spec: RunSpec,
     info,
@@ -100,12 +143,15 @@ def _finish_result(
     counters: AccessCounters,
     cycles: int,
 ) -> RunResult:
-    """Price counters with Equation (1) and wrap them as a RunResult.
+    """Check counters, price them with Equation (1) and wrap them as a
+    RunResult.
 
     Shared tail of the reference engine (:func:`_run`) and the replay
     engine (:func:`repro.replay.engine.replay_specs`) — one pricing
-    implementation keeps the two byte-identical.
+    implementation keeps the two byte-identical, and every result
+    passes :func:`_check_counters` before a caller can store it.
     """
+    _check_counters(spec, info, params, counters)
     geometry = info.mab_geometry(params)
     power = _power_model(spec.cache, spec.technology).power(
         counters,

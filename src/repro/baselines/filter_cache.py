@@ -26,22 +26,28 @@ access assuming no invalidations land (a vectorized candidate filter
 proves almost all accesses are L0 misses outright; the few possible
 hits are resolved by a short exact Python walk), feeds the whole
 derived L1 subsequence — run-head misses plus write-through stores —
-through one :meth:`SetAssociativeCache.access_fast_batch`, and then
-*validates* the assumption against the packed eviction results: an
-eviction whose line was possibly L0-resident at eviction time means
-the classification may diverge there, so the chunk's L1 snapshot is
-restored, the proven prefix is committed, and replay resumes just
-past the divergence (degrading to the scalar per-head walk if a chunk
-keeps misbehaving, as tiny thrashing geometries do).  The per-access
-object-API loop is retained as the executable specification for the
-differential tests.
+through one :meth:`SetAssociativeCache.access_fast_batch` with the
+inclusion listener detached (so a 2-way LRU L1 takes the shared
+vectorized kernel), and then *validates* the assumption against the
+packed eviction results: an eviction whose line was possibly
+L0-resident at eviction time means the classification may diverge
+there, so the chunk's L1 snapshot is restored, the proven prefix is
+committed, and replay resumes just past the divergence (degrading to
+the scalar per-head walk if a chunk keeps misbehaving, as tiny
+thrashing geometries do).  The per-access object-API loop is retained
+as the executable specification for the differential tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import (
+    _F_EVICTED,
+    _F_HIT,
+    _F_TAG_SHIFT,
+    SetAssociativeCache,
+)
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
@@ -57,11 +63,6 @@ DEFAULT_L0_LINES = 8
 _CHUNK = 8192
 #: Optimistic restarts tolerated per chunk before the scalar walk.
 _MAX_RESTARTS = 4
-
-_F_HIT = 1
-_F_EVICTED = 1 << 9
-_F_WRITEBACK = 1 << 10
-_F_TAG_SHIFT = 11
 
 
 class _FilterCache(Controller):
@@ -111,7 +112,7 @@ class _FilterCache(Controller):
             return counters
 
         lines64 = cols.addr64 & ~np.int64(cfg.line_bytes - 1)
-        store_mask = getattr(cols, "store_mask", None)
+        store_mask = cols.store_mask
         if store_mask is None or not counters.stores:
             store_mask = None
 
@@ -220,169 +221,20 @@ class _FilterCache(Controller):
             del l0[:-l0_lines]
         return l0
 
-    def _vector_batch_2way(self, ptags, psets, pwrites):
-        """Vectorized replacement for ``access_fast_batch`` (2-way LRU).
+    def _batch_l1(self, tags, sets, writes) -> np.ndarray:
+        """Run L1 accesses through the shared sweep kernel.
 
-        A 2-way LRU set always holds the last two distinct lines
-        referenced in it, so the whole L1 evolution falls out of array
-        scans: per set-chain, the resident "other" line is the last
-        value differing from the current one (a segmented running
-        maximum over change positions), the filled way alternates on
-        every line change (a prefix XOR), and dirtiness is an
-        any-write over each residency episode (a segmented cumsum in
-        line order).  Cache state and counters are updated exactly as
-        the scalar kernel would; the packed results carry the hit,
-        eviction, writeback and evicted-tag bits (way bits are not
-        reconstructed — no fast-path consumer reads them).
+        The inclusion listener is detached for the batch: kills are
+        read back from the packed eviction bits, and a listener-free
+        2-way LRU L1 takes the vectorized kernel.
         """
         cache = self.cache
-        tag_shift = cache.tag_shift
-        offset_bits = cache.offset_bits
-        npp = len(ptags)
-        pk = np.zeros(npp, dtype=np.int64)
-        if npp == 0:
-            return pk
-        ctags = cache._tags
-        cdirty = cache._dirty
-        clru = cache._lru
-
-        # Warm sets contribute their residents as pseudo accesses —
-        # LRU line first, then MRU — so the chain logic sees the same
-        # "last two distinct lines" the physical arrays hold.  A
-        # single-resident set's valid line is always the MRU.
-        nsets = len(ctags)
-        touched = np.flatnonzero(np.bincount(psets, minlength=nsets))
-        all_tags = np.array(ctags, dtype=np.int64)
-        all_lru = np.array(clru, dtype=np.int64)
-        all_dirty = np.array(cdirty, dtype=bool)
-        lru_way = all_lru[touched, 0]
-        mru_way = all_lru[touched, 1]
-        lru_tag = all_tags[touched, lru_way]
-        mru_tag = all_tags[touched, mru_way]
-        has_lru = lru_tag >= 0
-        has_mru = mru_tag >= 0
-        ps_sets = np.concatenate([touched[has_lru], touched[has_mru]])
-        ps_tags = np.concatenate([lru_tag[has_lru], mru_tag[has_mru]])
-        ps_writes = np.concatenate([
-            all_dirty[touched, lru_way][has_lru],
-            all_dirty[touched, mru_way][has_mru],
-        ])
-        npseudo = len(ps_sets)
-
-        ch_sets = np.concatenate([ps_sets, psets])
-        ch_tags = np.concatenate([ps_tags, np.asarray(ptags, np.int64)])
-        ch_writes = np.concatenate([ps_writes, pwrites])
-        orig = np.concatenate([
-            np.full(npseudo, -1, dtype=np.int64), np.arange(npp)
-        ])
-
-        # Radix sorts on narrow keys: set indices fit 16 bits for any
-        # realistic geometry, line keys (tag+index) fit 32.
-        if nsets <= (1 << 16):
-            sidx = np.argsort(ch_sets.astype(np.uint16), kind="stable")
-        else:
-            sidx = np.argsort(ch_sets, kind="stable")
-        ssets = ch_sets[sidx].astype(np.int64)
-        lines = (ch_tags[sidx] << tag_shift) | (ssets << offset_bits)
-        writes = ch_writes[sidx]
-        orig = orig[sidx]
-        m = len(lines)
-        idx = np.arange(m)
-        bnd = np.empty(m, dtype=bool)
-        bnd[0] = True
-        bnd[1:] = ssets[1:] != ssets[:-1]
-        segstart = np.maximum.accumulate(np.where(bnd, idx, -1))
-
-        # Last same-segment position whose line differs from ours.
-        diff = np.zeros(m, dtype=bool)
-        diff[1:] = (lines[1:] != lines[:-1]) & ~bnd[1:]
-        mx = np.maximum.accumulate(np.where(diff, idx - 1, -1))
-        mxvalid = mx >= segstart
-
-        prev_line = np.empty(m, dtype=np.int64)
-        prev_line[0] = -1
-        prev_line[1:] = lines[:-1]
-        prev_line[bnd] = -1
-        other_valid = np.zeros(m, dtype=bool)
-        other_valid[1:] = mxvalid[:-1]
-        other_valid &= ~bnd
-        pm = np.empty(m, dtype=np.int64)
-        pm[0] = 0
-        pm[1:] = np.maximum(mx[:-1], 0)
-        other_before = np.where(other_valid, lines[pm], -2)
-
-        hit = (lines == prev_line) | (lines == other_before)
-        evict = ~hit & other_valid
-
-        # Dirtiness: any write during a line's residency episode
-        # (fill to eviction).  In line order the episodes are the
-        # segments between misses, so a cumsum gives the running OR.
-        # A write-free span (the whole I-cache side) skips all of it.
-        if ch_writes.any():
-            lkey = lines >> offset_bits
-            if 0 <= int(lkey.min()) and int(lkey.max()) < (1 << 32):
-                lidx = np.argsort(lkey.astype(np.uint32),
-                                  kind="stable")
-            else:
-                lidx = np.argsort(lkey, kind="stable")
-            wl = writes[lidx]
-            sl = lines[lidx]
-            epb = np.empty(m, dtype=bool)
-            epb[0] = True
-            epb[1:] = sl[1:] != sl[:-1]
-            epb |= ~hit[lidx]
-            epstart = np.maximum.accumulate(np.where(epb, idx, -1))
-            wcum = np.cumsum(wl)
-            anyw_sorted = (wcum - (wcum[epstart] - wl[epstart])) > 0
-            anyw = np.empty(m, dtype=bool)
-            anyw[lidx] = anyw_sorted
-        else:
-            anyw = np.zeros(m, dtype=bool)
-
-        real = orig >= 0
-        epos = np.flatnonzero(evict)
-        wb = anyw[pm[epos]]
-        cache.hits += int((hit & real).sum())
-        cache.misses += int((~hit & real).sum())
-        cache.evictions += len(epos)
-        cache.writebacks += int(wb.sum())
-
-        pk[orig[real]] = hit[real].astype(np.int64)
-        ev_entry = (
-            _F_EVICTED
-            | ((other_before[epos] >> tag_shift) << _F_TAG_SHIFT)
-            | np.where(wb, _F_WRITEBACK, 0)
-        )
-        pk[orig[epos]] |= ev_entry
-
-        # Final per-set state: MRU = last chain entry, other = its
-        # last differing line; the filled way flips on every line
-        # change (two residents always occupy distinct ways).
-        starts = np.flatnonzero(bnd)
-        ends = np.append(starts[1:] - 1, m - 1)
-        dcum = np.cumsum(diff)
-        startway = np.where(has_lru, lru_way,
-                            np.where(has_mru, mru_way, 0))
-        way_e = (startway ^ (dcum[ends] - dcum[starts])) & 1
-        oth_ok = mxvalid[ends]
-        oth_idx = np.maximum(mx[ends], 0)
-        for s, w, mt, md, ov, ot, od in zip(
-            touched.tolist(), way_e.tolist(),
-            (lines[ends] >> tag_shift).tolist(), anyw[ends].tolist(),
-            oth_ok.tolist(), (lines[oth_idx] >> tag_shift).tolist(),
-            anyw[oth_idx].tolist(),
-        ):
-            trow = ctags[s]
-            drow = cdirty[s]
-            trow[w] = mt
-            drow[w] = md
-            if ov:
-                trow[1 - w] = ot
-                drow[1 - w] = od
-            lrow = clru[s]
-            lrow[0] = 1 - w
-            lrow[1] = w
-        return pk
+        listeners = cache._eviction_listeners
+        cache._eviction_listeners = []
+        try:
+            return cache.access_fast_batch(tags, sets, writes)
+        finally:
+            cache._eviction_listeners = listeners
 
     def _optimistic_span(self, cols, lines64, store_mask, tags_np,
                          sets_np, a, b, acc):
@@ -496,22 +348,7 @@ class _FilterCache(Controller):
         psets = sets_np[gpos]
 
         snap = self._snapshot_l1()
-        if cache.ways == 2:
-            pk = self._vector_batch_2way(ptags, psets, pwrites)
-        else:
-            # Detach the inclusion listener for the batch: kills are
-            # read back from the packed eviction bits, and the
-            # listener's per-event address math would dominate the
-            # whole replay.
-            listeners = cache._eviction_listeners
-            cache._eviction_listeners = []
-            try:
-                packed = cache.access_fast_batch(
-                    ptags.tolist(), psets.tolist(), pwrites.tolist()
-                )
-            finally:
-                cache._eviction_listeners = listeners
-            pk = np.array(packed, dtype=np.int64)
+        pk = self._batch_l1(ptags, psets, pwrites)
 
         # Validate: an eviction whose line may have been L0-resident at
         # eviction time breaks the no-invalidation assumption.
@@ -617,15 +454,7 @@ class _FilterCache(Controller):
         resume = int(hpos[flip])
         self._restore_l1(snap)
         keep = int(np.searchsorted(ppos, resume))
-        listeners = cache._eviction_listeners
-        cache._eviction_listeners = []
-        try:
-            cache.access_fast_batch(
-                ptags[:keep].tolist(), psets[:keep].tolist(),
-                pwrites[:keep].tolist(),
-            )
-        finally:
-            cache._eviction_listeners = listeners
+        self._batch_l1(ptags[:keep], psets[:keep], pwrites[:keep])
         self._accumulate_packed(pk[:keep], pfull[:keep], pwrites[:keep],
                                 acc)
         self._l0 = l0_resim
@@ -702,9 +531,13 @@ class _FilterCache(Controller):
         m = len(head_idx)
         head_pos = head_idx.tolist()
         head_lines = lines64[head_idx].tolist()
-        tag_list, set_list = cols.cache_streams(
+        # Span-local tag and set lists, indexed by ``position - a``.
+        tag_list = cols.tags_array(
             cache.offset_bits, cache.index_bits
-        )
+        )[a:b].tolist()
+        set_list = cols.sets_array(
+            cache.offset_bits, cache.index_bits
+        )[a:b].tolist()
 
         if store_mask is not None:
             span_stores = np.flatnonzero(store_mask[a:b])
@@ -716,11 +549,17 @@ class _FilterCache(Controller):
         n_stores = len(store_pos)
 
         access_fast = cache.access_fast
-        access_fast_batch = cache.access_fast_batch
         l0 = self._l0
         l0_lines = self.l0_lines
-        pending_tags: list = []
-        pending_sets: list = []
+
+        def write_through(p):
+            # Write-through to L1 state so dirtiness is tracked; the L0
+            # is inclusive in L1, so it must hit (and hits never evict).
+            packed = access_fast(tag_list[p - a], set_list[p - a], True)
+            if not packed & _F_HIT:
+                raise AssertionError(
+                    "write-through must hit (L0 inclusive in L1)"
+                )
 
         sp = 0  # pointer into the ordered store positions
         l0_misses = 0
@@ -735,28 +574,12 @@ class _FilterCache(Controller):
                 l0.remove(line)
                 l0.append(line)
                 if write:
-                    # Write-through to L1 state so dirtiness is
-                    # tracked; guaranteed hit, deferred to the next
-                    # flush (hits never evict, so the L0 cannot
-                    # diverge in between).
-                    pending_tags.append(tag_list[pos])
-                    pending_sets.append(set_list[pos])
+                    write_through(pos)
             else:
-                # L0 miss: L1 sees a real access that may evict, so
-                # the L1 LRU state must be current — flush first.
-                if pending_tags:
-                    packed = access_fast_batch(
-                        pending_tags, pending_sets,
-                        [True] * len(pending_tags),
-                    )
-                    if not all(p & 1 for p in packed):
-                        raise AssertionError(
-                            "write-through must hit (L0 inclusive in L1)"
-                        )
-                    pending_tags = []
-                    pending_sets = []
                 l0_misses += 1
-                packed_one = access_fast(tag_list[pos], set_list[pos], write)
+                packed_one = access_fast(
+                    tag_list[pos - a], set_list[pos - a], write
+                )
                 if packed_one & 1:
                     way_accesses += 1 if write else nways
                 else:
@@ -772,18 +595,8 @@ class _FilterCache(Controller):
                 while sp < n_stores and store_pos[sp] < end:
                     p = store_pos[sp]
                     if p > pos:
-                        pending_tags.append(tag_list[p])
-                        pending_sets.append(set_list[p])
+                        write_through(p)
                     sp += 1
-
-        if pending_tags:
-            packed = access_fast_batch(
-                pending_tags, pending_sets, [True] * len(pending_tags)
-            )
-            if not all(p & 1 for p in packed):
-                raise AssertionError(
-                    "write-through must hit (L0 inclusive in L1)"
-                )
 
         acc[0] += l0_misses
         acc[1] += cache_misses

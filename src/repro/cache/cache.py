@@ -8,21 +8,27 @@ mode.
 
 The internal state is *flat*: per-set lists of tag integers (``-1``
 means invalid) and dirty flags, with the address-split geometry
-precomputed once in ``__init__``.  The allocation-free fast-path API
-(:meth:`SetAssociativeCache.access_fast`,
-:meth:`SetAssociativeCache.hit_confirm`) is the kernel-level form of
-the scans, and :meth:`SetAssociativeCache.access_fast_batch` runs a
-whole pre-split stream through it in one loop: the replay engine's
-shared sweep, from which every batchable controller — way
-memoization included — derives its counters.  The original object
-API (:meth:`access` returning :class:`AccessResult`) is a thin
-wrapper kept for the reference controllers and tests.
+precomputed once in ``__init__``.  The allocation-free
+:meth:`SetAssociativeCache.access_fast` is the kernel-level form of
+the scan.  :meth:`SetAssociativeCache.access_fast_batch` runs a
+whole pre-split stream — numpy tag and set columns and a store mask —
+through the cache and returns the packed results as an int64 array:
+the replay engine's shared sweep, from which every batchable
+controller — way memoization included — derives its counters.  For a
+2-way LRU cache with no eviction listener, the geometry of both FR-V
+caches, the sweep is vectorized; every other cache walks the accesses
+one by one.  The original object API (:meth:`access` returning
+:class:`AccessResult`) is a thin wrapper kept for the reference
+controllers and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional
+
+import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy
@@ -197,29 +203,190 @@ class SetAssociativeCache:
 
     def access_fast_batch(
         self,
-        tags: List[int],
-        sets: List[int],
-        writes: Optional[List[bool]] = None,
-    ) -> List[int]:
-        """Run a sequence of :meth:`access_fast` calls as one tight loop.
+        tags: np.ndarray,
+        sets: np.ndarray,
+        writes: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Run a whole pre-split stream through the cache.
 
-        ``tags`` and ``sets`` are equal-length lists of pre-split
-        address components; ``writes`` marks stores (all loads when
-        None).  Returns the packed-int result of every access, in
-        order, with state changes identical to calling
-        :meth:`access_fast` access by access.
+        ``tags`` and ``sets`` are equal-length integer arrays of
+        pre-split address components; ``writes`` is the boolean store
+        mask (all loads when None).  Returns the packed result of every
+        access (the ``_F_*`` layout) as an int64 array, in order, with
+        state changes identical to calling :meth:`access_fast` access
+        by access.
 
-        This is the shared kernel behind every fast path whose cache
+        This is the shared sweep behind every fast path whose cache
         access stream does not depend on auxiliary state (the
         original, two-phase, way-prediction, Panwar, set-buffer,
-        MA-links and way-memo controllers touch the cache once per
-        access no matter what their side structures hold, so the whole
-        replay collapses into this one loop).  The loop keeps the state
-        lists in locals and special-cases the ubiquitous 2-way + LRU
-        geometry.
+        MA-links, way-memo and line-buffer controllers touch the cache
+        once per access no matter what their side structures hold, so
+        the whole replay collapses into this one call).  A listener-free 2-way
+        LRU cache — both FR-V caches — takes the vectorized
+        :meth:`_batch_lru2`; other geometries and policies, and caches
+        with eviction listeners, walk the accesses one by one.
         """
-        if writes is None:
-            writes = [False] * len(tags)
+        if (self._lru is not None and self.ways == 2
+                and not self._eviction_listeners):
+            return self._batch_lru2(tags, sets, writes)
+        write_list = (
+            [False] * len(tags) if writes is None else writes.tolist()
+        )
+        return np.array(
+            self._batch_scalar(tags.tolist(), sets.tolist(), write_list),
+            dtype=np.int64,
+        )
+
+    def _batch_lru2(
+        self,
+        tags: np.ndarray,
+        sets: np.ndarray,
+        writes: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`access_fast_batch` of a listener-free 2-way LRU cache.
+
+        A 2-way LRU set holds the last two distinct lines referenced in
+        it, so the sweep is a function of each set's chain of accesses
+        collapsed into runs of one tag.  Warm sets enter the chain as
+        pseudo accesses (the LRU line, then the MRU line, writing iff
+        dirty), and then, per set:
+
+        * every access after a run's head hits;
+        * a run head hits iff its tag is the tag two runs back;
+        * a head that misses with two runs behind it evicts the tag two
+          runs back;
+        * the way flips on every run, starting from the way of the
+          chain's first line (``order[0]`` when the set is empty);
+        * a line is dirty iff a store touched it since its fill: an OR
+          along its way's chain of runs (r, r-2, ...) that restarts at
+          every miss.
+        """
+        n = len(tags)
+        if not n:
+            return np.zeros(0, dtype=np.int64)
+        ctags, cdirty, clru = self._tags, self._dirty, self._lru
+        nsets = len(ctags)
+        touched = np.flatnonzero(np.bincount(sets, minlength=nsets))
+        touched_list = touched.tolist()
+        rows = np.arange(len(touched))
+        state = np.fromiter(
+            chain.from_iterable(
+                clru[s] + ctags[s] + cdirty[s] for s in touched_list
+            ),
+            dtype=np.int64, count=6 * len(touched_list),
+        ).reshape(-1, 6)
+        order = state[:, 0:2]
+        line_tags = state[:, 2:4]
+        line_dirty = state[:, 4:6].astype(bool)
+        lru_tag = line_tags[rows, order[:, 0]]
+        mru_tag = line_tags[rows, order[:, 1]]
+        has_lru = lru_tag >= 0
+        has_mru = mru_tag >= 0
+        pseudo_sets = np.concatenate((touched[has_lru], touched[has_mru]))
+        npseudo = len(pseudo_sets)
+        pseudo_writes = np.concatenate((
+            line_dirty[rows, order[:, 0]][has_lru],
+            line_dirty[rows, order[:, 1]][has_mru],
+        ))
+        all_sets = np.concatenate((pseudo_sets, sets))
+        all_tags = np.concatenate(
+            (lru_tag[has_lru], mru_tag[has_mru], tags)
+        )
+
+        # Stable sort by set (a radix sort on 16-bit keys): each set's
+        # chain in stream order, pseudo accesses first.
+        if nsets <= 1 << 16:
+            by_set = np.argsort(all_sets.astype(np.uint16), kind="stable")
+        else:
+            by_set = np.argsort(all_sets, kind="stable")
+        chain_sets = all_sets[by_set]
+        chain_tags = all_tags[by_set]
+        m = len(by_set)
+        opens = np.empty(m, dtype=bool)
+        opens[0] = True
+        np.not_equal(chain_sets[1:], chain_sets[:-1], out=opens[1:])
+        head = np.empty(m, dtype=bool)
+        head[0] = True
+        np.not_equal(chain_tags[1:], chain_tags[:-1], out=head[1:])
+        head |= opens
+        heads = np.flatnonzero(head)
+
+        # Per run: its tag, its position in its set's chain, its way.
+        run_tags = chain_tags[heads]
+        runs = len(heads)
+        first = opens[heads]
+        chain_starts = np.flatnonzero(first)
+        chain_of_run = np.cumsum(first) - 1
+        depth = np.arange(runs) - chain_starts[chain_of_run]
+        start = np.where(has_mru & ~has_lru, order[:, 1], order[:, 0])
+        run_way = start[chain_of_run] ^ (depth & 1)
+        deep = depth >= 2
+        run_hit = np.zeros(runs, dtype=bool)
+        np.equal(run_tags[2:], run_tags[:-2], out=run_hit[2:])
+        run_hit &= deep
+        evict = np.flatnonzero(deep & ~run_hit)
+
+        if (writes is not None and writes.any()) or pseudo_writes.any():
+            if writes is None:
+                writes = np.zeros(n, dtype=bool)
+            chain_writes = np.concatenate((pseudo_writes, writes))[by_set]
+            run_writes = np.logical_or.reduceat(chain_writes, heads)
+            # Runs k and k + 2 are consecutive on one way of a set, or
+            # run k + 2 is one of its set's first two runs (a miss).
+            run_dirty = np.empty(runs, dtype=bool)
+            for parity in (0, 1):
+                wrote = run_writes[parity::2]
+                index = np.arange(len(wrote))
+                last_write = np.maximum.accumulate(
+                    np.where(wrote, index, -1)
+                )
+                last_fill = np.maximum.accumulate(
+                    np.where(run_hit[parity::2], 0, index)
+                )
+                run_dirty[parity::2] = last_write >= last_fill
+        else:
+            run_dirty = np.zeros(runs, dtype=bool)
+        writeback = run_dirty[evict - 2]
+
+        run_packed = run_way << _F_WAY_SHIFT
+        head_packed = run_packed | run_hit
+        head_packed[evict] |= (
+            _F_EVICTED | (run_tags[evict - 2] << _F_TAG_SHIFT)
+            | np.where(writeback, _F_WRITEBACK, 0)
+        )
+        chain_packed = (run_packed | _F_HIT)[np.cumsum(head) - 1]
+        chain_packed[heads] = head_packed
+        packed = np.empty(m, dtype=np.int64)
+        packed[by_set] = chain_packed
+
+        misses = runs - int(np.count_nonzero(run_hit)) - npseudo
+        self.hits += n - misses
+        self.misses += misses
+        self.evictions += len(evict)
+        self.writebacks += int(np.count_nonzero(writeback))
+
+        # Final state: the chain's last run is the MRU line, the run
+        # before it (if any) the LRU line in the other way.
+        last = np.append(chain_starts[1:], runs) - 1
+        mru_way = run_way[last]
+        line_tags[rows, mru_way] = run_tags[last]
+        line_dirty[rows, mru_way] = run_dirty[last]
+        two = np.flatnonzero(depth[last] >= 1)
+        line_tags[two, 1 - mru_way[two]] = run_tags[last[two] - 1]
+        line_dirty[two, 1 - mru_way[two]] = run_dirty[last[two] - 1]
+        for s, tag_row, dirty_row, lru_row in zip(
+            touched_list, line_tags.tolist(), line_dirty.tolist(),
+            np.stack((1 - mru_way, mru_way), axis=1).tolist(),
+        ):
+            ctags[s] = tag_row
+            cdirty[s] = dirty_row
+            clru[s] = lru_row
+        return packed[npseudo:]
+
+    def _batch_scalar(
+        self, tags: List[int], sets: List[int], writes: List[bool]
+    ) -> List[int]:
+        """:meth:`access_fast_batch` as one tight per-access loop."""
         out: List[int] = []
         append = out.append
         ctags = self._tags
@@ -228,7 +395,6 @@ class SetAssociativeCache:
         nways = self.ways
         way_range = range(nways)
         two_way = nways == 2
-        lru2 = lru is not None and two_way
         policy_touch = self.policy.touch
         policy_victim = self.policy.victim
         listeners = self._eviction_listeners
@@ -254,11 +420,7 @@ class SetAssociativeCache:
                         break
             if way >= 0:
                 hits += 1
-                if lru2:
-                    order = lru[set_index]
-                    if order[1] != way:
-                        order[0], order[1] = order[1], order[0]
-                elif lru is not None:
+                if lru is not None:
                     order = lru[set_index]
                     if order[-1] != way:
                         order.remove(way)
@@ -277,7 +439,6 @@ class SetAssociativeCache:
                 way = order[0]
             else:
                 way = policy_victim(set_index)
-                order = None
             result = way << _F_WAY_SHIFT
             evicted_tag = row[way]
             dirty_row = cdirty[set_index]
@@ -291,9 +452,7 @@ class SetAssociativeCache:
                     listener(evicted_tag, set_index)
             row[way] = tag
             dirty_row[way] = write
-            if lru2:
-                order[0], order[1] = order[1], order[0]
-            elif lru is not None:
+            if lru is not None:
                 if order[-1] != way:
                     order.remove(way)
                     order.append(way)
@@ -306,34 +465,6 @@ class SetAssociativeCache:
         self.evictions += evictions
         self.writebacks += writebacks
         return out
-
-    def hit_confirm(
-        self, tag: int, set_index: int, way: int, write: bool
-    ) -> bool:
-        """Verify a memoized ``way`` and complete the hit in one scan.
-
-        Equivalent to ``probe(addr) == way`` followed by
-        ``access(addr)`` on the guaranteed-hit path, but with a single
-        tag comparison: a tag can reside in at most one way, so the
-        memoized way holds it iff any way does.  On success the hit is
-        recorded (hit counter, recency touch, dirty bit); on failure
-        (stale memoization) no state changes and the caller falls back
-        to a full access.
-        """
-        if self._tags[set_index][way] != tag:
-            return False
-        self.hits += 1
-        lru = self._lru
-        if lru is not None:
-            order = lru[set_index]
-            if order[-1] != way:
-                order.remove(way)
-                order.append(way)
-        else:
-            self.policy.touch(set_index, way)
-        if write:
-            self._dirty[set_index][way] = True
-        return True
 
     # ------------------------------------------------------------------
     # object API (wrapper over the fast path)

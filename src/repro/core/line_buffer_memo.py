@@ -14,27 +14,76 @@ The buffer is kept coherent with the cache via the eviction listener,
 and dirty data is assumed written through to the cache arrays when a
 line leaves the buffer (energy for that is charged as a way access).
 
-:meth:`process_reference` is the executable specification.  The design
-has no columnar fast path yet, so the replay engine runs this loop for
-its ``process`` too.
+Every access still reaches the cache (a buffer hit keeps its recency
+current), so the cache evolves exactly as without the buffer and the
+MAB, and the design is ``replay_batchable``:
+:meth:`LineBufferWayMemoDCache.replay_counters` derives which accesses
+the buffer serves from the shared sweep (:func:`buffer_hits`) and runs
+the way-memo derivation (:func:`~repro.core.mab.way_memo_counters`)
+over the buffer misses.  :meth:`process_reference` is the executable
+specification.
 """
 
 from __future__ import annotations
 
-from repro.cache.cache import SetAssociativeCache
+import numpy as np
+
+from repro.cache.cache import _F_EVICTED, _F_TAG_SHIFT, SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.line_buffer import LineBuffer
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.core.mab import MAB, MABConfig
+from repro.core.mab import MAB, MABConfig, way_memo_counters
+from repro.replay.columns import DataColumns, SharedPass
 from repro.replay.engine import Controller
 from repro.sim.trace import DataTrace
+
+
+def buffer_hits(
+    cols: DataColumns, shared: SharedPass, config: CacheConfig,
+    entries: int,
+) -> np.ndarray:
+    """Which accesses an ``entries``-line buffer serves (boolean mask).
+
+    An access to the previous access's line always hits: that line is
+    the buffer's MRU entry, and the previous access left it in the
+    cache.  Such an access changes no state, so only the run heads (the
+    accesses that change line) are in question.  A one-line buffer
+    holds only the previous line, so every head misses; a deeper buffer
+    is walked over the heads, dropping each line the sweep evicts
+    (evictions happen only on cache misses, which are heads).
+    """
+    lines = cols.lines_array(config.offset_bits, config.index_bits)
+    hits = np.zeros(cols.n, dtype=bool)
+    np.equal(lines[1:], lines[:-1], out=hits[1:])
+    if entries > 1:
+        heads = np.flatnonzero(~hits)
+        packed = shared.packed[heads]
+        sets = cols.sets_array(config.offset_bits, config.index_bits)
+        evicted = np.where(
+            packed & _F_EVICTED,
+            config.join(packed >> _F_TAG_SHIFT, sets[heads]),
+            -1,
+        )
+        buffer = LineBuffer(config, entries)
+        served = []
+        for addr, gone in zip(
+            (lines[heads] << config.offset_bits).tolist(), evicted.tolist()
+        ):
+            served.append(buffer.access(addr))
+            if gone >= 0:
+                buffer.invalidate_line(gone)
+        hits[heads] = served
+    return hits
 
 
 class LineBufferWayMemoDCache(Controller):
     """D-cache with line buffer + MAB way memoization stacked."""
 
     name = "way-memo+line-buffer"
+    #: The cache evolves exactly as without the buffer and the MAB, so
+    #: the replay engine derives this design from a shared batch sweep.
+    replay_batchable = True
 
     def __init__(
         self,
@@ -61,6 +110,43 @@ class LineBufferWayMemoDCache(Controller):
             self.cache_config.join(tag, set_index)
         )
 
+    # ------------------------------------------------------------------
+    # fast engine
+    # ------------------------------------------------------------------
+
+    def replay_counters(
+        self, cols: DataColumns, shared: SharedPass
+    ) -> AccessCounters:
+        """Counters from the shared sweep (pure derivation).
+
+        The MAB sees exactly the buffer misses.  With more than one
+        entry the buffer hits depend on the sweep's evictions, so the
+        lookup stream is named by the cache's ways and policy too.
+        """
+        config = self.cache_config
+        entries = self.line_buffer.entries
+        served = shared.memo(
+            f"line-buffer{entries}",
+            lambda: buffer_hits(cols, shared, config, entries),
+        )
+        counters = way_memo_counters(
+            self, cols, shared, skip=served, stores=cols.store_mask,
+            stream=(
+                f"line-buffer{entries}-{config.ways}-"
+                f"{self.cache.policy.name}"
+            ),
+        )
+        n = cols.n
+        buffered = n - counters.mab_lookups
+        # A buffer hit reads no way; the derivation charges it one.
+        counters.way_accesses -= buffered
+        counters.aux_accesses = n  # the buffer is probed every access
+        cols.apply_load_store(counters)
+        counters.notes["line_buffer_hit_rate"] = buffered / n if n else 0.0
+        return counters
+
+    # ------------------------------------------------------------------
+    # reference implementation (executable specification)
     # ------------------------------------------------------------------
 
     def process_reference(self, trace: DataTrace) -> AccessCounters:
@@ -100,12 +186,10 @@ class LineBufferWayMemoDCache(Controller):
                 continue
 
             if lookup.hit:
-                # Verify the memoized way and complete the hit in one
-                # tag comparison (replaces the probe() + access()
-                # double scan; a tag lives in at most one way).
-                if cache.hit_confirm(
-                    lookup.tag, lookup.set_index, lookup.way, is_store
-                ):
+                # Verify the memoized way: a tag lives in at most one
+                # way, so the access hits there iff the line is there.
+                if cache.probe(addr) == lookup.way:
+                    cache.access(addr, write=is_store)
                     counters.mab_hits += 1
                     counters.cache_hits += 1
                     counters.way_accesses += 1

@@ -353,17 +353,19 @@ class MAB:
 
 def way_memo_counters(
     controller, cols, shared, skip: Optional[np.ndarray] = None,
-    stores: Optional[np.ndarray] = None,
+    stores: Optional[np.ndarray] = None, stream: str = "",
 ) -> AccessCounters:
     """Counters of one way-memo controller, derived from a shared sweep.
 
-    The shared derivation behind both way-memo controllers'
+    The shared derivation behind every way-memo controller's
     ``replay_counters``: ``controller`` supplies ``cache_config`` and
     ``mab_config``; ``skip`` marks accesses that never consult the MAB
-    (intra-line fetches) and ``stores`` the accesses that write.
-    Every member of the sweep's group shares one :class:`_MabPairs`;
-    the eviction check is computed only when an ``evict_hook`` member
-    asks for it.
+    (intra-line fetches, line-buffer hits; each is charged one way
+    read) and ``stores`` the accesses that write.  ``stream`` names the
+    MAB's lookup stream when ``skip`` is not the same for every member
+    of the group.  The members sharing a lookup stream share one
+    :class:`_MabPairs`; the eviction check is computed only when an
+    ``evict_hook`` member asks for it.
     """
     config = controller.cache_config
     mab_config = controller.mab_config
@@ -372,11 +374,14 @@ def way_memo_counters(
         if hasattr(member, "mab_config")
     ]
     pairs = shared.memo(
-        "mab", lambda: _MabPairs(cols, shared, config, group, skip, stores)
+        f"mab{stream}",
+        lambda: _MabPairs(cols, shared, config, group, skip, stores, stream),
     )
     hit = pairs.resident(mab_config)
     if mab_config.consistency == "evict_hook":
-        hit &= shared.memo("mab-kept", lambda: pairs.kept(cols, shared))
+        hit &= shared.memo(
+            f"mab-kept{stream}", lambda: pairs.kept(cols, shared)
+        )
     verified_mask = hit & pairs.same_way
     verified = int(np.count_nonzero(verified_mask))
     verified_stores = (
@@ -456,7 +461,7 @@ class _MabPairs:
     """
 
     def __init__(self, cols, shared, config: CacheConfig, group, skip,
-                 stores):
+                 stores, stream: str):
         offset_bits, index_bits = config.offset_bits, config.index_bits
         self._offset_bits = offset_bits
         self._index_bits = index_bits
@@ -484,7 +489,7 @@ class _MabPairs:
         self.earlier = lookup[p]
         self.later = lookup[q]
 
-        name = f"{offset_bits}x{index_bits}"
+        name = f"{stream}{offset_bits}x{index_bits}"
         tag_cap = max(mab.tag_entries for mab in group)
         index_cap = max(mab.index_entries for mab in group)
         k_walk = cols.lru_distance(f"mab-keys{name}", lambda: k, tag_cap)

@@ -374,14 +374,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             lambda rs: tabulate_baseline_sweep(rs, args.benchmarks),
         ))
 
-    if args.url is not None:
-        from repro.experiments.report import fetch_results
+    # Every sweep's points travel as one deduplicated batch, so each
+    # (side, workload) stream is swept once, locally or remotely.
+    from repro.experiments.report import fetch_results
 
-        records = [
-            Experiment(name=f"cli-sweep-{i}", title="", specs=specs,
-                       tabulate=tabulate)
-            for i, (specs, tabulate) in enumerate(jobs)
-        ]
+    records = [
+        Experiment(name=f"cli-sweep-{i}", title="", specs=specs,
+                   tabulate=tabulate)
+        for i, (specs, tabulate) in enumerate(jobs)
+    ]
+    if args.url is not None:
         try:
             fetched = fetch_results(records, url=args.url)
         except Exception as exc:  # connection/protocol errors
@@ -390,16 +392,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        results = [tabulate(fetched) for _, tabulate in jobs]
     else:
         warm_trace_cache(tuple(args.benchmarks))
-        results = []
-        for specs_fn, tabulate in jobs:
-            specs = specs_fn()
-            fetched = keyed_results(
-                specs, evaluate_many(specs, workers=args.workers)
-            )
-            results.append(tabulate(fetched))
+        fetched = fetch_results(records, workers=args.workers)
+    results = [tabulate(fetched) for _, tabulate in jobs]
 
     if args.json:
         print(_results_to_json(results))

@@ -9,19 +9,19 @@ repetition:
 * :mod:`repro.replay.columns` — a columnar representation of one
   workload's access stream: the pre-split tag/index/store/kind columns
   (and the narrow-adder MAB key column) computed once per geometry
-  with vectorized numpy, cached in process and persisted as ``.npz``
-  archives next to the trace cache, plus the memoized LRU stack
-  distances of a value stream.
+  with vectorized numpy and kept in process as numpy arrays end to
+  end, plus the memoized LRU stack distances of a value stream.
 * :mod:`repro.replay.engine` — the one fast engine: runs *all
   requested architectures in one pass* over the columns.
   Architectures whose cache access stream is state-independent
   (original, two-phase, way-prediction, Panwar, set buffer, MA-links,
-  way memoization at any MAB geometry) share literally one
+  way memoization at any MAB geometry, alone or behind a line buffer)
+  share literally one
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
-  sweep per (geometry, replacement policy) and derive their counters
-  from the shared packed results; the two stateful controllers
-  (filter cache, line buffer) replay their own loop but share the
-  columnar pre-split.
+  sweep per (geometry, replacement policy) — vectorized for the 2-way
+  LRU caches the paper evaluates — and derive their counters from the
+  shared packed results; the one stateful controller, the filter
+  cache, replays its own loop but shares the columnar pre-split.
 
 Every controller's ``process`` is a singleton
 :func:`~repro.replay.engine.replay_counters` call, ``evaluate`` runs a
@@ -32,7 +32,6 @@ on the company its spec keeps.
 """
 
 from repro.replay.columns import (
-    COLUMNS_VERSION,
     DataColumns,
     FetchColumns,
     SharedPass,
@@ -47,7 +46,6 @@ from repro.replay.engine import (
 )
 
 __all__ = [
-    "COLUMNS_VERSION",
     "DataColumns",
     "FetchColumns",
     "SharedPass",

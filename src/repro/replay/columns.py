@@ -3,11 +3,11 @@
 Every fast engine starts the same way: vectorize the 32-bit address
 arithmetic over the whole trace (cache tag and set index per access,
 the narrow-adder MAB key for way-memo controllers, the intra-line mask
-for fetch streams), plus the tag/set lists the shared cache sweep
-walks.  That work depends only on the stream and (parts of) the cache
-geometry — never on architecture state — so it is computed here
-exactly once and shared by every controller replaying the stream.
-The same goes for the LRU stack distances of a value stream
+for fetch streams); the shared cache sweep takes the tag and set
+arrays as they are.  That work depends only on the stream and (parts
+of) the cache geometry — never on architecture state — so it is
+computed here exactly once and shared by every controller replaying
+the stream.  The same goes for the LRU stack distances of a value stream
 (:meth:`_ColumnsBase.lru_distance`), which decide membership in every
 LRU side structure the derivations model: the MAB's two sides and the
 set buffer.
@@ -20,20 +20,13 @@ depends on:
   geometry with the same boundary — and every MAB size — shares one
   array;
 * ``sets`` depends on the full ``(offset_bits, index_bits)`` split;
-* fetch ``lines`` depend only on ``offset_bits``.
+* ``lines`` depend only on ``offset_bits``.
 
-Two cache levels:
-
-* per-instance memoization — a :class:`DataColumns`/:class:`FetchColumns`
-  object computes each derived array (and the sweep's list forms)
-  once;
-* an optional on-disk layer — when constructed with a ``disk_stem``
-  (derived from the workload's trace-cache key, so the content digest
-  keys the archive), the derived arrays are persisted as **one**
-  ``.npz`` archive per stream alongside the trace archives — keyed by
-  (stream), not (stream, geometry) — and reloaded instead of
-  recomputed.  Writes are atomic and best-effort, mirroring the trace
-  cache; unreadable archives are ignored and regenerated.
+A :class:`DataColumns`/:class:`FetchColumns` object computes each
+derived array once and keeps it in memory; the replay engine keeps
+one such object per (cache side, workload) for the life of the
+process.  Nothing is written to disk: loading a stream's arrays back
+from an archive measured no faster than recomputing them.
 
 The tag column is the plain ``addr >> (offset_bits + index_bits)``
 split.  For non-bypass accesses the way-memo reference computes it
@@ -46,9 +39,6 @@ architecture.
 
 from __future__ import annotations
 
-import os
-import tempfile
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,17 +48,10 @@ from repro.cache.write_buffer import WriteBuffer
 from repro.sim.fetch import FetchKind, FetchStream
 from repro.sim.trace import DataTrace
 
-#: Version of the on-disk column archive layout; bump to invalidate.
-#: v2: one archive per (stream, side) holding dependency-keyed arrays
-#: (``tags12``, ``sets5x7``, ...) instead of one file per geometry.
-COLUMNS_VERSION = 2
-
 #: Per-process column machinery counters: how many derived arrays were
-#: actually computed vs served from a disk archive, how often the
-#: archive file itself was read or rewritten, and how many LRU-distance
-#: passes ran.  Tests assert sweep groups compute their pre-split once
-#: per workload and their distances once per value stream, not per
-#: geometry.
+#: computed and how many LRU-distance passes ran.  Tests assert sweep
+#: groups compute their pre-split once per workload and their
+#: distances once per value stream, not per geometry.
 _STATS: Dict[str, int] = {
     "array_computes": 0,
     "tags_computes": 0,
@@ -76,14 +59,11 @@ _STATS: Dict[str, int] = {
     "keys_computes": 0,
     "lines_computes": 0,
     "distance_passes": 0,
-    "archive_loads": 0,
-    "archive_array_hits": 0,
-    "archive_saves": 0,
 }
 
 
 def column_stats() -> Dict[str, int]:
-    """Snapshot of the per-process column compute/archive counters."""
+    """Snapshot of the per-process column counters."""
     return dict(_STATS)
 
 
@@ -108,32 +88,21 @@ class SharedPass:
     :meth:`memo`-ize are derived lazily and shared too.
     """
 
-    __slots__ = (
-        "packed", "members", "_packed64", "_hit", "_hit_count", "_memo",
-    )
+    __slots__ = ("packed", "members", "_hit", "_hit_count", "_memo")
 
-    def __init__(self, packed: List[int], members: Sequence = ()):
+    def __init__(self, packed: np.ndarray, members: Sequence = ()):
+        #: The sweep's int64 packed results, one per access.
         self.packed = packed
         self.members = tuple(members)
-        self._packed64: Optional[np.ndarray] = None
         self._hit: Optional[np.ndarray] = None
         self._hit_count: Optional[int] = None
         self._memo: Dict[str, object] = {}
 
     @property
-    def packed64(self) -> np.ndarray:
-        """The packed results as an int64 array (computed once)."""
-        if self._packed64 is None:
-            self._packed64 = np.fromiter(
-                self.packed, dtype=np.int64, count=len(self.packed)
-            )
-        return self._packed64
-
-    @property
     def hit(self) -> np.ndarray:
         """Boolean hit vector (packed bit 0), one entry per access."""
         if self._hit is None:
-            self._hit = (self.packed64 & _F_HIT) == _F_HIT
+            self._hit = (self.packed & _F_HIT) == _F_HIT
         return self._hit
 
     @property
@@ -146,7 +115,7 @@ class SharedPass:
     def ways(self) -> np.ndarray:
         """Resident way per access (packed bits 1-8): the hit way on
         a hit, the fill way on a miss."""
-        return (self.packed64 >> _F_WAY_SHIFT) & 0xFF
+        return (self.packed >> _F_WAY_SHIFT) & 0xFF
 
     def memo(self, key: str, compute: Callable[[], object]) -> object:
         """A value every member of the group derives alike, computed
@@ -177,7 +146,7 @@ class SharedPass:
         span = len(self.packed)
 
         def events() -> np.ndarray:
-            packed = self.packed64
+            packed = self.packed
             at = np.flatnonzero(packed & _F_EVICTED)
             evicted = ((packed[at] >> _F_TAG_SHIFT) << index_bits) | sets[at]
             return np.sort(evicted * span + at)
@@ -246,20 +215,11 @@ def _run_head_distances(runs: List[int], cap: int) -> List[int]:
 
 
 class _ColumnsBase:
-    """Shared machinery: dependency-keyed arrays, lists, LRU distances,
-    disk archive."""
+    """Shared machinery: dependency-keyed arrays and LRU distances."""
 
-    side = ""  # "dcache" | "icache" (set by subclasses)
-
-    def __init__(self, disk_stem: Optional[Path] = None):
-        # disk_stem is a path *prefix* (directory + workload trace key);
-        # the stream's single archive is "{stem}-cols-v2-{side}.npz".
-        self._disk_stem = disk_stem
+    def __init__(self):
         self._arrays: Dict[str, np.ndarray] = {}
-        self._lists: Dict[str, list] = {}
         self._distances: Dict[str, Tuple[int, np.ndarray]] = {}
-        self._archive: Optional[Dict[str, np.ndarray]] = None
-        self._archive_probed = False
 
     # -- columns the subclasses must provide ----------------------------
 
@@ -298,82 +258,15 @@ class _ColumnsBase:
             (base_tag << 2) | (carry << 1) | sign,
         )
 
-    # -- disk archive (one file per stream) ------------------------------
-
-    def _disk_path(self) -> Optional[Path]:
-        if self._disk_stem is None:
-            return None
-        return self._disk_stem.parent / (
-            f"{self._disk_stem.name}-cols-v{COLUMNS_VERSION}-{self.side}.npz"
-        )
-
-    def _archive_arrays(self) -> Dict[str, np.ndarray]:
-        """The on-disk archive's arrays, loaded at most once."""
-        if not self._archive_probed:
-            self._archive_probed = True
-            self._archive = {}
-            path = self._disk_path()
-            if path is not None and path.is_file():
-                try:
-                    with np.load(str(path)) as archive:
-                        self._archive = {
-                            name: archive[name] for name in archive.files
-                        }
-                    _count("archive_loads")
-                except Exception:
-                    self._archive = {}  # unreadable: regenerate
-        return self._archive or {}
-
-    def _save_disk(self) -> None:
-        """Rewrite the stream's archive with every known array."""
-        path = self._disk_path()
-        if path is None:
-            return
-        arrays = dict(self._archive_arrays())
-        arrays.update(self._arrays)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp.npz"
-            )
-            os.close(fd)
-            try:
-                np.savez(tmp, **arrays)
-                # numpy appends .npz to names missing it; mkstemp's
-                # suffix already ends with it, so tmp is the real file.
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            self._archive = arrays
-            _count("archive_saves")
-        except OSError:
-            pass  # caching is best-effort only
-
     def _array(
         self, name: str, stat: str, compute: Callable[[], np.ndarray]
     ) -> np.ndarray:
-        """One derived array: memory, then archive, then compute."""
+        """One derived array, computed on first use."""
         got = self._arrays.get(name)
-        if got is not None:
-            return got
-        archived = self._archive_arrays().get(name)
-        if archived is not None and len(archived) == self.n:
-            _count("archive_array_hits")
-            self._arrays[name] = archived
-            return archived
-        got = compute()
-        _count("array_computes")
-        _count(stat)
-        self._arrays[name] = got
-        self._save_disk()
-        return got
-
-    def _list(self, name: str, array: Callable[[], np.ndarray]) -> list:
-        got = self._lists.get(name)
         if got is None:
-            got = array().tolist()
-            self._lists[name] = got
+            got = self._arrays[name] = compute()
+            _count("array_computes")
+            _count(stat)
         return got
 
     # -- public columns --------------------------------------------------
@@ -398,20 +291,15 @@ class _ColumnsBase:
             lambda: self._compute_keys(low),
         )
 
-    def cache_streams(
-        self, offset_bits: int, index_bits: int
-    ) -> Tuple[List[int], List[int]]:
-        """The pre-split (tags, sets) lists for one cache geometry."""
-        low = offset_bits + index_bits
-        return (
-            self._list(
-                f"tags{low}",
-                lambda: self.tags_array(offset_bits, index_bits),
-            ),
-            self._list(
-                f"sets{offset_bits}x{index_bits}",
-                lambda: self.sets_array(offset_bits, index_bits),
-            ),
+    def lines_array(self, offset_bits: int, index_bits: int) -> np.ndarray:
+        """Line numbers (``addr >> offset_bits``) per access.
+
+        Depends only on ``offset_bits`` (lines are line_bytes wide);
+        ``index_bits`` is accepted for signature symmetry.
+        """
+        return self._array(
+            f"lines{offset_bits}", "lines_computes",
+            lambda: self.addr64 >> offset_bits,
         )
 
     def cache_arrays(
@@ -419,9 +307,8 @@ class _ColumnsBase:
     ) -> Dict[str, np.ndarray]:
         """The per-geometry numpy columns (tags/sets/keys).
 
-        The array forms of :meth:`cache_streams` for vectorized
-        replay derivations; treat the arrays as read-only — they are
-        shared across every controller replaying the stream.
+        Treat the arrays as read-only — they are shared across every
+        controller replaying the stream.
         """
         return {
             "tags": self.tags_array(offset_bits, index_bits),
@@ -437,7 +324,6 @@ class _ColumnsBase:
         Exact below ``cap``: a stream already walked with a wider cap
         is served from that pass, so a group that asks with its widest
         cap first walks each value stream once for every geometry.
-        Distances stay in memory (they are cheap to redo and small).
         """
         walked, got = self._distances.get(name, (0, None))
         if walked < cap:
@@ -450,24 +336,16 @@ class _ColumnsBase:
 class DataColumns(_ColumnsBase):
     """Columnar view of a :class:`~repro.sim.trace.DataTrace`."""
 
-    side = "dcache"
-
-    def __init__(self, trace: DataTrace, disk_stem: Optional[Path] = None):
-        super().__init__(disk_stem)
+    def __init__(self, trace: DataTrace):
+        super().__init__()
         self.n = len(trace.base)
         self.base64 = trace.base.astype(np.int64)
         self.disp64 = trace.disp.astype(np.int64)
         self.addr64 = (self.base64 + self.disp64) & 0xFFFFFFFF
-        self.store_mask = trace.store
-        self._stores: Optional[List[bool]] = None
+        #: Boolean store flags: the shared sweep's ``writes`` mask.
+        self.store_mask: Optional[np.ndarray] = trace.store
         self._num_stores: Optional[int] = None
         self._coalesced: Dict[int, int] = {}
-
-    def writes(self) -> List[bool]:
-        """The store flags, as the batch kernel's ``writes`` stream."""
-        if self._stores is None:
-            self._stores = self.store_mask.tolist()
-        return self._stores
 
     @property
     def num_stores(self) -> int:
@@ -508,27 +386,17 @@ class DataColumns(_ColumnsBase):
 class FetchColumns(_ColumnsBase):
     """Columnar view of a :class:`~repro.sim.fetch.FetchStream`."""
 
-    side = "icache"
+    #: Fetches never write; the shared sweep treats None as all loads.
+    store_mask: Optional[np.ndarray] = None
 
-    def __init__(self, fetch: FetchStream, disk_stem: Optional[Path] = None):
-        super().__init__(disk_stem)
+    def __init__(self, fetch: FetchStream):
+        super().__init__()
         self.n = len(fetch)
         self.base64 = fetch.base.astype(np.int64)
         self.disp64 = fetch.disp.astype(np.int64)
         self.addr64 = fetch.addr.astype(np.int64)
         self.kind = fetch.kind
         self._intra: Dict[int, np.ndarray] = {}
-
-    def lines_array(self, offset_bits: int, index_bits: int) -> np.ndarray:
-        """Line numbers (``addr >> offset_bits``) per access.
-
-        Depends only on ``offset_bits`` (lines are line_bytes wide);
-        ``index_bits`` is accepted for signature symmetry.
-        """
-        return self._array(
-            f"lines{offset_bits}", "lines_computes",
-            lambda: self.addr64 >> offset_bits,
-        )
 
     def cache_arrays(
         self, offset_bits: int, index_bits: int
@@ -556,20 +424,16 @@ class FetchColumns(_ColumnsBase):
             self._intra[offset_bits] = got
         return got
 
-    def writes(self) -> None:
-        """Fetches never write; the batch kernel treats None as loads."""
-        return None
-
     def apply_load_store(self, counters) -> None:
         """Fetch streams have no load/store split; nothing to fill."""
 
 
-def columns_for_stream(stream, disk_stem: Optional[Path] = None):
+def columns_for_stream(stream):
     """Build the columnar view matching ``stream``'s type."""
     if isinstance(stream, DataTrace):
-        return DataColumns(stream, disk_stem)
+        return DataColumns(stream)
     if isinstance(stream, FetchStream):
-        return FetchColumns(stream, disk_stem)
+        return FetchColumns(stream)
     raise TypeError(
         f"no columnar representation for {type(stream).__name__}"
     )

@@ -20,18 +20,17 @@ Two layers:
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
   sweep over a fresh shadow cache; every member derives its counters
   from the shared packed results via its ``replay_counters`` hook and
-  is itself left untouched.  That covers every design but two
-  stateful ones, which replay on their own instance: the filter cache,
-  fed from the shared :mod:`~repro.replay.columns` pre-split
-  (``process_columns``), and the line buffer, which has no columnar
-  path yet and runs its ``process_reference`` loop.
+  is itself left untouched.  That covers every design but the filter
+  cache, whose L0 invalidations feed back into what its L1 sees: it
+  replays on its own instance, fed from the shared
+  :mod:`~repro.replay.columns` pre-split (``process_columns``).
 
 * :func:`replay_specs` — the spec-level engine behind ``evaluate`` and
   ``evaluate_many``.  All specs must share one ``(cache side,
   workload)``; the workload's columns are resolved once (through the
-  in-process and on-disk column caches) and every spec's counters are
-  priced into a :class:`~repro.api.result.RunResult`, so grouping can
-  never change a byte.
+  in-process column cache) and every spec's counters are priced into
+  a :class:`~repro.api.result.RunResult`, so grouping can never change
+  a byte.
 """
 
 from __future__ import annotations
@@ -69,11 +68,10 @@ class Controller:
     def process(self, stream) -> AccessCounters:
         """Replay ``stream`` and return the counters (fast engine).
 
-        Batchable designs — all but the filter cache and the line
-        buffer — sweep a shadow cache and leave this instance
-        untouched, so every call starts from a cold cache; stateful
-        designs replay on this instance, so successive calls carry
-        their cache and side state forward.
+        Batchable designs — all but the filter cache — sweep a shadow
+        cache and leave this instance untouched, so every call starts
+        from a cold cache; the filter cache replays on this instance,
+        so successive calls carry its cache and L0 state forward.
         """
         return replay_counters([self], stream)[0]
 
@@ -106,10 +104,11 @@ def replay_counters(
         shadow = SetAssociativeCache(
             config, make_policy(policy, config.sets, config.ways)
         )
-        tags, sets = cols.cache_streams(
-            config.offset_bits, config.index_bits
+        packed = shadow.access_fast_batch(
+            cols.tags_array(config.offset_bits, config.index_bits),
+            cols.sets_array(config.offset_bits, config.index_bits),
+            cols.store_mask,
         )
-        packed = shadow.access_fast_batch(tags, sets, cols.writes())
         shared_pass = SharedPass(
             packed, [controllers[index] for index in members]
         )
@@ -140,12 +139,7 @@ def replay_counters(
             "(columnar or scalar).",
         ).inc(len(singles))
     for index in singles:
-        controller = controllers[index]
-        process_columns = getattr(controller, "process_columns", None)
-        if process_columns is not None:
-            out[index] = process_columns(cols)
-        else:
-            out[index] = controller.process_reference(stream)
+        out[index] = controllers[index].process_columns(cols)
     return out
 
 
@@ -195,28 +189,21 @@ def plan_groups(specs: Sequence[object]) -> List[List[object]]:
 def _columns_cached(side: str, workload: str):
     """Columns for one spec-level workload (in-process cache).
 
-    Benchmark workloads get the on-disk column archive keyed by the
-    trace cache's content digest; synthetic workloads are cheap to
-    split and stay in process only.  The cache key is (side,
-    workload) — never the cache geometry — so a parametric sweep over
-    MAB or cache shapes shares one columns object, and the columns
-    object itself memoizes each derived array under the narrowest
-    geometry key it depends on.
+    The cache key is (side, workload) — never the cache geometry — so
+    a parametric sweep over MAB or cache shapes shares one columns
+    object, and the columns object itself memoizes each derived array
+    under the narrowest geometry key it depends on.
     """
     from repro.api.spec import parse_synthetic_params
     from repro.workloads import generate_synthetic, load_workload
-    from repro.workloads.suite import trace_cache_dir
 
     if workload.startswith("synthetic:"):
         params = parse_synthetic_params(workload)
         return columns_for_stream(generate_synthetic(side, params))
     loaded = load_workload(workload)
-    stream = loaded.trace.data if side == "dcache" else loaded.fetch
-    directory = trace_cache_dir()
-    disk_stem = None
-    if directory is not None and loaded.trace_key:
-        disk_stem = directory / loaded.trace_key
-    return columns_for_stream(stream, disk_stem)
+    return columns_for_stream(
+        loaded.trace.data if side == "dcache" else loaded.fetch
+    )
 
 
 def clear_columns_cache() -> None:

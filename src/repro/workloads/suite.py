@@ -152,12 +152,6 @@ class Workload:
     trace: ExecutionTrace
     fetch: FetchStream
     cycles: int
-    #: Stem of this workload's on-disk trace archive (name + program
-    #: digest + packet size + format version) — the content-addressed
-    #: key that derived caches (e.g. the columnar replay pre-split)
-    #: reuse to name their own archives.  Empty when the disk cache is
-    #: disabled.
-    trace_key: str = ""
 
 
 def run_benchmark(name: str) -> ExecutionResult:
@@ -261,7 +255,6 @@ def _load_workload_cached(name: str, packet_bytes: int) -> Workload:
         trace=trace,
         fetch=fetch,
         cycles=len(fetch),
-        trace_key=path.stem if path is not None else "",
     )
 
 

@@ -387,3 +387,90 @@ def test_store_warnings_once_per_process_per_distinct_failure(
     finally:
         clear_result_cache()
         reset_default_stores()
+
+
+# ----------------------------------------------------------------------
+# counter invariants before the store
+# ----------------------------------------------------------------------
+
+def _counters(**overrides):
+    """D-side counters that satisfy every invariant, with overrides."""
+    from repro.cache.stats import AccessCounters
+
+    fields = dict(
+        accesses=10, cache_hits=8, cache_misses=2, loads=6, stores=4,
+        mab_lookups=9, mab_hits=5, stale_hits=0, mab_bypasses=1,
+        tag_accesses=8, way_accesses=14,
+    )
+    fields.update(overrides)
+    return AccessCounters(**fields)
+
+
+def _finish(arch, counters):
+    from repro.api.evaluate import _finish_result
+
+    spec = RunSpec(cache="dcache", arch=arch, workload=TINY["dcache"])
+    info = get_architecture("dcache", arch)
+    return _finish_result(spec, info, spec.param_dict, counters, 100)
+
+
+@pytest.mark.parametrize("arch, overrides, check", [
+    ("way-memo-2x8", {"cache_misses": 3}, "hits + misses = accesses"),
+    ("way-memo-2x8", {"loads": 7}, "loads + stores = accesses"),
+    ("way-memo-2x8", {"mab_hits": 9}, "mab_lookups"),
+    ("way-memo-2x8", {"mab_lookups": 11}, "<= accesses"),
+    ("way-memo-2x8", {"tag_accesses": 21}, "tag_accesses <= ways"),
+    ("way-memo-2x8", {"way_accesses": 31}, "way_accesses <= (ways + 1)"),
+    ("way-memo-2x8-evict", {"mab_hits": 4, "stale_hits": 1},
+     "zero stale hits in evict_hook mode"),
+])
+def test_finish_result_rejects_counters_breaking_an_invariant(
+    arch, overrides, check
+):
+    from repro.api import CounterInvariantError
+
+    assert _finish("way-memo-2x8", _counters()).counters.accesses == 10
+    with pytest.raises(CounterInvariantError) as error:
+        _finish(arch, _counters(**overrides))
+    message = str(error.value)
+    assert check in message
+    assert arch in message  # the spec is named
+
+
+def test_paper_mode_stale_hits_are_counted_not_rejected():
+    result = _finish("way-memo-2x8", _counters(mab_hits=4, stale_hits=1))
+    assert result.counters.stale_hits == 1
+
+
+def test_counter_invariant_error_leaves_the_store_unwritten(
+    tmp_path, monkeypatch
+):
+    """A fast-path result that breaks an invariant fails its evaluation
+    before the write-back: the store holds nothing for it."""
+    from repro.api import CounterInvariantError, clear_result_cache
+    from repro.replay import engine
+    from repro.store import STORE_ENV, default_store, reset_default_stores
+
+    monkeypatch.setattr(
+        engine, "replay_counters",
+        lambda controllers, stream, cols=None: [
+            _counters(cache_misses=3) for _ in controllers
+        ],
+    )
+    monkeypatch.setenv(STORE_ENV, str(tmp_path / "results.sqlite"))
+    reset_default_stores()
+    clear_result_cache()
+    try:
+        spec = RunSpec(
+            cache="dcache", arch="way-memo-2x8", workload=TINY["dcache"]
+        )
+        with pytest.raises(CounterInvariantError):
+            evaluate(spec)
+        with pytest.raises(CounterInvariantError):
+            evaluate_many([spec], workers=1)
+        store = default_store()
+        assert store.puts == 0
+        assert store.get(spec) is None
+    finally:
+        clear_result_cache()
+        reset_default_stores()

@@ -334,11 +334,20 @@ def way_memo_variants(side):
     }
 
 
+def line_buffer(entries, consistency="paper"):
+    """A way-memo + line-buffer factory at any buffer depth."""
+    return partial(
+        build_design, "dcache", "way-memo+line-buffer",
+        line_buffer_entries=entries, consistency=consistency,
+    )
+
+
 #: The designs whose counters are *derived* rather than replayed
-#: scalar — set buffer, MA-links and way memoization from the shared
-#: sweep, the filter cache from the columnar run walk — including a
-#: non-default set-buffer depth and several MAB geometries, each one
-#: fuzzed directly against ``process_reference``.
+#: scalar — set buffer, MA-links, way memoization and the line buffer
+#: from the shared sweep, the filter cache from the columnar run walk
+#: — including non-default set-buffer and line-buffer depths (deeper
+#: line buffers see the sweep's evictions) and several MAB geometries,
+#: each one fuzzed directly against ``process_reference``.
 DERIVED_DCACHE = {
     "set-buffer": partial(build_design, "dcache", "set-buffer"),
     "set-buffer-3": partial(
@@ -346,6 +355,9 @@ DERIVED_DCACHE = {
     ),
     "filter-cache": partial(build_design, "dcache", "filter-cache"),
     **way_memo_variants("dcache"),
+    "line-buffer-1": line_buffer(1),
+    "line-buffer-2": line_buffer(2),
+    "line-buffer-4-evict": line_buffer(4, "evict_hook"),
 }
 
 DERIVED_ICACHE = {
@@ -380,6 +392,30 @@ def test_fuzz_icache_replay_matches_reference(arch, seed, config):
         {arch: partial(factory, config)}, fs, slice_fetch, len(fs),
         f"{arch} vs reference seed={seed} ways={config.ways}",
         method="process_reference",
+    )
+
+
+@pytest.mark.parametrize("entries", [2, 3, 4])
+def test_deep_line_buffer_matches_reference_on_a_conflict_stream(entries):
+    """Six lines crowding two sets of the tiny 2-way cache: lines the
+    cache evicts are revisited while still within the buffer's depth,
+    so the derivation must drop every line the sweep evicts."""
+    rng = np.random.default_rng(entries)
+    n = 3000
+    sets = TINY_2WAY.sets
+    lines = rng.integers(0, 3, size=n) * sets + rng.integers(0, 2, size=n)
+    base = (0x40000 + lines * TINY_2WAY.line_bytes).astype(np.uint32)
+    disp = (rng.integers(0, 8, size=n) * 4).astype(np.int32)
+    trace = DataTrace(base=base, disp=disp, store=rng.random(n) < 0.4)
+    factories = {
+        f"line-buffer-{entries}-{mode}": partial(
+            line_buffer(entries, mode), TINY_2WAY
+        )
+        for mode in ("paper", "evict_hook")
+    }
+    run_replay_lockstep(
+        factories, trace, slice_data, n,
+        f"line buffer entries={entries}", method="process_reference",
     )
 
 

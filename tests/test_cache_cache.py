@@ -1,11 +1,12 @@
 """Set-associative cache behaviour tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.config import CacheConfig
-from repro.cache.replacement import FIFOPolicy
+from repro.cache.config import FRV_DCACHE, CacheConfig
+from repro.cache.replacement import FIFOPolicy, make_policy
 
 SMALL = CacheConfig(size_bytes=1024, ways=2, line_bytes=32)  # 16 sets
 
@@ -143,13 +144,13 @@ def test_no_duplicate_tags_and_hit_consistency(accesses):
     st.sampled_from(["lru", "fifo", "plru"]))
 @settings(max_examples=60)
 def test_access_fast_batch_matches_access_fast(accesses, ways, policy):
-    """The batch kernel is a tight-loop re-statement of access_fast.
+    """With eviction listeners attached, every policy takes the scalar
+    loop (``_batch_scalar``), a tight-loop re-statement of access_fast.
 
-    ``fifo``/``plru`` exercise the generic policy branch (no inline
-    LRU shortcut), ``lru`` the specialized one.
+    ``lru`` exercises its inline LRU-list branch, ``fifo``/``plru`` the
+    policy hooks; the vectorized 2-way LRU kernel is covered by
+    ``test_access_fast_batch_lru2_kernel_matches_access_fast``.
     """
-    from repro.cache.replacement import make_policy
-
     config = CacheConfig(size_bytes=512 * ways, ways=ways, line_bytes=32)
     batched = SetAssociativeCache(
         config, make_policy(policy, config.sets, config.ways)
@@ -169,12 +170,15 @@ def test_access_fast_batch_matches_access_fast(accesses, ways, policy):
     tags = [a[0] for a in accesses]
     sets = [a[1] % config.sets for a in accesses]
     writes = [a[2] for a in accesses]
-    packed = batched.access_fast_batch(tags, sets, writes)
+    packed = batched.access_fast_batch(
+        np.array(tags, dtype=np.int64), np.array(sets, dtype=np.int64),
+        np.array(writes, dtype=bool),
+    )
     expected = [
         stepped.access_fast(tag, set_index, write)
         for tag, set_index, write in zip(tags, sets, writes)
     ]
-    assert packed == expected
+    assert packed.tolist() == expected
     assert evictions == expected_evictions
     assert batched._tags == stepped._tags
     assert batched._dirty == stepped._dirty
@@ -191,6 +195,106 @@ def test_access_fast_batch_matches_access_fast(accesses, ways, policy):
 
 def test_access_fast_batch_defaults_to_loads():
     cache = SetAssociativeCache(SMALL)
-    packed = cache.access_fast_batch([1, 1], [3, 3])
+    packed = cache.access_fast_batch(np.int64([1, 1]), np.int64([3, 3]))
     assert (packed[0] & 1, packed[1] & 1) == (0, 1)
     assert not cache._dirty[3][cache.probe(_addr(1, 3))]
+
+
+@st.composite
+def _lru2_cases(draw):
+    """A listener-free 2-way LRU cache, a warm-up and a stream."""
+    sets = draw(st.sampled_from([1, 2, 16, 512]))
+    max_tag = draw(st.sampled_from([3, (1 << 32) - 1]))
+    writes_on = draw(st.booleans())
+    access = st.tuples(
+        st.integers(0, max_tag), st.integers(0, sets - 1),
+        st.booleans() if writes_on else st.just(False),
+    )
+    warm_up = draw(st.sampled_from(["cold", "prefix", "invalidated"]))
+    prefix = [] if warm_up == "cold" else draw(
+        st.lists(access, max_size=60)
+    )
+    accesses = draw(st.lists(access, max_size=200))
+    return sets, warm_up, prefix, accesses, writes_on
+
+
+def _assert_same_cache(batched, stepped):
+    assert batched._tags == stepped._tags
+    assert batched._dirty == stepped._dirty
+    assert batched._lru == stepped._lru
+    assert (batched.hits, batched.misses, batched.evictions,
+            batched.writebacks) == (stepped.hits, stepped.misses,
+                                    stepped.evictions, stepped.writebacks)
+
+
+@given(_lru2_cases())
+@settings(max_examples=150, deadline=None)
+def test_access_fast_batch_lru2_kernel_matches_access_fast(case):
+    """The vectorized 2-way LRU kernel (no listener attached) equals an
+    access_fast loop: packed results, line state, LRU order and the
+    four counters, from cold sets, from sets warmed through
+    access_fast, and from sets emptied by invalidate_all (which keeps
+    their LRU order, e.g. ``[1, 0]`` with no valid line)."""
+    sets, warm_up, prefix, accesses, writes_on = case
+    config = CacheConfig(size_bytes=64 * sets, ways=2, line_bytes=32)
+    batched = SetAssociativeCache(config)
+    stepped = SetAssociativeCache(config)
+    for cache in (batched, stepped):
+        for tag, set_index, write in prefix:
+            cache.access_fast(tag, set_index, write)
+        if warm_up == "invalidated":
+            cache.invalidate_all()
+    writes = np.array([a[2] for a in accesses], dtype=bool)
+    packed = batched.access_fast_batch(
+        np.array([a[0] for a in accesses], dtype=np.int64),
+        np.array([a[1] for a in accesses], dtype=np.int64),
+        writes if writes_on else None,
+    )
+    expected = [
+        stepped.access_fast(tag, set_index, write)
+        for tag, set_index, write in accesses
+    ]
+    assert packed.tolist() == expected
+    _assert_same_cache(batched, stepped)
+
+
+def test_access_fast_batch_lru2_fills_lru_way_of_an_emptied_set():
+    """After invalidate_all a set keeps LRU order ``[1, 0]``: its next
+    fill goes to way 1, not way 0."""
+    batched = SetAssociativeCache(SMALL)
+    stepped = SetAssociativeCache(SMALL)
+    for cache in (batched, stepped):
+        cache.access_fast(1, 3, True)
+        cache.invalidate_all()
+        assert cache._lru[3] == [1, 0]
+    packed = batched.access_fast_batch(
+        np.int64([5, 6, 5]), np.int64([3, 3, 3])
+    )
+    assert packed.tolist() == [
+        stepped.access_fast(5, 3, False),
+        stepped.access_fast(6, 3, False),
+        stepped.access_fast(5, 3, False),
+    ]
+    assert (packed[0] >> 1) & 0xFF == 1
+    _assert_same_cache(batched, stepped)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo"])
+def test_access_fast_batch_takes_columns_returns_int64_array(policy):
+    """The sweep takes the replay columns as they are and returns an
+    int64 array, on the vectorized path (LRU) and the scalar loop."""
+    from repro.replay.columns import DataColumns
+    from repro.workloads import synthetic_data_trace
+
+    cols = DataColumns(synthetic_data_trace(num_accesses=512, seed=5))
+    cache = SetAssociativeCache(
+        FRV_DCACHE, make_policy(policy, FRV_DCACHE.sets, FRV_DCACHE.ways)
+    )
+    split = (FRV_DCACHE.offset_bits, FRV_DCACHE.index_bits)
+    packed = cache.access_fast_batch(
+        cols.tags_array(*split), cols.sets_array(*split), cols.store_mask
+    )
+    assert isinstance(packed, np.ndarray)
+    assert packed.dtype == np.int64
+    assert len(packed) == cols.n
+    assert cache.hits + cache.misses == cols.n

@@ -144,9 +144,9 @@ def test_worker_crash_mid_seven_arch_group_completes_byte_identical(
     isolated_state,
 ):
     """The full seven-architecture replay group — batchable and
-    stateful designs mixed — on one shared workload.  The stateful
-    members (set-buffer, filter-cache, way-memo+line-buffer) derive
-    their counters from the shared column pre-split, so a crash
+    stateful designs mixed — on one shared workload.  The batchable
+    members derive their counters from one shared sweep and the
+    stateful filter cache replays on its own instance, so a crash
     mid-group must not leave any of them with partial state: the
     retry re-splits the columns and every spec still lands byte-
     identical to the fault-free serial run."""

@@ -236,3 +236,25 @@ def test_line_buffer_memo_coherent_after_eviction():
     c = ctrl.process(trace)
     assert c.cache_misses == 4
     assert c.stale_hits == 0
+
+
+def test_deep_line_buffer_drops_lines_the_cache_evicts():
+    """A four-line buffer still holds ``base`` when two conflicting
+    lines evict it from its 2-way set; the eviction drops it from the
+    buffer too, so the revisit misses on both engines."""
+    s = FRV_DCACHE.sets
+    base = 0x40000
+    conflict1 = base + (FRV_DCACHE.line_bytes * s)
+    conflict2 = base + 2 * (FRV_DCACHE.line_bytes * s)
+    trace = data_trace([
+        (base, 0, False),
+        (conflict1, 0, False),
+        (conflict2, 0, False),   # evicts `base` from cache and buffer
+        (base, 0, False),
+    ])
+    for engine in ("process", "process_reference"):
+        ctrl = LineBufferWayMemoDCache(line_buffer_entries=4)
+        c = getattr(ctrl, engine)(trace)
+        assert c.cache_misses == 4, engine
+        assert c.mab_lookups == 4, engine
+        assert c.notes["line_buffer_hit_rate"] == 0.0, engine

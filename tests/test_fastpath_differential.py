@@ -14,8 +14,8 @@ the retained reference implementations:
 
 Equivalence is asserted on every :class:`AccessCounters` field
 (including ``stale_hits``, ``way_accesses`` and ``tag_accesses``), the
-final cache/MAB/L0 state of the stateful designs — the filter cache
-and the line buffer (a batchable design's ``process``, way memoization
+final cache and L0 state of the one stateful design, the filter cache
+(a batchable design's ``process``, way memoization and the line buffer
 included, sweeps a shadow cache and leaves the controller fresh; the
 way-memo tests check the reference MAB's invariants instead) — and,
 for the ISS, registers, memory, data and flow traces, the instruction
@@ -67,26 +67,8 @@ def assert_cache_state_equal(fc, rc, context=""):
         assert fc._lru == rc._lru, f"{context}: LRU stacks differ"
 
 
-def assert_controller_state_equal(fast, ref, context=""):
-    """Final cache + MAB state must match exactly."""
-    assert_cache_state_equal(fast.cache, ref.cache, context)
-    fm, rm = fast.mab, ref.mab
-    assert sorted(fm.valid_pairs()) == sorted(rm.valid_pairs()), (
-        f"{context}: MAB valid pairs differ"
-    )
-    assert fm._keys == rm._keys, f"{context}: MAB tag keys differ"
-    assert fm._idx_vals == rm._idx_vals, f"{context}: MAB indices differ"
-    assert fm._lru_order(fm._tag_stamp) == rm._lru_order(rm._tag_stamp)
-    assert fm._lru_order(fm._idx_stamp) == rm._lru_order(rm._idx_stamp)
-    assert (fm.lookups, fm.hits, fm.bypasses) == (
-        rm.lookups, rm.hits, rm.bypasses
-    ), f"{context}: MAB stats differ"
-    fm.check_invariants()
-    rm.check_invariants()
-
-
 def assert_state_equal(fast, ref, context=""):
-    """End state of a stateful design (line-buffer MAB, filter-cache L0).
+    """End state of a stateful design (the filter cache's L1 and L0).
 
     Stateful designs replay on their own instance, so their final
     cache and side structures must match the reference's.  Batchable
@@ -94,10 +76,7 @@ def assert_state_equal(fast, ref, context=""):
     """
     if fast.replay_batchable:
         return
-    if hasattr(ref, "mab"):
-        assert_controller_state_equal(fast, ref, context)
-    else:
-        assert_cache_state_equal(fast.cache, ref.cache, context)
+    assert_cache_state_equal(fast.cache, ref.cache, context)
     if hasattr(ref, "_l0"):
         assert fast._l0 == ref._l0, f"{context}: L0 contents differ"
 

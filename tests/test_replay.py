@@ -7,7 +7,7 @@ policy); ``plan_groups`` partitions batches deterministically;
 ``evaluate_many`` routes shared-workload groups through the engine
 byte-identically to evaluating each spec alone, with unchanged
 per-spec simulation accounting and store write-back; and the columnar
-disk archives round-trip, validate, and regenerate when corrupt.
+pre-split is memoized per dependency, not per geometry.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.api import (
     evaluate_many,
 )
 from repro.api.evaluate import simulation_count
-from repro.replay.columns import DataColumns, columns_for_stream
+from repro.replay.columns import DataColumns
 from repro.replay.engine import plan_groups, replay_counters, replay_specs
 from repro.store import STORE_ENV, default_store, reset_default_stores
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
@@ -72,7 +72,12 @@ def test_replay_counters_match_fresh_per_arch_process(side):
 def test_replay_counters_leave_input_controllers_untouched():
     """The engine evaluates shadows; callers' instances stay fresh."""
     from repro.baselines import OriginalDCache
-    from repro.core import MABConfig, WayMemoDCache, WayMemoICache
+    from repro.core import (
+        LineBufferWayMemoDCache,
+        MABConfig,
+        WayMemoDCache,
+        WayMemoICache,
+    )
 
     streams = {
         "dcache": synthetic_data_trace(num_accesses=256, seed=2),
@@ -81,7 +86,9 @@ def test_replay_counters_leave_input_controllers_untouched():
     evict = MABConfig(2, 8, "evict_hook")
     groups = {
         "dcache": [OriginalDCache(), WayMemoDCache(),
-                   WayMemoDCache(mab_config=evict)],
+                   WayMemoDCache(mab_config=evict),
+                   LineBufferWayMemoDCache(line_buffer_entries=2),
+                   LineBufferWayMemoDCache(mab_config=evict)],
         "icache": [WayMemoICache(), WayMemoICache(mab_config=evict)],
     }
     for side, controllers in groups.items():
@@ -98,6 +105,9 @@ def test_replay_counters_leave_input_controllers_untouched():
             buffer = getattr(controller, "write_buffer", None)
             if buffer is not None:
                 assert buffer.inserts == 0
+            lines = getattr(controller, "line_buffer", None)
+            if lines is not None:
+                assert lines.accesses == 0 and not lines._lines
 
 
 # ----------------------------------------------------------------------
@@ -160,107 +170,16 @@ def test_grouped_path_counts_and_persists_per_spec(fresh_store):
 
 
 # ----------------------------------------------------------------------
-# columnar disk archives
-# ----------------------------------------------------------------------
-
-def _archive(tmp_path):
-    # One archive per (stream, side) — never per geometry.
-    archives = list(tmp_path.glob("*-cols-v*-dcache.npz"))
-    assert len(archives) == 1, archives
-    return archives[0]
-
-
-def _forbid_computes(cols):
-    """Poison the compute hooks: a cache/archive miss would blow up."""
-    cols._compute_tags = None
-    cols._compute_sets = None
-    cols._compute_keys = None
-
-
-def test_columns_disk_archive_roundtrips_without_recompute(tmp_path):
-    trace = synthetic_data_trace(num_accesses=256, seed=3)
-    stem = tmp_path / "wl-deadbeef"
-    first = DataColumns(trace, disk_stem=stem)
-    tags, sets = first.cache_streams(5, 7)
-    keys = first.keys_array(5, 7).tolist()
-    _archive(tmp_path)
-
-    second = DataColumns(trace, disk_stem=stem)
-    _forbid_computes(second)
-    assert second.cache_streams(5, 7) == (tags, sets)
-    assert second.keys_array(5, 7).tolist() == keys
-
-
-def test_columns_corrupt_archive_is_regenerated(tmp_path):
-    trace = synthetic_data_trace(num_accesses=256, seed=3)
-    stem = tmp_path / "wl-deadbeef"
-    first = DataColumns(trace, disk_stem=stem)
-    expected = first.cache_streams(5, 7)
-    _archive(tmp_path).write_bytes(b"this is not an npz archive")
-
-    second = DataColumns(trace, disk_stem=stem)
-    assert second.cache_streams(5, 7) == expected
-    third = DataColumns(trace, disk_stem=stem)  # rewritten and loadable
-    _forbid_computes(third)
-    assert third.cache_streams(5, 7) == expected
-
-
-def test_columns_archive_for_a_different_stream_is_rejected(tmp_path):
-    """Same stem, different stream length: the stale archive fails
-    validation and is recomputed, not served."""
-    stem = tmp_path / "wl-deadbeef"
-    short = synthetic_data_trace(num_accesses=128, seed=3)
-    DataColumns(short, disk_stem=stem).cache_streams(5, 7)
-
-    full = synthetic_data_trace(num_accesses=256, seed=3)
-    fresh = columns_for_stream(full, stem)
-    tags, sets = fresh.cache_streams(5, 7)
-    assert len(tags) == len(sets) == 256
-    bare = columns_for_stream(full)
-    assert (tags, sets) == bare.cache_streams(5, 7)
-
-
-# ----------------------------------------------------------------------
 # cross-geometry column sharing
 # ----------------------------------------------------------------------
 
-def test_columns_archive_shared_across_geometries(tmp_path):
-    """One archive on disk serves every geometry: arrays that depend
-    only on the tag boundary (tags, MAB keys) are reused verbatim by a
-    second geometry with the same ``offset + index`` split, and the
-    per-geometry sets column is added to the *same* file."""
-    trace = synthetic_data_trace(num_accesses=256, seed=3)
-    stem = tmp_path / "wl-deadbeef"
-    first = DataColumns(trace, disk_stem=stem)
-    tags57, sets57 = first.cache_streams(5, 7)
-    keys57 = first.keys_array(5, 7).tolist()
-    _archive(tmp_path)
-
-    # (4, 8) shares the 12-bit tag boundary with (5, 7).
-    second = DataColumns(trace, disk_stem=stem)
-    second._compute_tags = None
-    second._compute_keys = None  # only sets may be computed
-    tags48, sets48 = second.cache_streams(4, 8)
-    assert tags48 == tags57
-    assert second.keys_array(4, 8).tolist() == keys57
-    assert sets48 != sets57
-    _archive(tmp_path)
-
-    # Third pass: everything — both geometries — loads from the file.
-    third = DataColumns(trace, disk_stem=stem)
-    _forbid_computes(third)
-    assert third.cache_streams(5, 7) == (tags57, sets57)
-    assert third.cache_streams(4, 8) == (tags48, sets48)
-    assert third.keys_array(5, 7).tolist() == keys57
-
-
 def test_columns_memoize_by_dependency_not_geometry():
-    """In memory too, tags/keys are keyed by the tag boundary: two
-    geometries with the same boundary share the same objects."""
+    """Tags/keys are keyed by the tag boundary: two geometries with the
+    same boundary share the same objects."""
     trace = synthetic_data_trace(num_accesses=128, seed=9)
     cols = DataColumns(trace)
-    tags57, _ = cols.cache_streams(5, 7)
-    tags48, _ = cols.cache_streams(4, 8)
+    tags57 = cols.tags_array(5, 7)
+    tags48 = cols.tags_array(4, 8)
     assert tags48 is tags57
     assert cols.keys_array(4, 8) is cols.keys_array(5, 7)
 
@@ -341,3 +260,35 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
         for params, counters in zip(grid, grouped):
             expected = way_memo.build(params).process_reference(stream)
             assert counters.as_dict() == expected.as_dict(), (side, params)
+
+
+def test_line_buffer_joins_the_shared_sweep():
+    """The way-memo + line-buffer design derives from the shared sweep:
+    grouped with plain way memo, at one- and two-line buffer depths and
+    in both consistency modes, it runs one sweep with no stateful
+    member and matches each design's reference loop."""
+    from repro.api.registry import get_architecture
+    from repro.telemetry import metrics as telemetry
+
+    stream = synthetic_data_trace(
+        num_accesses=4096, seed=41, large_disp_fraction=0.02
+    )
+    params = [
+        ("way-memo+line-buffer", {}),
+        ("way-memo+line-buffer", {"line_buffer_entries": 2}),
+        ("way-memo+line-buffer", {"line_buffer_entries": 2,
+                                  "consistency": "evict_hook"}),
+        ("way-memo-2x8", {}),
+    ]
+    infos = [(get_architecture("dcache", arch), p) for arch, p in params]
+    sweeps = telemetry.counter("repro_replay_shared_sweeps_total")
+    stateful = telemetry.counter("repro_replay_stateful_members_total")
+    sweeps_before, stateful_before = sweeps.value, stateful.value
+    grouped = replay_counters(
+        [info.build(p) for info, p in infos], stream
+    )
+    assert sweeps.value - sweeps_before == 1
+    assert stateful.value == stateful_before
+    for (info, p), counters in zip(infos, grouped):
+        expected = info.build(p).process_reference(stream)
+        assert counters.as_dict() == expected.as_dict(), (info.id, p)

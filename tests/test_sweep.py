@@ -115,6 +115,35 @@ def test_sweep_cli_deterministic_cold_vs_warm_and_worker_count(tmp_path):
     assert any(r["optimal"] for r in rows)
 
 
+def test_sweep_cli_sends_one_batch_with_one_sweep_per_stream(
+    tmp_path, monkeypatch, capsys
+):
+    """Local ``repro sweep --experiment all`` evaluates the MAB grid and
+    the baselines as one batch, so each (side, benchmark) stream is
+    swept once, not once per sweep."""
+    from repro.api import clear_result_cache
+    from repro.experiments import sweep
+    from repro.store import STORE_ENV, reset_default_stores
+    from repro.telemetry import metrics as telemetry
+
+    monkeypatch.setenv(STORE_ENV, str(tmp_path / "results.sqlite"))
+    reset_default_stores()
+    clear_result_cache()
+    sweeps = telemetry.counter("repro_replay_shared_sweeps_total")
+    before = sweeps.value
+    try:
+        assert sweep.main([
+            "--benchmarks", "dct", "fft", "--grid", "paper",
+            "--workers", "1", "--json",
+        ]) == 0
+    finally:
+        clear_result_cache()
+        reset_default_stores()
+    assert sweeps.value - before == 2 * 2  # sides x benchmarks
+    names = [table["name"] for table in json.loads(capsys.readouterr().out)]
+    assert names == ["sweep_mab_size", "sweep_baselines"]
+
+
 def test_sweeps_are_registered_catalog_experiments():
     """Both sweeps resolve as first-class registry records (full
     default grids) without joining the paper report enumeration."""
