@@ -185,14 +185,17 @@ def plan_groups(specs: Sequence[object]) -> List[List[object]]:
     return groups
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _columns_cached(side: str, workload: str):
     """Columns for one spec-level workload (in-process cache).
 
     The cache key is (side, workload) — never the cache geometry — so
     a parametric sweep over MAB or cache shapes shares one columns
     object, and the columns object itself memoizes each derived array
-    under the narrowest geometry key it depends on.
+    under the narrowest geometry key it depends on.  Only the most
+    recent stream is kept: :func:`plan_groups` gives each stream one
+    group per batch, so a batch over many streams holds one stream's
+    arrays at a time instead of all of them.
     """
     from repro.api.spec import parse_synthetic_params
     from repro.workloads import generate_synthetic, load_workload

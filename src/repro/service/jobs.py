@@ -133,8 +133,11 @@ class JobQueue:
         #: Signaled whenever work may have become available; workers
         #: wait on it instead of busy-polling an idle queue.
         self.work_available = threading.Event()
-        #: Signaled whenever a task finishes (``wait_job`` wakes up).
+        #: Signaled whenever a task finishes (``wait_job`` wakes up);
+        #: ``_finished`` counts the signals, so a waiter that polled
+        #: just before one does not sleep through it.
         self._task_done = threading.Condition()
+        self._finished = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._connect().close()   # create the schema / verify the file
 
@@ -276,17 +279,29 @@ class JobQueue:
         return (document.get("cache"), document.get("workload"))
 
     def claim_group(
-        self, lease_seconds: float, limit: int = 8
+        self, lease_seconds: float, workers: int
     ) -> List[Task]:
-        """Lease the oldest runnable task plus its replay group.
+        """Lease the oldest runnable task plus a guided share of work.
 
-        Claims like :meth:`claim`, then extends the claim (in the same
-        transaction) to up to ``limit - 1`` more runnable tasks whose
-        specs share the first task's ``(cache side, workload)`` with
-        the fast engine — the grouping ``evaluate_many`` replays in a
-        single pass.  Returns ``[]`` when idle.  Every claimed task
-        still tracks its own attempts/lease, so a crash mid-group
-        retries (and may regroup) each member individually.
+        Claims like :meth:`claim`, then extends the claim in the same
+        transaction, by whole replay groups — runnable tasks whose
+        specs share ``(cache side, workload)`` on the fast engine,
+        which ``evaluate_many`` replays in a single pass:
+
+        * a fast-engine task that has never been attempted takes, in
+          queue order, the replay groups of other such tasks until the
+          claim holds ⌈R/P⌉ of the R runnable ones (P = ``workers``,
+          the pool size: guided self-scheduling).  A one-worker pool
+          takes a whole batch in one claim; a P-worker pool still
+          splits it P ways and shares out the tail in shrinking claims;
+        * a retried task (an earlier attempt failed, expired or was
+          orphaned) is claimed with only its own group's retried
+          tasks, so a spec that fails every attempt dead-letters its
+          group, not the batch;
+        * a reference-engine task is claimed alone.
+
+        Returns ``[]`` when idle.  Every claimed task still tracks its
+        own attempts and lease.
         """
         schema, fingerprint = self._address()
         now = time.time()
@@ -304,14 +319,17 @@ class JobQueue:
             if not rows:
                 conn.execute("COMMIT")
                 return []
-            selected = [rows[0]]
-            group = self._replay_group_key(rows[0][0])
-            if group is not None and limit > 1:
-                for row in rows[1:]:
-                    if len(selected) >= limit:
-                        break
-                    if self._replay_group_key(row[0]) == group:
-                        selected.append(row)
+            first_key, first_attempts, _ = rows[0]
+            group = self._replay_group_key(first_key)
+            if group is None:
+                selected = rows[:1]
+            elif first_attempts:
+                selected = [
+                    row for row in rows
+                    if row[1] and self._replay_group_key(row[0]) == group
+                ]
+            else:
+                selected = self._guided_share(rows, workers)
             claimed = []
             for spec_key, attempts, _ in selected:
                 conn.execute(
@@ -328,11 +346,35 @@ class JobQueue:
         finally:
             conn.close()
 
-    def complete(self, task: Task, result_json: str) -> None:
-        """Record a finished simulation (all holding jobs see it)."""
-        self._finish(
-            task, DONE, result_json=result_json, error=None
-        )
+    @classmethod
+    def _guided_share(cls, rows: Sequence[tuple], workers: int) -> list:
+        """Whole replay groups of never-attempted fast-engine rows, in
+        queue order, until at least ⌈R/P⌉ of their R rows are held."""
+        groups: Dict[Tuple[str, str], list] = {}
+        for row in rows:
+            if not row[1]:
+                key = cls._replay_group_key(row[0])
+                if key is not None:
+                    groups.setdefault(key, []).append(row)
+        runnable = sum(len(members) for members in groups.values())
+        share = -(-runnable // workers)
+        selected: list = []
+        for members in groups.values():
+            selected.extend(members)
+            if len(selected) >= share:
+                break
+        return selected
+
+    def complete(
+        self, tasks: Sequence[Task], result_jsons: Sequence[str]
+    ) -> None:
+        """Record finished simulations in one transaction (every
+        holding job sees them at once)."""
+        if len(tasks) != len(result_jsons):
+            raise ValueError(
+                f"{len(tasks)} task(s) but {len(result_jsons)} result(s)"
+            )
+        self._finish(tasks, DONE, result_jsons, error=None)
 
     def fail(self, task: Task, error: str) -> bool:
         """Record a failed attempt.
@@ -343,7 +385,7 @@ class JobQueue:
         """
         if task.attempts < self.max_attempts:
             self._finish(
-                task, PENDING, result_json=None, error=error,
+                [task], PENDING, [None], error=error,
                 not_before=time.time()
                 + self.backoff_delay(task.attempts),
             )
@@ -352,7 +394,7 @@ class JobQueue:
                 "Failed attempts re-queued with backoff.",
             ).inc()
             return True
-        self._finish(task, FAILED, result_json=None, error=error)
+        self._finish([task], FAILED, [None], error=error)
         telemetry.counter(
             "repro_queue_dead_letters_total",
             "Tasks dead-lettered after exhausting attempts.",
@@ -361,26 +403,30 @@ class JobQueue:
 
     def _finish(
         self,
-        task: Task,
+        tasks: Sequence[Task],
         state: str,
-        result_json: Optional[str],
+        result_jsons: Sequence[Optional[str]],
         error: Optional[str],
         not_before: float = 0.0,
     ) -> None:
         schema, fingerprint = self._address()
         conn = self._connect()
         try:
-            conn.execute(
+            conn.execute("BEGIN IMMEDIATE")
+            conn.executemany(
                 "UPDATE tasks SET state = ?, result_json = ?,"
                 " error = ?, lease_deadline = NULL, not_before = ?"
                 " WHERE spec_key = ? AND result_schema = ?"
                 " AND fingerprint = ?",
-                (state, result_json, error, not_before,
-                 task.spec_key, schema, fingerprint),
+                [(state, result_json, error, not_before,
+                  task.spec_key, schema, fingerprint)
+                 for task, result_json in zip(tasks, result_jsons)],
             )
+            conn.execute("COMMIT")
         finally:
             conn.close()
         with self._task_done:
+            self._finished += 1
             self._task_done.notify_all()
         if state == PENDING:
             self.work_available.set()
@@ -456,30 +502,13 @@ class JobQueue:
                 return None
             keys = json.loads(row[0])
             unique = list(dict.fromkeys(keys))
-            tasks: Dict[str, Tuple[str, int, Optional[str],
-                                   Optional[str]]] = {}
-            if unique:
-                marks = ",".join("?" for _ in unique)
-                for (key, state, attempts, result_json,
-                     error) in conn.execute(
-                    f"SELECT spec_key, state, attempts, result_json,"
-                    f" error FROM tasks WHERE result_schema = ?"
-                    f" AND fingerprint = ? AND spec_key IN ({marks})",
-                    (schema, fingerprint, *unique),
-                ):
-                    tasks[key] = (state, attempts, result_json, error)
+            tasks = self._task_rows(
+                conn, unique, "state, attempts, result_json, error"
+            )
         finally:
             conn.close()
-        states = [tasks.get(key, (PENDING, 0, None, None))[0]
-                  for key in unique]
-        if any(state == FAILED for state in states):
-            job_state = FAILED
-        elif all(state == DONE for state in states):
-            job_state = DONE
-        elif any(state == RUNNING for state in states):
-            job_state = RUNNING
-        else:
-            job_state = PENDING
+        states = [tasks.get(key, (PENDING,))[0] for key in unique]
+        job_state = self._job_state(states)
         results = {
             key: json.loads(entry[2])
             for key, entry in tasks.items()
@@ -514,26 +543,71 @@ class JobQueue:
             "task_errors": retrying,
         }
 
+    def _task_rows(
+        self, conn: sqlite3.Connection, keys: Sequence[str], columns: str
+    ) -> Dict[str, tuple]:
+        """``columns`` of each task in ``keys`` that exists, by key."""
+        if not keys:
+            return {}
+        marks = ",".join("?" for _ in keys)
+        return {
+            row[0]: row[1:]
+            for row in conn.execute(
+                f"SELECT spec_key, {columns} FROM tasks"
+                f" WHERE result_schema = ? AND fingerprint = ?"
+                f" AND spec_key IN ({marks})",
+                (*self._address(), *keys),
+            )
+        }
+
+    @staticmethod
+    def _job_state(states: Sequence[str]) -> str:
+        """A job's state from its tasks' (see the module docstring)."""
+        if FAILED in states:
+            return FAILED
+        if all(state == DONE for state in states):
+            return DONE
+        if RUNNING in states:
+            return RUNNING
+        return PENDING
+
     def wait_job(
         self, job_id: str, timeout: Optional[float] = None
     ) -> Optional[Dict[str, Any]]:
         """Block until the job is ``done``/``failed`` (or timeout).
 
-        Returns the final :meth:`job_status` document; on timeout the
-        latest in-flight document (state still pending/running).
+        While the job runs only its task states are polled; the
+        :meth:`job_status` document, results and all, is built once,
+        when the job settles — or, on timeout, the latest in-flight
+        document (state still pending/running).
         """
+        keys = self.job_keys(job_id)
+        if keys is None:
+            return None
+        unique = list(dict.fromkeys(keys))
         deadline = None if timeout is None else time.time() + timeout
         while True:
-            status = self.job_status(job_id)
-            if status is None or status["state"] in (DONE, FAILED):
-                return status
+            with self._task_done:
+                seen = self._finished
+            conn = self._connect()
+            try:
+                states = self._task_rows(conn, unique, "state")
+            finally:
+                conn.close()
+            if self._job_state(
+                [states.get(key, (PENDING,))[0] for key in unique]
+            ) in (DONE, FAILED):
+                break
             remaining = 0.5
             if deadline is not None:
                 remaining = min(remaining, deadline - time.time())
                 if remaining <= 0:
-                    return status
+                    break
             with self._task_done:
-                self._task_done.wait(remaining)
+                self._task_done.wait_for(
+                    lambda: self._finished != seen, remaining
+                )
+        return self.job_status(job_id)
 
     def list_jobs(self, limit: int = 50) -> List[Dict[str, Any]]:
         """Newest-first job summaries (progress, no result payloads)."""

@@ -643,20 +643,23 @@ class EvaluationServer(ThreadingHTTPServer):
             count=default_workers,
             task_timeout=task_timeout,
             lease_seconds=lease_seconds,
-            on_result=self._persist_result,
+            on_result=self._persist_results,
         )
         self.pool.start()
 
-    def _persist_result(self, result_json: str) -> None:
-        """Write one completed result through to the store
-        (best-effort: the queue already holds the bytes)."""
+    def _persist_results(self, result_jsons: List[str]) -> None:
+        """Write one completed replay group through to the store in
+        one ``put_many`` (best-effort: the queue already holds the
+        bytes)."""
         from repro.api.result import RunResult
 
         store = default_store()
         if store is None:
             return
         try:
-            store.put(RunResult.from_json(result_json))
+            store.put_many(
+                [RunResult.from_json(document) for document in result_jsons]
+            )
         except (sqlite3.Error, OSError) as exc:
             log_store_warning(exc)
 

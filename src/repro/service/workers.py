@@ -1,20 +1,31 @@
 """Supervised worker subprocesses for the evaluation service.
 
-Simulation moves off the HTTP request thread: every task claimed from
-the :class:`~repro.service.jobs.JobQueue` is evaluated in a **fresh
-subprocess** supervised by a pool thread.  The subprocess is the
+Simulation moves off the HTTP request thread: a pool thread claims
+work from the :class:`~repro.service.jobs.JobQueue` and evaluates it
+in a **fresh subprocess** it supervises.  The subprocess is the
 isolation boundary the request thread never had —
 
-* a **hung** simulation is killed at the per-task wall-clock timeout,
+* a **hung** simulation is killed at the wall-clock timeout,
 * a **crashed** worker (segfault, ``os._exit``, OOM kill) is detected
   by its exit code,
 
-and in both cases the supervisor just fails the task back to the
-queue, which retries it with backoff or dead-letters it.  The parent
-process performs no simulation and no store writes in-request;
-completed results are written through to the result store
-best-effort (a broken store degrades to a logged warning — the
-simulation already succeeded and the queue holds the result).
+and in both cases the supervisor just fails the claim's unfinished
+tasks back to the queue, which retries them with backoff or
+dead-letters them.
+
+One subprocess serves one claim, not one task:
+:meth:`JobQueue.claim_group` hands a pool of P workers a guided share
+of whole replay groups (⌈R/P⌉ of the R runnable tasks), so a
+one-worker server forks once per batch.  The child evaluates the claim
+one replay group at a time and pipes each group's results back as soon
+as it finishes; the supervisor reads the pipe while the child runs and
+records every group as it arrives — one :meth:`JobQueue.complete`
+transaction, then one ``on_result`` call, which the server turns into
+one best-effort result-store ``put_many`` (a broken store degrades to
+a logged warning: the simulation already succeeded and the queue
+holds the result).  Waiting jobs see progress group by group, and a
+crash, timeout or error fails only the tasks still pending.  The
+parent process performs no simulation.
 
 Fault injection (``$REPRO_FAULTS``, see :mod:`repro.testing.faults`)
 hooks the subprocess entry: ``worker_crash`` exits hard before
@@ -29,37 +40,41 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.api.parallel import resolve_worker_count, warm_trace_cache
 from repro.api.spec import RunSpec
 from repro.telemetry import metrics as telemetry
 from repro.testing import faults
 
-from repro.service.jobs import JobQueue
+from repro.service.jobs import JobQueue, Task
 
 #: How long a stopped/hung subprocess gets between SIGTERM and SIGKILL.
 _KILL_GRACE = 5.0
 
 
 def _subprocess_entry(spec_jsons, pipe) -> None:
-    """Worker subprocess body: a task group in, result JSONs out.
+    """Worker subprocess body: one claim in, one reply per replay group.
 
     Runs with ``use_cache=False`` semantics — the subprocess touches
     neither the in-memory result cache nor the store; persistence is
-    the supervisor's job.  A multi-spec group (same workload, fast
-    engine, grouped by :meth:`JobQueue.claim_group`) goes through
-    ``evaluate_many``, whose replay planner runs the shared workload
-    in a single pass.  Fault hooks fire once per subprocess, *before*
-    the simulation, so an injected crash never wastes completed
+    the supervisor's job.  The claim is planned with
+    :func:`~repro.replay.engine.plan_groups`, exactly as
+    ``evaluate_many`` plans a batch, and each replay group goes
+    through ``_evaluate_task``, which replays its shared workload in a
+    single pass.  Fault hooks fire once per subprocess, *before* the
+    first simulation, so an injected crash never wastes completed
     results.
 
-    The reply is a dict — ``{"results": [...]}`` on success,
-    ``{"error": ...}`` on failure — and either shape carries a
-    ``"metrics"`` registry snapshot, which the supervisor merges into
-    the parent registry: ``/v1/metrics`` reports simulations and
-    replay traffic performed by every worker the service ever
-    spawned, not just the parent process's.
+    Every finished group is sent at once as ``{"indices": [...],
+    "results": [...]}`` — positions in ``spec_jsons`` and their result
+    JSONs — so the supervisor records it while later groups still
+    run.  The last reply also carries ``"metrics"``, this worker's
+    registry snapshot, which the supervisor merges into the parent
+    registry before recording that group: ``/v1/metrics`` reports
+    simulations and replay traffic performed by every worker the
+    service ever spawned, not just the parent process's.  A failure
+    ends the stream with ``{"error": ..., "metrics": ...}``.
     """
     # A forked child inherits the parent's registry; drop it so the
     # snapshot shipped back is this worker's own traffic, not a second
@@ -70,17 +85,21 @@ def _subprocess_entry(spec_jsons, pipe) -> None:
             os._exit(3)
         if faults.should_fire("worker_hang"):
             time.sleep(3600.0)
-        from repro.api.evaluate import evaluate_many
+        from repro.api.evaluate import _evaluate_task
+        from repro.replay.engine import plan_groups
 
-        results = evaluate_many(
-            [RunSpec.from_json(payload) for payload in spec_jsons],
-            workers=1,
-            use_cache=False,
-        )
-        pipe.send({
-            "results": [result.to_json() for result in results],
-            "metrics": telemetry.snapshot(),
-        })
+        specs = [RunSpec.from_json(payload) for payload in spec_jsons]
+        position = {id(spec): index for index, spec in enumerate(specs)}
+        groups = plan_groups(specs)
+        for number, group in enumerate(groups, 1):
+            results = _evaluate_task(tuple(spec.to_json() for spec in group))
+            reply = {
+                "indices": [position[id(spec)] for spec in group],
+                "results": [result.to_json() for result in results],
+            }
+            if number == len(groups):
+                reply["metrics"] = telemetry.snapshot()
+            pipe.send(reply)
     except Exception as exc:   # noqa: BLE001 — report, don't hang
         pipe.send({
             "error": f"{type(exc).__name__}: {exc}",
@@ -101,14 +120,11 @@ class WorkerPool:
         lease_seconds: Optional[float] = None,
         poll_interval: float = 0.2,
         on_result=None,
-        group_limit: int = 8,
     ):
         self.queue = queue
         self.count = resolve_worker_count(count)
+        #: Wall-clock budget of one subprocess, i.e. one claim.
         self.task_timeout = task_timeout
-        #: Max tasks claimed as one shared-workload replay group (one
-        #: fatter subprocess instead of N).
-        self.group_limit = max(1, group_limit)
         #: The lease must outlive a full attempt (timeout + kill
         #: grace), or a *live* worker's task would be double-claimed.
         self.lease_seconds = (
@@ -117,13 +133,12 @@ class WorkerPool:
             else task_timeout + _KILL_GRACE + 30.0
         )
         self.poll_interval = poll_interval
-        #: Called with each completed RunResult JSON (the server uses
-        #: this to write results through to the store).
+        #: Called with each recorded replay group's result JSONs (the
+        #: server uses this to write them through to the store).
         self.on_result = on_result
         self._threads: list = []
         self._stop = threading.Event()
         self._draining = threading.Event()
-        self._idle = threading.Semaphore(0)
         self._context = multiprocessing.get_context()
 
     # -- lifecycle -----------------------------------------------------
@@ -168,29 +183,29 @@ class WorkerPool:
         while not self._stop.is_set():
             if self._draining.is_set():
                 return
-            tasks = self.queue.claim_group(
-                self.lease_seconds, self.group_limit
-            )
+            tasks = self.queue.claim_group(self.lease_seconds, self.count)
             if not tasks:
                 if self._draining.is_set():
                     return
                 self.queue.work_available.clear()
                 self.queue.work_available.wait(self.poll_interval)
                 continue
+            pending = dict(enumerate(tasks))
             try:
-                self._run_group(tasks)
+                self._run_claim(tasks, pending)
             except Exception as exc:   # noqa: BLE001 — keep the pool up
-                for task in tasks:
-                    self.queue.fail(
-                        task, f"supervisor error: "
-                              f"{type(exc).__name__}: {exc}"
-                    )
+                self._fail(
+                    pending, f"supervisor error: {type(exc).__name__}: {exc}"
+                )
 
-    def _run_group(self, tasks) -> None:
-        specs = [task.spec for task in tasks]
+    def _run_claim(self, tasks, pending: Dict[int, Task]) -> None:
+        """Run one claim in a subprocess, recording each replay group
+        as its reply arrives; ``pending`` (claim position -> task)
+        keeps the tasks not yet recorded."""
         # Warm the trace cache in the parent so the (forked) child
-        # loads arrays instead of running the ISS; a second worker on
+        # loads arrays instead of running the ISS; a later claim on
         # the same workload reuses the parent's in-process cache.
+        specs = [task.spec for task in tasks]
         workloads = tuple(dict.fromkeys(
             spec.workload for spec in specs if not spec.is_synthetic
         ))
@@ -209,63 +224,91 @@ class WorkerPool:
             "repro_pool_spawns_total",
             "Worker subprocesses spawned by the pool.",
         ).inc()
-        process.join(self.task_timeout)
+        deadline = started + self.task_timeout
+        try:
+            final = self._read_replies(receiver, process, pending, deadline)
+        finally:
+            receiver.close()
+        if final is not None:
+            process.join(_KILL_GRACE)
+            if process.is_alive():
+                self._kill(process)
+            telemetry.histogram(
+                "repro_pool_task_seconds",
+                "Wall-clock per worker subprocess (one claim).",
+            ).observe(time.monotonic() - started)
+            self._fail(
+                pending, final.get("error") or "worker returned no result"
+            )
+            return
+        if time.monotonic() < deadline:
+            # The stream ended early: give the dying child time to exit.
+            process.join(_KILL_GRACE)
         if process.is_alive():
             self._kill(process)
-            receiver.close()
             telemetry.counter(
                 "repro_pool_timeouts_total",
                 "Worker subprocesses killed at the task timeout.",
             ).inc()
-            for task in tasks:
-                self.queue.fail(
-                    task,
-                    f"worker timed out after {self.task_timeout:g}s "
-                    f"(attempt {task.attempts})",
-                )
-            return
-        telemetry.histogram(
-            "repro_pool_task_seconds",
-            "Wall-clock per worker-subprocess task group.",
-        ).observe(time.monotonic() - started)
-        payload = None
-        if receiver.poll():
-            try:
-                payload = receiver.recv()
-            except (EOFError, OSError):
-                payload = None
-        receiver.close()
-        if isinstance(payload, dict):
-            # Fold the child's registry into ours before anything
-            # else: failed attempts report their traffic too.
-            telemetry.merge_snapshot(payload.get("metrics"))
-        results = (
-            payload.get("results") if isinstance(payload, dict)
-            else payload   # pre-metrics shape: a bare result list
-        )
-        if isinstance(results, list) and len(results) == len(tasks):
-            # One result JSON per task, in claim order: complete each
-            # — per-task durability is unchanged by the grouping.
-            for task, result_json in zip(tasks, results):
-                self.queue.complete(task, result_json)
-                if self.on_result is not None:
-                    self.on_result(result_json)
-            return
-        if isinstance(payload, dict) and "error" in payload:
-            message = payload.get("error") or "unknown worker error"
-            for task in tasks:
-                self.queue.fail(task, message)
+            self._fail(
+                pending, f"worker timed out after {self.task_timeout:g}s"
+            )
             return
         telemetry.counter(
             "repro_pool_crashes_total",
             "Worker subprocesses that died without reporting.",
         ).inc()
-        for task in tasks:
-            self.queue.fail(
-                task,
-                f"worker crashed with exit code {process.exitcode} "
-                f"(attempt {task.attempts})",
-            )
+        self._fail(
+            pending, f"worker crashed with exit code {process.exitcode}"
+        )
+
+    def _read_replies(
+        self, receiver, process, pending: Dict[int, Task], deadline: float
+    ) -> Optional[dict]:
+        """Record each replay group as its reply arrives.
+
+        Reads while the child runs — a claim's replies can outgrow the
+        pipe buffer — and returns the final reply (the one carrying
+        the metrics snapshot), or None when the stream ends without
+        it: the child died or the deadline passed.
+        """
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            if not receiver.poll(min(remaining, self.poll_interval)):
+                # A sibling's fork may hold this pipe open past the
+                # child's death, so ask the child itself too.
+                if process.is_alive() or receiver.poll(0):
+                    continue
+                return None
+            try:
+                reply = receiver.recv()
+            except (EOFError, OSError):
+                return None
+            # Fold the child's registry into ours before recording its
+            # last group: a settled job's metrics are complete, and a
+            # failed attempt reports its traffic too.
+            telemetry.merge_snapshot(reply.get("metrics"))
+            if "results" in reply:
+                self._record(pending, reply["indices"], reply["results"])
+            if "metrics" in reply:
+                return reply
+
+    def _record(self, pending: Dict[int, Task], indices, results) -> None:
+        """One replay group: one queue transaction, then one
+        ``on_result`` call."""
+        tasks = [pending[index] for index in indices]
+        self.queue.complete(tasks, results)
+        for index in indices:
+            del pending[index]
+        if self.on_result is not None:
+            self.on_result(results)
+
+    def _fail(self, pending: Dict[int, Task], reason: str) -> None:
+        """Fail every task still pending in a claim."""
+        for task in pending.values():
+            self.queue.fail(task, f"{reason} (attempt {task.attempts})")
 
     @staticmethod
     def _kill(process) -> None:

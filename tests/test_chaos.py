@@ -170,6 +170,78 @@ def test_worker_crash_mid_seven_arch_group_completes_byte_identical(
     assert stats["tasks"]["failed"] == 0
 
 
+def _three_streams(seed_base):
+    """Two design points on each of three synthetic streams: three
+    replay groups."""
+    return [
+        RunSpec(
+            cache="dcache", arch=arch,
+            workload=f"synthetic:num_accesses=512,seed={seed_base + index}",
+        )
+        for index in range(3)
+        for arch in ("original", "way-memo-2x8")
+    ]
+
+
+def _scrape(url, name):
+    return next(
+        (float(line.split()[1])
+         for line in ServiceClient(url).metrics().splitlines()
+         if line.startswith(f"{name} ")),
+        0.0,
+    )
+
+
+def test_one_worker_claim_reports_progress_group_by_group(
+    isolated_state, monkeypatch,
+):
+    """A one-worker server runs the whole three-stream batch in one
+    subprocess, yet a poller sees it finish group by group: each
+    replay group's results are recorded as the group completes."""
+    specs = _three_streams(seed_base=800)
+    baseline = _clean_baseline(specs)
+    monkeypatch.setenv(faults.SLOW_SIM_ENV, "0.3")
+    with faults.activate(
+        "slow_sim:1.0", state_dir=isolated_state / "state"
+    ):
+        with live_server(workers=1) as (server, url):
+            spawns = _scrape(url, "repro_pool_spawns_total")
+            job_id = ServiceClient(url).submit_async(specs)
+            seen = []
+            results = ServiceClient(url).wait_job(
+                job_id, poll=0.05, timeout=120, on_progress=seen.append,
+            )
+            spawns = _scrape(url, "repro_pool_spawns_total") - spawns
+    assert [r.to_json() for r in results] == baseline
+    assert spawns == 1
+    in_flight = {
+        status["done"] for status in seen if status["state"] != "done"
+    }
+    assert {2, 4} <= in_flight <= {0, 2, 4}
+
+
+def test_crashing_claim_retries_group_by_group_without_dead_letters(
+    isolated_state,
+):
+    """Three crashes against three replay groups on a one-worker
+    server (three attempts each): the first crash costs the whole
+    claim an attempt, but retries are claimed one group at a time, so
+    the next two land on different groups and nothing dead-letters —
+    re-claiming the retries as one batch would exhaust every task."""
+    specs = _three_streams(seed_base=810)
+    baseline = _clean_baseline(specs)
+    with faults.activate(
+        "worker_crash:3", state_dir=isolated_state / "state"
+    ) as plan:
+        with live_server(workers=1) as (server, url):
+            remote = ServiceClient(url).evaluate_many(specs)
+            stats = server.queue.stats()
+        assert plan.fired("worker_crash") == 3
+    assert [r.to_json() for r in remote] == baseline
+    assert stats["tasks"]["done"] == len(specs)
+    assert stats["tasks"]["failed"] == 0
+
+
 def test_hung_worker_is_killed_and_retried(isolated_state):
     specs = _specs(count=1, seed_base=710)
     baseline = _clean_baseline(specs)

@@ -12,6 +12,7 @@ property is tested in isolation.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -51,7 +52,7 @@ def test_submit_claim_complete_roundtrip(queue):
     assert task.spec_key == spec.key()
     assert task.attempts == 1
     assert task.spec == spec
-    queue.complete(task, _result_json(spec))
+    queue.complete([task], [_result_json(spec)])
     status = queue.job_status(job_id)
     assert status["state"] == "done"
     assert status["done"] == 1 and status["failed"] == 0
@@ -91,7 +92,7 @@ def test_two_jobs_share_one_task_single_flight(queue):
     task = queue.claim(30)
     assert task is not None
     assert queue.claim(30) is None           # one task between the jobs
-    queue.complete(task, _result_json(spec))
+    queue.complete([task], [_result_json(spec)])
     assert queue.job_status(first)["state"] == "done"
     assert queue.job_status(second)["state"] == "done"
 
@@ -104,7 +105,7 @@ def test_job_status_tracks_progress(queue):
     status = queue.job_status(job_id)
     assert status["state"] == "running"
     assert status["running"] == 1 and status["done"] == 0
-    queue.complete(task, _result_json(task.spec))
+    queue.complete([task], [_result_json(task.spec)])
     status = queue.job_status(job_id)
     assert status["done"] == 1               # partial result visible
     assert set(status["results"]) == {task.spec_key}
@@ -197,7 +198,7 @@ def test_recover_requeues_orphaned_running_tasks(tmp_path):
     assert restarted.recover() == 1
     task = restarted.claim(30)
     assert task is not None and task.attempts == 2
-    restarted.complete(task, _result_json(task.spec))
+    restarted.complete([task], [_result_json(task.spec)])
     assert restarted.job_status(job_id)["state"] == "done"
 
 
@@ -220,8 +221,105 @@ def test_jobs_survive_reopening_the_file(tmp_path):
     reopened = JobQueue(path)
     assert reopened.job_status(job_id)["state"] == "pending"
     task = reopened.claim(30)
-    reopened.complete(task, _result_json(task.spec))
+    reopened.complete([task], [_result_json(task.spec)])
     assert reopened.job_status(job_id)["state"] == "done"
+
+
+# ----------------------------------------------------------------------
+# guided claims of whole replay groups
+# ----------------------------------------------------------------------
+
+GROUP_ARCHS = ("original", "two-phase", "way-memo-2x8")
+
+
+def _replay_groups(count):
+    """``count`` replay groups of three fast-engine specs each: one
+    synthetic workload per group."""
+    return [
+        [_spec(arch=arch, seed=40 + group) for arch in GROUP_ARCHS]
+        for group in range(count)
+    ]
+
+
+def _claims(queue, workers):
+    """Claim until the queue is idle; returns the claims."""
+    claims = []
+    while True:
+        tasks = queue.claim_group(30, workers=workers)
+        if not tasks:
+            return claims
+        claims.append(tasks)
+
+
+def _workloads(tasks):
+    return {task.spec.workload for task in tasks}
+
+
+@pytest.mark.parametrize("workers, sizes", [(2, [6, 3, 3]), (1, [12])])
+def test_guided_claims_take_whole_fresh_groups(queue, workers, sizes):
+    """Four fresh groups of three.  Two workers: ⌈12/2⌉ = 6 tasks (two
+    groups), then ⌈6/2⌉ = 3, then ⌈3/2⌉ -> one whole group; one
+    worker: the whole batch at once."""
+    groups = _replay_groups(4)
+    queue.submit([spec for group in groups for spec in group])
+    claims = _claims(queue, workers)
+    assert [len(claim) for claim in claims] == sizes
+    # Whole groups only, every task claimed once, as a first attempt.
+    by_workload = {group[0].workload: group for group in groups}
+    for claim in claims:
+        assert sorted(task.spec_key for task in claim) == sorted(
+            spec.key()
+            for workload in _workloads(claim)
+            for spec in by_workload[workload]
+        )
+    assert all(task.attempts == 1 for claim in claims for task in claim)
+
+
+def test_retried_task_is_claimed_with_only_its_groups_retried_tasks(
+    tmp_path,
+):
+    queue = JobQueue(tmp_path / "jobs.sqlite", backoff_base=0.0)
+    groups = _replay_groups(2)
+    queue.submit([spec for group in groups for spec in group])
+    claim = queue.claim_group(30, workers=1)
+    assert len(claim) == 6
+    for task in claim:                       # the worker crashed
+        queue.fail(task, "boom")
+    time.sleep(0.01)
+    # A fresh spec on the first group's workload arrives meanwhile.
+    newcomer = _spec(arch="way-prediction", seed=40)
+    queue.submit([newcomer])
+    claims = _claims(queue, workers=1)
+    assert [len(claim) for claim in claims] == [3, 3, 1]
+    for claim, group in zip(claims, groups):
+        assert {task.spec_key for task in claim} == {
+            spec.key() for spec in group
+        }
+        assert all(task.attempts == 2 for task in claim)
+    assert [(task.spec_key, task.attempts) for task in claims[2]] == [
+        (newcomer.key(), 1)
+    ]
+
+
+def test_reference_engine_task_is_claimed_alone(queue):
+    first = RunSpec(
+        cache="dcache", arch="original", workload=TINY,
+        engine="reference",
+    )
+    queue.submit([first])
+    time.sleep(0.01)
+    fast = [_spec(arch=arch) for arch in GROUP_ARCHS]
+    second = RunSpec(
+        cache="dcache", arch="two-phase", workload=TINY,
+        engine="reference",
+    )
+    queue.submit([*fast, second])
+    claims = _claims(queue, workers=1)
+    assert [[task.spec_key for task in claim] for claim in claims] == [
+        [first.key()],
+        [spec.key() for spec in fast],
+        [second.key()],
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +341,45 @@ def test_wait_job_sees_completion(queue):
     assert status["state"] == "done"
 
 
+def test_wait_job_polls_states_and_builds_the_status_once(
+    queue, monkeypatch,
+):
+    """The sync batch path: while the job runs only task states are
+    read; the full document, results parsed, is built once it settles
+    — and a completion from another thread wakes the waiter."""
+    spec = _spec()
+    job_id = queue.submit([spec])
+    task = queue.claim(30)
+    built = []
+    job_status = queue.job_status
+    monkeypatch.setattr(
+        queue, "job_status",
+        lambda job: built.append(job) or job_status(job),
+    )
+    finisher = threading.Timer(
+        0.2, queue.complete, ([task], [_result_json(spec)])
+    )
+    finisher.start()
+    status = queue.wait_job(job_id, timeout=10)
+    finisher.join()
+    assert status["state"] == "done"
+    assert status["results"][spec.key()]["ok"] is True
+    assert built == [job_id]
+
+
+def test_complete_records_a_group_in_one_call(queue):
+    a, b = _spec(), _spec(arch="two-phase")
+    job_id = queue.submit([a, b])
+    tasks = queue.claim_group(30, workers=1)
+    assert len(tasks) == 2
+    queue.complete(tasks, [_result_json(task.spec) for task in tasks])
+    status = queue.job_status(job_id)
+    assert status["state"] == "done"
+    assert set(status["results"]) == {a.key(), b.key()}
+    with pytest.raises(ValueError, match="result"):
+        queue.complete(tasks, [])
+
+
 def test_list_jobs_is_newest_first_without_payloads(queue):
     first = queue.submit([_spec()])
     time.sleep(0.01)
@@ -259,7 +396,7 @@ def test_depth_and_stats_count_outstanding_work(queue):
     assert queue.depth() == 2
     task = queue.claim(30)
     assert queue.depth() == 2                # running still counts
-    queue.complete(task, _result_json(task.spec))
+    queue.complete([task], [_result_json(task.spec)])
     assert queue.depth() == 1
     stats = queue.stats()
     assert stats["jobs"] == 1

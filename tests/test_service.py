@@ -10,8 +10,10 @@ the real CLI entry point.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
+import time
 
 import pytest
 
@@ -247,6 +249,82 @@ def test_batch_rejects_non_integer_workers(client):
             {"specs": [spec.to_dict()], "workers": "many"},
         )
     assert err.value.status == 400
+
+
+# ----------------------------------------------------------------------
+# worker claims: one subprocess per claim
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def private_server(tmp_path, **config):
+    """A live server on its own job queue, so no other pool in this
+    process claims its tasks."""
+    server = create_server(
+        port=0, job_db=str(tmp_path / "jobs.sqlite"), **config
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        wait_until_ready(url)
+        yield url
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def scrape(client, name):
+    """One unlabelled sample from ``/v1/metrics`` (0 when absent)."""
+    for line in client.metrics().splitlines():
+        if line.startswith(f"{name} "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def test_one_worker_server_forks_once_per_batch(tmp_path):
+    """Three replay groups (one per synthetic stream) on a one-worker
+    server: one claim takes them all, so one subprocess serves the
+    batch — one per stream before claims spanned groups."""
+    specs = [
+        RunSpec(
+            cache="dcache", arch=arch,
+            workload=f"synthetic:num_accesses=512,seed={seed}",
+        )
+        for seed in (1701, 1702, 1703)
+        for arch in ("original", "way-memo-2x8")
+    ]
+    with private_server(tmp_path, workers=1) as url:
+        client = ServiceClient(url)
+        before = scrape(client, "repro_pool_spawns_total")
+        remote = client.evaluate_many(specs)
+        spawned = scrape(client, "repro_pool_spawns_total") - before
+    local = evaluate_many(specs, workers=1, use_cache=False)
+    assert [r.to_json() for r in remote] == [r.to_json() for r in local]
+    assert spawned == 1
+
+
+def test_group_reply_beyond_the_pipe_buffer_completes(tmp_path):
+    """100 MAB geometries on one workload are one replay group whose
+    reply (~87 KB pickled) outgrows the 64 KiB pipe buffer: the
+    supervisor reads while the child writes, where joining the child
+    first would stall it until the task timeout."""
+    specs = [
+        RunSpec(
+            cache="dcache", arch="way-memo",
+            workload="synthetic:num_accesses=512,seed=1801",
+            params={"tag_entries": nt, "index_entries": ns},
+        )
+        for nt in range(1, 11)
+        for ns in range(2, 12)
+    ]
+    with private_server(tmp_path, workers=1, task_timeout=30.0) as url:
+        started = time.monotonic()
+        remote = ServiceClient(url, timeout=120.0).evaluate_many(specs)
+        elapsed = time.monotonic() - started
+    local = evaluate_many(specs, workers=1, use_cache=False)
+    assert len(remote) == 100
+    assert [r.to_json() for r in remote] == [r.to_json() for r in local]
+    assert elapsed < 30.0, "the batch stalled until the task timeout"
 
 
 # ----------------------------------------------------------------------
