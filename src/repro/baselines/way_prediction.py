@@ -64,7 +64,7 @@ class _WayPredictingCache(Controller):
         if n == 0:
             cols.apply_load_store(counters)
             return counters
-        sets = cols.cache_arrays(cache.offset_bits, cache.index_bits)["sets"]
+        sets = cols.sets_array(cache.offset_bits, cache.index_bits)
 
         order = np.argsort(sets, kind="stable")
         s_sorted = sets[order]

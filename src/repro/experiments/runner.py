@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Tuple
 
 from repro.api import RunSpec, evaluate
 from repro.cache.stats import AccessCounters
@@ -90,5 +89,3 @@ def savings(baseline: float, ours: float) -> float:
     """Fractional reduction of ``ours`` relative to ``baseline``."""
     return 1.0 - ours / baseline if baseline else 0.0
 
-
-Counters = Tuple[str, AccessCounters]

@@ -302,20 +302,6 @@ class _ColumnsBase:
             lambda: self.addr64 >> offset_bits,
         )
 
-    def cache_arrays(
-        self, offset_bits: int, index_bits: int
-    ) -> Dict[str, np.ndarray]:
-        """The per-geometry numpy columns (tags/sets/keys).
-
-        Treat the arrays as read-only — they are shared across every
-        controller replaying the stream.
-        """
-        return {
-            "tags": self.tags_array(offset_bits, index_bits),
-            "sets": self.sets_array(offset_bits, index_bits),
-            "keys": self.keys_array(offset_bits, index_bits),
-        }
-
     def lru_distance(
         self, name: str, values: Callable[[], np.ndarray], cap: int
     ) -> np.ndarray:
@@ -397,13 +383,6 @@ class FetchColumns(_ColumnsBase):
         self.addr64 = fetch.addr.astype(np.int64)
         self.kind = fetch.kind
         self._intra: Dict[int, np.ndarray] = {}
-
-    def cache_arrays(
-        self, offset_bits: int, index_bits: int
-    ) -> Dict[str, np.ndarray]:
-        arrays = super().cache_arrays(offset_bits, index_bits)
-        arrays["lines"] = self.lines_array(offset_bits, index_bits)
-        return arrays
 
     def intra_mask(self, offset_bits: int, index_bits: int) -> np.ndarray:
         """Boolean mask of intra-line sequential fetches.

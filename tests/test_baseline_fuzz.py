@@ -33,6 +33,7 @@ from repro.workloads import synthetic_fetch_stream, synthetic_kinds
 from test_fastpath_differential import (
     COUNTER_FIELDS,
     DESIGNS,
+    assert_counters_equal,
     assert_state_equal,
     build_design,
 )
@@ -249,39 +250,88 @@ def test_way_memo_dcache_lockstep_fuzz():
 
 
 #: Batchable designs sweep a fresh shadow cache keyed by (geometry,
-#: replacement policy), so every policy gets its own shared sweep.
+#: replacement policy), so every policy gets its own shared sweep; the
+#: filter cache replays its L1 queue on its own instance, in order.
 NON_LRU_POLICIES = ("fifo", "plru", "random")
 
 
 @pytest.mark.parametrize("config", [TINY_2WAY, TINY_4WAY],
                          ids=["2way", "4way"])
 @pytest.mark.parametrize("policy", NON_LRU_POLICIES)
-def test_batchable_designs_match_reference_under_non_lru_policies(
+def test_every_design_matches_reference_under_non_lru_policies(
     policy, config
 ):
     for side, stream, slicer in (
         ("dcache", fuzz_data_trace(101), slice_data),
         ("icache", fuzz_fetch_stream(303), slice_fetch),
     ):
-        batchable = {
-            design: factory
-            for design, factory in registry_factories(
-                side, config, policy=policy
-            ).items()
-            if factory().replay_batchable
-        }
-        assert batchable, side
+        factories = registry_factories(side, config, policy=policy)
+        assert "filter-cache" in factories, side
         context = f"{side} policy={policy} ways={config.ways}"
-        for design, factory in batchable.items():
+        for design, factory in factories.items():
             run_replay_lockstep(
                 {design: factory}, stream, slicer, len(stream),
                 f"{design} {context}", method="process_reference",
             )
         # ...and the whole set as one group sharing a single sweep.
         run_replay_lockstep(
-            batchable, stream, slicer, len(stream), context,
+            factories, stream, slicer, len(stream), context,
             method="process_reference",
         )
+
+
+@pytest.mark.parametrize("l0_lines", [1, 8])
+@pytest.mark.parametrize("policy", ["lru", *NON_LRU_POLICIES])
+@pytest.mark.parametrize(
+    "config", [TINY_1WAY, TINY_2WAY, TINY_4WAY, TINY_8WAY],
+    ids=["1way", "2way", "4way", "8way"],
+)
+def test_filter_cache_carries_state_across_process_calls(
+    config, policy, l0_lines
+):
+    """A filter cache keeps its L0 and L1 across ``process`` calls: three
+    successive calls match three ``process_reference`` calls on a twin,
+    counters and end state after every call.  The middle call is one
+    load of the line the first call ended on, an L0 hit, so no access
+    reaches L1."""
+    data = fuzz_data_trace(808)
+    fetch = fuzz_fetch_stream(909)
+    half = {"dcache": len(data) // 2, "icache": len(fetch) // 2}
+    calls = {
+        "dcache": [
+            slice_data(data, 0, half["dcache"]),
+            DataTrace(
+                base=data.base[half["dcache"] - 1:half["dcache"]],
+                disp=data.disp[half["dcache"] - 1:half["dcache"]],
+                store=np.zeros(1, dtype=bool),
+            ),
+            slice_data(data, half["dcache"], len(data)),
+        ],
+        "icache": [
+            slice_fetch(fetch, 0, half["icache"]),
+            slice_fetch(fetch, half["icache"] - 1, half["icache"]),
+            slice_fetch(fetch, half["icache"], len(fetch)),
+        ],
+    }
+    for side, streams in calls.items():
+        fast, ref = (
+            build_design(side, "filter-cache", config, policy=policy,
+                         l0_lines=l0_lines)
+            for _ in range(2)
+        )
+        for index, stream in enumerate(streams):
+            context = (
+                f"{side} ways={config.ways} policy={policy} "
+                f"l0_lines={l0_lines} call {index}"
+            )
+            l1_accesses = ref.cache.accesses
+            assert_counters_equal(
+                fast.process(stream), ref.process_reference(stream),
+                context,
+            )
+            assert_state_equal(fast, ref, context)
+            if index == 1:
+                assert ref.cache.accesses == l1_accesses, context
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,15 @@
 """CLI tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_list(capsys):
@@ -9,6 +17,35 @@ def test_list(capsys):
     out = capsys.readouterr().out
     assert "table1_area" in out
     assert "mpeg2enc" in out
+
+
+def test_list_exits_quietly_when_the_reader_closes_the_pipe():
+    """``repro list | head -1``: once the reader has gone, the CLI
+    exits 1 without a ``BrokenPipeError`` traceback.
+
+    The pipe holds one page, less than the listing, so the child is
+    still writing when it closes.
+    """
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("cannot shrink a pipe on this platform")
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = str(SRC) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "list"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    with open(read_fd, "rb", buffering=0) as reader:
+        assert reader.readline() == b"experiments:\n"
+    stderr = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 1, stderr
+    assert "Traceback" not in stderr, stderr
+    assert "Exception ignored" not in stderr, stderr
 
 
 def test_list_shows_architectures_and_sweeps(capsys):

@@ -23,6 +23,7 @@ mix and the instruction count, over all bundled workloads plus seeded
 synthetic traffic that exercises bypasses, stores and evictions.
 """
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -56,15 +57,27 @@ def assert_counters_equal(fast, ref, context=""):
     assert fast.notes == ref.notes, context
 
 
+def _policy_state(policy):
+    """A replacement policy's state: LRU stacks, FIFO pointers, PLRU
+    trees or the random policy's RNG state."""
+    return {
+        name: value.getstate() if isinstance(value, random.Random)
+        else value
+        for name, value in vars(policy).items()
+    }
+
+
 def assert_cache_state_equal(fc, rc, context=""):
-    """Final flat cache state + cache counters must match exactly."""
+    """Final flat cache state, replacement state and cache counters
+    must match exactly."""
     assert fc._tags == rc._tags, f"{context}: cache tag arrays differ"
     assert fc._dirty == rc._dirty, f"{context}: dirty bits differ"
     assert (fc.hits, fc.misses, fc.evictions, fc.writebacks) == (
         rc.hits, rc.misses, rc.evictions, rc.writebacks
     ), f"{context}: cache counters differ"
-    if fc._lru is not None and rc._lru is not None:
-        assert fc._lru == rc._lru, f"{context}: LRU stacks differ"
+    assert _policy_state(fc.policy) == _policy_state(rc.policy), (
+        f"{context}: replacement state differs"
+    )
 
 
 def assert_state_equal(fast, ref, context=""):

@@ -213,6 +213,23 @@ def test_way_memo_sweep_group_splits_columns_once():
         assert counters.as_dict() == expected.as_dict(), (nt, ns)
 
 
+@pytest.mark.parametrize("side", CACHE_SIDES)
+def test_lone_way_prediction_replay_computes_tags_and_sets_only(side):
+    """Way prediction reads the set column the shared sweep already
+    computed, so a lone replay computes exactly the sweep's two
+    arrays: no narrow-adder keys and, on the I side, no lines."""
+    from repro.api.registry import get_architecture
+    from repro.replay.columns import column_stats, reset_column_stats
+
+    if side == "dcache":
+        stream = synthetic_data_trace(num_accesses=512, seed=21)
+    else:
+        stream = synthetic_fetch_stream(num_blocks=64, seed=21)
+    reset_column_stats()
+    get_architecture(side, "way-prediction").build().process(stream)
+    assert column_stats()["array_computes"] == 2
+
+
 def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
     """The paper's 12 (Nt, Ns) way-memo geometries plus the batchable
     baselines of one side run as one shared sweep with no stateful
