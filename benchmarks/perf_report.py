@@ -48,6 +48,7 @@ across PRs accumulates in-repo instead of being lost to the diff.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import statistics
@@ -67,7 +68,7 @@ from repro.baselines import (
     WayPredictionDCache,
 )
 from repro.core import WayMemoDCache, WayMemoICache
-from repro.experiments.sweep import PAPER_INDEX_ENTRIES, PAPER_TAG_ENTRIES
+from repro.experiments.ablation_mab_size import INDEX_ENTRIES, TAG_ENTRIES
 from repro.isa import assemble
 from repro.sim import run_program
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
@@ -95,15 +96,27 @@ loop:
 """
 
 
-def best_of(fn, repeats: int) -> float:
-    """Best-of-N wall time of ``fn()`` in microseconds."""
-    best = float("inf")
-    for _ in range(repeats):
+def timed_us(fn) -> float:
+    """Wall time of one ``fn()`` call in microseconds.
+
+    The garbage collector is off while ``fn`` runs, as in
+    :mod:`timeit`: a collection triggered by allocations elsewhere
+    would otherwise land in whichever leg crosses the threshold.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         t0 = time.perf_counter()
         fn()
-        t1 = time.perf_counter()
-        best = min(best, t1 - t0)
-    return best * 1e6
+        return (time.perf_counter() - t0) * 1e6
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def best_of(fn, repeats: int) -> float:
+    """Best-of-N wall time of ``fn()`` in microseconds."""
+    return min(timed_us(fn) for _ in range(repeats))
 
 
 def alternating_runs(fns, repeats: int) -> list:
@@ -113,10 +126,28 @@ def alternating_runs(fns, repeats: int) -> list:
     runs = [[] for _ in fns]
     for _ in range(repeats):
         for times, fn in zip(runs, fns):
-            t0 = time.perf_counter()
-            fn()
-            times.append((time.perf_counter() - t0) * 1e6)
+            times.append(timed_us(fn))
     return runs
+
+
+#: Rounds behind every same-process speedup ratio, in both modes.
+RATIO_ROUNDS = 5
+
+
+def timed_ratio(slow, fast) -> tuple:
+    """``(slow_us, fast_us, ratio)``: each leg's best time and the
+    median over :data:`RATIO_ROUNDS` rounds of slow / fast.
+
+    Each round times the two legs back to back, so both see the same
+    CPU speed.  On a VM flipping between two speeds the median of the
+    per-round ratios held, where the legs' separate minima (and a
+    median of three rounds) dipped ~20% under the typical ratio.
+    """
+    slow_runs, fast_runs = alternating_runs((slow, fast), RATIO_ROUNDS)
+    ratio = statistics.median(
+        s / f for s, f in zip(slow_runs, fast_runs)
+    )
+    return min(slow_runs), min(fast_runs), ratio
 
 
 def measure(quick: bool) -> dict:
@@ -199,10 +230,11 @@ def measure_baselines(quick: bool) -> dict:
     """Fast vs reference timing for every ported comparison baseline.
 
     Both engines run on the same synthetic streams in the same
-    process; each run gets a fresh controller (they are stateful).
-    Returns ``{name: {"fast_us", "reference_us", "speedup"}}``.
+    process, in alternating rounds (:func:`timed_ratio`); each run
+    gets a fresh controller (they are stateful).  Returns ``{name:
+    {"fast_us", "reference_us", "speedup"}}``: each leg's best run and
+    the median per-round ratio.
     """
-    repeats = 3 if quick else 5
     n_data = 4_000 if quick else 20_000
     n_blocks = 600 if quick else 3_000
     data_trace = synthetic_data_trace(num_accesses=n_data, seed=1)
@@ -211,14 +243,14 @@ def measure_baselines(quick: bool) -> dict:
     out = {}
     for name, factory, kind in PORTED_BASELINES:
         stream = data_trace if kind == "data" else fetch
-        fast_us = best_of(lambda: factory().process(stream), repeats)
-        ref_us = best_of(
-            lambda: factory().process_reference(stream), repeats
+        ref_us, fast_us, speedup = timed_ratio(
+            lambda: factory().process_reference(stream),
+            lambda: factory().process(stream),
         )
         out[name] = {
             "fast_us": round(fast_us, 1),
             "reference_us": round(ref_us, 1),
-            "speedup": round(ref_us / fast_us, 2) if fast_us else 0.0,
+            "speedup": round(speedup, 2),
         }
     return out
 
@@ -266,9 +298,10 @@ def measure_replay(quick: bool) -> dict:
     ratio.
     ``stateful_speedup`` additionally times each derived design's
     singleton engine call against its retained object-API reference
-    loop, and ``grid_speedup`` the paper's 12 (Nt, Ns) way-memo
-    geometries as one ``replay_counters`` call (one sweep, one
-    distance pass per value stream) against 12 reference runs.
+    loop, in alternating rounds the same way, and ``grid_speedup``
+    the paper's 12 (Nt, Ns) way-memo geometries as one
+    ``replay_counters`` call (one sweep, one distance pass per value
+    stream) against 12 reference runs.
 
     The streams stay full-size even under ``--quick``: the recorded
     metrics are *ratios*, and short streams understate them because
@@ -296,18 +329,8 @@ def measure_replay(quick: bool) -> dict:
         def grouped():
             replay_counters([info.build() for info in infos], stream)
 
-        # Five rounds in both modes, each timing the legs back to back
-        # so both see the same CPU speed.  On a VM flipping between two
-        # speeds the median of the per-round ratios held, where the
-        # legs' separate minima (and a median of three rounds) dipped
-        # ~20% under the typical ratio.
-        per_spec_runs, grouped_runs = alternating_runs(
-            (per_spec, grouped), 5
-        )
-        per_spec_us, grouped_us = min(per_spec_runs), min(grouped_runs)
-        speedup = round(statistics.median(
-            p / g for p, g in zip(per_spec_runs, grouped_runs)
-        ), 2)
+        per_spec_us, grouped_us, speedup = timed_ratio(per_spec, grouped)
+        speedup = round(speedup, 2)
         out["sides"][side] = {
             "architectures": len(archs),
             "per_spec_us": round(per_spec_us, 1),
@@ -325,18 +348,14 @@ def measure_replay(quick: bool) -> dict:
     for name, side, arch in REPLAY_DERIVED:
         stream = streams[side]
         info = get_architecture(side, arch)
-        replay_us = best_of(
-            lambda: replay_counters([info.build()], stream), repeats
-        )
-        reference_us = best_of(
-            lambda: info.build().process_reference(stream), repeats
+        reference_us, replay_us, speedup = timed_ratio(
+            lambda: info.build().process_reference(stream),
+            lambda: replay_counters([info.build()], stream),
         )
         stateful[name] = {
             "replay_us": round(replay_us, 1),
             "reference_us": round(reference_us, 1),
-            "speedup": (
-                round(reference_us / replay_us, 2) if replay_us else 0.0
-            ),
+            "speedup": round(speedup, 2),
         }
     out["stateful_speedup"] = {
         name: entry["speedup"] for name, entry in stateful.items()
@@ -349,7 +368,7 @@ def measure_replay(quick: bool) -> dict:
 
     grid = [
         {"tag_entries": nt, "index_entries": ns}
-        for nt in PAPER_TAG_ENTRIES for ns in PAPER_INDEX_ENTRIES
+        for nt in TAG_ENTRIES for ns in INDEX_ENTRIES
     ]
     out["grid_us"] = {}
     out["grid_speedup"] = {}

@@ -1,7 +1,7 @@
 """Benchmark regenerating Figure 4 (D-cache tag/way accesses)."""
 
 from repro.experiments import figure4_dcache_accesses, render
-from repro.experiments.runner import average
+from repro.experiments.reporting import average
 
 
 def test_figure4_dcache_accesses(benchmark):

@@ -1,7 +1,7 @@
 """Benchmark regenerating Figure 5 (D-cache power breakdown)."""
 
 from repro.experiments import figure5_dcache_power, render
-from repro.experiments.runner import average
+from repro.experiments.reporting import average
 
 
 def test_figure5_dcache_power(benchmark):

@@ -1,7 +1,7 @@
 """Benchmark regenerating Figure 6 (I-cache tag/way accesses)."""
 
 from repro.experiments import figure6_icache_accesses, render
-from repro.experiments.runner import average
+from repro.experiments.reporting import average
 
 
 def test_figure6_icache_accesses(benchmark):

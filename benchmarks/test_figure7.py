@@ -1,7 +1,7 @@
 """Benchmark regenerating Figure 7 (I-cache power)."""
 
 from repro.experiments import figure7_icache_power, render
-from repro.experiments.runner import average
+from repro.experiments.reporting import average
 
 
 def test_figure7_icache_power(benchmark):

@@ -1,8 +1,7 @@
 """Benchmark regenerating Figure 8 (total I+D cache power)."""
 
 from repro.experiments import figure8_total_power, render
-from repro.experiments.reporting import bar_chart
-from repro.experiments.runner import average
+from repro.experiments.reporting import average, bar_chart
 
 
 def test_figure8_total_power(benchmark):

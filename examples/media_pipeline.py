@@ -10,13 +10,8 @@ technique, and the paper's future-work line-buffer combination.
 Run:  python examples/media_pipeline.py
 """
 
+from repro.api import RunSpec, evaluate
 from repro.experiments.reporting import bar_chart
-from repro.experiments.runner import (
-    dcache_counters,
-    dcache_power,
-    icache_counters,
-    icache_power,
-)
 from repro.workloads import load_workload
 
 MEDIA = ("dct", "jpeg_enc", "mpeg2enc")
@@ -41,19 +36,18 @@ def main() -> None:
               f"{len(workload.trace.data)} data accesses)")
         baseline = None
         for label, d_arch, i_arch in CONFIGS:
-            p_d = dcache_power(benchmark, d_arch).total_mw
-            p_i = icache_power(benchmark, i_arch).total_mw
+            d = evaluate(RunSpec("dcache", d_arch, benchmark))
+            i = evaluate(RunSpec("icache", i_arch, benchmark))
+            p_d, p_i = d.power.total_mw, i.power.total_mw
             total = p_d + p_i
             totals[label] += total
             if baseline is None:
                 baseline = total
-            d_hits = dcache_counters(benchmark, d_arch)
-            i_hits = icache_counters(benchmark, i_arch)
             print(f"  {label:24s} {total:6.1f} mW "
                   f"(D {p_d:5.1f} + I {p_i:5.1f})  "
                   f"saving {1 - total / baseline:6.1%}  "
-                  f"D-tags/acc {d_hits.tags_per_access:.2f}  "
-                  f"I-tags/acc {i_hits.tags_per_access:.2f}")
+                  f"D-tags/acc {d.counters.tags_per_access:.2f}  "
+                  f"I-tags/acc {i.counters.tags_per_access:.2f}")
         print()
 
     print("suite total:")

@@ -27,7 +27,7 @@ CLI                                            library
 ``repro eval @specs.json --workers 8``         ``evaluate_many(specs, 8)``
 ``repro list`` (architectures section)         ``architectures(side)``
 ``repro run <experiment> --json``              ``run_experiment(name)``
-``repro sweep ...``                            ``experiments.sweep.*``
+``repro sweep ...``                            ``run_experiment("sweep_*")``
 ``repro serve`` / ``repro submit``             ``repro.service``
 ``repro store stats``                          ``repro.store.default_store()``
 =============================================  =========================

@@ -35,7 +35,11 @@ from repro.workloads import generate_synthetic, load_workload
 from repro.api.parallel import parallel_map, warm_trace_cache
 from repro.api.registry import TECHNOLOGIES, get_architecture
 from repro.api.result import RunResult
-from repro.api.spec import RunSpec, parse_synthetic_params
+from repro.api.spec import (
+    RunSpec,
+    is_synthetic_workload,
+    parse_synthetic_params,
+)
 from repro.telemetry import metrics as telemetry
 from repro.telemetry.tracing import span as trace_span
 
@@ -60,22 +64,22 @@ def _power_model(cache: str, technology: str) -> CachePowerModel:
     return CachePowerModel(config, TECHNOLOGIES[technology])
 
 
-def _resolve_stream(spec: RunSpec) -> Tuple[object, int]:
-    """The access stream and cycle base the spec's workload defines.
+def _resolve_stream(side: str, workload: str) -> Tuple[object, int]:
+    """The access stream and cycle base a (cache side, workload)
+    defines — the one place a spec's workload becomes a stream.
 
     Benchmarks use the VLIW fetch model's cycle count; synthetic
     workloads have no program behind them, so one access per cycle is
-    the (documented) time base.
+    the (documented) time base.  The replay engine's column cache
+    (:func:`repro.replay.engine._columns_cached`) resolves through
+    here too, so a replay group generates a synthetic stream once.
     """
-    if spec.is_synthetic:
-        params = parse_synthetic_params(spec.workload)
-        stream = generate_synthetic(spec.cache, params)
+    if is_synthetic_workload(workload):
+        stream = generate_synthetic(side, parse_synthetic_params(workload))
         return stream, len(stream)
-    workload = load_workload(spec.workload)
-    stream = (
-        workload.trace.data if spec.cache == "dcache" else workload.fetch
-    )
-    return stream, workload.cycles
+    loaded = load_workload(workload)
+    stream = loaded.trace.data if side == "dcache" else loaded.fetch
+    return stream, loaded.cycles
 
 
 def _begin_simulation() -> None:
@@ -181,7 +185,7 @@ def _run(spec: RunSpec) -> RunResult:
         _begin_simulation()
         info = get_architecture(spec.cache, spec.arch)
         params = spec.param_dict
-        stream, cycles = _resolve_stream(spec)
+        stream, cycles = _resolve_stream(spec.cache, spec.workload)
         counters = info.build(params).process_reference(stream)
         return _finish_result(spec, info, params, counters, cycles)
 

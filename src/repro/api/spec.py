@@ -50,6 +50,11 @@ ParamsLike = Union[
 ]
 
 
+def is_synthetic_workload(workload: str) -> bool:
+    """Whether ``workload`` names a synthetic stream (``synthetic[:...]``)."""
+    return workload.split(":", 1)[0] == SYNTHETIC_PREFIX
+
+
 def parse_synthetic_params(workload: str) -> Dict[str, Any]:
     """Parse ``synthetic[:k=v,...]`` into generator keyword overrides."""
     _, _, tail = workload.partition(":")
@@ -214,7 +219,7 @@ class RunSpec:
 
     @property
     def is_synthetic(self) -> bool:
-        return self.workload.split(":", 1)[0] == SYNTHETIC_PREFIX
+        return is_synthetic_workload(self.workload)
 
     def key(self) -> str:
         """Canonical compact serialization (cache-key / dedup string)."""

@@ -11,9 +11,10 @@ Subcommands
     or a schema-versioned JSON document with ``--json``.  Accepts any
     catalog name — paper experiments, registered sweeps
     (``sweep_mab_size``), shipped scenarios (``scenario:<name>``) —
-    plus ``@scenario.json`` files.  With ``--url`` the design points
-    are evaluated on a running service and only the (pure) tabulation
-    happens locally.
+    plus ``@scenario.json`` files.  The named experiments' design
+    points are evaluated as one deduplicated batch; with ``--url``
+    that batch runs on a running service and only the (pure)
+    tabulation happens locally.
 ``repro eval <spec.json> [--workers N]``
     Evaluate declarative run specs (inline JSON, ``@file`` or ``-``
     for stdin) and print serialized ``RunResult`` documents.  A
@@ -67,19 +68,8 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS, render
+from repro.experiments.registry import fetch_results
 from repro.workloads import BENCHMARK_NAMES, get_benchmark, run_benchmark
-
-
-def _remote_results(records, workers: Optional[int], url: str):
-    """One deduplicated remote batch covering ``records``' specs.
-
-    Shares ``report.fetch_results`` with the report generator, so
-    ``repro run all --url`` transfers design points declared by
-    several experiments once, after a single fingerprint check.
-    """
-    from repro.experiments.report import fetch_results
-
-    return fetch_results(records, workers=workers, url=url)
 
 
 def _report_service_failure(url: str, exc: Exception) -> int:
@@ -157,21 +147,21 @@ def _run_experiments(
     records = _resolve_run_targets(names)
     if records is None:
         return 2
-    # Only the remote fetch gets the service-failure translation;
-    # tabulation and rendering below are local work whose errors
-    # should surface as their own tracebacks.
+    # Every record's design points travel as one deduplicated batch,
+    # locally or remotely.  Only a remote fetch gets the
+    # service-failure translation; local evaluation, tabulation and
+    # rendering keep their own tracebacks.
     try:
-        fetched = (
-            _remote_results(records, workers, url)
-            if url is not None else None
+        fetched = fetch_results(
+            [spec for record in records for spec in record.specs()],
+            workers=workers, url=url,
         )
     except Exception as exc:   # noqa: BLE001 — remote failures only
+        if url is None:
+            raise
         return _report_service_failure(url, exc)
     try:
-        results = [
-            record.run(workers=workers, results=fetched)
-            for record in records
-        ]
+        results = [record.tabulate(fetched) for record in records]
     except ScenarioInvariantError as exc:
         print(f"scenario invariant violated: {exc}", file=sys.stderr)
         return 1

@@ -24,9 +24,10 @@ A finished table is one more line::
 
 Because ``tabulate`` is a pure function of JSON-serializable results,
 the evaluation can also happen remotely: ``repro report --url`` /
-``repro run --url`` fetch the results from a running service
-(``POST /v1/experiments/{name}``) and tabulate locally, byte-identical
-to the in-process output.
+``repro run --url`` fetch the results from a running service (one
+``POST /v1/batch`` through
+:func:`~repro.experiments.registry.fetch_results`) and tabulate
+locally, byte-identical to the in-process output.
 
 Paper artefacts
 ---------------

@@ -26,7 +26,6 @@ from repro.experiments.registry import (
     spec_result,
 )
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec
 from repro.workloads import BENCHMARK_NAMES
 
 PAIRS = (
@@ -38,7 +37,7 @@ PAIRS = (
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec(cache, arch, benchmark)
+        RunSpec(cache, arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for cache, paper_arch, hook_arch in PAIRS
         for arch in (paper_arch, hook_arch)
@@ -56,7 +55,7 @@ def tabulate(results: ResultMap) -> ExperimentResult:
             for mode, arch in (("paper", paper_arch),
                                ("evict_hook", hook_arch)):
                 c = spec_result(
-                    results, arch_spec(cache, arch, benchmark)
+                    results, RunSpec(cache, arch, benchmark)
                 ).counters
                 if mode == "paper":
                     total_stale_paper += c.stale_hits

@@ -31,8 +31,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average, savings
+from repro.experiments.reporting import ExperimentResult, average, savings
 from repro.workloads import BENCHMARK_NAMES
 
 TAG_SCALES = (0.5, 1.0, 2.0, 4.0)
@@ -79,7 +78,7 @@ def _scaled_model(config, scale: float) -> CachePowerModel:
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec(cache_name, arch, benchmark)
+        RunSpec(cache_name, arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for cache_name, arch in POINTS
     ]
@@ -88,7 +87,7 @@ def specs() -> List[RunSpec]:
 def tabulate(results: ResultMap) -> ExperimentResult:
     def point(cache_name: str, arch: str, benchmark: str):
         return spec_result(
-            results, arch_spec(cache_name, arch, benchmark)
+            results, RunSpec(cache_name, arch, benchmark)
         )
 
     result = EXPERIMENT.new_result(columns=(

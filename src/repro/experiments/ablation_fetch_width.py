@@ -22,8 +22,7 @@ from repro.api import RunSpec
 from repro.baselines import PanwarICache
 from repro.core import MABConfig, WayMemoICache
 from repro.experiments.registry import Experiment, ResultMap, register
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.sim import fetch_stream
 from repro.workloads import BENCHMARK_NAMES, load_workload
 

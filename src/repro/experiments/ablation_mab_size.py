@@ -8,13 +8,15 @@ reproducing the paper's sizing conclusion and exposing the
 hit-rate-vs-MAB-power trade-off.
 
 Each point is one declarative ``RunSpec`` over the parametric
-``way-memo`` architecture; ``repro.experiments.sweep`` fans the same
-specs (on a wider grid) over a worker pool.
+``way-memo`` architecture.  ``specs`` and ``tabulate`` take the grid
+and the benchmarks, defaulting to the paper's; the
+``sweep_mab_size`` sweep (:mod:`repro.experiments.sweep`) is this
+table on a wider grid.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.api import RunSpec
 from repro.experiments.registry import (
@@ -23,8 +25,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES
 
 TAG_ENTRIES = (1, 2, 4)
@@ -39,31 +40,42 @@ def mab_spec(cache: str, nt: int, ns: int, benchmark: str) -> RunSpec:
     )
 
 
-def specs() -> List[RunSpec]:
-    """Every design point this experiment evaluates."""
+def specs(
+    tag_entries: Sequence[int] = TAG_ENTRIES,
+    index_entries: Sequence[int] = INDEX_ENTRIES,
+    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+) -> List[RunSpec]:
+    """Every (cache, Nt, Ns, benchmark) design point of the grid."""
     return [
         mab_spec(cache_name, nt, ns, benchmark)
         for cache_name in ("dcache", "icache")
-        for nt in TAG_ENTRIES
-        for ns in INDEX_ENTRIES
-        for benchmark in BENCHMARK_NAMES
+        for nt in tag_entries
+        for ns in index_entries
+        for benchmark in benchmarks
     ]
 
 
-def tabulate(results: ResultMap) -> ExperimentResult:
+def tabulate(
+    results: ResultMap,
+    tag_entries: Sequence[int] = TAG_ENTRIES,
+    index_entries: Sequence[int] = INDEX_ENTRIES,
+    benchmarks: Sequence[str] = BENCHMARK_NAMES,
+) -> ExperimentResult:
+    """Average each grid point over ``benchmarks`` and mark each
+    cache's power-optimal configuration."""
     result = EXPERIMENT.new_result(columns=(
         "cache", "mab", "mab_hit_rate", "tags_per_access",
         "avg_power_mw", "optimal",
     ))
     for cache_name in ("dcache", "icache"):
         rows = []
-        for nt in TAG_ENTRIES:
-            for ns in INDEX_ENTRIES:
+        for nt in tag_entries:
+            for ns in index_entries:
                 points = [
                     spec_result(
                         results, mab_spec(cache_name, nt, ns, benchmark)
                     )
-                    for benchmark in BENCHMARK_NAMES
+                    for benchmark in benchmarks
                 ]
                 rows.append({
                     "cache": cache_name,

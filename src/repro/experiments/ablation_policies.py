@@ -23,8 +23,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES
 
 POLICIES = ("lru", "plru", "fifo", "random")

@@ -26,8 +26,7 @@ from typing import List
 from repro.api import RunSpec
 from repro.core import MABConfig, WayMemoDCache
 from repro.experiments.registry import Experiment, ResultMap, register
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES, load_workload
 from repro.workloads.synthetic import inject_stack_traffic
 

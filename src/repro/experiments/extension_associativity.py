@@ -28,8 +28,7 @@ from repro.api import RunSpec
 from repro.cache.config import CacheConfig
 from repro.core import MABConfig, WayMemoDCache
 from repro.experiments.registry import Experiment, ResultMap, register
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES, load_workload
 
 WAY_SWEEP = (1, 2, 4, 8)

@@ -6,12 +6,14 @@ filter cache [6] (extra cycle on L0 misses), way prediction [9]
 cycle on every access).  This experiment runs all of them next to way
 memoization and reports both power and the cycle overhead — showing
 the paper's key selling point: comparable or better power at *zero*
-performance penalty.
+performance penalty.  ``specs`` and ``tabulate`` take the benchmarks
+(default: the suite); the ``sweep_baselines`` sweep
+(:mod:`repro.experiments.sweep`) is this table over a chosen subset.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.api import RunSpec, comparison_archs
 from repro.experiments.registry import (
@@ -20,8 +22,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES
 
 #: Comparison sets in paper order — thin aliases over the central
@@ -30,17 +31,20 @@ D_ARCHS = comparison_archs("dcache")
 I_ARCHS = comparison_archs("icache")
 
 
-def specs() -> List[RunSpec]:
-    """Every design point this experiment evaluates."""
+def specs(benchmarks: Sequence[str] = BENCHMARK_NAMES) -> List[RunSpec]:
+    """Every (cache, architecture, benchmark) design point."""
     return [
-        arch_spec(cache_name, arch, benchmark)
+        RunSpec(cache_name, arch, benchmark)
         for cache_name, archs in (("dcache", D_ARCHS), ("icache", I_ARCHS))
         for arch in archs
-        for benchmark in BENCHMARK_NAMES
+        for benchmark in benchmarks
     ]
 
 
-def tabulate(results: ResultMap) -> ExperimentResult:
+def tabulate(
+    results: ResultMap, benchmarks: Sequence[str] = BENCHMARK_NAMES,
+) -> ExperimentResult:
+    """Average each architecture over ``benchmarks``."""
     result = EXPERIMENT.new_result(columns=(
         "cache", "architecture", "avg_power_mw",
         "avg_slowdown_pct", "avg_tags_per_access",
@@ -48,9 +52,9 @@ def tabulate(results: ResultMap) -> ExperimentResult:
     for cache_name, archs in (("dcache", D_ARCHS), ("icache", I_ARCHS)):
         for arch in archs:
             powers, slowdowns, tag_rates = [], [], []
-            for benchmark in BENCHMARK_NAMES:
+            for benchmark in benchmarks:
                 point = spec_result(
-                    results, arch_spec(cache_name, arch, benchmark)
+                    results, RunSpec(cache_name, arch, benchmark)
                 )
                 c, p = point.counters, point.power
                 powers.append(p.total_mw)

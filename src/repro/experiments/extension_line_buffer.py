@@ -18,8 +18,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average, savings
+from repro.experiments.reporting import ExperimentResult, average, savings
 from repro.workloads import BENCHMARK_NAMES
 
 ARCHS = ("original", "way-memo-2x8", "way-memo+line-buffer")
@@ -28,7 +27,7 @@ ARCHS = ("original", "way-memo-2x8", "way-memo+line-buffer")
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec("dcache", arch, benchmark)
+        RunSpec("dcache", arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for arch in ARCHS
     ]
@@ -41,11 +40,11 @@ def tabulate(results: ResultMap) -> ExperimentResult:
     ))
     for benchmark in BENCHMARK_NAMES:
         baseline = spec_result(
-            results, arch_spec("dcache", "original", benchmark)
+            results, RunSpec("dcache", "original", benchmark)
         ).power.total_mw
         for arch in ARCHS:
             point = spec_result(
-                results, arch_spec("dcache", arch, benchmark)
+                results, RunSpec("dcache", arch, benchmark)
             )
             result.add_row(
                 benchmark=benchmark,

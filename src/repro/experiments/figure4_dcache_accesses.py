@@ -19,8 +19,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES
 
 ARCHS = ("original", "set-buffer", "way-memo-2x8")
@@ -29,7 +28,7 @@ ARCHS = ("original", "set-buffer", "way-memo-2x8")
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec("dcache", arch, benchmark)
+        RunSpec("dcache", arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for arch in ARCHS
     ]
@@ -43,7 +42,7 @@ def tabulate(results: ResultMap) -> ExperimentResult:
     for benchmark in BENCHMARK_NAMES:
         for arch in ARCHS:
             c = spec_result(
-                results, arch_spec("dcache", arch, benchmark)
+                results, RunSpec("dcache", arch, benchmark)
             ).counters
             result.add_row(
                 benchmark=benchmark,

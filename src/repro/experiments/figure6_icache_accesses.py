@@ -18,8 +18,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average
+from repro.experiments.reporting import ExperimentResult, average
 from repro.workloads import BENCHMARK_NAMES
 
 ARCHS = ("panwar", "way-memo-2x8", "way-memo-2x16", "way-memo-2x32")
@@ -28,7 +27,7 @@ ARCHS = ("panwar", "way-memo-2x8", "way-memo-2x16", "way-memo-2x32")
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec("icache", arch, benchmark)
+        RunSpec("icache", arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for arch in ARCHS
     ]
@@ -43,7 +42,7 @@ def tabulate(results: ResultMap) -> ExperimentResult:
     for benchmark in BENCHMARK_NAMES:
         for arch in ARCHS:
             c = spec_result(
-                results, arch_spec("icache", arch, benchmark)
+                results, RunSpec("icache", arch, benchmark)
             ).counters
             result.add_row(
                 benchmark=benchmark,

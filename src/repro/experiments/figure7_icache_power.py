@@ -17,8 +17,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average, savings
+from repro.experiments.reporting import ExperimentResult, average, savings
 from repro.workloads import BENCHMARK_NAMES
 
 ARCHS = ("panwar", "way-memo-2x8", "way-memo-2x16", "way-memo-2x32")
@@ -27,7 +26,7 @@ ARCHS = ("panwar", "way-memo-2x8", "way-memo-2x16", "way-memo-2x32")
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec("icache", arch, benchmark)
+        RunSpec("icache", arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for arch in ARCHS
     ]
@@ -40,11 +39,11 @@ def tabulate(results: ResultMap) -> ExperimentResult:
     ))
     for benchmark in BENCHMARK_NAMES:
         baseline = spec_result(
-            results, arch_spec("icache", "panwar", benchmark)
+            results, RunSpec("icache", "panwar", benchmark)
         ).power.total_mw
         for arch in ARCHS:
             p = spec_result(
-                results, arch_spec("icache", arch, benchmark)
+                results, RunSpec("icache", arch, benchmark)
             ).power
             result.add_row(
                 benchmark=benchmark,

@@ -18,8 +18,7 @@ from repro.experiments.registry import (
     register,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import arch_spec, average, savings
+from repro.experiments.reporting import ExperimentResult, average, savings
 from repro.workloads import BENCHMARK_NAMES
 
 #: (cache, architecture) pairs of the baseline and our configuration.
@@ -34,7 +33,7 @@ POINTS = (
 def specs() -> List[RunSpec]:
     """Every design point this experiment evaluates."""
     return [
-        arch_spec(cache_name, arch, benchmark)
+        RunSpec(cache_name, arch, benchmark)
         for benchmark in BENCHMARK_NAMES
         for cache_name, arch in POINTS
     ]
@@ -43,7 +42,7 @@ def specs() -> List[RunSpec]:
 def tabulate(results: ResultMap) -> ExperimentResult:
     def power_mw(cache_name: str, arch: str, benchmark: str) -> float:
         return spec_result(
-            results, arch_spec(cache_name, arch, benchmark)
+            results, RunSpec(cache_name, arch, benchmark)
         ).power.total_mw
 
     result = EXPERIMENT.new_result(columns=(

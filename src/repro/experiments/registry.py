@@ -18,7 +18,10 @@ Because a finished table is a deterministic function of
 JSON-serializable results, the *evaluation* can happen anywhere — this
 process (:func:`run_experiment`), a worker pool, or a remote service
 (``repro report --url`` / ``POST /v1/experiments/{name}``) — and the
-rendered artefact is byte-identical either way.
+rendered artefact is byte-identical either way.  :func:`fetch_results`
+is the experiment layer's one evaluation path: :meth:`Experiment.run`,
+``repro run``, ``repro report`` and ``repro sweep`` each hand it one
+deduplicated batch of specs, evaluated locally or on a service.
 
 A few experiments (the analytic Tables 1–3, and the ablations that
 re-derive access streams: adder width, fetch width, stack traffic,
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -122,22 +126,11 @@ class Experiment:
             paper_reference=self.paper_reference,
         )
 
-    def run(
-        self,
-        workers: Optional[int] = 1,
-        results: Optional[ResultMap] = None,
-    ) -> ExperimentResult:
-        """Evaluate the declared specs (unless ``results`` is given)
-        and tabulate.  ``results`` may hold results for *more* specs
-        than this experiment declares (e.g. one prefetched report
-        batch, or a remote fetch); lookups are by canonical spec key.
-        """
-        if results is None:
-            specs = self.specs()
-            results = keyed_results(
-                specs, evaluate_many(specs, workers=workers)
-            )
-        return self.tabulate(results)
+    def run(self, workers: Optional[int] = 1) -> ExperimentResult:
+        """Evaluate the declared specs and tabulate.  Callers holding
+        results already (a prefetched batch, a remote fetch) call
+        ``tabulate`` on them instead."""
+        return self.tabulate(fetch_results(self.specs(), workers=workers))
 
 
 _REGISTRY: Dict[str, Experiment] = {}
@@ -230,14 +223,12 @@ def catalog_experiments() -> Tuple[Experiment, ...]:
 
 
 def run_experiment(
-    experiment: Union[str, Experiment],
-    workers: Optional[int] = 1,
-    results: Optional[ResultMap] = None,
+    experiment: Union[str, Experiment], workers: Optional[int] = 1
 ) -> ExperimentResult:
     """Run one experiment by name or record (see :meth:`Experiment.run`)."""
     if isinstance(experiment, str):
         experiment = get_experiment(experiment)
-    return experiment.run(workers=workers, results=results)
+    return experiment.run(workers=workers)
 
 
 def keyed_results(
@@ -249,6 +240,55 @@ def keyed_results(
     canonical spec serializations, values align with the spec order.
     """
     return dict(zip((s.key() for s in specs), results))
+
+
+def fetch_results(
+    specs: Iterable[RunSpec],
+    workers: Optional[int] = None,
+    url: Optional[str] = None,
+    progress: bool = False,
+) -> Dict[str, RunResult]:
+    """Evaluate ``specs`` as ONE deduplicated batch, locally or remotely.
+
+    The one place the experiment layer turns specs into results:
+    :meth:`Experiment.run`, ``repro run``, ``repro report`` and
+    ``repro sweep`` all come here, so design points shared between
+    experiments (e.g. ``ablation_energy_model`` re-prices the Figure-8
+    points) are evaluated and transferred once.  Locally the batch
+    goes through :func:`repro.api.evaluate_many`; with ``url`` it goes
+    to a running service as one ``POST /v1/batch``, after a code
+    fingerprint check.
+    """
+    unique = list({s.key(): s for s in specs}.values())
+    if not unique:
+        return {}
+    if url is not None:
+        from repro.service import ServiceClient
+
+        client = ServiceClient(url)
+        # Refuse a version-skewed server up front (usable error before
+        # any waiting); the claim sent with the batch re-checks it
+        # atomically in case the server is redeployed in between.
+        client.verify_fingerprint()
+        if progress:
+            print(
+                f"  fetching {len(unique)} design points from "
+                f"{url} ...", flush=True,
+            )
+        return keyed_results(
+            unique,
+            client.evaluate_many(
+                unique, workers=workers, claim_fingerprint=True
+            ),
+        )
+    if progress:
+        print(
+            f"  prefetching {len(unique)} design points "
+            f"(workers={workers or 'all'}) ...", flush=True,
+        )
+    return keyed_results(
+        unique, evaluate_many(unique, workers=workers)
+    )
 
 
 def spec_result(results: ResultMap, spec: RunSpec) -> RunResult:

@@ -9,9 +9,11 @@ report shows where.
 
 The generator iterates the central experiment registry
 (:mod:`repro.experiments.registry`): every experiment's declared
-design points go into one deduplicated batch, and each finished table
-is that experiment's pure ``tabulate`` over the evaluated results.
-Where the batch is evaluated is a transport choice:
+design points go into one deduplicated
+:func:`~repro.experiments.registry.fetch_results` batch, and each
+finished table is that experiment's pure ``tabulate`` over the
+evaluated results.  Where the batch is evaluated is a transport
+choice:
 
 * **locally** (default), through :func:`repro.api.evaluate_many` —
   fanned over the shared worker pool and read through the persistent
@@ -20,10 +22,10 @@ Where the batch is evaluated is a transport choice:
 * **remotely** (``url=...`` / ``repro report --url``), against a
   running evaluation service: after a ``GET /v1/healthz`` code-
   fingerprint check (a version-skewed server is refused with a 409),
-  the same deduplicated union goes through one ``POST /v1/batch`` —
-  the server evaluates through *its* store and this process only
-  tabulates and renders.  (Per-experiment mappings are also served
-  directly at ``POST /v1/experiments/{name}`` for external clients —
+  the same batch goes through one ``POST /v1/batch`` — the server
+  evaluates through *its* store and this process only tabulates and
+  renders.  (Per-experiment mappings are also served directly at
+  ``POST /v1/experiments/{name}`` for external clients —
   :meth:`repro.service.client.ServiceClient.run_experiment`.)
 
 Either way the output bytes are identical (timing is reported on the
@@ -34,15 +36,12 @@ repro.api.determinism_check`` proves the local/remote identity.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.api import evaluate_many
-from repro.api.result import RunResult
 from repro.experiments.registry import (
     EXPERIMENTS,
-    Experiment,
+    fetch_results,
     get_experiment,
-    keyed_results,
 )
 from repro.experiments.reporting import ExperimentResult, format_cell
 
@@ -63,52 +62,6 @@ def _to_markdown(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def fetch_results(
-    experiments: List[Experiment],
-    workers: Optional[int] = None,
-    url: Optional[str] = None,
-    progress: bool = False,
-) -> Dict[str, RunResult]:
-    """Every declared design point, evaluated locally or remotely.
-
-    Both transports move ONE deduplicated batch: design points shared
-    between experiments (e.g. ``ablation_energy_model`` re-prices the
-    Figure-8 points) are evaluated and transferred once.  ``repro
-    run --url`` shares this path with the report generator.
-    """
-    specs = [s for exp in experiments for s in exp.specs()]
-    unique = list({s.key(): s for s in specs}.values())
-    if not unique:
-        return {}
-    if url is not None:
-        from repro.service import ServiceClient
-
-        client = ServiceClient(url)
-        # Refuse a version-skewed server up front (usable error before
-        # any waiting); the claim sent with the batch re-checks it
-        # atomically in case the server is redeployed in between.
-        client.verify_fingerprint()
-        if progress:
-            print(
-                f"  fetching {len(unique)} design points from "
-                f"{url} ...", flush=True,
-            )
-        return keyed_results(
-            unique,
-            client.evaluate_many(
-                unique, workers=workers, claim_fingerprint=True
-            ),
-        )
-    if progress:
-        print(
-            f"  prefetching {len(unique)} design points "
-            f"(workers={workers or 'all'}) ...", flush=True,
-        )
-    return keyed_results(
-        unique, evaluate_many(unique, workers=workers)
-    )
-
-
 def generate(
     experiments: Optional[List[str]] = None,
     progress: bool = False,
@@ -124,7 +77,8 @@ def generate(
     names = list(experiments or EXPERIMENTS)
     records = [get_experiment(name) for name in names]
     results = fetch_results(
-        records, workers=workers, url=url, progress=progress
+        [spec for record in records for spec in record.specs()],
+        workers=workers, url=url, progress=progress,
     )
     sections = [
         "# Reproduction report",

@@ -1,7 +1,9 @@
-"""Result containers and plain-text rendering for experiments."""
+"""Result containers, the reductions tables share, and plain-text
+rendering for experiments."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -33,6 +35,41 @@ class ExperimentResult:
             if all(row.get(k) == v for k, v in match.items()):
                 return row
         raise KeyError(f"no row matching {match}")
+
+
+def geometric_mean(values) -> float:
+    """Geometric mean, accumulated in log-space.
+
+    A running product underflows (or overflows) for long lists of
+    small (large) ratios; summing logarithms is exact in the float
+    range instead.  Any zero value makes the mean zero, matching the
+    limit of the product form; negative values are rejected (the
+    product form would silently return NaN or a complex-rooted
+    garbage value).
+    """
+    values = list(values)
+    if not values:
+        return 0.0
+    total = 0.0
+    for v in values:
+        if v < 0:
+            raise ValueError(
+                f"geometric mean undefined for negative value {v!r}"
+            )
+        if v == 0:
+            return 0.0
+        total += math.log(v)
+    return math.exp(total / len(values))
+
+
+def average(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
+def savings(baseline: float, ours: float) -> float:
+    """Fractional reduction of ``ours`` relative to ``baseline``."""
+    return 1.0 - ours / baseline if baseline else 0.0
 
 
 def format_cell(value: Any) -> str:

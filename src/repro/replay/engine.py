@@ -35,6 +35,7 @@ Two layers:
 
 from __future__ import annotations
 
+import importlib
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -86,6 +87,8 @@ def replay_counters(
     controller's ``process_reference`` on a fresh instance.  Batchable
     controllers are evaluated on throwaway shadow caches and keep
     their own state untouched; stateful ones replay on themselves.
+    Given ``cols`` (the stream's pre-split columns), ``stream`` is
+    not read.
     """
     if cols is None:
         cols = columns_for_stream(stream)
@@ -185,28 +188,30 @@ def plan_groups(specs: Sequence[object]) -> List[List[object]]:
     return groups
 
 
+def _evaluate_module():
+    """``repro.api.evaluate`` itself: ``repro.api`` re-exports the
+    evaluate *function* under the submodule's name, so plain import
+    syntax resolves to the function."""
+    return importlib.import_module("repro.api.evaluate")
+
+
 @lru_cache(maxsize=1)
 def _columns_cached(side: str, workload: str):
-    """Columns for one spec-level workload (in-process cache).
+    """Columns and cycle base for one spec-level workload (in-process
+    cache).
 
-    The cache key is (side, workload) — never the cache geometry — so
-    a parametric sweep over MAB or cache shapes shares one columns
+    The stream comes from the evaluator's one resolver, so a group
+    resolves (and a synthetic group generates) its stream once.  The
+    cache key is (side, workload) — never the cache geometry — so a
+    parametric sweep over MAB or cache shapes shares one columns
     object, and the columns object itself memoizes each derived array
     under the narrowest geometry key it depends on.  Only the most
     recent stream is kept: :func:`plan_groups` gives each stream one
     group per batch, so a batch over many streams holds one stream's
     arrays at a time instead of all of them.
     """
-    from repro.api.spec import parse_synthetic_params
-    from repro.workloads import generate_synthetic, load_workload
-
-    if workload.startswith("synthetic:"):
-        params = parse_synthetic_params(workload)
-        return columns_for_stream(generate_synthetic(side, params))
-    loaded = load_workload(workload)
-    return columns_for_stream(
-        loaded.trace.data if side == "dcache" else loaded.fetch
-    )
+    stream, cycles = _evaluate_module()._resolve_stream(side, workload)
+    return columns_for_stream(stream), cycles
 
 
 def clear_columns_cache() -> None:
@@ -222,13 +227,9 @@ def replay_specs(specs: Sequence[object]) -> List[object]:
     :class:`~repro.api.result.RunResult` per spec, in input order,
     byte-identical to evaluating each spec as its own singleton group.
     """
-    # ``repro.api`` re-exports the evaluate *function* under the
-    # submodule's name, so plain import syntax resolves to it; load
-    # the module itself for the shared helpers.
-    import importlib
-
-    _evaluate = importlib.import_module("repro.api.evaluate")
     from repro.api.registry import get_architecture
+
+    _evaluate = _evaluate_module()
 
     specs = list(specs)
     first = specs[0]
@@ -243,8 +244,7 @@ def replay_specs(specs: Sequence[object]) -> List[object]:
         "replay_group", cache=first.cache, workload=first.workload,
         members=len(specs),
     ):
-        stream, cycles = _evaluate._resolve_stream(first)
-        cols = _columns_cached(first.cache, first.workload)
+        cols, cycles = _columns_cached(first.cache, first.workload)
 
         built = []
         for spec in specs:
@@ -255,7 +255,7 @@ def replay_specs(specs: Sequence[object]) -> List[object]:
 
         counters = replay_counters(
             [controller for (_, _, _, controller) in built],
-            stream, cols,
+            None, cols,
         )
         return [
             _evaluate._finish_result(spec, info, params, c, cycles)

@@ -56,7 +56,7 @@ from repro.experiments.registry import (
     ResultMap,
     spec_result,
 )
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import ExperimentResult, average
 
 #: Version of the scenario document layout.
 SCENARIO_SCHEMA_VERSION = 1
@@ -115,10 +115,6 @@ def _reject_unknown(payload: Mapping[str, Any], allowed: set,
             f"unknown {what} field(s): {sorted(unknown)} "
             f"(allowed: {sorted(allowed)})"
         )
-
-
-def average(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,8 @@ from repro.api.evaluate import evaluate_many
 from repro.api.registry import comparison_archs
 from repro.api.spec import RunSpec
 from repro.experiments.registry import keyed_results
-from repro.experiments.reporting import render
-from repro.scenarios.scenario import (
-    METRICS,
-    ArchEntry,
-    Scenario,
-    average,
-)
+from repro.experiments.reporting import average, render
+from repro.scenarios.scenario import METRICS, ArchEntry, Scenario
 
 #: Bounded choice grid per data-side generator kind.  Sizes and stream
 #: seeds are pinned by the harness, not searched.

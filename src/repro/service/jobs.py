@@ -211,45 +211,6 @@ class JobQueue:
 
     # -- worker side ---------------------------------------------------
 
-    def claim(self, lease_seconds: float) -> Optional[Task]:
-        """Lease the oldest runnable task, or None when idle.
-
-        Runnable means pending past its backoff window — or running
-        with an *expired* lease, which is how the work of a crashed
-        or hung worker returns to the pool.  The expired re-claim
-        counts as a fresh attempt, so a worker that silently dies N
-        times still dead-letters.
-        """
-        schema, fingerprint = self._address()
-        now = time.time()
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-            row = conn.execute(
-                "SELECT spec_key, attempts, state FROM tasks"
-                " WHERE result_schema = ? AND fingerprint = ?"
-                " AND ((state = ? AND not_before <= ?)"
-                "  OR (state = ? AND lease_deadline < ?))"
-                " ORDER BY created_at, spec_key LIMIT 1",
-                (schema, fingerprint, PENDING, now, RUNNING, now),
-            ).fetchone()
-            if row is None:
-                conn.execute("COMMIT")
-                return None
-            spec_key, attempts, prior_state = row
-            conn.execute(
-                "UPDATE tasks SET state = ?, attempts = ?,"
-                " lease_deadline = ? WHERE spec_key = ?"
-                " AND result_schema = ? AND fingerprint = ?",
-                (RUNNING, attempts + 1, now + lease_seconds,
-                 spec_key, schema, fingerprint),
-            )
-            conn.execute("COMMIT")
-            self._count_claims([prior_state])
-            return Task(spec_key, attempts + 1)
-        finally:
-            conn.close()
-
     @staticmethod
     def _count_claims(prior_states: Sequence[str]) -> None:
         """Account claimed tasks; a RUNNING prior state means the
@@ -283,7 +244,11 @@ class JobQueue:
     ) -> List[Task]:
         """Lease the oldest runnable task plus a guided share of work.
 
-        Claims like :meth:`claim`, then extends the claim in the same
+        Runnable means pending past its backoff window — or running
+        with an *expired* lease, which is how the work of a crashed
+        or hung worker returns to the pool.  The expired re-claim
+        counts as a fresh attempt, so a worker that silently dies N
+        times still dead-letters.  The claim extends, in the same
         transaction, by whole replay groups — runnable tasks whose
         specs share ``(cache side, workload)`` on the fast engine,
         which ``evaluate_many`` replays in a single pass:

@@ -72,6 +72,34 @@ def test_run_multiple_experiments(capsys):
     assert "Table 1" in out and "Table 3" in out
 
 
+def test_run_evaluates_every_experiment_in_one_batch(
+    monkeypatch, capsys
+):
+    """``repro run A B`` evaluates both experiments' design points in
+    one deduplicated ``evaluate_many`` batch and prints exactly their
+    two tables."""
+    from repro.experiments import registry, render, run_experiment
+
+    names = ["figure4_dcache_accesses", "figure5_dcache_power"]
+    expected = "\n\n".join(render(run_experiment(n)) for n in names)
+    batches = []
+    evaluate_many = registry.evaluate_many
+
+    def counting(specs, *args, **kwargs):
+        batches.append(len(specs))
+        return evaluate_many(specs, *args, **kwargs)
+
+    monkeypatch.setattr(registry, "evaluate_many", counting)
+    assert main(["run", *names, "--workers", "1"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    unique = {
+        spec.key()
+        for name in names
+        for spec in registry.get_experiment(name).specs()
+    }
+    assert batches == [len(unique)]
+
+
 def test_run_unknown_experiment(capsys):
     assert main(["run", "figure99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

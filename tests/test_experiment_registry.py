@@ -105,10 +105,10 @@ def test_tabulate_missing_result_has_usable_error(all_results):
         experiment.tabulate({})
 
 
-def test_run_experiment_accepts_prefetched_results(all_results):
+def test_tabulating_prefetched_results_matches_run_experiment(all_results):
     direct = render(run_experiment("figure8_total_power"))
     prefetched = render(
-        run_experiment("figure8_total_power", results=all_results)
+        get_experiment("figure8_total_power").tabulate(all_results)
     )
     assert direct == prefetched
 

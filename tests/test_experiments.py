@@ -6,10 +6,10 @@ import pytest
 from repro.experiments import run_experiment
 from repro.experiments.reporting import (
     ExperimentResult,
+    average,
     bar_chart,
     render,
 )
-from repro.experiments.runner import average
 from repro.workloads import BENCHMARK_NAMES
 
 

@@ -9,10 +9,9 @@ architecture-independent).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import architectures
+from repro.api import RunSpec, architectures, evaluate
 from repro.baselines import OriginalDCache, OriginalICache, PanwarICache
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
-from repro.experiments.runner import dcache_counters, icache_counters
 from repro.workloads import BENCHMARK_NAMES, synthetic_data_trace
 
 
@@ -24,12 +23,14 @@ def test_cache_hit_behaviour_is_architecture_independent(workload):
     """Way memoization must not change WHAT the cache does, only how
     many arrays are touched: hit/miss counts match the original."""
     orig = OriginalDCache().process(workload.trace.data)
-    memo = dcache_counters(workload.name, "way-memo-2x8")
+    memo = evaluate(RunSpec("dcache", "way-memo-2x8", workload.name)).counters
     assert memo.cache_hits == orig.cache_hits
     assert memo.cache_misses == orig.cache_misses
 
     orig_i = OriginalICache().process(workload.fetch)
-    memo_i = icache_counters(workload.name, "way-memo-2x16")
+    memo_i = evaluate(
+        RunSpec("icache", "way-memo-2x16", workload.name)
+    ).counters
     assert memo_i.cache_hits == orig_i.cache_hits
     assert memo_i.cache_misses == orig_i.cache_misses
 
@@ -37,20 +38,22 @@ def test_cache_hit_behaviour_is_architecture_independent(workload):
 def test_zero_performance_penalty(workload):
     """The paper's key claim: way memoization adds no cycles."""
     for arch in ("way-memo-2x8",):
-        assert dcache_counters(workload.name, arch).extra_cycles == 0
+        c = evaluate(RunSpec("dcache", arch, workload.name)).counters
+        assert c.extra_cycles == 0
     for arch in ("way-memo-2x8", "way-memo-2x16", "way-memo-2x32"):
-        assert icache_counters(workload.name, arch).extra_cycles == 0
+        c = evaluate(RunSpec("icache", arch, workload.name)).counters
+        assert c.extra_cycles == 0
 
 
 def test_no_stale_mab_hits_anywhere(workload):
     """MAB-hit => line resident, across every way-memo variant."""
     for info in architectures("dcache"):
         if info.uses_mab:
-            c = dcache_counters(workload.name, info.id)
+            c = evaluate(RunSpec("dcache", info.id, workload.name)).counters
             assert c.stale_hits == 0
     for info in architectures("icache"):
         if info.uses_mab:
-            c = icache_counters(workload.name, info.id)
+            c = evaluate(RunSpec("icache", info.id, workload.name)).counters
             assert c.stale_hits == 0
 
 
@@ -61,7 +64,7 @@ def test_way_access_bounds(workload):
     hits and are excluded from the lower bound."""
     front_buffered = ("way-memo+line-buffer", "filter-cache")
     for info in architectures("dcache"):
-        c = dcache_counters(workload.name, info.id)
+        c = evaluate(RunSpec("dcache", info.id, workload.name)).counters
         assert c.ways_per_access <= 3.0
         if info.id not in front_buffered:
             assert c.way_accesses >= c.accesses
@@ -71,14 +74,14 @@ def test_tag_ordering_original_panwar_memo(workload):
     """The paper's Figure 6 ordering holds on every benchmark."""
     orig = OriginalICache().process(workload.fetch)
     panwar = PanwarICache().process(workload.fetch)
-    memo = icache_counters(workload.name, "way-memo-2x16")
+    memo = evaluate(RunSpec("icache", "way-memo-2x16", workload.name)).counters
     assert memo.tag_accesses < panwar.tag_accesses < orig.tag_accesses
 
 
 def test_intra_line_rates_match_between_panwar_and_memo(workload):
     """Both architectures use the identical intra-line detector."""
     panwar = PanwarICache().process(workload.fetch)
-    memo = icache_counters(workload.name, "way-memo-2x16")
+    memo = evaluate(RunSpec("icache", "way-memo-2x16", workload.name)).counters
     assert panwar.intra_line_hits == memo.intra_line_hits
 
 
@@ -130,26 +133,22 @@ def test_icache_invariants_random_streams(seed):
 
 def test_suite_wide_power_ordering():
     """Summed over the suite, the paper's winners win."""
-    from repro.experiments.runner import dcache_power, icache_power
-    orig_d = sum(
-        dcache_power(b, "original").total_mw for b in BENCHMARK_NAMES
-    )
-    ours_d = sum(
-        dcache_power(b, "way-memo-2x8").total_mw for b in BENCHMARK_NAMES
-    )
-    panwar_i = sum(
-        icache_power(b, "panwar").total_mw for b in BENCHMARK_NAMES
-    )
-    ours_i = sum(
-        icache_power(b, "way-memo-2x16").total_mw
-        for b in BENCHMARK_NAMES
-    )
+    def total_mw(cache, arch):
+        return sum(
+            evaluate(RunSpec(cache, arch, b)).power.total_mw
+            for b in BENCHMARK_NAMES
+        )
+
+    orig_d = total_mw("dcache", "original")
+    ours_d = total_mw("dcache", "way-memo-2x8")
+    panwar_i = total_mw("icache", "panwar")
+    ours_i = total_mw("icache", "way-memo-2x16")
     assert ours_d < orig_d
     assert ours_i < panwar_i
 
 
 def test_mab_duty_cycle_bounded(workload):
-    c = dcache_counters(workload.name, "way-memo-2x8")
+    c = evaluate(RunSpec("dcache", "way-memo-2x8", workload.name)).counters
     assert c.mab_lookups == c.accesses  # D-MAB consulted every access
-    i = icache_counters(workload.name, "way-memo-2x16")
+    i = evaluate(RunSpec("icache", "way-memo-2x16", workload.name)).counters
     assert i.mab_lookups == i.accesses - i.intra_line_hits

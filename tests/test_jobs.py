@@ -47,8 +47,7 @@ def queue(tmp_path):
 def test_submit_claim_complete_roundtrip(queue):
     spec = _spec()
     job_id = queue.submit([spec])
-    task = queue.claim(lease_seconds=30)
-    assert task is not None
+    (task,) = queue.claim_group(lease_seconds=30, workers=1)
     assert task.spec_key == spec.key()
     assert task.attempts == 1
     assert task.spec == spec
@@ -60,18 +59,18 @@ def test_submit_claim_complete_roundtrip(queue):
 
 
 def test_empty_queue_claims_nothing(queue):
-    assert queue.claim(lease_seconds=30) is None
+    assert queue.claim_group(lease_seconds=30, workers=1) == []
 
 
 def test_duplicate_specs_make_one_task_but_keep_key_order(queue):
-    a, b = _spec(), _spec(arch="two-phase")
+    a, b = _spec(), _spec(arch="two-phase", seed=4)
     job_id = queue.submit([a, b, a])
     status = queue.job_status(job_id)
     assert status["keys"] == [a.key(), b.key(), a.key()]
     assert status["total"] == 2              # unique work items
-    assert queue.claim(30) is not None
-    assert queue.claim(30) is not None
-    assert queue.claim(30) is None           # no third task exists
+    assert len(queue.claim_group(30, workers=2)) == 1
+    assert len(queue.claim_group(30, workers=2)) == 1
+    assert queue.claim_group(30, workers=2) == []   # no third task
 
 
 def test_prefilled_tasks_are_born_done(queue):
@@ -79,7 +78,7 @@ def test_prefilled_tasks_are_born_done(queue):
     job_id = queue.submit(
         [spec], prefilled={spec.key(): _result_json(spec)}
     )
-    assert queue.claim(30) is None           # nothing for a worker
+    assert queue.claim_group(30, workers=1) == []   # nothing to run
     status = queue.job_status(job_id)
     assert status["state"] == "done"
     assert status["results"][spec.key()]["ok"] is True
@@ -89,19 +88,18 @@ def test_two_jobs_share_one_task_single_flight(queue):
     spec = _spec()
     first = queue.submit([spec])
     second = queue.submit([spec])
-    task = queue.claim(30)
-    assert task is not None
-    assert queue.claim(30) is None           # one task between the jobs
+    (task,) = queue.claim_group(30, workers=1)
+    assert queue.claim_group(30, workers=1) == []   # one task, two jobs
     queue.complete([task], [_result_json(spec)])
     assert queue.job_status(first)["state"] == "done"
     assert queue.job_status(second)["state"] == "done"
 
 
 def test_job_status_tracks_progress(queue):
-    a, b = _spec(), _spec(arch="two-phase")
+    a, b = _spec(), _spec(arch="two-phase", seed=4)
     job_id = queue.submit([a, b])
     assert queue.job_status(job_id)["state"] == "pending"
-    task = queue.claim(30)
+    (task,) = queue.claim_group(30, workers=2)
     status = queue.job_status(job_id)
     assert status["state"] == "running"
     assert status["running"] == 1 and status["done"] == 0
@@ -123,18 +121,18 @@ def test_unknown_job_is_none(queue):
 def test_fail_requeues_with_backoff(tmp_path):
     queue = JobQueue(tmp_path / "jobs.sqlite", backoff_base=0.2)
     queue.submit([_spec()])
-    task = queue.claim(30)
+    (task,) = queue.claim_group(30, workers=1)
     assert queue.fail(task, "boom") is True  # will retry
     # Inside the backoff window the task is not claimable...
-    assert queue.claim(30) is None
+    assert queue.claim_group(30, workers=1) == []
     # ...and becomes claimable once it elapses, as a fresh attempt.
     deadline = time.time() + 5
-    retried = None
-    while retried is None and time.time() < deadline:
-        retried = queue.claim(30)
+    retried = []
+    while not retried and time.time() < deadline:
+        retried = queue.claim_group(30, workers=1)
         time.sleep(0.02)
-    assert retried is not None
-    assert retried.attempts == 2
+    assert len(retried) == 1
+    assert retried[0].attempts == 2
 
 
 def test_backoff_grows_exponentially_and_caps(queue):
@@ -150,12 +148,12 @@ def test_dead_letter_after_max_attempts(tmp_path):
     )
     spec = _spec()
     job_id = queue.submit([spec])
-    first = queue.claim(30)
+    (first,) = queue.claim_group(30, workers=1)
     assert queue.fail(first, "boom 1") is True
-    second = queue.claim(30)
+    (second,) = queue.claim_group(30, workers=1)
     assert second.attempts == 2
     assert queue.fail(second, "boom 2") is False   # dead-lettered
-    assert queue.claim(30) is None                 # never retried again
+    assert queue.claim_group(30, workers=1) == []  # never retried again
     status = queue.job_status(job_id)
     assert status["state"] == "failed"
     assert status["errors"][spec.key()] == "boom 2"
@@ -172,32 +170,30 @@ def test_max_attempts_must_be_positive(tmp_path):
 
 def test_expired_lease_is_reclaimed_as_a_new_attempt(queue):
     queue.submit([_spec()])
-    first = queue.claim(lease_seconds=0.01)
-    assert first is not None
+    (first,) = queue.claim_group(lease_seconds=0.01, workers=1)
     time.sleep(0.05)                         # the "worker" went silent
-    second = queue.claim(lease_seconds=30)
-    assert second is not None
+    (second,) = queue.claim_group(lease_seconds=30, workers=1)
     assert second.spec_key == first.spec_key
     assert second.attempts == 2
 
 
 def test_live_lease_is_not_double_claimed(queue):
     queue.submit([_spec()])
-    assert queue.claim(lease_seconds=60) is not None
-    assert queue.claim(lease_seconds=60) is None
+    assert len(queue.claim_group(lease_seconds=60, workers=1)) == 1
+    assert queue.claim_group(lease_seconds=60, workers=1) == []
 
 
 def test_recover_requeues_orphaned_running_tasks(tmp_path):
     path = tmp_path / "jobs.sqlite"
     crashed = JobQueue(path)
     job_id = crashed.submit([_spec()])
-    assert crashed.claim(lease_seconds=3600) is not None
+    assert len(crashed.claim_group(lease_seconds=3600, workers=1)) == 1
     # A new server opens the same file: the lease holder is dead by
     # definition (single-node queue), however long its lease runs.
     restarted = JobQueue(path)
     assert restarted.recover() == 1
-    task = restarted.claim(30)
-    assert task is not None and task.attempts == 2
+    (task,) = restarted.claim_group(30, workers=1)
+    assert task.attempts == 2
     restarted.complete([task], [_result_json(task.spec)])
     assert restarted.job_status(job_id)["state"] == "done"
 
@@ -206,7 +202,7 @@ def test_recover_dead_letters_orphans_out_of_attempts(tmp_path):
     path = tmp_path / "jobs.sqlite"
     crashed = JobQueue(path, max_attempts=1)
     job_id = crashed.submit([_spec()])
-    assert crashed.claim(lease_seconds=3600) is not None
+    assert len(crashed.claim_group(lease_seconds=3600, workers=1)) == 1
     restarted = JobQueue(path, max_attempts=1)
     assert restarted.recover() == 0
     status = restarted.job_status(job_id)
@@ -220,7 +216,7 @@ def test_jobs_survive_reopening_the_file(tmp_path):
     job_id = JobQueue(path).submit([_spec()])
     reopened = JobQueue(path)
     assert reopened.job_status(job_id)["state"] == "pending"
-    task = reopened.claim(30)
+    (task,) = reopened.claim_group(30, workers=1)
     reopened.complete([task], [_result_json(task.spec)])
     assert reopened.job_status(job_id)["state"] == "done"
 
@@ -349,7 +345,7 @@ def test_wait_job_polls_states_and_builds_the_status_once(
     — and a completion from another thread wakes the waiter."""
     spec = _spec()
     job_id = queue.submit([spec])
-    task = queue.claim(30)
+    (task,) = queue.claim_group(30, workers=1)
     built = []
     job_status = queue.job_status
     monkeypatch.setattr(
@@ -391,10 +387,10 @@ def test_list_jobs_is_newest_first_without_payloads(queue):
 
 
 def test_depth_and_stats_count_outstanding_work(queue):
-    a, b = _spec(), _spec(arch="two-phase")
+    a, b = _spec(), _spec(arch="two-phase", seed=4)
     queue.submit([a, b])
     assert queue.depth() == 2
-    task = queue.claim(30)
+    (task,) = queue.claim_group(30, workers=2)
     assert queue.depth() == 2                # running still counts
     queue.complete([task], [_result_json(task.spec)])
     assert queue.depth() == 1

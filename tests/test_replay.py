@@ -236,9 +236,9 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
     member, and walk each LRU value stream (the MAB's key and set
     streams, the set buffer's set stream) once for every geometry."""
     from repro.api.registry import get_architecture
-    from repro.experiments.sweep import (
-        PAPER_INDEX_ENTRIES,
-        PAPER_TAG_ENTRIES,
+    from repro.experiments.ablation_mab_size import (
+        INDEX_ENTRIES,
+        TAG_ENTRIES,
     )
     from repro.replay.columns import column_stats, reset_column_stats
     from repro.telemetry import metrics as telemetry
@@ -261,8 +261,8 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
     for side, stream in streams.items():
         grid = [
             {"tag_entries": nt, "index_entries": ns}
-            for nt in PAPER_TAG_ENTRIES
-            for ns in PAPER_INDEX_ENTRIES
+            for nt in TAG_ENTRIES
+            for ns in INDEX_ENTRIES
         ]
         way_memo = get_architecture(side, "way-memo")
         controllers = [way_memo.build(params) for params in grid] + [
@@ -309,3 +309,34 @@ def test_line_buffer_joins_the_shared_sweep():
     for (info, p), counters in zip(infos, grouped):
         expected = info.build(p).process_reference(stream)
         assert counters.as_dict() == expected.as_dict(), (info.id, p)
+
+
+@pytest.mark.parametrize("side", CACHE_SIDES)
+def test_synthetic_replay_group_generates_its_stream_once(
+    side, monkeypatch
+):
+    """A replay group resolves its stream once: the columns and the
+    cycle base come from one generated synthetic stream."""
+    import importlib
+
+    from repro.replay.engine import clear_columns_cache
+
+    evaluate_module = importlib.import_module("repro.api.evaluate")
+    generate = evaluate_module.generate_synthetic
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    specs = [_spec("original", side=side), _spec("two-phase", side=side)]
+    expected = [evaluate(spec, use_cache=False).to_json() for spec in specs]
+    monkeypatch.setattr(evaluate_module, "generate_synthetic", counting)
+    monkeypatch.setattr("repro.workloads.generate_synthetic", counting)
+    clear_columns_cache()
+    try:
+        results = replay_specs(specs)
+    finally:
+        clear_columns_cache()
+    assert len(calls) == 1
+    assert [result.to_json() for result in results] == expected

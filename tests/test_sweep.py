@@ -1,12 +1,13 @@
 """Determinism and equivalence tests for the parallel sweep harness.
 
-The sweep fans (architecture, benchmark) points out over a
-multiprocessing pool and reduces in the parent; these tests lock down
-the contract that the *result bytes* never depend on the worker count
-or on whether the on-disk trace cache was cold or warm:
+A sweep is an ablation table on a wider grid, evaluated as one
+``fetch_results`` batch that fans (architecture, benchmark) points out
+over a multiprocessing pool and reduces in the parent; these tests
+lock down the contract that the *result bytes* never depend on the
+worker count or on whether the on-disk trace cache was cold or warm:
 
-* in-process: ``sweep_mab_size`` / ``sweep_baselines`` rows for 1
-  worker == rows for N workers, and the paper sub-grid matches the
+* in-process: the ``sweep_mab_size`` / ``sweep_baselines`` tables
+  for 1 worker == for N workers, and the paper sub-grid matches the
   serial ``ablation_mab_size`` / ``extension_baselines`` experiments;
 * subprocess (fresh interpreter, private ``$REPRO_TRACE_CACHE``): the
   CLI's ``--json`` output is byte-identical for a cold cache with 2
@@ -21,28 +22,32 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments import run_experiment
+from repro.experiments import (
+    ablation_mab_size,
+    extension_baselines,
+    run_experiment,
+)
+from repro.experiments.registry import fetch_results
 from repro.experiments.reporting import render
 from repro.experiments.sweep import (
-    PAPER_INDEX_ENTRIES,
-    PAPER_TAG_ENTRIES,
-    sweep_baselines,
-    sweep_mab_size,
+    tabulate_baseline_sweep,
+    tabulate_mab_sweep,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: A cheap sub-grid/sub-suite for the in-process determinism checks.
-SMALL_GRID = dict(tag_entries=(1, 2), index_entries=(4, 8))
+SMALL_GRID = ((1, 2), (4, 8))
 SMALL_SUITE = ("dct", "fft")
 
 
 def test_sweep_mab_size_invariant_under_worker_count():
-    serial = sweep_mab_size(
-        benchmarks=SMALL_SUITE, workers=1, **SMALL_GRID
+    specs = ablation_mab_size.specs(*SMALL_GRID, SMALL_SUITE)
+    serial = tabulate_mab_sweep(
+        fetch_results(specs, workers=1), *SMALL_GRID, SMALL_SUITE
     )
-    pooled = sweep_mab_size(
-        benchmarks=SMALL_SUITE, workers=3, **SMALL_GRID
+    pooled = tabulate_mab_sweep(
+        fetch_results(specs, workers=3), *SMALL_GRID, SMALL_SUITE
     )
     assert render(serial) == render(pooled)
     assert serial.rows == pooled.rows
@@ -50,8 +55,13 @@ def test_sweep_mab_size_invariant_under_worker_count():
 
 
 def test_sweep_baselines_invariant_under_worker_count():
-    serial = sweep_baselines(benchmarks=SMALL_SUITE, workers=1)
-    pooled = sweep_baselines(benchmarks=SMALL_SUITE, workers=2)
+    specs = extension_baselines.specs(SMALL_SUITE)
+    serial = tabulate_baseline_sweep(
+        fetch_results(specs, workers=1), SMALL_SUITE
+    )
+    pooled = tabulate_baseline_sweep(
+        fetch_results(specs, workers=2), SMALL_SUITE
+    )
     assert render(serial) == render(pooled)
     assert serial.rows == pooled.rows
 
@@ -59,17 +69,18 @@ def test_sweep_baselines_invariant_under_worker_count():
 def test_sweep_baselines_matches_serial_experiment():
     """The parallel fan-out reproduces extension_baselines exactly."""
     serial = run_experiment("extension_baselines")
-    pooled = sweep_baselines(workers=2)
+    pooled = tabulate_baseline_sweep(
+        fetch_results(extension_baselines.specs(), workers=2)
+    )
     assert pooled.rows == serial.rows
 
 
 def test_sweep_mab_size_paper_grid_matches_ablation():
     """The paper sub-grid agrees with the serial ablation experiment."""
     serial = run_experiment("ablation_mab_size")
-    pooled = sweep_mab_size(
-        tag_entries=PAPER_TAG_ENTRIES,
-        index_entries=PAPER_INDEX_ENTRIES,
-        workers=2,
+    grid = (ablation_mab_size.TAG_ENTRIES, ablation_mab_size.INDEX_ENTRIES)
+    pooled = tabulate_mab_sweep(
+        fetch_results(ablation_mab_size.specs(*grid), workers=2), *grid
     )
     assert pooled.rows == serial.rows
 
@@ -165,29 +176,14 @@ def test_sweeps_are_registered_catalog_experiments():
 
 
 def test_sweep_tabulate_is_pure_over_prefetched_results():
-    """run_experiment with a prefetched result map replays nothing."""
-    from repro.api import evaluate_many
-    from repro.experiments.registry import keyed_results
-    from repro.experiments.sweep import (
-        mab_sweep_specs,
-        tabulate_mab_sweep,
-    )
+    """Tabulating a prefetched result map replays nothing and renders
+    the same bytes every time."""
+    from repro.api import simulation_count
 
-    specs = mab_sweep_specs(
-        SMALL_GRID["tag_entries"], SMALL_GRID["index_entries"],
-        SMALL_SUITE,
-    )
-    results = keyed_results(specs, evaluate_many(specs, workers=1))
-    a = render(tabulate_mab_sweep(
-        results, SMALL_GRID["tag_entries"],
-        SMALL_GRID["index_entries"], SMALL_SUITE,
-    ))
-    b = render(tabulate_mab_sweep(
-        results, SMALL_GRID["tag_entries"],
-        SMALL_GRID["index_entries"], SMALL_SUITE,
-    ))
+    specs = ablation_mab_size.specs(*SMALL_GRID, SMALL_SUITE)
+    results = fetch_results(specs, workers=1)
+    before = simulation_count()
+    a = render(tabulate_mab_sweep(results, *SMALL_GRID, SMALL_SUITE))
+    b = render(tabulate_mab_sweep(results, *SMALL_GRID, SMALL_SUITE))
     assert a == b
-    direct = render(sweep_mab_size(
-        workers=1, benchmarks=SMALL_SUITE, **SMALL_GRID,
-    ))
-    assert a == direct
+    assert simulation_count() == before
