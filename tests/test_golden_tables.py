@@ -1,8 +1,10 @@
 """Byte-identity of the registry-driven experiments vs golden output.
 
-``tests/golden/*.txt`` snapshots the rendered tables of every figure
-and ablation experiment as produced by the pre-``repro.api`` code
-(four separate registries, serial per-module plumbing).  The
+``tests/golden/*.txt`` snapshots the rendered tables of every report
+experiment: the figures, tables and ablations as produced by the
+pre-``repro.api`` code (four separate registries, serial per-module
+plumbing), and the analytic tables and stream-modifying ablations as
+produced by their private per-table replay loops.  The
 registered experiments — now declared ``specs()`` + pure
 ``tabulate()`` records — must reproduce those bytes exactly: the
 registry layers are re-plumbing, not re-modelling.
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.reporting import render
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -29,7 +31,8 @@ GOLDEN_EXPERIMENTS = sorted(
 
 
 def test_golden_snapshots_exist():
-    assert len(GOLDEN_EXPERIMENTS) >= 9
+    """Every report experiment is pinned, the analytic tables too."""
+    assert GOLDEN_EXPERIMENTS == sorted(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
