@@ -37,7 +37,8 @@ from repro.api.spec import RunSpec
 
 
 def check_specs() -> List[RunSpec]:
-    """A small but representative batch (both sides, params, synthetic).
+    """A small but representative batch (both sides, params, synthetic,
+    workload modifiers, a non-FR-V cache geometry).
 
     The shared-workload groups are deliberately wide: each side's
     ``dct``/``fft`` group spans seven distinct architectures
@@ -77,6 +78,18 @@ def check_specs() -> List[RunSpec]:
     ))
     specs.append(RunSpec(
         cache="dcache", arch="way-memo-2x8", workload="dct:scale=1",
+    ))
+    # Workload modifiers and a cache geometry: a re-derived fetch
+    # stream, an injected data stream and a 4-way D-cache.
+    specs.append(RunSpec(
+        cache="icache", arch="way-memo-2x16", workload="fft:packet=16",
+    ))
+    specs.append(RunSpec(
+        cache="dcache", arch="way-memo-2x8", workload="dct:stack=0.2",
+    ))
+    specs.append(RunSpec(
+        cache="dcache", arch="way-memo", workload="dct",
+        params={"ways": 4},
     ))
     return specs
 

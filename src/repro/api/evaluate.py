@@ -26,11 +26,13 @@ import sys
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.config import FRV_DCACHE, FRV_ICACHE
+from repro.cache.config import CacheConfig
 from repro.cache.stats import AccessCounters
 from repro.energy import CachePowerModel, MABHardwareModel
 from repro.replay.engine import plan_groups, replay_specs
-from repro.workloads import generate_synthetic, load_workload
+from repro.sim import fetch_stream
+from repro.workloads import generate_synthetic, load_workload, parse_workload
+from repro.workloads.synthetic import inject_stack_traffic
 
 from repro.api.parallel import parallel_map, warm_trace_cache
 from repro.api.registry import TECHNOLOGIES, get_architecture
@@ -59,26 +61,37 @@ def simulation_count() -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_model(cache: str, technology: str) -> CachePowerModel:
-    config = FRV_DCACHE if cache == "dcache" else FRV_ICACHE
-    return CachePowerModel(config, TECHNOLOGIES[technology])
+def _power_model(
+    cache_config: CacheConfig, technology: str
+) -> CachePowerModel:
+    return CachePowerModel(cache_config, TECHNOLOGIES[technology])
 
 
 def _resolve_stream(side: str, workload: str) -> Tuple[object, int]:
     """The access stream and cycle base a (cache side, workload)
     defines — the one place a spec's workload becomes a stream.
 
-    Benchmarks use the VLIW fetch model's cycle count; synthetic
-    workloads have no program behind them, so one access per cycle is
-    the (documented) time base.  The replay engine's column cache
-    (:func:`repro.replay.engine._columns_cached`) resolves through
-    here too, so a replay group generates a synthetic stream once.
+    Benchmarks use the VLIW fetch model's cycle count, whatever their
+    stream modifiers: ``packet=N`` re-derives the fetch stream from
+    the program's flow trace and ``stack=F`` injects seeded stack
+    traffic into its data trace, and neither changes the program's
+    run time.  Synthetic workloads have no program behind them, so
+    one access per cycle is the (documented) time base.  The replay
+    engine's column cache (:func:`repro.replay.engine._columns_cached`)
+    resolves through here too, so a replay group derives its stream
+    once.
     """
     if is_synthetic_workload(workload):
         stream = generate_synthetic(side, parse_synthetic_params(workload))
         return stream, len(stream)
-    loaded = load_workload(workload)
-    stream = loaded.trace.data if side == "dcache" else loaded.fetch
+    name = parse_workload(workload)
+    loaded = load_workload(name.program)
+    if side == "dcache":
+        stream = inject_stack_traffic(loaded.trace.data, name.stack)
+    elif name.packet == loaded.fetch.packet_bytes:
+        stream = loaded.fetch
+    else:
+        stream = fetch_stream(loaded.trace.flow, name.packet)
     return stream, loaded.cycles
 
 
@@ -104,17 +117,16 @@ class CounterInvariantError(RuntimeError):
 
 def _check_counters(
     spec: RunSpec, info, params: Dict[str, object],
-    counters: AccessCounters,
+    counters: AccessCounters, ways: int,
 ) -> None:
     """Raise :class:`CounterInvariantError` naming ``spec`` and the
-    first invariant ``counters`` break.
+    first invariant ``counters`` break on a ``ways``-way cache.
 
     Paper-mode way memoization can go stale (a key refreshed through
     another set keeps its tag entry while its line is evicted), so
     stale hits are rejected only in ``evict_hook`` mode.
     """
     c = counters
-    ways = _power_model(spec.cache, spec.technology).cache_config.ways
     checks = (
         ("hits + misses = accesses",
          c.cache_hits + c.cache_misses == c.accesses),
@@ -155,9 +167,10 @@ def _finish_result(
     implementation keeps the two byte-identical, and every result
     passes :func:`_check_counters` before a caller can store it.
     """
-    _check_counters(spec, info, params, counters)
+    cache_config = info.cache_config(params)
+    _check_counters(spec, info, params, counters, cache_config.ways)
     geometry = info.mab_geometry(params)
-    power = _power_model(spec.cache, spec.technology).power(
+    power = _power_model(cache_config, spec.technology).power(
         counters,
         cycles,
         label=spec.arch,

@@ -27,18 +27,14 @@ def warm_trace_cache(
 ) -> None:
     """Run every benchmark once so workers skip the ISS entirely.
 
-    Accepts scaled workload strings (``compress:scale=4``) and
-    normalizes redundant spellings (``compress:scale=1`` warms the
-    same archive as ``compress``), so one batch never executes a
-    program twice.
+    Accepts any benchmark workload string (``compress:scale=4``,
+    ``fft:packet=16``) and warms the program behind it, so one batch
+    never executes a program twice.
     """
-    seen = set()
-    for name in benchmarks:
-        base, scale = parse_workload(name)
-        canonical = base if scale == 1 else name
-        if canonical not in seen:
-            seen.add(canonical)
-            load_workload(canonical)
+    for program in dict.fromkeys(
+        parse_workload(name).program for name in benchmarks
+    ):
+        load_workload(program)
 
 
 def resolve_worker_count(workers: Optional[int]) -> int:

@@ -41,7 +41,7 @@ from repro.baselines import (
     WayPredictionDCache,
     WayPredictionICache,
 )
-from repro.cache.config import FRV_DCACHE, FRV_ICACHE
+from repro.cache.config import FRV_DCACHE, FRV_ICACHE, CacheConfig
 from repro.core import (
     LineBufferWayMemoDCache,
     MABConfig,
@@ -56,14 +56,31 @@ CACHE_SIDES: Tuple[str, ...] = ("dcache", "icache")
 #: Registered technology/power models, keyed by ``RunSpec.technology``.
 TECHNOLOGIES: Dict[str, TechnologyParameters] = {"frv": FRV_TECH}
 
+#: The FR-V cache each side's specs run on, unless an entry's
+#: geometry parameters override it.
+SIDE_CACHES: Dict[str, CacheConfig] = {
+    "dcache": FRV_DCACHE, "icache": FRV_ICACHE,
+}
+
+#: Spec parameters that choose the cache geometry instead of reaching
+#: the factory; :meth:`ArchitectureInfo.cache_config` resolves them.
+GEOMETRY_PARAMS: Tuple[str, ...] = ("ways", "size_bytes")
+
+#: Largest ``size_bytes`` a spec may ask for (an L1-sized 1 MiB, 32x
+#: the FR-V cache): the replay arrays grow with the cache, so a
+#: service must not accept an arbitrarily large one.
+MAX_CACHE_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class ArchitectureInfo:
     """One registered architecture: factory + metadata.
 
     ``defaults`` holds every keyword the factory accepts with its
-    default value; a :class:`~repro.api.spec.RunSpec` may override any
-    subset of them (unknown keys are rejected at spec construction).
+    default value, plus the :data:`GEOMETRY_PARAMS` of an entry whose
+    cache geometry is a spec parameter; a
+    :class:`~repro.api.spec.RunSpec` may override any subset of them
+    (unknown keys are rejected at spec construction).
     ``uses_mab`` marks way-memo variants whose power is priced with a
     :class:`~repro.energy.mab_model.MABHardwareModel` of the resolved
     ``(tag_entries, index_entries)`` geometry; ``aux_bits`` prices a
@@ -97,9 +114,58 @@ class ArchitectureInfo:
             merged[key] = value
         return merged
 
+    def _resolve(
+        self, params: Optional[Mapping[str, Any]]
+    ) -> Tuple[Dict[str, Any], CacheConfig]:
+        """(factory keywords, cache geometry) for ``params``."""
+        merged = self.merged_params(params)
+        frv = SIDE_CACHES[self.side]
+        geometry = {
+            key: merged.pop(key) for key in GEOMETRY_PARAMS
+            if key in merged
+        }
+        if not geometry:
+            return merged, frv
+        for key, value in geometry.items():
+            if type(value) is not int:
+                raise ValueError(
+                    f"{key} must be an integer, got {value!r}"
+                )
+        size_bytes = geometry.get("size_bytes", frv.size_bytes)
+        ways = geometry.get("ways", frv.ways)
+        if (size_bytes, ways) == (frv.size_bytes, frv.ways):
+            return merged, frv
+        cache = (
+            f"no {ways}-way {size_bytes}-byte cache of "
+            f"{frv.line_bytes}-byte lines"
+        )
+        if size_bytes > MAX_CACHE_BYTES:
+            raise ValueError(
+                f"{cache}: size_bytes is capped at {MAX_CACHE_BYTES}"
+            )
+        try:
+            config = CacheConfig(size_bytes, ways, frv.line_bytes)
+        except ValueError as exc:
+            raise ValueError(f"{cache}: {exc}") from None
+        return merged, config
+
+    def cache_config(
+        self, params: Optional[Mapping[str, Any]] = None
+    ) -> CacheConfig:
+        """The cache geometry a spec with ``params`` runs on.
+
+        The side's FR-V cache, with the ``ways`` / ``size_bytes``
+        overrides of an entry that takes them (ValueError for a
+        geometry that cannot exist, such as 3 ways).  The one place a
+        spec's geometry resolves: the controller (:meth:`build`),
+        Equation (1) pricing and the counter invariants all read it.
+        """
+        return self._resolve(params)[1]
+
     def build(self, params: Optional[Mapping[str, Any]] = None) -> object:
         """Construct a fresh controller with ``params`` overrides."""
-        return self.factory(**self.merged_params(params))
+        factory_params, cache_config = self._resolve(params)
+        return self.factory(cache_config=cache_config, **factory_params)
 
     def mab_geometry(
         self, params: Optional[Mapping[str, Any]] = None
@@ -175,9 +241,11 @@ def comparison_archs(side: str) -> Tuple[str, ...]:
 # registrations
 # ----------------------------------------------------------------------
 
-# Like the controller classes, every factory also takes the cache
-# geometry as ``cache_config`` (not a spec parameter: specs always run
-# the FR-V caches), so tests can build any entry on a tiny cache.
+# Like the controller classes, every factory takes the cache geometry
+# as ``cache_config``: ``ArchitectureInfo.build`` passes the resolved
+# one (the FR-V cache, or the parametric D-side ``way-memo`` entry's
+# ``ways`` / ``size_bytes``), and tests build any entry on a tiny
+# cache.
 
 def _way_memo_dcache(tag_entries=2, index_entries=8, consistency="paper",
                      policy="lru", cache_config=FRV_DCACHE):
@@ -288,8 +356,16 @@ register(ArchitectureInfo(
 ))
 register(ArchitectureInfo(
     id="way-memo", side="dcache", factory=_way_memo_dcache,
-    description="way memoization with a parametric (Nt, Ns) MAB",
-    defaults=_mab_defaults(2, 8), uses_mab=True, parametric=True,
+    description=(
+        "way memoization with a parametric (Nt, Ns) MAB and cache "
+        "geometry"
+    ),
+    defaults={
+        **_mab_defaults(2, 8),
+        "ways": FRV_DCACHE.ways,
+        "size_bytes": FRV_DCACHE.size_bytes,
+    },
+    uses_mab=True, parametric=True,
 ))
 
 # -- I-cache -----------------------------------------------------------

@@ -10,7 +10,9 @@ a file on disk.
 Specs are validated eagerly against the central registry at
 construction: unknown sides, architectures, parameters, workloads,
 engines and technologies all fail immediately with the list of valid
-values, never deep inside a worker process.
+values, never deep inside a worker process — as do cache geometries
+that cannot exist and workload modifiers the spec's cache side never
+sees (``packet=`` is I-side, ``stack=`` D-side).
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ class RunSpec:
         self._validate()
 
     def _canonicalise_workload(self) -> None:
-        """Collapse redundant ``:scale=1`` spellings to the base name.
+        """Spell a benchmark workload canonically (modifier keys
+        sorted, defaults dropped: ``dct:stack=0`` is ``dct``).
 
         ``spec.key()`` is the content address for dedup and the
         persistent store, so two spellings of the same design point
@@ -166,11 +169,10 @@ class RunSpec:
                 or self.is_synthetic):
             return
         try:
-            base, scale = parse_workload(workload)
+            canonical = str(parse_workload(workload))
         except (KeyError, ValueError):
             return
-        if scale == 1:
-            object.__setattr__(self, "workload", base)
+        object.__setattr__(self, "workload", canonical)
 
     # -- validation ----------------------------------------------------
 
@@ -194,22 +196,27 @@ class RunSpec:
                     f"parameter {key!r} must be a JSON scalar, "
                     f"got {type(value).__name__}"
                 )
-        # Raises KeyError listing valid ids / parameter names.
+        # Raises KeyError listing valid ids / parameter names, and
+        # ValueError for a cache geometry that cannot exist.
         info = get_architecture(self.cache, self.arch)
-        info.merged_params(self.param_dict)
+        info.cache_config(self.param_dict)
         if self.is_synthetic:
             _validate_synthetic(self.cache, self.workload)
         else:
-            # Benchmark names, optionally scaled ('compress:scale=4').
-            # ValueError (bad suffix/scale) propagates with its message.
+            # Benchmark names with optional modifiers
+            # ('compress:scale=4', 'fft:packet=16', 'dct:stack=0.2').
+            # ValueError (bad modifier, wrong side) propagates with
+            # its message.
             try:
-                parse_workload(self.workload)
+                workload = parse_workload(self.workload)
             except KeyError:
                 raise KeyError(
                     f"unknown workload {self.workload!r}; available: "
-                    f"{BENCHMARK_NAMES} (':scale=N' for scalable ones) "
-                    f"or '{SYNTHETIC_PREFIX}:...'"
+                    f"{BENCHMARK_NAMES} (':scale=N' for scalable "
+                    f"ones, ':packet=N' on icache, ':stack=F' on "
+                    f"dcache) or '{SYNTHETIC_PREFIX}:...'"
                 ) from None
+            workload.check_side(self.cache)
 
     # -- accessors -----------------------------------------------------
 

@@ -312,10 +312,6 @@ class MAB:
                     pairs.append((final, index, self._ways[i][j]))
         return pairs
 
-    def _lru_order(self, stamps: List[int]) -> List[int]:
-        """Slot numbers sorted LRU first (reconstructed from stamps)."""
-        return sorted(range(len(stamps)), key=stamps.__getitem__)
-
     def check_invariants(self) -> None:
         """Assert structural invariants (used by property tests)."""
         if len(set(self._tag_stamp)) != self._nt:

@@ -9,40 +9,47 @@ each candidate width — i.e. the MAB bypass rate a ``w``-bit adder
 would suffer — directly testing the small-displacement claim the
 whole technique rests on.
 
-This is trace analysis, not simulation: it declares no run specs and
-its ``tabulate`` reads the cached workload traces directly.
+The adder is as wide as the cache's offset + index bits, so a
+``w``-bit adder is the MAB of a 2-way, 32-byte-line D-cache of
+``2 * 2**w`` bytes, and its bypass rate is that design point's
+``mab_bypasses / accesses`` (the 14-bit point is the FR-V cache).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.api import RunSpec
-from repro.core.address import SignClass, displacement_sign_class
-from repro.experiments.registry import Experiment, ResultMap, register
+from repro.cache.config import FRV_DCACHE
+from repro.experiments.ablation_mab_size import mab_spec
+from repro.experiments.registry import (
+    Experiment,
+    ResultMap,
+    register,
+    spec_result,
+)
 from repro.experiments.reporting import ExperimentResult
-from repro.workloads import BENCHMARK_NAMES, load_workload
+from repro.workloads import BENCHMARK_NAMES
 
 WIDTHS = (8, 10, 12, 14, 16)
 
 
-def bypass_rate(disps: np.ndarray, width: int) -> float:
-    """Fraction of displacements unusable with a ``width``-bit adder."""
-    total = len(disps)
-    if total == 0:
-        return 0.0
-    bad = sum(
-        1 for d in disps.tolist()
-        if displacement_sign_class(int(d), width) is SignClass.OTHER
+def adder_spec(width: int, benchmark: str) -> RunSpec:
+    """The 2x8 MAB on the FR-V-shaped D-cache whose ways each span
+    ``2**width`` bytes (offset + index bits = ``width``)."""
+    return mab_spec(
+        "dcache", 2, 8, benchmark,
+        size_bytes=FRV_DCACHE.ways * 2 ** width,
     )
-    return bad / total
 
 
 def specs() -> List[RunSpec]:
-    """Pure trace analysis — no simulation design points."""
-    return []
+    """Every (benchmark, adder width) design point."""
+    return [
+        adder_spec(width, benchmark)
+        for benchmark in BENCHMARK_NAMES
+        for width in WIDTHS
+    ]
 
 
 def tabulate(results: ResultMap) -> ExperimentResult:
@@ -51,10 +58,10 @@ def tabulate(results: ResultMap) -> ExperimentResult:
     )
     worst_w14 = 0.0
     for benchmark in BENCHMARK_NAMES:
-        disps = load_workload(benchmark).trace.data.disp
         row = {"benchmark": benchmark}
         for width in WIDTHS:
-            rate = 100.0 * bypass_rate(disps, width)
+            c = spec_result(results, adder_spec(width, benchmark)).counters
+            rate = 100.0 * (c.mab_bypasses / c.accesses)
             row[f"w{width}_pct"] = rate
             if width == 14:
                 worst_w14 = max(worst_w14, rate)
@@ -71,7 +78,6 @@ EXPERIMENT = register(Experiment(
     title="Ablation: MAB bypass rate vs narrow-adder width",
     specs=specs,
     tabulate=tabulate,
-    category="trace-derived",
     paper_reference=(
         "paper: <1% of displacements exceed the 14-bit adder "
         "(|disp| >= 2^13)"

@@ -8,10 +8,10 @@ the fetch stream at 4, 8 and 16 bytes per packet and re-measures the
 Figure-6 quantities — checking that the paper's qualitative I-cache
 conclusions do not hinge on the packet-width guess.
 
-Re-derived fetch streams are not addressable run specs (a workload's
-stream is fixed at the modelled 8-byte packet), so this experiment
-declares no specs and replays the alternative streams inside
-``tabulate``.
+Each width is a workload modifier, ``fft:packet=16``; ``packet=8``
+is the plain benchmark, so that row reuses the Figure-6 design
+points.  A 4-byte packet holds exactly one instruction, so the
+packet-4 stream's access count is the program's instruction count.
 """
 
 from __future__ import annotations
@@ -19,19 +19,32 @@ from __future__ import annotations
 from typing import List
 
 from repro.api import RunSpec
-from repro.baselines import PanwarICache
-from repro.core import MABConfig, WayMemoICache
-from repro.experiments.registry import Experiment, ResultMap, register
+from repro.experiments.registry import (
+    Experiment,
+    ResultMap,
+    register,
+    spec_result,
+)
 from repro.experiments.reporting import ExperimentResult, average
-from repro.sim import fetch_stream
-from repro.workloads import BENCHMARK_NAMES, load_workload
+from repro.workloads import BENCHMARK_NAMES
 
 PACKET_BYTES = (4, 8, 16)
+ARCHS = ("panwar", "way-memo-2x16")
+
+
+def fetch_spec(arch: str, packet: int, benchmark: str) -> RunSpec:
+    """``arch`` on ``benchmark``'s ``packet``-byte fetch stream."""
+    return RunSpec("icache", arch, f"{benchmark}:packet={packet}")
 
 
 def specs() -> List[RunSpec]:
-    """Re-derived fetch streams — no declarative design points."""
-    return []
+    """Every (packet width, benchmark, architecture) design point."""
+    return [
+        fetch_spec(arch, packet, benchmark)
+        for packet in PACKET_BYTES
+        for benchmark in BENCHMARK_NAMES
+        for arch in ARCHS
+    ]
 
 
 def tabulate(results: ResultMap) -> ExperimentResult:
@@ -39,16 +52,19 @@ def tabulate(results: ResultMap) -> ExperimentResult:
         "packet_bytes", "accesses_per_kinstr", "intra_line_pct",
         "panwar_tags", "memo_tags", "memo_vs_panwar_pct",
     ))
+
+    def counters(arch: str, packet: int, benchmark: str):
+        return spec_result(
+            results, fetch_spec(arch, packet, benchmark)
+        ).counters
+
     for packet in PACKET_BYTES:
         access_rates, intra, panwar_tags, memo_tags = [], [], [], []
         for benchmark in BENCHMARK_NAMES:
-            workload = load_workload(benchmark)
-            fs = fetch_stream(workload.trace.flow, packet)
-            p = PanwarICache().process(fs)
-            m = WayMemoICache(mab_config=MABConfig(2, 16)).process(fs)
-            access_rates.append(
-                1000.0 * len(fs) / workload.trace.instructions
-            )
+            p = counters("panwar", packet, benchmark)
+            m = counters("way-memo-2x16", packet, benchmark)
+            instructions = counters("panwar", 4, benchmark).accesses
+            access_rates.append(1000.0 * p.accesses / instructions)
             intra.append(100.0 * p.intra_line_hits / p.accesses)
             panwar_tags.append(p.tags_per_access)
             memo_tags.append(m.tags_per_access)
@@ -75,7 +91,6 @@ EXPERIMENT = register(Experiment(
     title="Ablation: fetch packet width vs I-cache results",
     specs=specs,
     tabulate=tabulate,
-    category="trace-derived",
     paper_reference=(
         "the FR-V fetches 8-byte packets; the reproduction's "
         "conclusions should survive other widths"

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.api import RunSpec
+from repro.cache.config import FRV_DCACHE
 from repro.experiments.registry import (
     Experiment,
     ResultMap,
@@ -32,11 +33,22 @@ TAG_ENTRIES = (1, 2, 4)
 INDEX_ENTRIES = (4, 8, 16, 32)
 
 
-def mab_spec(cache: str, nt: int, ns: int, benchmark: str) -> RunSpec:
-    """One parametric way-memo design point."""
+def mab_spec(
+    cache: str, nt: int, ns: int, benchmark: str, **geometry: int
+) -> RunSpec:
+    """One parametric way-memo design point.
+
+    ``geometry`` (``ways`` / ``size_bytes``, D-side only) overrides
+    the FR-V cache; a value equal to the FR-V cache's is left out, so
+    such a point is the grid's own spec and evaluates once.
+    """
+    params = {"tag_entries": nt, "index_entries": ns}
+    params.update(
+        (key, value) for key, value in geometry.items()
+        if value != getattr(FRV_DCACHE, key)
+    )
     return RunSpec(
-        cache=cache, arch="way-memo", workload=benchmark,
-        params={"tag_entries": nt, "index_entries": ns},
+        cache=cache, arch="way-memo", workload=benchmark, params=params,
     )
 
 

@@ -13,10 +13,9 @@ MAB.  If the hypothesis is right, the tag reduction approaches the
 paper's number as the stack share approaches the 30-50 % typical of
 compiled embedded code.
 
-The injected streams are synthetic derivations of the cached traces,
-not addressable run specs, so this experiment declares no specs and
-replays the modified traces inside ``tabulate`` (deterministically —
-the injector is seeded).
+Each injected stream is a workload modifier, ``dct:stack=0.2``
+(seeded, so deterministic); ``stack=0`` is the plain benchmark, the
+Figure-4 design point itself.
 """
 
 from __future__ import annotations
@@ -24,18 +23,32 @@ from __future__ import annotations
 from typing import List
 
 from repro.api import RunSpec
-from repro.core import MABConfig, WayMemoDCache
-from repro.experiments.registry import Experiment, ResultMap, register
+from repro.experiments.registry import (
+    Experiment,
+    ResultMap,
+    register,
+    spec_result,
+)
 from repro.experiments.reporting import ExperimentResult, average
-from repro.workloads import BENCHMARK_NAMES, load_workload
-from repro.workloads.synthetic import inject_stack_traffic
+from repro.workloads import BENCHMARK_NAMES
 
 FRACTIONS = (0.0, 0.2, 0.4)
 
 
+def stack_spec(fraction: float, benchmark: str) -> RunSpec:
+    """The 2x8 MAB on ``benchmark`` with ``fraction`` stack traffic."""
+    return RunSpec(
+        "dcache", "way-memo-2x8", f"{benchmark}:stack={fraction}"
+    )
+
+
 def specs() -> List[RunSpec]:
-    """Derived (injected) streams — no declarative design points."""
-    return []
+    """Every (stack fraction, benchmark) design point."""
+    return [
+        stack_spec(fraction, benchmark)
+        for fraction in FRACTIONS
+        for benchmark in BENCHMARK_NAMES
+    ]
 
 
 def tabulate(results: ResultMap) -> ExperimentResult:
@@ -44,17 +57,14 @@ def tabulate(results: ResultMap) -> ExperimentResult:
         "tag_reduction_pct",
     ))
     for fraction in FRACTIONS:
-        hits, tags = [], []
-        for benchmark in BENCHMARK_NAMES:
-            trace = load_workload(benchmark).trace.data
-            trace = inject_stack_traffic(trace, fraction)
-            c = WayMemoDCache(mab_config=MABConfig(2, 8)).process(trace)
-            hits.append(c.mab_hit_rate)
-            tags.append(c.tags_per_access)
-        avg_tags = average(tags)
+        points = [
+            spec_result(results, stack_spec(fraction, benchmark)).counters
+            for benchmark in BENCHMARK_NAMES
+        ]
+        avg_tags = average(c.tags_per_access for c in points)
         result.add_row(
             stack_fraction=fraction,
-            avg_mab_hit_rate=average(hits),
+            avg_mab_hit_rate=average(c.mab_hit_rate for c in points),
             avg_tags_per_access=avg_tags,
             tag_reduction_pct=100.0 * (1 - avg_tags / 2.0),
         )
@@ -76,7 +86,6 @@ EXPERIMENT = register(Experiment(
     ),
     specs=specs,
     tabulate=tabulate,
-    category="trace-derived",
     paper_reference=(
         "paper reports ~90% tag reduction on compiled binaries; "
         "our stack-free kernels reach 78%"

@@ -5,7 +5,7 @@ Two questions the paper leaves open:
 1. **How do the savings scale with associativity?**  Way memoization
    removes (ways - 1) data-way reads and all tag reads on a MAB hit,
    so its benefit should grow with the way count.  We sweep 1/2/4/8
-   ways at constant 32 kB capacity.
+   ways at the FR-V cache's constant 32 kB capacity.
 
 2. **Is the "tag entries <= ways" condition real?**  Section 3.3
    claims MAB/cache consistency holds "as long as the number of tag
@@ -15,9 +15,8 @@ Two questions the paper leaves open:
    stale hits — if the condition matters, violations appear here and
    only here.
 
-The swept cache geometries are not registered architectures, so this
-experiment declares no run specs and replays the custom
-configurations inside ``tabulate``.
+Each point is the parametric ``way-memo`` entry with a ``ways``
+parameter; the 2-way points are the MAB-size grid's own specs.
 """
 
 from __future__ import annotations
@@ -25,20 +24,36 @@ from __future__ import annotations
 from typing import List
 
 from repro.api import RunSpec
-from repro.cache.config import CacheConfig
-from repro.core import MABConfig, WayMemoDCache
-from repro.experiments.registry import Experiment, ResultMap, register
+from repro.experiments.ablation_mab_size import mab_spec
+from repro.experiments.registry import (
+    Experiment,
+    ResultMap,
+    register,
+    spec_result,
+)
 from repro.experiments.reporting import ExperimentResult, average
-from repro.workloads import BENCHMARK_NAMES, load_workload
+from repro.workloads import BENCHMARK_NAMES
 
 WAY_SWEEP = (1, 2, 4, 8)
-CACHE_BYTES = 32 * 1024
-LINE_BYTES = 32
+TAG_ENTRIES = (2, 4)
+INDEX_ENTRIES = 8
+
+
+def assoc_spec(ways: int, tag_entries: int, benchmark: str) -> RunSpec:
+    """A ``tag_entries`` x 8 MAB on a ``ways``-way 32 kB D-cache."""
+    return mab_spec(
+        "dcache", tag_entries, INDEX_ENTRIES, benchmark, ways=ways
+    )
 
 
 def specs() -> List[RunSpec]:
-    """Custom cache geometries — no declarative design points."""
-    return []
+    """Every (ways, tag entries, benchmark) design point."""
+    return [
+        assoc_spec(ways, tag_entries, benchmark)
+        for ways in WAY_SWEEP
+        for tag_entries in TAG_ENTRIES
+        for benchmark in BENCHMARK_NAMES
+    ]
 
 
 def tabulate(results: ResultMap) -> ExperimentResult:
@@ -47,14 +62,12 @@ def tabulate(results: ResultMap) -> ExperimentResult:
         "stale_hits", "condition_met",
     ))
     for ways in WAY_SWEEP:
-        cache_config = CacheConfig(CACHE_BYTES, ways, LINE_BYTES)
-        for tag_entries in (2, 4):
-            mab_config = MABConfig(tag_entries, 8)
+        for tag_entries in TAG_ENTRIES:
             tag_reds, way_reds, stale = [], [], 0
             for benchmark in BENCHMARK_NAMES:
-                workload = load_workload(benchmark)
-                memo = WayMemoDCache(cache_config, mab_config)
-                c = memo.process(workload.trace.data)
+                c = spec_result(
+                    results, assoc_spec(ways, tag_entries, benchmark)
+                ).counters
                 stale += c.stale_hits
                 # Original architecture cost on the same geometry:
                 # loads read all ways + all tags; stores one way.
@@ -66,7 +79,7 @@ def tabulate(results: ResultMap) -> ExperimentResult:
                 way_reds.append(1 - c.way_accesses / orig_ways)
             result.add_row(
                 ways=ways,
-                mab=mab_config.label,
+                mab=f"{tag_entries}x{INDEX_ENTRIES}",
                 tag_reduction_pct=100 * average(tag_reds),
                 way_reduction_pct=100 * average(way_reds),
                 stale_hits=stale,
@@ -97,7 +110,6 @@ EXPERIMENT = register(Experiment(
     ),
     specs=specs,
     tabulate=tabulate,
-    category="trace-derived",
     paper_reference=(
         "Sec 3.3: consistency guaranteed while MAB tag entries do "
         "not exceed the cache way count"

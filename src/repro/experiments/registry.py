@@ -23,12 +23,15 @@ is the experiment layer's one evaluation path: :meth:`Experiment.run`,
 ``repro run``, ``repro report`` and ``repro sweep`` each hand it one
 deduplicated batch of specs, evaluated locally or on a service.
 
-A few experiments (the analytic Tables 1–3, and the ablations that
-re-derive access streams: adder width, fetch width, stack traffic,
-associativity) consume no run specs; they declare ``specs() == []``
-and their ``tabulate`` computes from the hardware model or the cached
-workload traces directly.  They still register, enumerate and render
-through the same machinery.
+Only the analytic Tables 1–3 consume no run specs: they declare
+``specs() == []`` and their ``tabulate`` computes from the hardware
+model alone.  Every other experiment, including the ablations that
+modify the access stream or the cache (adder width, fetch width,
+stack traffic, associativity), spells its design points as specs —
+workload modifiers such as ``fft:packet=16`` and ``dct:stack=0.2``,
+and the parametric ``way-memo`` entry's ``ways`` / ``size_bytes`` —
+so every table's points are stored, grouped, parallelised and
+served like any other.
 
 Experiment modules self-register at import; :data:`EXPERIMENTS` names
 them in report order and :func:`get_experiment` imports lazily, so
@@ -112,9 +115,8 @@ class Experiment:
     tabulate: Callable[[ResultMap], ExperimentResult]
     paper_reference: Optional[str] = None
     #: What powers the table: ``spec-driven`` (declared RunSpecs, the
-    #: default), ``analytic`` (hardware model only — instant), or
-    #: ``trace-derived`` (replays modified/re-derived streams inside
-    #: ``tabulate`` — local compute even with ``--url``).
+    #: default) or ``analytic`` (hardware model only — instant); the
+    #: sweeps and scenarios name their own.
     category: str = "spec-driven"
 
     def new_result(self, columns: Sequence[str]) -> ExperimentResult:
@@ -185,11 +187,6 @@ def get_experiment(name: str) -> Experiment:
             f"unknown experiment {name!r}; available: "
             f"{experiment_catalog()}"
         ) from None
-
-
-def experiment_names() -> Tuple[str, ...]:
-    """Registered experiment names, in report order."""
-    return EXPERIMENTS
 
 
 def experiment_catalog() -> Tuple[str, ...]:

@@ -392,8 +392,8 @@ class DashboardContext:
         ``declared`` design-point counts, and ``result`` (a tabulated
         :class:`ExperimentResult`) when the store fully covers the
         experiment — analytic experiments always tabulate (no specs),
-        trace-derived ones never do on a GET (they re-derive streams
-        locally; the markdown report is their surface).
+        and every other one as soon as the store holds all its
+        declared specs.
         """
         from repro.experiments.registry import (
             EXPERIMENTS,
@@ -413,9 +413,6 @@ class DashboardContext:
                 "covered": 0,
                 "result": None,
             }
-            if experiment.category == "trace-derived":
-                panels.append(panel)
-                continue
             found: Dict[str, Any] = {}
             if specs and self._store is not None:
                 try:
@@ -526,9 +523,7 @@ class DashboardContext:
         parts = ['<section class="panel"><h2>Experiments</h2>']
         summary_rows = []
         for panel in self.experiment_panels:
-            if panel["category"] == "trace-derived":
-                status = "trace-derived (markdown report only)"
-            elif panel["result"] is not None:
+            if panel["result"] is not None:
                 status = "rendered below"
             elif panel["declared"]:
                 status = (

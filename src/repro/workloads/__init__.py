@@ -18,6 +18,7 @@ from repro.workloads.suite import (
     BENCHMARK_NAMES,
     SCALABLE_BENCHMARKS,
     Benchmark,
+    WorkloadName,
     get_benchmark,
     load_workload,
     parse_workload,
@@ -42,6 +43,7 @@ __all__ = [
     "KIND_PARAM",
     "SCALABLE_BENCHMARKS",
     "Benchmark",
+    "WorkloadName",
     "default_synthetic_kind",
     "generate_synthetic",
     "get_benchmark",

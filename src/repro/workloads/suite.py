@@ -7,10 +7,18 @@ keeps the full-suite experiments fast).  Two cache levels stack:
 
 * an in-process ``lru_cache`` (one ISS run per process at most), and
 * a versioned **on-disk trace cache**: the traces are persisted as a
-  ``.npz`` archive keyed by workload name, the program's content
-  digest, the fetch packet size and the trace format version, so a
-  *second process* (another experiment suite, a CI shard, a sweep
-  worker) skips the ISS entirely and just loads the arrays.
+  ``.npz`` archive keyed by program name, the program's content
+  digest, the modelled 8-byte fetch packet and the trace format
+  version, so a *second process* (another experiment suite, a CI
+  shard, a sweep worker) skips the ISS entirely and just loads the
+  arrays.
+
+Workload names follow one grammar, ``base[:packet=N,scale=N,stack=F]``,
+parsed and canonicalised by :func:`parse_workload` alone: ``scale``
+names a bigger program, while ``packet`` and ``stack`` modify the
+stream one cache side sees of the same program's traces (the archive
+holds the flow trace, so a ``packet=16`` stream needs no second ISS
+run or archive).
 
 The disk cache lives in ``$REPRO_TRACE_CACHE`` when set (set it to
 ``0``/``off`` to disable caching), otherwise in
@@ -73,32 +81,99 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 SCALABLE_BENCHMARKS: Tuple[str, ...] = ("compress", "jpeg_enc", "mpeg2enc")
 
 
-def parse_workload(name: str) -> Tuple[str, int]:
-    """``'compress:scale=4'`` -> ``('compress', 4)``; plain names -> 1.
+#: Largest ``packet=N``: the FR-V I-cache line, so a packet never
+#: spans two lines.
+MAX_FETCH_BYTES = 32
 
-    Raises ``KeyError`` for unknown base benchmarks (with the listing)
-    and ``ValueError`` for malformed suffixes, non-positive scales, or
-    scaling a benchmark whose generator is not scale-aware.
+
+@dataclass(frozen=True)
+class WorkloadName:
+    """A parsed benchmark workload ``base[:packet=N,scale=N,stack=F]``.
+
+    ``scale`` picks the executed program (a bigger input); ``packet``
+    and ``stack`` modify the stream one cache side sees of that
+    program: ``packet=N`` re-derives the I-side fetch stream at
+    ``N``-byte packets, ``stack=F`` injects a fraction ``F`` of
+    compiler-style stack accesses into the D-side trace.  ``str()``
+    is the canonical spelling — keys sorted, defaults dropped — so
+    ``dct:stack=0`` and ``compress:scale=1`` name ``dct`` and
+    ``compress``.
+    """
+
+    base: str
+    scale: int = 1
+    packet: int = DEFAULT_FETCH_BYTES
+    stack: float = 0.0
+
+    @property
+    def program(self) -> str:
+        """The executed program's canonical name (``base`` or
+        ``base:scale=N``) — what the trace caches key on."""
+        if self.scale == 1:
+            return self.base
+        return f"{self.base}:scale={self.scale}"
+
+    def __str__(self) -> str:
+        modifiers = []
+        if self.packet != DEFAULT_FETCH_BYTES:
+            modifiers.append(f"packet={self.packet}")
+        if self.scale != 1:
+            modifiers.append(f"scale={self.scale}")
+        if self.stack:
+            modifiers.append(f"stack={self.stack!r}")
+        suffix = ",".join(modifiers)
+        return f"{self.base}:{suffix}" if suffix else self.base
+
+    def check_side(self, side: str) -> None:
+        """Reject a stream modifier the ``side`` cache never sees."""
+        if self.packet != DEFAULT_FETCH_BYTES and side != "icache":
+            raise ValueError(
+                f"packet= re-derives the I-side fetch stream; "
+                f"{side} workload {self} cannot take it"
+            )
+        if self.stack and side != "dcache":
+            raise ValueError(
+                f"stack= injects D-side stack traffic; "
+                f"{side} workload {self} cannot take it"
+            )
+
+
+def _integer(key: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"workload {key} must be an integer, got {value!r}"
+        ) from None
+
+
+def parse_workload(name: str) -> WorkloadName:
+    """``'compress:scale=4'`` -> ``WorkloadName('compress', scale=4)``.
+
+    The one parser of benchmark workload names.  Raises ``KeyError``
+    for unknown base benchmarks (with the listing) and ``ValueError``
+    for malformed or repeated modifiers, non-positive scales, scaling
+    a benchmark whose generator is not scale-aware, packets that are
+    not a power of two in 4..32 bytes, and stack fractions outside
+    [0, 1).
     """
     base, sep, tail = name.partition(":")
     if base not in _MODULES:
         raise KeyError(
             f"unknown benchmark {base!r}; available: {BENCHMARK_NAMES}"
         )
-    if not sep:
-        return base, 1
-    key, eq, value = tail.partition("=")
-    if key.strip() != "scale" or not eq:
-        raise ValueError(
-            f"malformed workload suffix {tail!r} in {name!r} "
-            "(expected scale=N)"
-        )
-    try:
-        scale = int(value)
-    except ValueError:
-        raise ValueError(
-            f"workload scale must be an integer, got {value!r}"
-        ) from None
+    fields = {}
+    for item in tail.split(",") if sep else ():
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if key not in ("packet", "scale", "stack") or not eq:
+            raise ValueError(
+                f"malformed workload suffix {item!r} in {name!r} "
+                "(expected scale=N, packet=N or stack=F)"
+            )
+        if key in fields:
+            raise ValueError(f"workload {name!r} repeats {key}=")
+        fields[key] = value
+    scale = _integer("scale", fields.get("scale", 1))
     if scale < 1:
         raise ValueError(f"workload scale must be >= 1, got {scale}")
     if scale != 1 and base not in SCALABLE_BENCHMARKS:
@@ -106,7 +181,32 @@ def parse_workload(name: str) -> Tuple[str, int]:
             f"benchmark {base!r} has no scale parameter; "
             f"scalable: {SCALABLE_BENCHMARKS}"
         )
-    return base, scale
+    packet = _integer("packet", fields.get("packet", DEFAULT_FETCH_BYTES))
+    if packet & (packet - 1) or not 4 <= packet <= MAX_FETCH_BYTES:
+        raise ValueError(
+            f"workload packet must be a power of two from 4 to "
+            f"{MAX_FETCH_BYTES} bytes, got {packet}"
+        )
+    try:
+        stack = float(fields.get("stack", 0.0))
+    except ValueError:
+        raise ValueError(
+            f"workload stack must be a fraction, got {fields['stack']!r}"
+        ) from None
+    if not 0.0 <= stack < 1.0:
+        raise ValueError(f"workload stack must be in [0, 1), got {stack}")
+    return WorkloadName(base, scale, packet, stack)
+
+
+def _program_workload(name: str) -> WorkloadName:
+    """Parse a name that must name a program, not a modified stream."""
+    workload = parse_workload(name)
+    if str(workload) != workload.program:
+        raise ValueError(
+            f"{name!r} modifies a cache side's stream; a program is "
+            f"named without packet=/stack=: {workload.program!r}"
+        )
+    return workload
 
 
 @dataclass(frozen=True)
@@ -119,19 +219,21 @@ class Benchmark:
 
 
 def get_benchmark(name: str) -> Benchmark:
-    """Look up a benchmark by its paper name or scaled variant.
+    """Look up a benchmark by its paper name or scaled variant
+    (stream modifiers refused, as by :func:`load_workload`).
 
     ``'compress'`` binds the generator at its paper-sized default;
     ``'compress:scale=4'`` binds the same generator with a 4x input.
     """
-    base, scale = parse_workload(name)
+    workload = _program_workload(name)
+    base, scale = workload.base, workload.scale
     module = importlib.import_module(_MODULES[base])
     if scale == 1:
         return Benchmark(
             name=base, build=module.build, check=module.check
         )
     return Benchmark(
-        name=name,
+        name=workload.program,
         build=lambda: module.build(scale=scale),
         check=lambda result: module.check(result, scale=scale),
     )
@@ -175,9 +277,7 @@ def trace_cache_dir() -> Optional[Path]:
     return base / "repro-traces"
 
 
-def _trace_cache_path(
-    name: str, program: Program, packet_bytes: int
-) -> Optional[Path]:
+def _trace_cache_path(name: str, program: Program) -> Optional[Path]:
     directory = trace_cache_dir()
     if directory is None:
         return None
@@ -185,13 +285,13 @@ def _trace_cache_path(
     # (the program digest already disambiguates the content).
     safe = name.replace(":", "+").replace("=", "-")
     return directory / (
-        f"{safe}-{program.digest()[:16]}-p{packet_bytes}"
+        f"{safe}-{program.digest()[:16]}-p{DEFAULT_FETCH_BYTES}"
         f"-v{FORMAT_VERSION}.npz"
     )
 
 
 def _load_cached_traces(
-    path: Path, packet_bytes: int
+    path: Path,
 ) -> Optional[Tuple[ExecutionTrace, FetchStream]]:
     """Read a cached workload archive; None when absent or unusable."""
     if not path.is_file():
@@ -201,7 +301,7 @@ def _load_cached_traces(
     except (TraceFormatError, OSError, ValueError, KeyError, EOFError,
             zipfile.BadZipFile):
         return None
-    if fetch is None or fetch.packet_bytes != packet_bytes:
+    if fetch is None or fetch.packet_bytes != DEFAULT_FETCH_BYTES:
         return None
     return trace, fetch
 
@@ -228,26 +328,26 @@ def _store_cached_traces(
 
 
 def _execute_workload(
-    name: str, program: Program, packet_bytes: int
+    name: str, program: Program
 ) -> Tuple[ExecutionTrace, FetchStream]:
     """Run the already-assembled ``program`` (no second build)."""
     result = run_program(program)
     if not result.halted:
         raise RuntimeError(f"benchmark {name} did not halt")
-    return result.trace, fetch_stream(result.trace.flow, packet_bytes)
+    return result.trace, fetch_stream(result.trace.flow)
 
 
 @lru_cache(maxsize=None)
-def _load_workload_cached(name: str, packet_bytes: int) -> Workload:
+def _load_workload_cached(name: str) -> Workload:
     bench = get_benchmark(name)
     program = bench.build()
-    path = _trace_cache_path(name, program, packet_bytes)
+    path = _trace_cache_path(name, program)
 
-    cached = _load_cached_traces(path, packet_bytes) if path else None
+    cached = _load_cached_traces(path) if path else None
     if cached is not None:
         trace, fetch = cached
     else:
-        trace, fetch = _execute_workload(name, program, packet_bytes)
+        trace, fetch = _execute_workload(name, program)
         if path is not None:
             _store_cached_traces(path, trace, fetch)
     return Workload(
@@ -258,19 +358,18 @@ def _load_workload_cached(name: str, packet_bytes: int) -> Workload:
     )
 
 
-def load_workload(
-    name: str, packet_bytes: int = DEFAULT_FETCH_BYTES
-) -> Workload:
-    """Return ``name``'s traces, via the in-process + on-disk caches.
+def load_workload(name: str) -> Workload:
+    """Return program ``name``'s traces, via the in-process + on-disk
+    caches.
 
-    Accepts scaled names (``compress:scale=4``); the redundant
-    ``:scale=1`` spelling is canonicalised to the plain name first, so
-    every spelling of one workload shares one cache entry and one
-    trace archive.
+    Accepts scaled names (``compress:scale=4``); every spelling of one
+    program (``compress:scale=1`` is ``compress``) shares one cache
+    entry and one trace archive.  Stream modifiers (``packet=``,
+    ``stack=``) are refused: they shape what one cache side sees of
+    the program, which :mod:`repro.api.evaluate` resolves on top of
+    these traces.
     """
-    base, scale = parse_workload(name)
-    canonical = base if scale == 1 else name
-    return _load_workload_cached(canonical, packet_bytes)
+    return _load_workload_cached(_program_workload(name).program)
 
 
 #: The in-process cache lives on the inner function; expose its

@@ -148,6 +148,71 @@ def test_spec_params_are_canonicalised():
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("cache, workload, canonical", [
+    ("dcache", "dct:stack=0", "dct"),
+    ("dcache", "compress:stack=0.20,scale=2", "compress:scale=2,stack=0.2"),
+    ("icache", "fft:packet=8", "fft"),
+    ("icache", "fft:packet=016", "fft:packet=16"),
+    ("icache", "mpeg2enc:scale=2,packet=4", "mpeg2enc:packet=4,scale=2"),
+])
+def test_spec_workload_modifiers_are_canonicalised(cache, workload,
+                                                   canonical):
+    """Two spellings of one design point share one key."""
+    spec = RunSpec(cache=cache, arch="original", workload=workload)
+    assert spec.workload == canonical
+    assert spec.key() == RunSpec(
+        cache=cache, arch="original", workload=canonical
+    ).key()
+
+
+@pytest.mark.parametrize("cache, arch, workload, params, error, match", [
+    ("dcache", "original", "dct:packet=16", {}, ValueError, "packet="),
+    ("icache", "original", "dct:stack=0.2", {}, ValueError, "stack="),
+    ("dcache", "way-memo", "dct", {"ways": 3}, ValueError, "3-way"),
+    ("dcache", "way-memo", "dct", {"size_bytes": 1000}, ValueError,
+     "1000-byte"),
+    ("dcache", "way-memo", "dct", {"size_bytes": 1 << 21}, ValueError,
+     "capped"),
+    ("dcache", "way-memo", "dct", {"ways": "4"}, ValueError, "integer"),
+    ("icache", "way-memo", "dct", {"ways": 4}, KeyError,
+     "no parameter 'ways'"),
+    ("dcache", "way-memo-2x8", "dct", {"size_bytes": 8192}, KeyError,
+     "no parameter 'size_bytes'"),
+])
+def test_spec_rejects_bad_modifiers_and_geometries(cache, arch, workload,
+                                                   params, error, match):
+    with pytest.raises(error, match=match):
+        RunSpec(cache=cache, arch=arch, workload=workload, params=params)
+
+
+def test_spec_geometry_reaches_controller_pricing_and_checks():
+    """``ways`` / ``size_bytes`` resolve in one place, and the
+    controller, Equation (1) pricing and the counter invariants all
+    read it: an 8-way MAB miss compares 8 tags, which the FR-V
+    2-way invariant would refuse."""
+    from repro.cache.config import FRV_DCACHE
+    from repro.energy import CachePowerModel, MABHardwareModel
+
+    spec = _tiny_spec(
+        "dcache", get_architecture("dcache", "way-memo"),
+        ways=8, size_bytes=8192,
+    )
+    info = get_architecture("dcache", "way-memo")
+    config = info.cache_config(spec.param_dict)
+    assert (config.ways, config.size_bytes) == (8, 8192)
+    assert info.build(spec.param_dict).cache.config == config
+    result = evaluate(spec, use_cache=False)
+    c = result.counters
+    assert c.tag_accesses > 2 * c.accesses
+    price = {"label": "way-memo", "mab_model": MABHardwareModel(2, 8)}
+    assert result.power == CachePowerModel(config).power(
+        c, result.cycles, **price
+    )
+    assert result.power != CachePowerModel(FRV_DCACHE).power(
+        c, result.cycles, **price
+    )
+
+
 def test_spec_roundtrip_evaluates_to_identical_counters():
     """JSON-dump -> load -> evaluate must not change a single count."""
     for side in CACHE_SIDES:

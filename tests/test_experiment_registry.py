@@ -3,8 +3,9 @@
 The tentpole contracts: every experiment module registers exactly one
 record under its module name; declared specs are valid, stable
 ``RunSpec`` lists; every ``tabulate`` is pure — two calls on the same
-results render identical bytes and perform zero simulations (asserted
-via the evaluate/store counters); and ``repro report --url`` renders
+results render identical bytes, perform zero simulations (asserted
+via the evaluate/store counters), replay no stream and load no
+workload; and ``repro report --url`` renders
 markdown byte-identical to the local path, with zero local
 simulations once the server's store is warm, matching the golden
 snapshots.
@@ -80,8 +81,38 @@ def all_results():
     ))
 
 
+@pytest.fixture()
+def replays_and_loads(monkeypatch):
+    """Every replay-engine call and workload load, by entry point.
+
+    A controller's ``process`` replays through ``replay_counters``
+    without counting as a simulation, and every workload load goes
+    through the suite's cached loader, so wrapping those two entry
+    points sees what ``simulation_count`` cannot.
+    """
+    import repro.replay
+    import repro.replay.engine as engine
+    import repro.workloads.suite as suite
+
+    calls = []
+
+    def watch(modules, name):
+        original = getattr(modules[0], name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, recorded)
+
+    watch((engine, repro.replay), "replay_counters")
+    watch((suite,), "_load_workload_cached")
+    return calls
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_tabulate_is_pure(name, all_results):
+def test_tabulate_is_pure(name, all_results, replays_and_loads):
     experiment = get_experiment(name)
     store = default_store()
     sims_before = simulation_count()
@@ -92,6 +123,9 @@ def test_tabulate_is_pure(name, all_results):
     assert first == second, f"{name} tabulate is not deterministic"
     assert simulation_count() == sims_before, (
         f"{name} tabulate ran a simulation"
+    )
+    assert not replays_and_loads, (
+        f"{name} tabulate called {sorted(set(replays_and_loads))}"
     )
     if store is not None:
         assert store.hits == store.misses == store.puts == 0, (

@@ -238,6 +238,42 @@ def test_adder_width_ablation_monotone():
         assert row["w14_pct"] < 1.0  # the paper's <1% claim
 
 
+def test_adder_width_points_bypass_exactly_the_wide_displacements():
+    """Each width's design point is a cache whose offset + index bits
+    equal the width, so its MAB bypasses exactly the displacements a
+    narrow adder of that width cannot serve.  The suite's
+    displacements are all small (every rate reads 0), so this drives
+    wide ones through the same specs' controllers."""
+    import numpy as np
+
+    from repro.api import get_architecture
+    from repro.core.address import SignClass, displacement_sign_class
+    from repro.experiments.ablation_adder_width import WIDTHS, adder_spec
+    from repro.sim.trace import DataTrace
+
+    rng = np.random.default_rng(3)
+    n = 3_000
+    disp = (rng.integers(-(1 << 17), 1 << 17, size=n) * 4).astype(np.int32)
+    trace = DataTrace(
+        base=(0x40000 + rng.integers(0, 4096, size=n) * 4).astype(
+            np.uint32
+        ),
+        disp=disp,
+        store=rng.random(n) < 0.3,
+    )
+    way_memo = get_architecture("dcache", "way-memo")
+    for width in WIDTHS:
+        counters = way_memo.build(
+            adder_spec(width, "dct").param_dict
+        ).process(trace)
+        wide = sum(
+            displacement_sign_class(int(d), width) is SignClass.OTHER
+            for d in disp.tolist()
+        )
+        assert 0 < wide < n
+        assert counters.mab_bypasses == wide, width
+
+
 # ----------------------------------------------------------------------
 # reporting utilities
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.api import architectures
+from repro.api.registry import GEOMETRY_PARAMS
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 from repro.isa import assemble
 from repro.sim import CPU, CPUError, run_program
@@ -125,10 +126,14 @@ def build_design(side, design, cache_config=None, **params):
     """A fresh controller for one registry design, optionally on
     another cache geometry or with parameter overrides."""
     info, base = DESIGNS[side][design]
-    kwargs = info.merged_params({**base, **params})
-    if cache_config is not None:
-        kwargs["cache_config"] = cache_config
-    return info.factory(**kwargs)
+    if cache_config is None:
+        return info.build({**base, **params})
+    kwargs = {
+        key: value
+        for key, value in info.merged_params({**base, **params}).items()
+        if key not in GEOMETRY_PARAMS
+    }
+    return info.factory(cache_config=cache_config, **kwargs)
 
 
 @lru_cache(maxsize=None)

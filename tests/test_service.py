@@ -397,11 +397,14 @@ def test_run_scenario_experiment_remote_matches_local(client):
 
 
 def test_run_experiment_results_are_keyed_by_spec_json(client):
-    name = "ablation_adder_width"         # zero specs, cheap
+    from repro.experiments import get_experiment
+
+    name = "ablation_adder_width"         # 35 D-side specs, cheap
+    keys = {spec.key() for spec in get_experiment(name).specs()}
     response = client._request(f"/v1/experiments/{name}", {})
     assert response["name"] == name
-    assert response["count"] == 0
-    assert response["results"] == {}
+    assert response["count"] == len(keys) == 35
+    assert set(response["results"]) == keys
 
 
 def test_run_experiment_refuses_version_skewed_server(

@@ -38,7 +38,7 @@ def test_second_process_skips_the_iss(cache_dir):
     first = load_workload("dct")
     suite.load_workload.cache_clear()  # simulate a new process
     with mock.patch.object(
-        suite, "run_benchmark",
+        suite, "_execute_workload",
         side_effect=AssertionError("ISS must not run on a cache hit"),
     ):
         second = load_workload("dct")
@@ -56,12 +56,36 @@ def test_second_process_skips_the_iss(cache_dir):
         ), attr
 
 
-def test_packet_size_is_part_of_the_key(cache_dir):
-    load_workload("dct")
-    load_workload("dct", packet_bytes=16)
-    names = sorted(p.name for p in cache_dir.glob("dct-*.npz"))
-    assert any("-p8-" in n for n in names)
-    assert any("-p16-" in n for n in names)
+def test_packet_spec_resolves_from_the_one_archive(cache_dir):
+    """A ``:packet=16`` spec re-derives its fetch stream from the
+    cached flow trace: no ISS run, no second archive."""
+    from repro.api import RunSpec, evaluate
+    from repro.replay.engine import clear_columns_cache
+    from repro.sim import fetch_stream
+
+    workload = load_workload("dct")
+    suite.load_workload.cache_clear()  # simulate a new process
+    clear_columns_cache()
+    with mock.patch.object(
+        suite, "_execute_workload",
+        side_effect=AssertionError("ISS must not run on a cache hit"),
+    ):
+        result = evaluate(
+            RunSpec("icache", "panwar", "dct:packet=16"),
+            use_cache=False,
+        )
+    assert result.counters.accesses == len(
+        fetch_stream(workload.trace.flow, 16)
+    )
+    assert result.cycles == workload.cycles
+    assert len(list(cache_dir.glob("dct-*.npz"))) == 1
+
+
+def test_program_lookups_refuse_stream_modifiers(cache_dir):
+    with pytest.raises(ValueError, match="without packet=/stack="):
+        load_workload("dct:packet=16")
+    with pytest.raises(ValueError, match="without packet=/stack="):
+        suite.get_benchmark("dct:stack=0.2")
 
 
 def test_corrupt_archive_is_regenerated(cache_dir):

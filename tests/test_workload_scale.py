@@ -15,6 +15,7 @@ import pytest
 from repro.api import RunSpec, evaluate
 from repro.workloads import (
     SCALABLE_BENCHMARKS,
+    WorkloadName,
     get_benchmark,
     load_workload,
     parse_workload,
@@ -31,9 +32,34 @@ _MODULES = {
 # ----------------------------------------------------------------------
 
 def test_parse_plain_and_scaled_names():
-    assert parse_workload("dct") == ("dct", 1)
-    assert parse_workload("compress:scale=4") == ("compress", 4)
-    assert parse_workload("mpeg2enc:scale=1") == ("mpeg2enc", 1)
+    assert parse_workload("dct") == WorkloadName("dct")
+    assert parse_workload("compress:scale=4") == WorkloadName(
+        "compress", scale=4
+    )
+    assert parse_workload("mpeg2enc:scale=1") == WorkloadName("mpeg2enc")
+    assert parse_workload("compress:stack=0.2,scale=2,packet=16") == (
+        WorkloadName("compress", scale=2, packet=16, stack=0.2)
+    )
+
+
+@pytest.mark.parametrize("name, canonical, program", [
+    ("dct", "dct", "dct"),
+    ("dct:stack=0", "dct", "dct"),
+    ("dct:stack=0.0", "dct", "dct"),
+    ("fft:packet=8", "fft", "fft"),
+    ("compress:scale=1", "compress", "compress"),
+    ("dct:stack=0.20", "dct:stack=0.2", "dct"),
+    ("fft:packet=016", "fft:packet=16", "fft"),
+    ("compress:stack=0.4,scale=2", "compress:scale=2,stack=0.4",
+     "compress:scale=2"),
+    ("jpeg_enc:scale=3,packet=4", "jpeg_enc:packet=4,scale=3",
+     "jpeg_enc:scale=3"),
+])
+def test_canonical_spellings(name, canonical, program):
+    """Keys sorted, defaults dropped; the program keeps only scale."""
+    assert str(parse_workload(name)) == canonical
+    assert str(parse_workload(canonical)) == canonical
+    assert parse_workload(name).program == program
 
 
 def test_parse_rejects_bad_names():
@@ -47,6 +73,16 @@ def test_parse_rejects_bad_names():
         parse_workload("compress:scale=big")
     with pytest.raises(ValueError, match="scale=N"):
         parse_workload("compress:bogus=2")
+    with pytest.raises(ValueError, match="power of two"):
+        parse_workload("fft:packet=12")
+    with pytest.raises(ValueError, match="power of two"):
+        parse_workload("fft:packet=64")
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        parse_workload("dct:stack=1")
+    with pytest.raises(ValueError, match="fraction"):
+        parse_workload("dct:stack=lots")
+    with pytest.raises(ValueError, match="repeats"):
+        parse_workload("dct:stack=0.1,stack=0.2")
 
 
 # ----------------------------------------------------------------------
