@@ -31,21 +31,28 @@ Quickstart
 True
 """
 
+import importlib
+from typing import Callable, Mapping
+
 __version__ = "1.0.0"
 
-from repro.cache import CacheConfig, FRV_DCACHE, FRV_ICACHE
-from repro.core import MAB, MABConfig, WayMemoDCache, WayMemoICache
-from repro.energy import CachePowerModel, MABHardwareModel
+# Nothing is re-exported: importing a subpackage (``repro.cli``, the
+# service client) must not load the simulator and NumPy with it.
+__all__ = ["__version__"]
 
-__all__ = [
-    "CacheConfig",
-    "CachePowerModel",
-    "FRV_DCACHE",
-    "FRV_ICACHE",
-    "MAB",
-    "MABConfig",
-    "MABHardwareModel",
-    "WayMemoDCache",
-    "WayMemoICache",
-    "__version__",
-]
+
+def _lazy_exports(package: str, exports: Mapping[str, str]) -> Callable:
+    """A PEP 562 module ``__getattr__`` for ``package``: each name in
+    ``exports`` resolves, on every access, to the object the module
+    it maps to defines, importing that module on first use."""
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        return getattr(importlib.import_module(module), name)
+
+    return __getattr__

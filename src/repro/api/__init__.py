@@ -38,48 +38,50 @@ code are answered from SQLite without simulating, across processes
 and machines.
 """
 
-from repro.api.evaluate import (
-    CounterInvariantError,
-    cached_results,
-    clear_result_cache,
-    evaluate,
-    evaluate_many,
-    simulation_count,
-)
-from repro.api.parallel import parallel_map, warm_trace_cache
-from repro.api.registry import (
-    CACHE_SIDES,
-    TECHNOLOGIES,
-    ArchitectureInfo,
-    architecture_ids,
-    architectures,
-    comparison_archs,
-    get_architecture,
-    register,
-)
-from repro.api.result import RESULT_SCHEMA_VERSION, RunResult
-from repro.api.spec import ENGINES, SPEC_SCHEMA_VERSION, RunSpec
+import sys
+import types
 
-__all__ = [
-    "ArchitectureInfo",
-    "CACHE_SIDES",
-    "CounterInvariantError",
-    "ENGINES",
-    "RESULT_SCHEMA_VERSION",
-    "RunResult",
-    "RunSpec",
-    "SPEC_SCHEMA_VERSION",
-    "TECHNOLOGIES",
-    "architecture_ids",
-    "architectures",
-    "cached_results",
-    "clear_result_cache",
-    "comparison_archs",
-    "evaluate",
-    "evaluate_many",
-    "get_architecture",
-    "parallel_map",
-    "register",
-    "simulation_count",
-    "warm_trace_cache",
-]
+from repro import _lazy_exports
+
+#: Each public name and the module that defines it, imported on first
+#: access: building, sending and reading specs and results loads
+#: neither the evaluator nor the controllers and NumPy.
+_EXPORTS = {
+    "CACHE_SIDES": "repro.api.registry",
+    "CounterInvariantError": "repro.api.evaluate",
+    "ENGINES": "repro.api.spec",
+    "RESULT_SCHEMA_VERSION": "repro.api.result",
+    "RunResult": "repro.api.result",
+    "RunSpec": "repro.api.spec",
+    "SPEC_SCHEMA_VERSION": "repro.api.spec",
+    "TECHNOLOGIES": "repro.api.registry",
+    "architecture_ids": "repro.api.registry",
+    "architectures": "repro.api.registry",
+    "clear_result_cache": "repro.api.evaluate",
+    "comparison_archs": "repro.api.registry",
+    "evaluate": "repro.api.evaluate",
+    "evaluate_many": "repro.api.evaluate",
+    "get_architecture": "repro.api.registry",
+    "simulation_count": "repro.api.evaluate",
+    "warm_trace_cache": "repro.api.parallel",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)
+
+
+class _Package(types.ModuleType):
+    """Keeps ``repro.api.evaluate`` the function.
+
+    The first import of the submodule of the same name binds this
+    package's ``evaluate`` attribute to the module; the function is
+    what callers import by that name.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "evaluate" and isinstance(value, types.ModuleType):
+            value = value.evaluate
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

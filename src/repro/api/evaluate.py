@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.config import CacheConfig
 from repro.cache.stats import AccessCounters
@@ -361,8 +361,3 @@ def clear_result_cache() -> None:
     """Drop every cached result (tests and long-lived services)."""
     _RESULTS.clear()
     _STORE_WARNINGS.clear()
-
-
-def cached_results() -> Iterable[RunResult]:
-    """A snapshot of the per-process result cache (diagnostics)."""
-    return tuple(_RESULTS.values())

@@ -28,26 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.baselines import (
-    FilterCacheDCache,
-    FilterCacheICache,
-    MaLinksICache,
-    OriginalDCache,
-    OriginalICache,
-    PanwarICache,
-    SetBufferDCache,
-    TwoPhaseDCache,
-    TwoPhaseICache,
-    WayPredictionDCache,
-    WayPredictionICache,
-)
 from repro.cache.config import FRV_DCACHE, FRV_ICACHE, CacheConfig
-from repro.core import (
-    LineBufferWayMemoDCache,
-    MABConfig,
-    WayMemoDCache,
-    WayMemoICache,
-)
 from repro.energy.technology import FRV_TECH, TechnologyParameters
 
 #: Valid values of ``RunSpec.cache``.
@@ -245,10 +226,24 @@ def comparison_archs(side: str) -> Tuple[str, ...]:
 # as ``cache_config``: ``ArchitectureInfo.build`` passes the resolved
 # one (the FR-V cache, or the parametric D-side ``way-memo`` entry's
 # ``ways`` / ``size_bytes``), and tests build any entry on a tiny
-# cache.
+# cache.  A factory imports its controller when it builds one, so
+# resolving and pricing specs never loads the controllers and NumPy.
+
+def _baseline(name: str) -> Callable[..., object]:
+    """A factory for the :mod:`repro.baselines` controller ``name``."""
+
+    def factory(**params):
+        from repro import baselines
+
+        return getattr(baselines, name)(**params)
+
+    return factory
+
 
 def _way_memo_dcache(tag_entries=2, index_entries=8, consistency="paper",
                      policy="lru", cache_config=FRV_DCACHE):
+    from repro.core import MABConfig, WayMemoDCache
+
     return WayMemoDCache(
         cache_config,
         mab_config=MABConfig(tag_entries, index_entries, consistency),
@@ -258,6 +253,8 @@ def _way_memo_dcache(tag_entries=2, index_entries=8, consistency="paper",
 
 def _way_memo_icache(tag_entries=2, index_entries=16, consistency="paper",
                      policy="lru", cache_config=FRV_ICACHE):
+    from repro.core import MABConfig, WayMemoICache
+
     return WayMemoICache(
         cache_config,
         mab_config=MABConfig(tag_entries, index_entries, consistency),
@@ -268,6 +265,8 @@ def _way_memo_icache(tag_entries=2, index_entries=16, consistency="paper",
 def _line_buffer_way_memo(tag_entries=2, index_entries=8,
                           consistency="paper", line_buffer_entries=1,
                           policy="lru", cache_config=FRV_DCACHE):
+    from repro.core import LineBufferWayMemoDCache, MABConfig
+
     return LineBufferWayMemoDCache(
         cache_config,
         mab_config=MABConfig(tag_entries, index_entries, consistency),
@@ -310,12 +309,12 @@ def _mab_defaults(tag_entries: int, index_entries: int,
 # -- D-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
-    id="original", side="dcache", factory=OriginalDCache,
+    id="original", side="dcache", factory=_baseline("OriginalDCache"),
     description="conventional 2-way set-associative D-cache",
     defaults={"policy": "lru"}, comparison_rank=0,
 ))
 register(ArchitectureInfo(
-    id="set-buffer", side="dcache", factory=SetBufferDCache,
+    id="set-buffer", side="dcache", factory=_baseline("SetBufferDCache"),
     description="lightweight set buffer [14]",
     defaults={"entries": 2, "policy": "lru"},
     aux_bits=_set_buffer_bits,
@@ -338,19 +337,20 @@ register(ArchitectureInfo(
     uses_mab=True,
 ))
 register(ArchitectureInfo(
-    id="filter-cache", side="dcache", factory=FilterCacheDCache,
+    id="filter-cache", side="dcache", factory=_baseline("FilterCacheDCache"),
     description="L0 filter cache [6] (extra cycle on L0 misses)",
     defaults={"l0_lines": 8, "policy": "lru"},
     aux_bits=_filter_cache_bits, comparison_rank=1,
 ))
 register(ArchitectureInfo(
-    id="way-prediction", side="dcache", factory=WayPredictionDCache,
+    id="way-prediction", side="dcache",
+    factory=_baseline("WayPredictionDCache"),
     description="MRU way prediction [9] (extra cycle on mispredict)",
     defaults={"policy": "lru"}, aux_bits=_way_prediction_bits,
     comparison_rank=2,
 ))
 register(ArchitectureInfo(
-    id="two-phase", side="dcache", factory=TwoPhaseDCache,
+    id="two-phase", side="dcache", factory=_baseline("TwoPhaseDCache"),
     description="two-phase tag-then-way cache [8] (extra cycle always)",
     defaults={"policy": "lru"}, comparison_rank=3,
 ))
@@ -371,17 +371,17 @@ register(ArchitectureInfo(
 # -- I-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
-    id="original", side="icache", factory=OriginalICache,
+    id="original", side="icache", factory=_baseline("OriginalICache"),
     description="conventional 2-way set-associative I-cache",
     defaults={"policy": "lru"}, comparison_rank=0,
 ))
 register(ArchitectureInfo(
-    id="panwar", side="icache", factory=PanwarICache,
+    id="panwar", side="icache", factory=_baseline("PanwarICache"),
     description="intra-line sequential-fetch elision [4]",
     defaults={"policy": "lru"},
 ))
 register(ArchitectureInfo(
-    id="ma-links", side="icache", factory=MaLinksICache,
+    id="ma-links", side="icache", factory=_baseline("MaLinksICache"),
     description="memory-address links [11]",
     defaults={"policy": "lru"}, aux_bits=_ma_links_bits,
     comparison_rank=1,
@@ -407,19 +407,20 @@ register(ArchitectureInfo(
     defaults=_mab_defaults(2, 16, "evict_hook"), uses_mab=True,
 ))
 register(ArchitectureInfo(
-    id="filter-cache", side="icache", factory=FilterCacheICache,
+    id="filter-cache", side="icache", factory=_baseline("FilterCacheICache"),
     description="L0 filter cache [6] (extra cycle on L0 misses)",
     defaults={"l0_lines": 8, "policy": "lru"},
     aux_bits=_filter_cache_bits, comparison_rank=2,
 ))
 register(ArchitectureInfo(
-    id="way-prediction", side="icache", factory=WayPredictionICache,
+    id="way-prediction", side="icache",
+    factory=_baseline("WayPredictionICache"),
     description="MRU way prediction [9] (extra cycle on mispredict)",
     defaults={"policy": "lru"}, aux_bits=_way_prediction_bits,
     comparison_rank=3,
 ))
 register(ArchitectureInfo(
-    id="two-phase", side="icache", factory=TwoPhaseICache,
+    id="two-phase", side="icache", factory=_baseline("TwoPhaseICache"),
     description="two-phase tag-then-way cache [8] (extra cycle always)",
     defaults={"policy": "lru"}, comparison_rank=4,
 ))

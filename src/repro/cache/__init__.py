@@ -5,36 +5,11 @@ set-associative, 512 sets of 32-byte lines (paper Section 4), with
 pluggable replacement policies, an eviction callback used by the MAB
 consistency machinery, a line buffer (for the paper's future-work
 combination) and a coalescing write-back buffer.
+
+Import each from its module — :mod:`repro.cache.config` (geometry),
+:mod:`repro.cache.cache` (the cache and its batch sweep),
+:mod:`repro.cache.replacement`, :mod:`repro.cache.stats`,
+:mod:`repro.cache.line_buffer`, :mod:`repro.cache.write_buffer` — so
+that reading a geometry or a counter record does not load the cache
+model and NumPy.
 """
-
-from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
-from repro.cache.cache import AccessResult, CacheLineState, SetAssociativeCache
-from repro.cache.line_buffer import LineBuffer
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
-from repro.cache.stats import AccessCounters
-from repro.cache.write_buffer import WriteBuffer
-
-__all__ = [
-    "AccessCounters",
-    "AccessResult",
-    "CacheConfig",
-    "CacheLineState",
-    "FIFOPolicy",
-    "FRV_DCACHE",
-    "FRV_ICACHE",
-    "LRUPolicy",
-    "LineBuffer",
-    "PseudoLRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "SetAssociativeCache",
-    "WriteBuffer",
-    "make_policy",
-]

@@ -7,6 +7,10 @@ from typing import Tuple
 
 ADDRESS_BITS = 32
 
+#: FR-V fetch packet size in bytes: two 32-bit instructions per cycle,
+#: each packet one I-cache access.
+DEFAULT_FETCH_BYTES = 8
+
 
 def _log2_exact(value: int, what: str) -> int:
     if value <= 0 or value & (value - 1):

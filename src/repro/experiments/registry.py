@@ -55,8 +55,8 @@ from typing import (
     Union,
 )
 
-from repro.api import RunSpec, evaluate_many
 from repro.api.result import RunResult
+from repro.api.spec import RunSpec
 from repro.experiments.reporting import ExperimentResult
 
 #: Every experiment module, in report order.  Each module registers an
@@ -278,6 +278,8 @@ def fetch_results(
                 unique, workers=workers, claim_fingerprint=True
             ),
         )
+    from repro.api.evaluate import evaluate_many
+
     if progress:
         print(
             f"  prefetching {len(unique)} design points "

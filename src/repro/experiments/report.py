@@ -110,14 +110,16 @@ def main(
     markdown = generate(
         experiments=experiments, progress=True, workers=workers, url=url
     )
-    from repro.store import default_store
+    if url is None:
+        # A remote report reads the service's store, not this one.
+        from repro.store import default_store
 
-    store = default_store()
-    if store is not None:
-        print(
-            f"  result store: {store.hits} hit(s), "
-            f"{store.misses} miss(es) this run", flush=True,
-        )
+        store = default_store()
+        if store is not None:
+            print(
+                f"  result store: {store.hits} hit(s), "
+                f"{store.misses} miss(es) this run", flush=True,
+            )
     if output:
         with open(output, "w") as handle:
             handle.write(markdown)

@@ -15,16 +15,23 @@ CLI: ``repro serve`` starts it, ``repro submit`` talks to it,
 
 import time
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JOB_DB_ENV, JobQueue, job_db_path
-from repro.service.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    EvaluationServer,
-    create_server,
-    serve,
-)
-from repro.service.workers import WorkerPool
+from repro import _lazy_exports
+
+#: Default address of ``repro serve`` and of its clients (loopback: the
+#: service has no authentication — put a real proxy in front for
+#: anything public).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8323
+
+#: Each re-exported name and the module that defines it, imported on
+#: first access: a client loads neither the server nor, through it,
+#: the evaluation stack.
+_EXPORTS = {
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "create_server": "repro.service.server",
+    "serve": "repro.service.server",
+}
 
 
 def wait_for_port_file(path, timeout: float = 30.0) -> int:
@@ -57,6 +64,8 @@ def wait_until_ready(
     zero-capacity queue or a read-only store) is still ready; callers
     inspect the returned payload when they need full health.
     """
+    from repro.service.client import ServiceClient, ServiceError
+
     client = ServiceClient(url, timeout=min(5.0, timeout), retries=0)
     deadline = time.time() + timeout
     last = "no response"
@@ -74,18 +83,11 @@ def wait_until_ready(
     )
 
 
-__all__ = [
+__all__ = sorted([
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "EvaluationServer",
-    "JOB_DB_ENV",
-    "JobQueue",
-    "ServiceClient",
-    "ServiceError",
-    "WorkerPool",
-    "create_server",
-    "job_db_path",
-    "serve",
     "wait_for_port_file",
     "wait_until_ready",
-]
+    *_EXPORTS,
+])
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -30,9 +30,10 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.api import RunResult, RunSpec
+from repro.api.result import RunResult
+from repro.api.spec import RunSpec
 
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
+from repro.service import DEFAULT_HOST, DEFAULT_PORT
 
 SpecLike = Union[RunSpec, Mapping[str, Any]]
 

@@ -76,13 +76,9 @@ from repro.testing import faults
 from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.suite import SCALABLE_BENCHMARKS
 
+from repro.service import DEFAULT_HOST, DEFAULT_PORT
 from repro.service.jobs import DONE, FAILED, JobQueue, job_db_path
 from repro.service.workers import WorkerPool, log_store_warning
-
-#: Default bind address of ``repro serve`` (loopback: the service has
-#: no authentication — put a real proxy in front for anything public).
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8323
 
 #: Hard cap on request bodies (a full-grid sweep batch is ~100 KiB).
 MAX_BODY_BYTES = 32 << 20

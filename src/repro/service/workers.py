@@ -42,8 +42,14 @@ import threading
 import time
 from typing import Dict, Optional
 
+# The evaluation stack, controllers included, loads with the server
+# rather than per batch: every forked worker inherits it.
+import repro.baselines  # noqa: F401
+import repro.core  # noqa: F401
+from repro.api.evaluate import _evaluate_task, _warn_store_unavailable
 from repro.api.parallel import resolve_worker_count, warm_trace_cache
 from repro.api.spec import RunSpec
+from repro.replay.engine import plan_groups
 from repro.telemetry import metrics as telemetry
 from repro.testing import faults
 
@@ -85,9 +91,6 @@ def _subprocess_entry(spec_jsons, pipe) -> None:
             os._exit(3)
         if faults.should_fire("worker_hang"):
             time.sleep(3600.0)
-        from repro.api.evaluate import _evaluate_task
-        from repro.replay.engine import plan_groups
-
         specs = [RunSpec.from_json(payload) for payload in spec_jsons]
         position = {id(spec): index for index, spec in enumerate(specs)}
         groups = plan_groups(specs)
@@ -336,6 +339,4 @@ def log_store_warning(exc: Exception) -> None:
     Delegates to the evaluate-layer warner, which rate-limits to one
     line per process per distinct failure message.
     """
-    from repro.api.evaluate import _warn_store_unavailable
-
     _warn_store_unavailable(exc)

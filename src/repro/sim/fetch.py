@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.config import DEFAULT_FETCH_BYTES
 from repro.sim.trace import FlowKind, FlowTrace
-
-#: FR-V fetch packet size in bytes (two 32-bit instructions per cycle).
-DEFAULT_FETCH_BYTES = 8
 
 
 class FetchKind(enum.IntEnum):

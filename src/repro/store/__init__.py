@@ -16,22 +16,19 @@ evicts least-recently-used rows; ``import`` merges another store's
 export archive for multi-machine pooling).
 """
 
-from repro.store.fingerprint import code_fingerprint
-from repro.store.store import (
-    STORE_ENV,
-    ImportReport,
-    ResultStore,
-    default_store,
-    reset_default_stores,
-    store_path,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "STORE_ENV",
-    "ImportReport",
-    "ResultStore",
-    "code_fingerprint",
-    "default_store",
-    "reset_default_stores",
-    "store_path",
-]
+#: Each public name and the module that defines it, imported on first
+#: access: a client that only checks a code fingerprint never loads
+#: the SQLite store.
+_EXPORTS = {
+    "STORE_ENV": "repro.store.store",
+    "ResultStore": "repro.store.store",
+    "code_fingerprint": "repro.store.fingerprint",
+    "default_store": "repro.store.store",
+    "reset_default_stores": "repro.store.store",
+    "store_path": "repro.store.store",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -14,44 +14,27 @@ workload generators, addressable from specs as
 ``synthetic:kind=<name>,k=v,...``.
 """
 
-from repro.workloads.suite import (
-    BENCHMARK_NAMES,
-    SCALABLE_BENCHMARKS,
-    Benchmark,
-    WorkloadName,
-    get_benchmark,
-    load_workload,
-    parse_workload,
-    run_benchmark,
-)
-from repro.workloads.synthetic import (
-    DATA_GENERATORS,
-    FETCH_GENERATORS,
-    KIND_PARAM,
-    default_synthetic_kind,
-    generate_synthetic,
-    synthetic_data_trace,
-    synthetic_fetch_stream,
-    synthetic_generator,
-    synthetic_kinds,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BENCHMARK_NAMES",
-    "DATA_GENERATORS",
-    "FETCH_GENERATORS",
-    "KIND_PARAM",
-    "SCALABLE_BENCHMARKS",
-    "Benchmark",
-    "WorkloadName",
-    "default_synthetic_kind",
-    "generate_synthetic",
-    "get_benchmark",
-    "load_workload",
-    "parse_workload",
-    "run_benchmark",
-    "synthetic_data_trace",
-    "synthetic_fetch_stream",
-    "synthetic_generator",
-    "synthetic_kinds",
-]
+#: Each public name and the module that defines it, imported on first
+#: access: naming a benchmark loads neither the ISS nor the synthetic
+#: generators and NumPy.
+_EXPORTS = {
+    "BENCHMARK_NAMES": "repro.workloads.suite",
+    "KIND_PARAM": "repro.workloads.synthetic",
+    "SCALABLE_BENCHMARKS": "repro.workloads.suite",
+    "WorkloadName": "repro.workloads.suite",
+    "default_synthetic_kind": "repro.workloads.synthetic",
+    "generate_synthetic": "repro.workloads.synthetic",
+    "get_benchmark": "repro.workloads.suite",
+    "load_workload": "repro.workloads.suite",
+    "parse_workload": "repro.workloads.suite",
+    "run_benchmark": "repro.workloads.suite",
+    "synthetic_data_trace": "repro.workloads.synthetic",
+    "synthetic_fetch_stream": "repro.workloads.synthetic",
+    "synthetic_generator": "repro.workloads.synthetic",
+    "synthetic_kinds": "repro.workloads.synthetic",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -38,18 +38,13 @@ import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.isa import Program
-from repro.sim import ExecutionResult, FetchStream, fetch_stream, run_program
-from repro.sim.fetch import DEFAULT_FETCH_BYTES
-from repro.sim.trace import ExecutionTrace
-from repro.sim.traceio import (
-    FORMAT_VERSION,
-    TraceFormatError,
-    load_traces,
-    save_traces,
-)
+from repro.cache.config import DEFAULT_FETCH_BYTES
+
+if TYPE_CHECKING:
+    from repro.isa import Program
+    from repro.sim import ExecutionResult, ExecutionTrace, FetchStream
 
 #: The seven benchmarks of the paper's Section 4, in paper order.
 BENCHMARK_NAMES: Tuple[str, ...] = (
@@ -258,6 +253,8 @@ class Workload:
 
 def run_benchmark(name: str) -> ExecutionResult:
     """Assemble and execute ``name``, without caching (used by tests)."""
+    from repro.sim import run_program
+
     return run_program(get_benchmark(name).build())
 
 
@@ -278,6 +275,8 @@ def trace_cache_dir() -> Optional[Path]:
 
 
 def _trace_cache_path(name: str, program: Program) -> Optional[Path]:
+    from repro.sim.traceio import FORMAT_VERSION
+
     directory = trace_cache_dir()
     if directory is None:
         return None
@@ -294,6 +293,8 @@ def _load_cached_traces(
     path: Path,
 ) -> Optional[Tuple[ExecutionTrace, FetchStream]]:
     """Read a cached workload archive; None when absent or unusable."""
+    from repro.sim.traceio import TraceFormatError, load_traces
+
     if not path.is_file():
         return None
     try:
@@ -310,6 +311,8 @@ def _store_cached_traces(
     path: Path, trace: ExecutionTrace, fetch: FetchStream
 ) -> None:
     """Atomically persist traces; caching is best-effort only."""
+    from repro.sim.traceio import save_traces
+
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         # numpy appends ".npz" unless the name already ends with it.
@@ -331,6 +334,8 @@ def _execute_workload(
     name: str, program: Program
 ) -> Tuple[ExecutionTrace, FetchStream]:
     """Run the already-assembled ``program`` (no second build)."""
+    from repro.sim import fetch_stream, run_program
+
     result = run_program(program)
     if not result.halted:
         raise RuntimeError(f"benchmark {name} did not halt")

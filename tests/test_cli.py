@@ -78,18 +78,21 @@ def test_run_evaluates_every_experiment_in_one_batch(
     """``repro run A B`` evaluates both experiments' design points in
     one deduplicated ``evaluate_many`` batch and prints exactly their
     two tables."""
+    import importlib
+
     from repro.experiments import registry, render, run_experiment
 
+    evaluate_module = importlib.import_module("repro.api.evaluate")
     names = ["figure4_dcache_accesses", "figure5_dcache_power"]
     expected = "\n\n".join(render(run_experiment(n)) for n in names)
     batches = []
-    evaluate_many = registry.evaluate_many
+    evaluate_many = evaluate_module.evaluate_many
 
     def counting(specs, *args, **kwargs):
         batches.append(len(specs))
         return evaluate_many(specs, *args, **kwargs)
 
-    monkeypatch.setattr(registry, "evaluate_many", counting)
+    monkeypatch.setattr(evaluate_module, "evaluate_many", counting)
     assert main(["run", *names, "--workers", "1"]) == 0
     assert capsys.readouterr().out == expected + "\n"
     unique = {

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +445,72 @@ def test_run_cli_url_matches_local_run(client, service, capsys):
     remote_out = capsys.readouterr().out
     assert cli_main(["run", "table2_delay"]) == 0
     assert remote_out == capsys.readouterr().out
+
+
+#: ``repro ARGS`` in a client process that cannot import NumPy.
+NUMPY_LESS_CLIENT = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _numpy_less_cli(args, store):
+    """Run ``repro ARGS`` in a NumPy-less client whose result store is
+    ``store``; returns its standard output."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        "REPRO_RESULT_STORE": str(store),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", NUMPY_LESS_CLIENT, *args], env=env,
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+
+
+def test_report_url_renders_local_bytes_without_numpy(
+    service, tmp_path
+):
+    """The remote leg needs no simulator: a client that cannot import
+    NumPy renders the local report byte for byte."""
+    subset = ["figure4_dcache_accesses", "figure5_dcache_power",
+              "table2_delay", "ablation_fetch_width"]
+    local, remote = tmp_path / "local.md", tmp_path / "remote.md"
+    assert cli_main(["report", *subset, "-o", str(local)]) == 0
+    _numpy_less_cli(
+        ["report", "--url", service, *subset, "-o", str(remote)],
+        tmp_path / "client.sqlite",
+    )
+    assert remote.read_bytes() == local.read_bytes()
+
+
+def test_report_url_opens_no_local_store(
+    service, tmp_path, monkeypatch, capsys
+):
+    """A remote report reads the service's store: the client opens no
+    store of its own and prints no store line; a local report still
+    does both."""
+    from repro.store import STORE_ENV, reset_default_stores
+
+    store = tmp_path / "client.sqlite"
+    out = _numpy_less_cli(
+        ["report", "--url", service, "figure4_dcache_accesses",
+         "-o", str(tmp_path / "remote.md")],
+        store,
+    )
+    assert "result store" not in out
+    assert not store.exists()
+
+    monkeypatch.setenv(STORE_ENV, str(store))
+    reset_default_stores()
+    try:
+        assert cli_main(
+            ["report", "table2_delay", "-o", str(tmp_path / "local.md")]
+        ) == 0
+    finally:
+        reset_default_stores()
+    assert "result store: 0 hit(s), 0 miss(es)" in capsys.readouterr().out
+    assert store.exists()
 
 
 def test_run_cli_unreachable_service(capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.workloads.suite as suite
+from repro.sim.traceio import FORMAT_VERSION
 from repro.workloads import load_workload
 
 
@@ -30,7 +31,7 @@ def test_cold_run_populates_cache(cache_dir):
     assert len(archives) == 1
     name = archives[0].name
     assert "-p8-" in name and name.endswith(
-        f"-v{suite.FORMAT_VERSION}.npz"
+        f"-v{FORMAT_VERSION}.npz"
     )
 
 
