@@ -2,11 +2,11 @@
 
 Every cache architecture this repository can evaluate — the paper's
 way-memoized controllers and all six comparison baselines — is
-registered here exactly once, as an :class:`ArchitectureInfo`: a
-factory accepting keyword parameters, the cache side it attaches to,
-JSON-serializable parameter defaults, and the metadata the power model
-needs (MAB geometry for way-memo variants, auxiliary storage bits for
-the baselines' side structures).
+registered here exactly once, as an :class:`ArchitectureInfo`: the
+controller class, the cache side it attaches to, JSON-serializable
+parameter defaults, and the metadata the power model needs (MAB
+geometry for way-memo variants, auxiliary storage bits for the
+baselines' side structures).
 
 This registry is the single source of truth: callers iterate
 :func:`architectures`, read power-model metadata through
@@ -16,7 +16,7 @@ orderings (``experiments/extension_baselines.py:D_ARCHS`` /
 ``I_ARCHS``) from :func:`comparison_archs`.
 
 Fixed-geometry labels like ``way-memo-2x8`` are presets: the same
-factory as the parametric ``way-memo`` entry with pinned defaults.
+controller as the parametric ``way-memo`` entry with pinned defaults.
 ``repro.api.evaluate`` resolves a :class:`~repro.api.spec.RunSpec`
 against this registry, so registering a new architecture makes it
 reachable from the library, ``repro eval``, ``repro list`` and the
@@ -25,6 +25,7 @@ sweep harness with no further plumbing.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -43,9 +44,14 @@ SIDE_CACHES: Dict[str, CacheConfig] = {
     "dcache": FRV_DCACHE, "icache": FRV_ICACHE,
 }
 
-#: Spec parameters that choose the cache geometry instead of reaching
-#: the factory; :meth:`ArchitectureInfo.cache_config` resolves them.
+#: Spec parameters that choose the cache geometry;
+#: :meth:`ArchitectureInfo.cache_config` resolves them.
 GEOMETRY_PARAMS: Tuple[str, ...] = ("ways", "size_bytes")
+
+#: Spec parameters that size a design's side structure: the set
+#: buffer's sets, the line buffer's lines, the filter cache's L0 lines.
+#: Each resolves to its design point's ``entries``.
+ENTRY_PARAMS: Tuple[str, ...] = ("entries", "line_buffer_entries", "l0_lines")
 
 #: Largest ``size_bytes`` a spec may ask for (an L1-sized 1 MiB, 32x
 #: the FR-V cache): the replay arrays grow with the cache, so a
@@ -55,13 +61,17 @@ MAX_CACHE_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class ArchitectureInfo:
-    """One registered architecture: factory + metadata.
+    """One registered architecture: controller class + metadata.
 
-    ``defaults`` holds every keyword the factory accepts with its
-    default value, plus the :data:`GEOMETRY_PARAMS` of an entry whose
-    cache geometry is a spec parameter; a
-    :class:`~repro.api.spec.RunSpec` may override any subset of them
-    (unknown keys are rejected at spec construction).
+    ``controller`` is the dotted name of the controller class, imported
+    only to build or derive one, so resolving and pricing specs never
+    loads the controllers and NumPy.  ``defaults`` holds every
+    parameter with its default value: the replacement ``policy``, the
+    MAB's ``tag_entries`` / ``index_entries`` / ``consistency``, an
+    :data:`ENTRY_PARAMS` side-structure size, and the
+    :data:`GEOMETRY_PARAMS` of an entry whose cache geometry is a spec
+    parameter; a :class:`~repro.api.spec.RunSpec` may override any
+    subset of them (unknown keys are rejected at spec construction).
     ``uses_mab`` marks way-memo variants whose power is priced with a
     :class:`~repro.energy.mab_model.MABHardwareModel` of the resolved
     ``(tag_entries, index_entries)`` geometry; ``aux_bits`` prices a
@@ -70,7 +80,7 @@ class ArchitectureInfo:
 
     id: str
     side: str
-    factory: Callable[..., object]
+    controller: str
     description: str
     defaults: Mapping[str, Any] = field(default_factory=dict)
     uses_mab: bool = False
@@ -98,7 +108,7 @@ class ArchitectureInfo:
     def _resolve(
         self, params: Optional[Mapping[str, Any]]
     ) -> Tuple[Dict[str, Any], CacheConfig]:
-        """(factory keywords, cache geometry) for ``params``."""
+        """(the other parameters, cache geometry) for ``params``."""
         merged = self.merged_params(params)
         frv = SIDE_CACHES[self.side]
         geometry = {
@@ -138,15 +148,48 @@ class ArchitectureInfo:
         The side's FR-V cache, with the ``ways`` / ``size_bytes``
         overrides of an entry that takes them (ValueError for a
         geometry that cannot exist, such as 3 ways).  The one place a
-        spec's geometry resolves: the controller (:meth:`build`),
-        Equation (1) pricing and the counter invariants all read it.
+        spec's geometry resolves: the design point
+        (:meth:`design_point`), Equation (1) pricing and the counter
+        invariants all read it.
         """
         return self._resolve(params)[1]
 
+    def controller_class(self) -> type:
+        """The controller class (imported on first use)."""
+        module, _, name = self.controller.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+
+    def design_point(self, params: Optional[Mapping[str, Any]] = None):
+        """The :class:`~repro.replay.engine.DesignPoint` of ``params``.
+
+        The one place a spec's design resolves: a batchable design's
+        fast path derives from it without a controller instance, and
+        :meth:`build` builds from it.
+        """
+        from repro.replay.engine import DesignPoint
+
+        merged, cache_config = self._resolve(params)
+        mab = None
+        if self.uses_mab:
+            from repro.core.mab import MABConfig
+
+            mab = MABConfig(
+                merged["tag_entries"], merged["index_entries"],
+                merged["consistency"],
+            )
+        entries = 0
+        for key in ENTRY_PARAMS:
+            if key in merged:
+                entries = merged[key]
+                if entries < 1:
+                    raise ValueError(
+                        f"{key} must be at least 1, got {entries!r}"
+                    )
+        return DesignPoint(cache_config, merged["policy"], mab, entries)
+
     def build(self, params: Optional[Mapping[str, Any]] = None) -> object:
         """Construct a fresh controller with ``params`` overrides."""
-        factory_params, cache_config = self._resolve(params)
-        return self.factory(cache_config=cache_config, **factory_params)
+        return self.controller_class().from_point(self.design_point(params))
 
     def mab_geometry(
         self, params: Optional[Mapping[str, Any]] = None
@@ -222,58 +265,11 @@ def comparison_archs(side: str) -> Tuple[str, ...]:
 # registrations
 # ----------------------------------------------------------------------
 
-# Like the controller classes, every factory takes the cache geometry
-# as ``cache_config``: ``ArchitectureInfo.build`` passes the resolved
-# one (the FR-V cache, or the parametric D-side ``way-memo`` entry's
-# ``ways`` / ``size_bytes``), and tests build any entry on a tiny
-# cache.  A factory imports its controller when it builds one, so
-# resolving and pricing specs never loads the controllers and NumPy.
-
-def _baseline(name: str) -> Callable[..., object]:
-    """A factory for the :mod:`repro.baselines` controller ``name``."""
-
-    def factory(**params):
-        from repro import baselines
-
-        return getattr(baselines, name)(**params)
-
-    return factory
-
-
-def _way_memo_dcache(tag_entries=2, index_entries=8, consistency="paper",
-                     policy="lru", cache_config=FRV_DCACHE):
-    from repro.core import MABConfig, WayMemoDCache
-
-    return WayMemoDCache(
-        cache_config,
-        mab_config=MABConfig(tag_entries, index_entries, consistency),
-        policy=policy,
-    )
-
-
-def _way_memo_icache(tag_entries=2, index_entries=16, consistency="paper",
-                     policy="lru", cache_config=FRV_ICACHE):
-    from repro.core import MABConfig, WayMemoICache
-
-    return WayMemoICache(
-        cache_config,
-        mab_config=MABConfig(tag_entries, index_entries, consistency),
-        policy=policy,
-    )
-
-
-def _line_buffer_way_memo(tag_entries=2, index_entries=8,
-                          consistency="paper", line_buffer_entries=1,
-                          policy="lru", cache_config=FRV_DCACHE):
-    from repro.core import LineBufferWayMemoDCache, MABConfig
-
-    return LineBufferWayMemoDCache(
-        cache_config,
-        mab_config=MABConfig(tag_entries, index_entries, consistency),
-        line_buffer_entries=line_buffer_entries,
-        policy=policy,
-    )
-
+# ``controller`` names each entry's class; ``ArchitectureInfo.build``
+# builds it from the resolved design point (the FR-V cache, or the
+# parametric D-side ``way-memo`` entry's ``ways`` / ``size_bytes``),
+# and tests build any entry on a tiny cache through
+# ``Controller.from_point``.
 
 #: Storage-bit formulas for the baselines' auxiliary structures, per
 #: resolved parameters.
@@ -309,53 +305,56 @@ def _mab_defaults(tag_entries: int, index_entries: int,
 # -- D-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
-    id="original", side="dcache", factory=_baseline("OriginalDCache"),
+    id="original", side="dcache", controller="repro.baselines.OriginalDCache",
     description="conventional 2-way set-associative D-cache",
     defaults={"policy": "lru"}, comparison_rank=0,
 ))
 register(ArchitectureInfo(
-    id="set-buffer", side="dcache", factory=_baseline("SetBufferDCache"),
+    id="set-buffer", side="dcache",
+    controller="repro.baselines.SetBufferDCache",
     description="lightweight set buffer [14]",
     defaults={"entries": 2, "policy": "lru"},
     aux_bits=_set_buffer_bits,
 ))
 register(ArchitectureInfo(
-    id="way-memo-2x8", side="dcache", factory=_way_memo_dcache,
+    id="way-memo-2x8", side="dcache", controller="repro.core.WayMemoDCache",
     description="way memoization, 2x8 MAB (the paper's D-cache pick)",
     defaults=_mab_defaults(2, 8), uses_mab=True, comparison_rank=4,
 ))
 register(ArchitectureInfo(
-    id="way-memo-2x8-evict", side="dcache", factory=_way_memo_dcache,
+    id="way-memo-2x8-evict", side="dcache",
+    controller="repro.core.WayMemoDCache",
     description="2x8 MAB with the conservative eviction hook",
     defaults=_mab_defaults(2, 8, "evict_hook"), uses_mab=True,
 ))
 register(ArchitectureInfo(
     id="way-memo+line-buffer", side="dcache",
-    factory=_line_buffer_way_memo,
+    controller="repro.core.LineBufferWayMemoDCache",
     description="2x8 MAB combined with a line buffer (conclusion)",
     defaults={**_mab_defaults(2, 8), "line_buffer_entries": 1},
     uses_mab=True,
 ))
 register(ArchitectureInfo(
-    id="filter-cache", side="dcache", factory=_baseline("FilterCacheDCache"),
+    id="filter-cache", side="dcache",
+    controller="repro.baselines.FilterCacheDCache",
     description="L0 filter cache [6] (extra cycle on L0 misses)",
     defaults={"l0_lines": 8, "policy": "lru"},
     aux_bits=_filter_cache_bits, comparison_rank=1,
 ))
 register(ArchitectureInfo(
     id="way-prediction", side="dcache",
-    factory=_baseline("WayPredictionDCache"),
+    controller="repro.baselines.WayPredictionDCache",
     description="MRU way prediction [9] (extra cycle on mispredict)",
     defaults={"policy": "lru"}, aux_bits=_way_prediction_bits,
     comparison_rank=2,
 ))
 register(ArchitectureInfo(
-    id="two-phase", side="dcache", factory=_baseline("TwoPhaseDCache"),
+    id="two-phase", side="dcache", controller="repro.baselines.TwoPhaseDCache",
     description="two-phase tag-then-way cache [8] (extra cycle always)",
     defaults={"policy": "lru"}, comparison_rank=3,
 ))
 register(ArchitectureInfo(
-    id="way-memo", side="dcache", factory=_way_memo_dcache,
+    id="way-memo", side="dcache", controller="repro.core.WayMemoDCache",
     description=(
         "way memoization with a parametric (Nt, Ns) MAB and cache "
         "geometry"
@@ -371,61 +370,63 @@ register(ArchitectureInfo(
 # -- I-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
-    id="original", side="icache", factory=_baseline("OriginalICache"),
+    id="original", side="icache", controller="repro.baselines.OriginalICache",
     description="conventional 2-way set-associative I-cache",
     defaults={"policy": "lru"}, comparison_rank=0,
 ))
 register(ArchitectureInfo(
-    id="panwar", side="icache", factory=_baseline("PanwarICache"),
+    id="panwar", side="icache", controller="repro.baselines.PanwarICache",
     description="intra-line sequential-fetch elision [4]",
     defaults={"policy": "lru"},
 ))
 register(ArchitectureInfo(
-    id="ma-links", side="icache", factory=_baseline("MaLinksICache"),
+    id="ma-links", side="icache", controller="repro.baselines.MaLinksICache",
     description="memory-address links [11]",
     defaults={"policy": "lru"}, aux_bits=_ma_links_bits,
     comparison_rank=1,
 ))
 register(ArchitectureInfo(
-    id="way-memo-2x8", side="icache", factory=_way_memo_icache,
+    id="way-memo-2x8", side="icache", controller="repro.core.WayMemoICache",
     description="way memoization, 2x8 MAB",
     defaults=_mab_defaults(2, 8), uses_mab=True,
 ))
 register(ArchitectureInfo(
-    id="way-memo-2x16", side="icache", factory=_way_memo_icache,
+    id="way-memo-2x16", side="icache", controller="repro.core.WayMemoICache",
     description="way memoization, 2x16 MAB (the paper's I-cache pick)",
     defaults=_mab_defaults(2, 16), uses_mab=True, comparison_rank=5,
 ))
 register(ArchitectureInfo(
-    id="way-memo-2x32", side="icache", factory=_way_memo_icache,
+    id="way-memo-2x32", side="icache", controller="repro.core.WayMemoICache",
     description="way memoization, 2x32 MAB",
     defaults=_mab_defaults(2, 32), uses_mab=True,
 ))
 register(ArchitectureInfo(
-    id="way-memo-2x16-evict", side="icache", factory=_way_memo_icache,
+    id="way-memo-2x16-evict", side="icache",
+    controller="repro.core.WayMemoICache",
     description="2x16 MAB with the conservative eviction hook",
     defaults=_mab_defaults(2, 16, "evict_hook"), uses_mab=True,
 ))
 register(ArchitectureInfo(
-    id="filter-cache", side="icache", factory=_baseline("FilterCacheICache"),
+    id="filter-cache", side="icache",
+    controller="repro.baselines.FilterCacheICache",
     description="L0 filter cache [6] (extra cycle on L0 misses)",
     defaults={"l0_lines": 8, "policy": "lru"},
     aux_bits=_filter_cache_bits, comparison_rank=2,
 ))
 register(ArchitectureInfo(
     id="way-prediction", side="icache",
-    factory=_baseline("WayPredictionICache"),
+    controller="repro.baselines.WayPredictionICache",
     description="MRU way prediction [9] (extra cycle on mispredict)",
     defaults={"policy": "lru"}, aux_bits=_way_prediction_bits,
     comparison_rank=3,
 ))
 register(ArchitectureInfo(
-    id="two-phase", side="icache", factory=_baseline("TwoPhaseICache"),
+    id="two-phase", side="icache", controller="repro.baselines.TwoPhaseICache",
     description="two-phase tag-then-way cache [8] (extra cycle always)",
     defaults={"policy": "lru"}, comparison_rank=4,
 ))
 register(ArchitectureInfo(
-    id="way-memo", side="icache", factory=_way_memo_icache,
+    id="way-memo", side="icache", controller="repro.core.WayMemoICache",
     description="way memoization with a parametric (Nt, Ns) MAB",
     defaults=_mab_defaults(2, 16), uses_mab=True, parametric=True,
 ))

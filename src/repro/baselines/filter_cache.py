@@ -43,6 +43,7 @@ executable specification for the differential tests.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from repro.cache.cache import (
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
@@ -79,6 +80,13 @@ class _FilterCache(Controller):
         self._l0: list = []  # line addresses, MRU at back
         # L0 is inclusive in L1: evicting the L1 line kills the copy.
         self.cache.add_eviction_listener(self._on_l1_evict)
+
+    @classmethod
+    def from_point(cls, point: DesignPoint) -> "_FilterCache":
+        return cls(point.cache, point.entries, point.policy)
+
+    def design_point(self) -> DesignPoint:
+        return replace(super().design_point(), entries=self.l0_lines)
 
     def _on_l1_evict(self, tag: int, set_index: int) -> None:
         line = self.cache_config.join(tag, set_index)

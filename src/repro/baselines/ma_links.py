@@ -24,7 +24,7 @@ MAB's decoupled address table.
 :meth:`process_reference` keeps the object-API loop over the
 ``_links``/``_reverse`` dictionaries as the executable specification.
 
-:meth:`MaLinksICache.replay_counters` is the fast path: the cache sees
+:func:`ma_links_counters` is the fast path: the cache sees
 exactly one access per fetch on every path (a confirmed link hit is
 state-equivalent to a hitting access), so the replay engine's shared
 batch sweep serves this design too, and link validity is *derived*
@@ -49,7 +49,7 @@ from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import FetchColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchKind, FetchStream
 
 #: Link kinds.
@@ -60,10 +60,6 @@ class MaLinksICache(Controller):
     """I-cache with per-line sequential and branch way links."""
 
     name = "ma-links"
-    #: Every fetch touches the cache exactly once on every path, so
-    #: the replay engine may derive this architecture's counters from
-    #: a shared batch pass (:meth:`replay_counters`).
-    replay_batchable = True
 
     def __init__(
         self,
@@ -107,103 +103,6 @@ class MaLinksICache(Controller):
         self._reverse.setdefault(target_line, set()).add(
             (source_line, kind)
         )
-
-    # ------------------------------------------------------------------
-    # fast engine
-    # ------------------------------------------------------------------
-
-    def replay_counters(
-        self, cols: FetchColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation).
-
-        Derived as for a fresh controller: after any consulting access
-        ``m``, the consulted key's link is (line_m, resident way of
-        line_m) — the full path wrote it, and a link hit means it
-        already held exactly that value — so the consult at ``i`` hits
-        iff its most recent same-key predecessor ``m`` exists,
-        targeted ``i``'s line, and neither the target nor the source
-        line was evicted strictly between them (evictions *at* ``m``
-        precede the link write; the consult at ``i`` precedes access
-        ``i``'s eviction).  Stale hits provably never fire: a surviving
-        link's target is resident with an unchanged way, so the
-        verifying probe always succeeds.
-        """
-        counters = AccessCounters()
-        cache = self.cache
-        nways = cache.ways
-        n = cols.n
-        counters.accesses = n
-        counters.aux_accesses = n  # link bits read with the line
-        if n == 0:
-            return counters
-
-        offset_bits = cache.offset_bits
-        index_bits = cache.index_bits
-        lines = cols.lines_array(offset_bits, index_bits)
-        sets = cols.sets_array(offset_bits, index_bits)
-        intra = cols.intra_mask(offset_bits, index_bits)
-        hit = shared.hit
-        if not bool(hit[intra].all()):
-            raise AssertionError("intra-line fetch must hit")
-
-        kind = cols.kind
-        is_seq = kind == np.uint8(int(FetchKind.SEQ))
-        is_branch = kind == np.uint8(int(FetchKind.BRANCH))
-        consult = ~intra & (is_seq | is_branch)
-        consult[0] = False  # no previous line to link from
-
-        # Most recent prior consult with the same (source line, kind)
-        # key: stable-sort the consult subset by key, then the
-        # predecessor within each equal-key group is the answer.
-        prev_line = np.empty(n, dtype=np.int64)
-        prev_line[0] = -1
-        prev_line[1:] = lines[:-1]
-        ci = np.flatnonzero(consult)
-        keys = prev_line[ci] * 2 + is_branch[ci]
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        idx_sorted = ci[order]
-        prev_consult = np.full(len(ci), -1, dtype=np.int64)
-        if len(ci) > 1:
-            same = keys_sorted[1:] == keys_sorted[:-1]
-            prev_consult[1:] = np.where(same, idx_sorted[:-1], -1)
-        m_of = np.full(n, -1, dtype=np.int64)
-        m_of[idx_sorted] = prev_consult
-
-        cand = np.flatnonzero(m_of >= 0)
-        mm = m_of[cand]
-        same_target = lines[mm] == lines[cand]
-        cand = cand[same_target]
-        mm = mm[same_target]
-        dead = shared.evicted_between(sets, index_bits, lines[cand], mm, cand)
-        dead |= shared.evicted_between(
-            sets, index_bits, prev_line[mm], mm, cand
-        )
-        link_hit_idx = cand[~dead]
-        if not bool(hit[link_hit_idx].all()):
-            raise AssertionError("link target must be cache-resident")
-
-        n_intra = int(intra.sum())
-        mab_hits = len(link_hit_idx)
-        cache_hits = shared.hit_count
-        misses = n - cache_hits
-        n_full = n - n_intra - mab_hits
-        full_hits = n_full - misses  # intra and link hits always hit
-
-        counters.intra_line_hits = n_intra
-        counters.mab_lookups = int(consult.sum())
-        counters.mab_hits = mab_hits
-        counters.stale_hits = 0
-        counters.cache_hits = cache_hits
-        counters.cache_misses = misses
-        counters.tag_accesses = nways * n_full
-        counters.way_accesses = (
-            n_intra + mab_hits           # single known way
-            + full_hits * nways          # parallel fetch
-            + misses * (nways + 1)       # parallel fetch + refill
-        )
-        return counters
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)
@@ -270,3 +169,98 @@ class MaLinksICache(Controller):
             last_line = line
 
         return counters
+
+
+@fast_path(MaLinksICache)
+def ma_links_counters(
+    cols: FetchColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared packed results (pure derivation).
+
+    Derived as for a fresh controller: after any consulting access
+    ``m``, the consulted key's link is (line_m, resident way of
+    line_m) — the full path wrote it, and a link hit means it
+    already held exactly that value — so the consult at ``i`` hits
+    iff its most recent same-key predecessor ``m`` exists,
+    targeted ``i``'s line, and neither the target nor the source
+    line was evicted strictly between them (evictions *at* ``m``
+    precede the link write; the consult at ``i`` precedes access
+    ``i``'s eviction).  Stale hits provably never fire: a surviving
+    link's target is resident with an unchanged way, so the
+    verifying probe always succeeds.
+    """
+    counters = AccessCounters()
+    config = point.cache
+    nways = config.ways
+    n = cols.n
+    counters.accesses = n
+    counters.aux_accesses = n  # link bits read with the line
+    if n == 0:
+        return counters
+
+    offset_bits = config.offset_bits
+    index_bits = config.index_bits
+    lines = cols.lines_array(offset_bits, index_bits)
+    sets = cols.sets_array(offset_bits, index_bits)
+    intra = cols.intra_mask(offset_bits, index_bits)
+    hit = shared.hit
+    if not bool(hit[intra].all()):
+        raise AssertionError("intra-line fetch must hit")
+
+    kind = cols.kind
+    is_seq = kind == np.uint8(int(FetchKind.SEQ))
+    is_branch = kind == np.uint8(int(FetchKind.BRANCH))
+    consult = ~intra & (is_seq | is_branch)
+    consult[0] = False  # no previous line to link from
+
+    # Most recent prior consult with the same (source line, kind)
+    # key: stable-sort the consult subset by key, then the
+    # predecessor within each equal-key group is the answer.
+    prev_line = np.empty(n, dtype=np.int64)
+    prev_line[0] = -1
+    prev_line[1:] = lines[:-1]
+    ci = np.flatnonzero(consult)
+    keys = prev_line[ci] * 2 + is_branch[ci]
+    order = np.argsort(keys, kind="stable")
+    keys_sorted = keys[order]
+    idx_sorted = ci[order]
+    prev_consult = np.full(len(ci), -1, dtype=np.int64)
+    if len(ci) > 1:
+        same = keys_sorted[1:] == keys_sorted[:-1]
+        prev_consult[1:] = np.where(same, idx_sorted[:-1], -1)
+    m_of = np.full(n, -1, dtype=np.int64)
+    m_of[idx_sorted] = prev_consult
+
+    cand = np.flatnonzero(m_of >= 0)
+    mm = m_of[cand]
+    same_target = lines[mm] == lines[cand]
+    cand = cand[same_target]
+    mm = mm[same_target]
+    dead = shared.evicted_between(sets, index_bits, lines[cand], mm, cand)
+    dead |= shared.evicted_between(
+        sets, index_bits, prev_line[mm], mm, cand
+    )
+    link_hit_idx = cand[~dead]
+    if not bool(hit[link_hit_idx].all()):
+        raise AssertionError("link target must be cache-resident")
+
+    n_intra = int(intra.sum())
+    mab_hits = len(link_hit_idx)
+    cache_hits = shared.hit_count
+    misses = n - cache_hits
+    n_full = n - n_intra - mab_hits
+    full_hits = n_full - misses  # intra and link hits always hit
+
+    counters.intra_line_hits = n_intra
+    counters.mab_lookups = int(consult.sum())
+    counters.mab_hits = mab_hits
+    counters.stale_hits = 0
+    counters.cache_hits = cache_hits
+    counters.cache_misses = misses
+    counters.tag_accesses = nways * n_full
+    counters.way_accesses = (
+        n_intra + mab_hits           # single known way
+        + full_hits * nways          # parallel fetch
+        + misses * (nways + 1)       # parallel fetch + refill
+    )
+    return counters

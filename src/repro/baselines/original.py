@@ -9,9 +9,10 @@ the original D-cache's ways-per-access is below 2 in Figure 4).
 Both controllers' counters are a pure function of the columnar
 pre-split from :mod:`repro.replay.columns` and the packed per-access
 results of the replay engine's shared ``access_fast_batch`` sweep
-(:meth:`replay_counters`), so one sweep serves every batchable
-architecture.  ``process_reference`` keeps the original object-API
-loops as the executable specification for the differential tests.
+(:func:`original_dcache_counters`, :func:`original_icache_counters`),
+so one sweep serves every batchable architecture.
+``process_reference`` keeps the original object-API loops as the
+executable specification for the differential tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
 from repro.replay.columns import DataColumns, FetchColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
@@ -31,9 +32,6 @@ class OriginalDCache(Controller):
     """Baseline D-cache: parallel tag + data access, single-way stores."""
 
     name = "original"
-    #: The cache access stream is state-independent: the replay engine
-    #: may derive this architecture's counters from a shared batch pass.
-    replay_batchable = True
 
     def __init__(
         self,
@@ -46,38 +44,6 @@ class OriginalDCache(Controller):
             make_policy(policy, cache_config.sets, cache_config.ways),
         )
         self.write_buffer = WriteBuffer(cache_config)
-
-    def replay_counters(
-        self, cols: DataColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation).
-
-        The write buffer is side state only — no counter reads it —
-        so the shared-pass path may skip it entirely.
-        """
-        counters = AccessCounters()
-        nways = self.cache.ways
-        n = cols.n
-        hit = shared.hit
-        num_stores = cols.num_stores
-        store_hits = int(hit[cols.store_mask].sum())
-        cache_hits = shared.hit_count
-        load_hits = cache_hits - store_hits
-        store_misses = num_stores - store_hits
-        load_misses = (n - num_stores) - load_hits
-
-        counters.accesses = n
-        counters.cache_hits = cache_hits
-        counters.cache_misses = n - cache_hits
-        counters.tag_accesses = nways * n
-        counters.way_accesses = (
-            store_hits                       # single-way store
-            + load_hits * nways              # parallel load
-            + store_misses * 2               # store + refill write
-            + load_misses * (nways + 1)      # parallel load + refill
-        )
-        cols.apply_load_store(counters)
-        return counters
 
     def process_reference(self, trace: DataTrace) -> AccessCounters:
         """Replay via the original object-API path (spec for diff tests)."""
@@ -109,7 +75,6 @@ class OriginalICache(Controller):
     """Baseline I-cache: every fetch reads all tags and all ways."""
 
     name = "original"
-    replay_batchable = True
 
     def __init__(
         self,
@@ -121,25 +86,6 @@ class OriginalICache(Controller):
             cache_config,
             make_policy(policy, cache_config.sets, cache_config.ways),
         )
-
-    def replay_counters(
-        self, cols: FetchColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation)."""
-        counters = AccessCounters()
-        nways = self.cache.ways
-        n = cols.n
-        cache_hits = shared.hit_count
-        cache_misses = n - cache_hits
-
-        counters.accesses = n
-        counters.cache_hits = cache_hits
-        counters.cache_misses = cache_misses
-        counters.tag_accesses = nways * n
-        counters.way_accesses = (
-            cache_hits * nways + cache_misses * (nways + 1)
-        )
-        return counters
 
     def process_reference(self, fetch: FetchStream) -> AccessCounters:
         """Replay via the original object-API path (spec for diff tests)."""
@@ -157,3 +103,58 @@ class OriginalICache(Controller):
                 counters.cache_misses += 1
                 counters.way_accesses += cfg.ways + 1
         return counters
+
+
+@fast_path(OriginalDCache)
+def original_dcache_counters(
+    cols: DataColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared packed results (pure derivation).
+
+    The write buffer is side state only — no counter reads it — so
+    the derivation skips it entirely.
+    """
+    counters = AccessCounters()
+    nways = point.cache.ways
+    n = cols.n
+    hit = shared.hit
+    num_stores = cols.num_stores
+    store_hits = int(hit[cols.store_mask].sum())
+    cache_hits = shared.hit_count
+    load_hits = cache_hits - store_hits
+    store_misses = num_stores - store_hits
+    load_misses = (n - num_stores) - load_hits
+
+    counters.accesses = n
+    counters.cache_hits = cache_hits
+    counters.cache_misses = n - cache_hits
+    counters.tag_accesses = nways * n
+    counters.way_accesses = (
+        store_hits                       # single-way store
+        + load_hits * nways              # parallel load
+        + store_misses * 2               # store + refill write
+        + load_misses * (nways + 1)      # parallel load + refill
+    )
+    cols.apply_load_store(counters)
+    return counters
+
+
+@fast_path(OriginalICache)
+def original_icache_counters(
+    cols: FetchColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared packed results (pure derivation)."""
+    counters = AccessCounters()
+    nways = point.cache.ways
+    n = cols.n
+    cache_hits = shared.hit_count
+    cache_misses = n - cache_hits
+
+    counters.accesses = n
+    counters.cache_hits = cache_hits
+    counters.cache_misses = cache_misses
+    counters.tag_accesses = nways * n
+    counters.way_accesses = (
+        cache_hits * nways + cache_misses * (nways + 1)
+    )
+    return counters

@@ -13,7 +13,7 @@ accessed once per fetch either way.  The fast path therefore reads the
 intra-line mask off the columnar pre-split and derives all counters
 from the packed hit bits of the replay engine's shared
 :meth:`SetAssociativeCache.access_fast_batch` sweep — a pure function
-of (columns, packed results) exposed as :meth:`replay_counters`.
+of (columns, packed results), :func:`panwar_counters`.
 :meth:`process_reference` keeps the per-access object-API loop as the
 executable specification.
 """
@@ -25,7 +25,7 @@ from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import FetchColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchKind, FetchStream
 
 
@@ -33,7 +33,6 @@ class PanwarICache(Controller):
     """I-cache with intra-cache-line sequential-flow optimisation only."""
 
     name = "panwar"
-    replay_batchable = True
 
     def __init__(
         self,
@@ -45,37 +44,6 @@ class PanwarICache(Controller):
             cache_config,
             make_policy(policy, cache_config.sets, cache_config.ways),
         )
-
-    # -- fast engine ----------------------------------------------------
-
-    def replay_counters(
-        self, cols: FetchColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation)."""
-        counters = AccessCounters()
-        n = cols.n
-        if n == 0:
-            return counters
-        cache = self.cache
-        nways = cache.ways
-        intra = cols.intra_mask(cache.offset_bits, cache.index_bits)
-        hit = shared.hit
-        if not bool(hit[intra].all()):
-            raise AssertionError("intra-line fetch must hit")
-
-        n_intra = int(intra.sum())
-        full_hits = shared.hit_count - n_intra
-        misses = n - n_intra - full_hits
-
-        counters.accesses = n
-        counters.intra_line_hits = n_intra
-        counters.cache_hits = n_intra + full_hits
-        counters.cache_misses = misses
-        counters.tag_accesses = (n - n_intra) * nways
-        counters.way_accesses = (
-            n_intra + full_hits * nways + misses * (nways + 1)
-        )
-        return counters
 
     # -- executable specification ---------------------------------------
 
@@ -107,3 +75,34 @@ class PanwarICache(Controller):
                     counters.way_accesses += cfg.ways + 1
             last_line = line
         return counters
+
+
+@fast_path(PanwarICache)
+def panwar_counters(
+    cols: FetchColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared packed results (pure derivation)."""
+    counters = AccessCounters()
+    n = cols.n
+    if n == 0:
+        return counters
+    config = point.cache
+    nways = config.ways
+    intra = cols.intra_mask(config.offset_bits, config.index_bits)
+    hit = shared.hit
+    if not bool(hit[intra].all()):
+        raise AssertionError("intra-line fetch must hit")
+
+    n_intra = int(intra.sum())
+    full_hits = shared.hit_count - n_intra
+    misses = n - n_intra - full_hits
+
+    counters.accesses = n
+    counters.intra_line_hits = n_intra
+    counters.cache_hits = n_intra + full_hits
+    counters.cache_misses = misses
+    counters.tag_accesses = (n - n_intra) * nways
+    counters.way_accesses = (
+        n_intra + full_hits * nways + misses * (nways + 1)
+    )
+    return counters

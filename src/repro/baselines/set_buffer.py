@@ -21,7 +21,7 @@ The cache is accessed exactly once per reference on both buffer paths,
 so the replay engine's shared
 :meth:`SetAssociativeCache.access_fast_batch` sweep serves this design
 too and the buffer's behaviour is *derived* from the packed results
-without a per-access loop (:meth:`replay_counters`): the buffered
+without a per-access loop (:func:`set_buffer_counters`): the buffered
 snapshot of a set always mirrors the live tag row, so "buffered tag
 matches" is exactly "the set is buffered and the access hits", and
 buffer membership is a pure function of the set index stream — the
@@ -34,6 +34,7 @@ specification.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.cache.cache import SetAssociativeCache
@@ -42,7 +43,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
 from repro.replay.columns import DataColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.trace import DataTrace
 
 
@@ -55,10 +56,6 @@ class SetBufferDCache(Controller):
     """
 
     name = "set-buffer"
-    #: Every access touches the cache exactly once regardless of the
-    #: buffer outcome, so the replay engine may derive this
-    #: architecture's counters from a shared batch pass.
-    replay_batchable = True
 
     def __init__(
         self,
@@ -78,6 +75,13 @@ class SetBufferDCache(Controller):
         # set_index -> copy of that set's tags (way -> Optional[tag]).
         self._buffer: Dict[int, List[Optional[int]]] = {}
         self._lru: List[int] = []  # set indices, LRU first
+
+    @classmethod
+    def from_point(cls, point: DesignPoint) -> "SetBufferDCache":
+        return cls(point.cache, point.entries, point.policy)
+
+    def design_point(self) -> DesignPoint:
+        return replace(super().design_point(), entries=self.entries)
 
     # ------------------------------------------------------------------
 
@@ -99,66 +103,6 @@ class SetBufferDCache(Controller):
             del self._buffer[victim]
         self._buffer[set_index] = self._snapshot_set(set_index)
         self._touch(set_index)
-
-    # ------------------------------------------------------------------
-    # fast engine
-    # ------------------------------------------------------------------
-
-    def replay_counters(
-        self, cols: DataColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation).
-
-        The buffered snapshot of a set always mirrors that set's live
-        tag row (hits never change tags, other sets can't touch this
-        row, and every mismatch path refreshes the snapshot after the
-        access), so a buffered-tag match is exactly ``in_buffer & hit``.
-        Buffer membership is the LRU set of the last ``entries``
-        distinct set indices: an access is buffered iff its set's LRU
-        stack distance is below ``entries``
-        (:meth:`DataColumns.lru_distance`, which the MAB derivation
-        uses too).  The write buffer and the snapshot refreshes are
-        side state only — no counter reads them — so the derivation
-        skips both.
-        """
-        counters = AccessCounters()
-        nways = self.cache_config.ways
-        entries = self.entries
-        n = cols.n
-        counters.notes["set_buffer_entries"] = entries
-        offset_bits = self.cache.offset_bits
-        index_bits = self.cache.index_bits
-        sets = cols.sets_array(offset_bits, index_bits)
-        in_buffer = cols.lru_distance(
-            f"sets{offset_bits}x{index_bits}", lambda: sets, entries
-        ) < entries
-        hit = shared.hit
-        matched = in_buffer & hit
-
-        store = cols.store_mask
-        unmatched_hit = ~matched & hit
-        unmatched_miss = ~hit  # a match implies a hit: misses all unmatched
-        n_matched = int(matched.sum())
-        hit_stores = int((unmatched_hit & store).sum())
-        hit_loads = int(unmatched_hit.sum()) - hit_stores
-        miss_stores = int((unmatched_miss & store).sum())
-        miss_loads = int(unmatched_miss.sum()) - miss_stores
-
-        hits = shared.hit_count
-        counters.accesses = n
-        counters.aux_accesses = n  # the buffer is probed every access
-        counters.cache_hits = hits
-        counters.cache_misses = n - hits
-        counters.tag_accesses = nways * (n - n_matched)
-        counters.way_accesses = (
-            n_matched                        # single-way buffered access
-            + hit_stores                     # single-way store
-            + hit_loads * nways              # parallel load
-            + miss_stores * 2                # store + refill write
-            + miss_loads * (nways + 1)       # parallel load + refill
-        )
-        cols.apply_load_store(counters)
-        return counters
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)
@@ -210,3 +154,60 @@ class SetBufferDCache(Controller):
 
         counters.notes["set_buffer_entries"] = self.entries
         return counters
+
+
+@fast_path(SetBufferDCache)
+def set_buffer_counters(
+    cols: DataColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared packed results (pure derivation).
+
+    The buffered snapshot of a set always mirrors that set's live tag
+    row (hits never change tags, other sets can't touch this row, and
+    every mismatch path refreshes the snapshot after the access), so a
+    buffered-tag match is exactly ``in_buffer & hit``.  Buffer
+    membership is the LRU set of the last ``entries`` distinct set
+    indices: an access is buffered iff its set's LRU stack distance is
+    below ``entries`` (:meth:`DataColumns.lru_distance`, which the MAB
+    derivation uses too).  The write buffer and the snapshot refreshes
+    are side state only — no counter reads them — so the derivation
+    skips both.
+    """
+    counters = AccessCounters()
+    config = point.cache
+    nways = config.ways
+    entries = point.entries
+    n = cols.n
+    counters.notes["set_buffer_entries"] = entries
+    offset_bits, index_bits = config.offset_bits, config.index_bits
+    sets = cols.sets_array(offset_bits, index_bits)
+    in_buffer = cols.lru_distance(
+        f"sets{offset_bits}x{index_bits}", lambda: sets, entries
+    ) < entries
+    hit = shared.hit
+    matched = in_buffer & hit
+
+    store = cols.store_mask
+    unmatched_hit = ~matched & hit
+    unmatched_miss = ~hit  # a match implies a hit: misses all unmatched
+    n_matched = int(matched.sum())
+    hit_stores = int((unmatched_hit & store).sum())
+    hit_loads = int(unmatched_hit.sum()) - hit_stores
+    miss_stores = int((unmatched_miss & store).sum())
+    miss_loads = int(unmatched_miss.sum()) - miss_stores
+
+    hits = shared.hit_count
+    counters.accesses = n
+    counters.aux_accesses = n  # the buffer is probed every access
+    counters.cache_hits = hits
+    counters.cache_misses = n - hits
+    counters.tag_accesses = nways * (n - n_matched)
+    counters.way_accesses = (
+        n_matched                        # single-way buffered access
+        + hit_stores                     # single-way store
+        + hit_loads * nways              # parallel load
+        + miss_stores * 2                # store + refill write
+        + miss_loads * (nways + 1)       # parallel load + refill
+    )
+    cols.apply_load_store(counters)
+    return counters

@@ -9,7 +9,7 @@ The cache sees every access exactly once whatever the phase outcome,
 so the counters derive from the totals of the replay engine's shared
 :meth:`SetAssociativeCache.access_fast_batch` sweep (every access
 costs all tags, one way and one cycle) — a pure function of the
-columns and packed results (:meth:`replay_counters`).
+columns and packed results (:func:`two_phase_counters`).
 :meth:`process_reference` keeps the per-access object-API loop as the
 executable specification.
 """
@@ -21,36 +21,18 @@ from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
 
 class _TwoPhaseCache(Controller):
-    replay_batchable = True
-
     def __init__(self, cache_config: CacheConfig, policy: str):
         self.cache_config = cache_config
         self.cache = SetAssociativeCache(
             cache_config,
             make_policy(policy, cache_config.sets, cache_config.ways),
         )
-
-    # -- fast engine ----------------------------------------------------
-
-    def replay_counters(self, cols, shared: SharedPass) -> AccessCounters:
-        """Counters from the shared packed results (pure derivation)."""
-        counters = AccessCounters()
-        n = cols.n
-        hits = shared.hit_count
-        counters.accesses = n
-        counters.cache_hits = hits
-        counters.cache_misses = n - hits
-        counters.tag_accesses = self.cache.ways * n  # phase 1, every access
-        counters.way_accesses = n                # hit way or refill write
-        counters.extra_cycles = n                # serialised phases
-        cols.apply_load_store(counters)
-        return counters
 
     # -- executable specification ---------------------------------------
 
@@ -66,6 +48,24 @@ class _TwoPhaseCache(Controller):
         else:
             counters.cache_misses += 1
             counters.way_accesses += 1     # refill write
+
+
+@fast_path(_TwoPhaseCache)
+def two_phase_counters(
+    cols, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared packed results (pure derivation)."""
+    counters = AccessCounters()
+    n = cols.n
+    hits = shared.hit_count
+    counters.accesses = n
+    counters.cache_hits = hits
+    counters.cache_misses = n - hits
+    counters.tag_accesses = point.cache.ways * n  # phase 1, every access
+    counters.way_accesses = n                     # hit way or refill write
+    counters.extra_cycles = n                     # serialised phases
+    cols.apply_load_store(counters)
+    return counters
 
 
 class TwoPhaseDCache(_TwoPhaseCache):

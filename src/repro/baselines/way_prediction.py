@@ -10,7 +10,7 @@ The prediction table never influences which line the cache loads —
 every access touches the cache exactly once — so the fast path derives
 the MRU table's behaviour from the packed (hit, way) results of the
 replay engine's shared :meth:`SetAssociativeCache.access_fast_batch`
-sweep *without any per-access loop* (:meth:`replay_counters`): a
+sweep *without any per-access loop* (:func:`way_prediction_counters`): a
 stable sort groups accesses by set, so each access's predicted way is
 simply the previous resident way *within its set group* — numpy shifts
 and a segment-boundary mask replace the MRU table evolution entirely.
@@ -27,15 +27,13 @@ from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
 
 class _WayPredictingCache(Controller):
     """Shared machinery for I/D way-predicting caches."""
-
-    replay_batchable = True
 
     def __init__(self, cache_config: CacheConfig, policy: str):
         self.cache_config = cache_config
@@ -45,57 +43,6 @@ class _WayPredictingCache(Controller):
         )
         # MRU prediction table: one way number per set.
         self._predicted = [0] * cache_config.sets
-
-    # -- fast engine ----------------------------------------------------
-
-    def replay_counters(self, cols, shared: SharedPass) -> AccessCounters:
-        """Derive the MRU table's behaviour from the shared results.
-
-        The prediction for an access is the resident way of the
-        previous access *to the same set* (or the fresh table's way 0
-        for a set's first access).  A stable sort by set index makes
-        that neighbour adjacent, so the whole derivation is numpy
-        shifts and boolean reductions; no per-access loop.
-        """
-        counters = AccessCounters()
-        cache = self.cache
-        nways = cache.ways
-        n = cols.n
-        if n == 0:
-            cols.apply_load_store(counters)
-            return counters
-        sets = cols.sets_array(cache.offset_bits, cache.index_bits)
-
-        order = np.argsort(sets, kind="stable")
-        s_sorted = sets[order]
-        w_sorted = shared.ways[order]
-        h_sorted = shared.hit[order]
-        boundary = s_sorted[1:] != s_sorted[:-1]
-
-        # Predicted way = previous resident way within the set group;
-        # group heads read the fresh MRU table's way 0.
-        predicted = np.zeros(n, dtype=np.int64)
-        predicted[1:] = w_sorted[:-1]
-        predicted[1:][boundary] = 0
-
-        # Second phase fires on every miss and every mispredicted hit.
-        correct = h_sorted & (predicted == w_sorted)
-        second = n - int(correct.sum())
-        hits = shared.hit_count
-        misses = n - hits
-
-        counters.accesses = n
-        counters.aux_accesses = n  # prediction table read per access
-        counters.cache_hits = hits
-        counters.cache_misses = misses
-        counters.extra_cycles = second
-        # First phase always probes the predicted way; the second phase
-        # probes the remaining ways in parallel; a miss adds one refill
-        # way write.
-        counters.tag_accesses = n + second * (nways - 1)
-        counters.way_accesses = n + second * (nways - 1) + misses
-        cols.apply_load_store(counters)
-        return counters
 
     # -- executable specification ---------------------------------------
 
@@ -124,6 +71,59 @@ class _WayPredictingCache(Controller):
                 counters.cache_misses += 1
                 counters.way_accesses += 1  # refill write
         self._predicted[set_index] = result.way
+
+
+@fast_path(_WayPredictingCache)
+def way_prediction_counters(
+    cols, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Derive the MRU table's behaviour from the shared results.
+
+    The prediction for an access is the resident way of the previous
+    access *to the same set* (or the fresh table's way 0 for a set's
+    first access).  A stable sort by set index makes that neighbour
+    adjacent, so the whole derivation is numpy shifts and boolean
+    reductions; no per-access loop.
+    """
+    counters = AccessCounters()
+    config = point.cache
+    nways = config.ways
+    n = cols.n
+    if n == 0:
+        cols.apply_load_store(counters)
+        return counters
+    sets = cols.sets_array(config.offset_bits, config.index_bits)
+
+    order = np.argsort(sets, kind="stable")
+    s_sorted = sets[order]
+    w_sorted = shared.ways[order]
+    h_sorted = shared.hit[order]
+    boundary = s_sorted[1:] != s_sorted[:-1]
+
+    # Predicted way = previous resident way within the set group;
+    # group heads read the fresh MRU table's way 0.
+    predicted = np.zeros(n, dtype=np.int64)
+    predicted[1:] = w_sorted[:-1]
+    predicted[1:][boundary] = 0
+
+    # Second phase fires on every miss and every mispredicted hit.
+    correct = h_sorted & (predicted == w_sorted)
+    second = n - int(correct.sum())
+    hits = shared.hit_count
+    misses = n - hits
+
+    counters.accesses = n
+    counters.aux_accesses = n  # prediction table read per access
+    counters.cache_hits = hits
+    counters.cache_misses = misses
+    counters.extra_cycles = second
+    # First phase always probes the predicted way; the second phase
+    # probes the remaining ways in parallel; a miss adds one refill way
+    # write.
+    counters.tag_accesses = n + second * (nways - 1)
+    counters.way_accesses = n + second * (nways - 1) + misses
+    cols.apply_load_store(counters)
+    return counters
 
 
 class WayPredictionDCache(_WayPredictingCache):

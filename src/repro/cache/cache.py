@@ -142,10 +142,6 @@ class SetAssociativeCache:
             valid=True, dirty=self._dirty[set_index][way], tag=tag
         )
 
-    def resident_tags(self, set_index: int) -> List[int]:
-        """Valid tags currently stored in ``set_index`` (tests/invariants)."""
-        return [tag for tag in self._tags[set_index] if tag >= 0]
-
     # ------------------------------------------------------------------
     # fast path
     # ------------------------------------------------------------------

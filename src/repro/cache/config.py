@@ -73,9 +73,6 @@ class CacheConfig:
         tag = addr >> (self.offset_bits + self.index_bits)
         return tag, set_index, offset
 
-    def tag_of(self, addr: int) -> int:
-        return (addr & 0xFFFFFFFF) >> (self.offset_bits + self.index_bits)
-
     def set_of(self, addr: int) -> int:
         return ((addr & 0xFFFFFFFF) >> self.offset_bits) & (self.sets - 1)
 

@@ -16,9 +16,9 @@ Every MAB hit is verified against the actual cache content; a mismatch
 is a *stale hit* and is counted (``AccessCounters.stale_hits``).  The
 paper's consistency argument predicts zero.
 
-The MAB never changes what the cache does, so the design is
-``replay_batchable``: :meth:`WayMemoDCache.replay_counters` derives the
-counters from the replay engine's shared cache sweep through
+The MAB never changes what the cache does, so the design is batchable:
+:func:`way_memo_dcache_counters` derives the counters from the replay
+engine's shared cache sweep through
 :func:`~repro.core.mab.way_memo_counters`, which every MAB geometry of
 a group shares.  :meth:`WayMemoDCache.process_reference` keeps the
 original object-API implementation as the executable specification;
@@ -35,7 +35,7 @@ from repro.cache.stats import AccessCounters
 from repro.cache.write_buffer import WriteBuffer
 from repro.core.mab import MAB, MABConfig, way_memo_counters
 from repro.replay.columns import DataColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.trace import DataTrace
 
 
@@ -53,9 +53,6 @@ class WayMemoDCache(Controller):
     """
 
     name = "way-memo"
-    #: The cache evolves exactly as without the MAB, so the replay
-    #: engine derives this design from a shared batch sweep.
-    replay_batchable = True
 
     def __init__(
         self,
@@ -74,27 +71,9 @@ class WayMemoDCache(Controller):
         if mab_config.consistency == "evict_hook":
             self.cache.add_eviction_listener(self.mab.invalidate_line)
 
-    # ------------------------------------------------------------------
-    # fast engine
-    # ------------------------------------------------------------------
-
-    def replay_counters(
-        self, cols: DataColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared sweep (pure derivation).
-
-        Every access consults the MAB and every store is staged in the
-        write buffer, MAB hit or not, so the coalescing count is the
-        stream's own (:meth:`DataColumns.write_buffer_coalesced`).
-        """
-        counters = way_memo_counters(
-            self, cols, shared, stores=cols.store_mask
-        )
-        cols.apply_load_store(counters)
-        counters.notes["write_buffer_coalesced"] = (
-            cols.write_buffer_coalesced(self.cache_config)
-        )
-        return counters
+    @classmethod
+    def from_point(cls, point: DesignPoint) -> "WayMemoDCache":
+        return cls(point.cache, point.mab, point.policy)
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)
@@ -174,3 +153,23 @@ class WayMemoDCache(Controller):
             counters.way_accesses += (1 if is_store else cfg.ways) + 1
         if install is not None:
             self.mab.install(install, result.way)
+
+
+@fast_path(WayMemoDCache)
+def way_memo_dcache_counters(
+    cols: DataColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared sweep (pure derivation).
+
+    Every access consults the MAB and every store is staged in the
+    write buffer, MAB hit or not, so the coalescing count is the
+    stream's own (:meth:`DataColumns.write_buffer_coalesced`).
+    """
+    counters = way_memo_counters(
+        point, cols, shared, stores=cols.store_mask
+    )
+    cols.apply_load_store(counters)
+    counters.notes["write_buffer_coalesced"] = (
+        cols.write_buffer_coalesced(point.cache)
+    )
+    return counters

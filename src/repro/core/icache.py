@@ -17,9 +17,9 @@ The controller tracks the line address of the previous access to
 classify intra- vs inter-line flow, mirroring the hardware's
 "same-line" detector.
 
-The MAB never changes what the cache does, so the design is
-``replay_batchable``: :meth:`WayMemoICache.replay_counters` derives the
-counters from the replay engine's shared cache sweep through the same
+The MAB never changes what the cache does, so the design is batchable:
+:func:`way_memo_icache_counters` derives the counters from the replay
+engine's shared cache sweep through the same
 :func:`~repro.core.mab.way_memo_counters` as the D-cache.
 :meth:`WayMemoICache.process_reference` keeps the original object-API
 implementation as the executable specification for the differential
@@ -34,7 +34,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.core.mab import MAB, MABConfig, way_memo_counters
 from repro.replay.columns import FetchColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchKind, FetchStream
 
 
@@ -50,9 +50,6 @@ class WayMemoICache(Controller):
     """
 
     name = "way-memo"
-    #: The cache evolves exactly as without the MAB, so the replay
-    #: engine derives this design from a shared batch sweep.
-    replay_batchable = True
 
     def __init__(
         self,
@@ -70,22 +67,9 @@ class WayMemoICache(Controller):
         if mab_config.consistency == "evict_hook":
             self.cache.add_eviction_listener(self.mab.invalidate_line)
 
-    # ------------------------------------------------------------------
-    # fast engine
-    # ------------------------------------------------------------------
-
-    def replay_counters(
-        self, cols: FetchColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared sweep (pure derivation).
-
-        Intra-line sequential fetches skip the MAB; every other fetch
-        consults it (:func:`~repro.core.mab.way_memo_counters`).
-        """
-        intra = cols.intra_mask(self.cache.offset_bits, self.cache.index_bits)
-        counters = way_memo_counters(self, cols, shared, skip=intra)
-        counters.intra_line_hits = cols.n - counters.mab_lookups
-        return counters
+    @classmethod
+    def from_point(cls, point: DesignPoint) -> "WayMemoICache":
+        return cls(point.cache, point.mab, point.policy)
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)
@@ -161,3 +145,19 @@ class WayMemoICache(Controller):
             counters.way_accesses += cfg.ways + 1  # parallel read + refill
         if install is not None:
             self.mab.install(install, result.way)
+
+
+@fast_path(WayMemoICache)
+def way_memo_icache_counters(
+    cols: FetchColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared sweep (pure derivation).
+
+    Intra-line sequential fetches skip the MAB; every other fetch
+    consults it (:func:`~repro.core.mab.way_memo_counters`).
+    """
+    config = point.cache
+    intra = cols.intra_mask(config.offset_bits, config.index_bits)
+    counters = way_memo_counters(point, cols, shared, skip=intra)
+    counters.intra_line_hits = cols.n - counters.mab_lookups
+    return counters

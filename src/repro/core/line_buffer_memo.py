@@ -16,15 +16,16 @@ line leaves the buffer (energy for that is charged as a way access).
 
 Every access still reaches the cache (a buffer hit keeps its recency
 current), so the cache evolves exactly as without the buffer and the
-MAB, and the design is ``replay_batchable``:
-:meth:`LineBufferWayMemoDCache.replay_counters` derives which accesses
-the buffer serves from the shared sweep (:func:`buffer_hits`) and runs
-the way-memo derivation (:func:`~repro.core.mab.way_memo_counters`)
-over the buffer misses.  :meth:`process_reference` is the executable
-specification.
+MAB, and the design is batchable: :func:`line_buffer_memo_counters`
+derives which accesses the buffer serves from the shared sweep
+(:func:`buffer_hits`) and runs the way-memo derivation
+(:func:`~repro.core.mab.way_memo_counters`) over the buffer misses.
+:meth:`process_reference` is the executable specification.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.core.mab import MAB, MABConfig, way_memo_counters
 from repro.replay.columns import DataColumns, SharedPass
-from repro.replay.engine import Controller
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.trace import DataTrace
 
 
@@ -81,9 +82,6 @@ class LineBufferWayMemoDCache(Controller):
     """D-cache with line buffer + MAB way memoization stacked."""
 
     name = "way-memo+line-buffer"
-    #: The cache evolves exactly as without the buffer and the MAB, so
-    #: the replay engine derives this design from a shared batch sweep.
-    replay_batchable = True
 
     def __init__(
         self,
@@ -105,45 +103,19 @@ class LineBufferWayMemoDCache(Controller):
         # Keep the buffer coherent with the cache regardless of mode.
         self.cache.add_eviction_listener(self._on_cache_evict)
 
+    @classmethod
+    def from_point(cls, point: DesignPoint) -> "LineBufferWayMemoDCache":
+        return cls(point.cache, point.mab, point.entries, point.policy)
+
+    def design_point(self) -> DesignPoint:
+        return replace(
+            super().design_point(), entries=self.line_buffer.entries
+        )
+
     def _on_cache_evict(self, tag: int, set_index: int) -> None:
         self.line_buffer.invalidate_line(
             self.cache_config.join(tag, set_index)
         )
-
-    # ------------------------------------------------------------------
-    # fast engine
-    # ------------------------------------------------------------------
-
-    def replay_counters(
-        self, cols: DataColumns, shared: SharedPass
-    ) -> AccessCounters:
-        """Counters from the shared sweep (pure derivation).
-
-        The MAB sees exactly the buffer misses.  With more than one
-        entry the buffer hits depend on the sweep's evictions, so the
-        lookup stream is named by the cache's ways and policy too.
-        """
-        config = self.cache_config
-        entries = self.line_buffer.entries
-        served = shared.memo(
-            f"line-buffer{entries}",
-            lambda: buffer_hits(cols, shared, config, entries),
-        )
-        counters = way_memo_counters(
-            self, cols, shared, skip=served, stores=cols.store_mask,
-            stream=(
-                f"line-buffer{entries}-{config.ways}-"
-                f"{self.cache.policy.name}"
-            ),
-        )
-        n = cols.n
-        buffered = n - counters.mab_lookups
-        # A buffer hit reads no way; the derivation charges it one.
-        counters.way_accesses -= buffered
-        counters.aux_accesses = n  # the buffer is probed every access
-        cols.apply_load_store(counters)
-        counters.notes["line_buffer_hit_rate"] = buffered / n if n else 0.0
-        return counters
 
     # ------------------------------------------------------------------
     # reference implementation (executable specification)
@@ -214,3 +186,33 @@ class LineBufferWayMemoDCache(Controller):
             counters.way_accesses += (1 if is_store else cfg.ways) + 1
         if install is not None:
             self.mab.install(install, result.way)
+
+
+@fast_path(LineBufferWayMemoDCache)
+def line_buffer_memo_counters(
+    cols: DataColumns, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from the shared sweep (pure derivation).
+
+    The MAB sees exactly the buffer misses.  With more than one entry
+    the buffer hits depend on the sweep's evictions, so the lookup
+    stream is named by the cache's ways and policy too.
+    """
+    config = point.cache
+    entries = point.entries
+    served = shared.memo(
+        f"line-buffer{entries}",
+        lambda: buffer_hits(cols, shared, config, entries),
+    )
+    counters = way_memo_counters(
+        point, cols, shared, skip=served, stores=cols.store_mask,
+        stream=f"line-buffer{entries}-{config.ways}-{point.policy}",
+    )
+    n = cols.n
+    buffered = n - counters.mab_lookups
+    # A buffer hit reads no way; the derivation charges it one.
+    counters.way_accesses -= buffered
+    counters.aux_accesses = n  # the buffer is probed every access
+    cols.apply_load_store(counters)
+    counters.notes["line_buffer_hit_rate"] = buffered / n if n else 0.0
+    return counters

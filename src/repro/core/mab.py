@@ -348,14 +348,14 @@ class MAB:
 # ----------------------------------------------------------------------
 
 def way_memo_counters(
-    controller, cols, shared, skip: Optional[np.ndarray] = None,
+    point, cols, shared, skip: Optional[np.ndarray] = None,
     stores: Optional[np.ndarray] = None, stream: str = "",
 ) -> AccessCounters:
-    """Counters of one way-memo controller, derived from a shared sweep.
+    """Counters of one way-memo design, derived from a shared sweep.
 
-    The shared derivation behind every way-memo controller's
-    ``replay_counters``: ``controller`` supplies ``cache_config`` and
-    ``mab_config``; ``skip`` marks accesses that never consult the MAB
+    The shared derivation behind every way-memo design's fast path:
+    the design point ``point`` supplies the cache geometry and the
+    MAB; ``skip`` marks accesses that never consult the MAB
     (intra-line fetches, line-buffer hits; each is charged one way
     read) and ``stores`` the accesses that write.  ``stream`` names the
     MAB's lookup stream when ``skip`` is not the same for every member
@@ -363,11 +363,10 @@ def way_memo_counters(
     :class:`_MabPairs`; the eviction check is computed only when an
     ``evict_hook`` member asks for it.
     """
-    config = controller.cache_config
-    mab_config = controller.mab_config
+    config = point.cache
+    mab_config = point.mab
     group = [mab_config] + [
-        member.mab_config for member in shared.members
-        if hasattr(member, "mab_config")
+        member.mab for member in shared.members if member.mab is not None
     ]
     pairs = shared.memo(
         f"mab{stream}",

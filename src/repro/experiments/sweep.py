@@ -47,7 +47,6 @@ import sys
 from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.api import warm_trace_cache
 from repro.experiments import ablation_mab_size, extension_baselines
 from repro.experiments.registry import (
     Experiment,
@@ -218,6 +217,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.url is None:
+        from repro.api import warm_trace_cache
+
         # Persist the chosen benchmarks' traces even when the store
         # answers every point, so later sweeps never run the ISS.
         warm_trace_cache(tuple(args.benchmarks))

@@ -20,7 +20,9 @@ repetition:
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
   sweep per (geometry, replacement policy) — vectorized for the 2-way
   LRU caches the paper evaluates — and derive their counters from the
-  shared packed results; the one stateful controller, the filter
+  shared packed results and their design point alone, through the
+  function each registers beside its class, so a replay group builds
+  no controller for them; the one stateful controller, the filter
   cache, replays its own loop but shares the columnar pre-split.
 
 Every controller's ``process`` is a singleton
@@ -39,7 +41,10 @@ from repro.replay.columns import (
 )
 from repro.replay.engine import (
     Controller,
+    DesignPoint,
     clear_columns_cache,
+    derive_counters,
+    fast_path,
     plan_groups,
     replay_counters,
     replay_specs,
@@ -51,7 +56,10 @@ __all__ = [
     "SharedPass",
     "columns_for_stream",
     "Controller",
+    "DesignPoint",
     "clear_columns_cache",
+    "derive_counters",
+    "fast_path",
     "plan_groups",
     "replay_counters",
     "replay_specs",

@@ -39,7 +39,7 @@ architecture.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,10 +169,30 @@ def lru_distances(values: np.ndarray, cap: int) -> np.ndarray:
     touches, for any ``C <= cap``.
 
     Repeats of the previous element are at distance 0, so the stream
-    collapses into runs of equal values first.  Adjacent runs differ,
-    so a run head is at distance 1 iff its value recurs two runs back:
-    caps up to 2 are fully vectorized, and wider caps walk only the run
-    heads through a list of the last ``cap`` distinct values.
+    collapses into runs of equal values first; adjacent runs differ, so
+    every run head is at distance 1 or more, and exactly 1 iff its
+    value recurs two runs back: caps up to 2 need one comparison.  For
+    wider caps the heads' distances come from a level recurrence, one
+    vectorized pass per level C.  Let prev(i) be the previous
+    occurrence of head i's value (-2 if none), and last_C(i) the last
+    position before i of the C-th most recently used value (-1 while
+    fewer than C values have been seen), so that last_1(i) = i - 1 and
+    distance(i) >= C iff last_C(i) > prev(i).
+
+    An access at distance d moves the values at LRU depths 1..d down
+    one depth and leaves the deeper ones in place, so the C-th entry
+    changes only at an access u with distance(u) >= C - 1, and then to
+    the entry that was (C-1)-th, whose last position last_{C-1}(u)
+    is later than its own.  last_C therefore never moves backwards,
+    and it equals the largest last_{C-1}(u) over the earlier such u:
+
+        last_C(i) = max{last_{C-1}(u) : u < i, distance(u) >= C - 1}
+
+    That is one ``np.maximum.accumulate`` over the heads still at
+    distance >= C - 1, and only the heads it leaves at distance >= C
+    take part in the next level.  The levels stop at ``cap``, or at
+    the first level that no recurring head reaches: the heads left
+    then are first occurrences, which keep the cap.
     """
     if cap < 1:
         raise ValueError("LRU distance cap must be at least 1")
@@ -190,28 +210,35 @@ def lru_distances(values: np.ndarray, cap: int) -> np.ndarray:
         if cap == 2:
             dist[2:][runs[2:] == runs[:-2]] = 1
     else:
-        dist = np.array(_run_head_distances(runs.tolist(), cap), dtype=dtype)
+        dist = _level_distances(runs, cap, dtype)
     out[heads] = dist
     return out
 
 
-def _run_head_distances(runs: List[int], cap: int) -> List[int]:
-    recent: List[int] = []  # the last ``cap`` distinct values, newest first
-    present = set()
-    out: List[int] = []
-    append = out.append
-    for value in runs:
-        if value in present:
-            distance = recent.index(value)
-            del recent[distance]
-        else:
-            distance = cap
-            present.add(value)
-            if len(recent) == cap:
-                present.discard(recent.pop())
-        recent.insert(0, value)
-        append(distance)
-    return out
+def _level_distances(runs: np.ndarray, cap: int, dtype) -> np.ndarray:
+    """:func:`lru_distances` of a stream whose neighbours differ."""
+    m = len(runs)
+    index = np.int32 if m < np.iinfo(np.int32).max else np.int64
+    dist = np.full(m, cap, dtype=dtype)
+    # prev: the previous occurrence of each head's value, -2 if none.
+    order = np.argsort(runs, kind="stable").astype(index)
+    repeat = runs[order[1:]] == runs[order[:-1]]
+    prev = np.full(m, -2, dtype=index)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    del order, repeat
+    # The heads at distance >= C, with prev and last_C of each.
+    alive = np.arange(m, dtype=index)
+    last = alive - 1
+    for level in range(1, cap):
+        deeper = np.empty_like(last)
+        deeper[0] = -1
+        np.maximum.accumulate(last[:-1], out=deeper[1:])
+        reach = deeper > prev
+        dist[alive[~reach]] = level
+        if not (reach & (prev >= 0)).any():
+            break
+        alive, prev, last = alive[reach], prev[reach], deeper[reach]
+    return dist
 
 
 class _ColumnsBase:

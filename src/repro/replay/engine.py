@@ -8,36 +8,52 @@ a singleton :func:`replay_counters` call, and ``evaluate`` routes
 every fast-engine spec through :func:`replay_specs`, so a design
 point computes the same way alone or inside a batch.
 
-Two layers:
+Three layers:
 
-* :func:`replay_counters` — the kernel-level engine.  Given built
-  controllers and one access stream, it partitions them into
-  *batchable* architectures (marked ``replay_batchable``: their cache
-  access stream is independent of any auxiliary state, so identical
-  geometry + replacement policy means identical per-access outcomes)
-  and stateful ones.  Batchable controllers sharing a (geometry,
-  policy name) share literally one
-  :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
-  sweep over a fresh shadow cache; every member derives its counters
-  from the shared packed results via its ``replay_counters`` hook and
-  is itself left untouched.  That covers every design but the filter
-  cache, whose L0 invalidations feed back into what its L1 sees: it
-  replays on its own instance, fed from the shared
-  :mod:`~repro.replay.columns` pre-split (``process_columns``).
+* :func:`derive_counters` — the kernel-level engine.  Its members are
+  *batchable* designs as ``(fast path, design point)`` pairs (a design
+  is batchable when its cache access stream is independent of any
+  auxiliary state, so identical geometry + replacement policy means
+  identical per-access outcomes) and built stateful controllers.
+  Batchable members sharing a (geometry, policy name) share literally
+  one :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
+  sweep over a fresh shadow cache; each derives its counters from the
+  shared packed results through the function its class registers with
+  :func:`fast_path`, so no controller instance takes part.  That
+  covers every design but the filter cache, whose L0 invalidations
+  feed back into what its L1 sees: it replays on its own instance, fed
+  from the shared :mod:`~repro.replay.columns` pre-split
+  (``process_columns``).
+
+* :func:`replay_counters` — the same over built controllers: a
+  batchable controller contributes its fast path and
+  :meth:`Controller.design_point` and is itself left untouched.
 
 * :func:`replay_specs` — the spec-level engine behind ``evaluate`` and
   ``evaluate_many``.  All specs must share one ``(cache side,
   workload)``; the workload's columns are resolved once (through the
-  in-process column cache) and every spec's counters are priced into
-  a :class:`~repro.api.result.RunResult`, so grouping can never change
-  a byte.
+  in-process column cache), each batchable spec's design point is
+  resolved from its params without building a controller, and every
+  spec's counters are priced into a
+  :class:`~repro.api.result.RunResult`, so grouping can never change a
+  byte.
 """
 
 from __future__ import annotations
 
 import importlib
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
@@ -47,24 +63,65 @@ from repro.replay.columns import SharedPass, columns_for_stream
 from repro.telemetry import metrics as telemetry
 from repro.telemetry.tracing import span as trace_span
 
+if TYPE_CHECKING:
+    from repro.core.mab import MABConfig
+
 
 # ----------------------------------------------------------------------
 # kernel-level engine
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DesignPoint:
+    """One design point, as its fast path reads it.
+
+    The cache geometry and replacement policy, the MAB of a way-memo
+    design, and the entry count of a side structure (the set buffer's
+    sets, the line buffer's lines, the filter cache's L0 lines).
+    :meth:`~repro.api.registry.ArchitectureInfo.design_point` resolves
+    one from a spec's params, :meth:`Controller.design_point` reads one
+    off a built controller, and :meth:`Controller.from_point` builds
+    one.
+    """
+
+    cache: CacheConfig
+    policy: str = "lru"
+    mab: Optional[MABConfig] = None
+    entries: int = 0
+
+
+#: A batchable design's fast path: (columns, shared sweep, design
+#: point) -> counters.
+FastPath = Callable[[object, SharedPass, DesignPoint], AccessCounters]
+
+
 class Controller:
     """Base of every cache controller: the one shared fast ``process``.
 
-    A subclass provides ``process_reference`` plus at most one fast
-    path for the engine: ``replay_counters(cols, shared)`` when it sets
-    ``replay_batchable`` (a pure derivation from a shared sweep, which
-    must neither read nor write the controller's own state), or
-    ``process_columns(cols)`` for a stateful design.
+    A subclass provides ``process_reference`` plus exactly one fast
+    path for the engine.  A batchable design registers a function of
+    (columns, shared sweep, design point) beside its class with
+    :func:`fast_path`; it receives no instance, so it can neither read
+    nor write a controller's state.  A stateful design provides
+    ``process_columns(cols)`` instead and replays on itself.
     """
 
-    #: Whether the design's cache access stream is independent of its
-    #: side structures (see :func:`replay_counters`).
-    replay_batchable = False
+    #: The batchable fast path (see :func:`fast_path`), or None for a
+    #: stateful design.
+    derive: Optional[FastPath] = None
+
+    @classmethod
+    def from_point(cls, point: DesignPoint) -> "Controller":
+        """A fresh controller of ``point`` (a design without side
+        structure parameters takes the cache and policy)."""
+        return cls(point.cache, policy=point.policy)
+
+    def design_point(self) -> DesignPoint:
+        """The design point this controller was built for."""
+        return DesignPoint(
+            self.cache_config, self.cache.policy.name,
+            getattr(self, "mab_config", None),
+        )
 
     def process(self, stream) -> AccessCounters:
         """Replay ``stream`` and return the counters (fast engine).
@@ -77,33 +134,49 @@ class Controller:
         return replay_counters([self], stream)[0]
 
 
-def replay_counters(
-    controllers: Sequence[Controller], stream, cols=None
-) -> List[AccessCounters]:
-    """Replay ``stream`` through every controller in one pass.
+def fast_path(*classes: type) -> Callable[[FastPath], FastPath]:
+    """Register the decorated function as the fast path of ``classes``.
 
-    Returns one :class:`~repro.cache.stats.AccessCounters` per
-    controller, in input order, byte-identical to running each
-    controller's ``process_reference`` on a fresh instance.  Batchable
-    controllers are evaluated on throwaway shadow caches and keep
-    their own state untouched; stateful ones replay on themselves.
-    Given ``cols`` (the stream's pre-split columns), ``stream`` is
-    not read.
+    The function maps (the stream's columns, the
+    :class:`~repro.replay.columns.SharedPass` of the cache sweep it
+    shares, its :class:`DesignPoint`) to the design's counters, which
+    must equal a fresh controller's ``process_reference`` counters.
+    Registering it marks the classes batchable.
     """
-    if cols is None:
-        cols = columns_for_stream(stream)
-    out: List[AccessCounters] = [None] * len(controllers)
+
+    def register(derive: FastPath) -> FastPath:
+        for cls in classes:
+            cls.derive = staticmethod(derive)
+        return derive
+
+    return register
+
+
+#: One member of :func:`derive_counters`: a batchable design's
+#: ``(fast path, design point)``, or a built stateful controller.
+Member = Union[Tuple[FastPath, DesignPoint], Controller]
+
+
+def derive_counters(members: Sequence[Member], cols) -> List[AccessCounters]:
+    """Counters of every member over the stream ``cols`` splits.
+
+    Returns one :class:`~repro.cache.stats.AccessCounters` per member,
+    in input order, byte-identical to running each design's
+    ``process_reference`` on a fresh controller.  Batchable members
+    derive from one shared sweep per (geometry, policy name); stateful
+    controllers replay on themselves.
+    """
+    out: List[AccessCounters] = [None] * len(members)
     shared: Dict[Tuple[CacheConfig, str], List[int]] = {}
     singles: List[int] = []
-    for index, controller in enumerate(controllers):
-        if controller.replay_batchable:
-            cache = controller.cache
-            key = (cache.config, cache.policy.name)
-            shared.setdefault(key, []).append(index)
-        else:
+    for index, member in enumerate(members):
+        if isinstance(member, Controller):
             singles.append(index)
+        else:
+            point = member[1]
+            shared.setdefault((point.cache, point.policy), []).append(index)
 
-    for (config, policy), members in shared.items():
+    for (config, policy), indices in shared.items():
         shadow = SetAssociativeCache(
             config, make_policy(policy, config.sets, config.ways)
         )
@@ -113,7 +186,7 @@ def replay_counters(
             cols.store_mask,
         )
         shared_pass = SharedPass(
-            packed, [controllers[index] for index in members]
+            packed, [members[index][1] for index in indices]
         )
         telemetry.counter(
             "repro_replay_shared_sweeps_total",
@@ -123,18 +196,17 @@ def replay_counters(
             "repro_replay_shared_members_total",
             "Controllers served by a shared sweep instead of "
             "replaying their own loop.",
-        ).inc(len(members))
-        for index in members:
-            out[index] = controllers[index].replay_counters(
-                cols, shared_pass
-            )
+        ).inc(len(indices))
+        for index in indices:
+            derive, point = members[index]
+            out[index] = derive(cols, shared_pass, point)
 
     if shared:
         telemetry.counter(
             "repro_replay_batchable_members_total",
             "Group members whose counters were derived from a shared "
             "batch sweep.",
-        ).inc(sum(len(members) for members in shared.values()))
+        ).inc(sum(len(indices) for indices in shared.values()))
     if singles:
         telemetry.counter(
             "repro_replay_stateful_members_total",
@@ -142,8 +214,31 @@ def replay_counters(
             "(columnar or scalar).",
         ).inc(len(singles))
     for index in singles:
-        out[index] = controllers[index].process_columns(cols)
+        out[index] = members[index].process_columns(cols)
     return out
+
+
+def replay_counters(
+    controllers: Sequence[Controller], stream, cols=None
+) -> List[AccessCounters]:
+    """Replay ``stream`` through every built controller in one pass.
+
+    :func:`derive_counters` over the controllers: a batchable one
+    takes part as its fast path and :meth:`Controller.design_point`
+    and keeps its own state untouched; a stateful one replays on
+    itself.  Given ``cols`` (the stream's pre-split columns),
+    ``stream`` is not read.
+    """
+    if cols is None:
+        cols = columns_for_stream(stream)
+    return derive_counters(
+        [
+            controller if controller.derive is None
+            else (controller.derive, controller.design_point())
+            for controller in controllers
+        ],
+        cols,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -246,18 +341,22 @@ def replay_specs(specs: Sequence[object]) -> List[object]:
     ):
         cols, cycles = _columns_cached(first.cache, first.workload)
 
-        built = []
+        resolved = []
         for spec in specs:
             _evaluate._begin_simulation()
             info = get_architecture(spec.cache, spec.arch)
             params = spec.param_dict
-            built.append((spec, info, params, info.build(params)))
+            derive = info.controller_class().derive
+            member = (
+                info.build(params) if derive is None
+                else (derive, info.design_point(params))
+            )
+            resolved.append((spec, info, params, member))
 
-        counters = replay_counters(
-            [controller for (_, _, _, controller) in built],
-            None, cols,
+        counters = derive_counters(
+            [member for (_, _, _, member) in resolved], cols
         )
         return [
             _evaluate._finish_result(spec, info, params, c, cycles)
-            for (spec, info, params, _), c in zip(built, counters)
+            for (spec, info, params, _), c in zip(resolved, counters)
         ]

@@ -89,10 +89,6 @@ class ServiceHealth(Dict[str, Any]):
         return bool(self.get("read_only"))
 
     @property
-    def store_available(self) -> bool:
-        return bool(self.get("store"))
-
-    @property
     def store_configured(self) -> bool:
         return bool(self.get("store_configured", self.get("store")))
 

@@ -66,17 +66,6 @@ class FetchStream:
     def __len__(self) -> int:
         return len(self.addr)
 
-    @property
-    def num_sequential(self) -> int:
-        return int((self.kind == FetchKind.SEQ).sum())
-
-    @property
-    def num_control_flow(self) -> int:
-        return int(
-            ((self.kind == FetchKind.BRANCH)
-             | (self.kind == FetchKind.INDIRECT)).sum()
-        )
-
 
 _FLOW_TO_FETCH = {
     int(FlowKind.START): int(FetchKind.START),

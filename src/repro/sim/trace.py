@@ -144,10 +144,6 @@ class ExecutionTrace:
     #: instruction mix histogram, mnemonic -> count
     mix: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def num_data_accesses(self) -> int:
-        return len(self.data)
-
     def summary(self) -> str:
         d = self.data
         return (

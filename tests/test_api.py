@@ -517,9 +517,9 @@ def test_counter_invariant_error_leaves_the_store_unwritten(
     from repro.store import STORE_ENV, default_store, reset_default_stores
 
     monkeypatch.setattr(
-        engine, "replay_counters",
-        lambda controllers, stream, cols=None: [
-            _counters(cache_misses=3) for _ in controllers
+        engine, "derive_counters",
+        lambda members, cols: [
+            _counters(cache_misses=3) for _ in members
         ],
     )
     monkeypatch.setenv(STORE_ENV, str(tmp_path / "results.sqlite"))

@@ -24,13 +24,13 @@ synthetic traffic that exercises bypasses, stores and evictions.
 """
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.api import architectures
-from repro.api.registry import GEOMETRY_PARAMS
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 from repro.isa import assemble
 from repro.sim import CPU, CPUError, run_program
@@ -88,7 +88,7 @@ def assert_state_equal(fast, ref, context=""):
     cache and side structures must match the reference's.  Batchable
     designs are skipped: their ``process`` sweeps a shadow cache.
     """
-    if fast.replay_batchable:
+    if fast.derive is not None:
         return
     assert_cache_state_equal(fast.cache, ref.cache, context)
     if hasattr(ref, "_l0"):
@@ -128,12 +128,22 @@ def build_design(side, design, cache_config=None, **params):
     info, base = DESIGNS[side][design]
     if cache_config is None:
         return info.build({**base, **params})
-    kwargs = {
-        key: value
-        for key, value in info.merged_params({**base, **params}).items()
-        if key not in GEOMETRY_PARAMS
-    }
-    return info.factory(cache_config=cache_config, **kwargs)
+    point = info.design_point({**base, **params})
+    return info.controller_class().from_point(
+        replace(point, cache=cache_config)
+    )
+
+
+@pytest.mark.parametrize("side", ("dcache", "icache"))
+def test_every_design_has_exactly_one_fast_path(side):
+    """A registered design either registers a batchable fast path
+    beside its class or replays on itself through ``process_columns``:
+    never both, never neither."""
+    for info in architectures(side):
+        cls = info.controller_class()
+        assert (cls.derive is None) == hasattr(cls, "process_columns"), (
+            info.id
+        )
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,9 @@ CLIENT_FREE_PACKAGES = (
 
 #: Single modules a client process does not import.
 CLIENT_FREE_MODULES = (
-    "numpy", "repro.cache.cache", "repro.workloads.synthetic",
-    "repro.api.evaluate", "repro.service.server", "repro.service.jobs",
+    "numpy", "multiprocessing", "repro.cache.cache",
+    "repro.workloads.synthetic", "repro.api.evaluate",
+    "repro.api.parallel", "repro.service.server", "repro.service.jobs",
     "repro.service.workers", "repro.store.store",
 )
 

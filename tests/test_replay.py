@@ -12,6 +12,8 @@ pre-split is memoized per dependency, not per geometry.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -23,6 +25,7 @@ from repro.api import (
     evaluate_many,
 )
 from repro.api.evaluate import simulation_count
+from repro.cache.config import CacheConfig
 from repro.replay.columns import DataColumns
 from repro.replay.engine import plan_groups, replay_counters, replay_specs
 from repro.store import STORE_ENV, default_store, reset_default_stores
@@ -108,6 +111,112 @@ def test_replay_counters_leave_input_controllers_untouched():
             lines = getattr(controller, "line_buffer", None)
             if lines is not None:
                 assert lines.accesses == 0 and not lines._lines
+
+
+@pytest.mark.parametrize("side", CACHE_SIDES)
+def test_user_built_controllers_process_matches_reference(side):
+    """``process`` on a controller built outside the registry derives
+    from the instance's own design point: every registered design on
+    a small FIFO cache, with its side structure one entry deeper than
+    the default, matches its reference loop."""
+    if side == "dcache":
+        stream = synthetic_data_trace(
+            num_accesses=2048, seed=7, large_disp_fraction=0.02
+        )
+    else:
+        stream = synthetic_fetch_stream(num_blocks=128, seed=7)
+    config = CacheConfig(2048, 2, 32)
+    for info in architectures(side):
+        point = replace(info.design_point(), cache=config, policy="fifo")
+        if point.entries:
+            point = replace(point, entries=point.entries + 1)
+        cls = info.controller_class()
+        controller = cls.from_point(point)
+        assert controller.design_point() == point, info.id
+        expected = cls.from_point(point).process_reference(stream)
+        assert (
+            controller.process(stream).as_dict() == expected.as_dict()
+        ), info.id
+
+
+# ----------------------------------------------------------------------
+# instance-free derivation
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The ids of the registry entries built while the test runs."""
+    from repro.api.registry import ArchitectureInfo
+
+    built = []
+    build = ArchitectureInfo.build
+
+    def counting(self, params=None):
+        built.append(self.id)
+        return build(self, params)
+
+    monkeypatch.setattr(ArchitectureInfo, "build", counting)
+    return built
+
+
+def _batchable_specs(side):
+    """Every batchable design of one side, plus parametrized points."""
+    specs = [
+        _spec(info.id, side=side) for info in architectures(side)
+        if info.controller_class().derive is not None
+    ]
+    specs += [
+        _spec("way-memo", side=side,
+              params={"tag_entries": 4, "index_entries": 4,
+                      "policy": "fifo"}),
+        _spec("original", side=side, params={"policy": "random"}),
+    ]
+    if side == "dcache":
+        specs += [
+            _spec("set-buffer", params={"entries": 3}),
+            _spec("way-memo+line-buffer",
+                  params={"line_buffer_entries": 2}),
+            _spec("way-memo", params={"ways": 4, "size_bytes": 8192}),
+        ]
+    return specs
+
+
+@pytest.mark.parametrize("side", CACHE_SIDES)
+def test_batchable_group_builds_no_controller(side, builds):
+    """A replay group of batchable specs derives every member from its
+    resolved design point: no ``ArchitectureInfo.build`` runs, and each
+    result equals the spec's reference-engine evaluation."""
+    specs = _batchable_specs(side)
+    results = replay_specs(specs)
+    assert builds == []
+    for spec, result in zip(specs, results):
+        reference = evaluate(
+            replace(spec, engine="reference"), use_cache=False
+        )
+        assert result.counters.as_dict() == reference.counters.as_dict(), (
+            spec.key()
+        )
+
+
+def test_filter_cache_member_is_built_once(builds):
+    """The stateful filter cache is the one member a group builds."""
+    for side in CACHE_SIDES:
+        replay_specs([
+            _spec("original", side=side),
+            _spec("filter-cache", side=side),
+            _spec("way-memo-2x8", side=side),
+        ])
+    assert builds == ["filter-cache", "filter-cache"]
+
+
+@pytest.mark.parametrize("arch,key", [
+    ("set-buffer", "entries"),
+    ("way-memo+line-buffer", "line_buffer_entries"),
+    ("filter-cache", "l0_lines"),
+])
+def test_empty_side_structure_is_rejected(arch, key):
+    with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+        replay_specs([_spec(arch, params={key: 0})])
 
 
 # ----------------------------------------------------------------------
