@@ -231,9 +231,9 @@ def measure_baselines(quick: bool) -> dict:
 
     Both engines run on the same synthetic streams in the same
     process, in alternating rounds (:func:`timed_ratio`); each run
-    gets a fresh controller (they are stateful).  Returns ``{name:
-    {"fast_us", "reference_us", "speedup"}}``: each leg's best run and
-    the median per-round ratio.
+    gets a fresh controller (the reference loops carry state).
+    Returns ``{name: {"fast_us", "reference_us", "speedup"}}``: each
+    leg's best run and the median per-round ratio.
     """
     n_data = 4_000 if quick else 20_000
     n_blocks = 600 if quick else 3_000
@@ -256,11 +256,10 @@ def measure_baselines(quick: bool) -> dict:
 
 
 #: Architectures timed by the replay metric: a seven-design group per
-#: cache side, mixing the batchable designs (one shared
-#: ``access_fast_batch`` sweep, including the set buffer, MA links,
-#: way memoization and the line buffer) with the stateful filter
-#: cache, which replays its own loop fed from the shared columnar
-#: pre-split.
+#: cache side, mixing the designs that derive from one shared
+#: ``access_fast_batch`` sweep (including the set buffer, MA links,
+#: way memoization and the line buffer) with the filter cache, which
+#: walks its own L1 stream over the same columnar pre-split.
 REPLAY_GROUPS = {
     "dcache": ("original", "two-phase", "way-prediction", "set-buffer",
                "filter-cache", "way-memo-2x8", "way-memo+line-buffer"),
@@ -285,30 +284,34 @@ def measure_replay(quick: bool) -> dict:
     """Grouped single-pass replay vs per-spec evaluation timing.
 
     Runs a seven-architecture batch per cache side both ways — per
-    spec (each controller's own ``process``: a singleton engine call
-    with its own column split and sweep) and grouped
-    (:func:`repro.replay.engine.replay_counters`: one columnar
-    pre-split, one shared batch sweep for the batchable members) — in
-    the same process, so the speedups are machine-independent and CI
-    can put regression floors under them.  Each round times the two
-    legs back to back, and a side's ratio is the median over rounds of
-    per-spec / grouped time; ``per_spec_us`` / ``replay_us`` are each
-    leg's best run.  ``speedup`` is the worse of the two sides (the
-    back-compatible headline number); each side also reports its own
-    ratio.
+    spec (each design its own
+    :func:`repro.replay.engine.derive_counters` call, with its own
+    column split and sweep, as a singleton replay group runs) and
+    grouped (one ``derive_counters`` call: one columnar pre-split, one
+    shared batch sweep) — in the same process, so the speedups are
+    machine-independent and CI can put regression floors under them.
+    The fast legs derive from ``(fast path, design point)`` pairs
+    resolved before timing, as ``replay_specs`` does, so they build no
+    controller; only the reference legs build one.  Each round times
+    the two legs back to back, and a side's ratio is the median over
+    rounds of per-spec / grouped time; ``per_spec_us`` / ``replay_us``
+    are each leg's best run.  ``speedup`` is the worse of the two
+    sides (the back-compatible headline number); each side also
+    reports its own ratio.
     ``stateful_speedup`` additionally times each derived design's
-    singleton engine call against its retained object-API reference
-    loop, in alternating rounds the same way, and ``grid_speedup``
-    the paper's 12 (Nt, Ns) way-memo geometries as one
-    ``replay_counters`` call (one sweep, one distance pass per value
-    stream) against 12 reference runs.
+    singleton ``derive_counters`` call against its retained
+    object-API reference loop, in alternating rounds the same way,
+    and ``grid_speedup`` the paper's 12 (Nt, Ns) way-memo geometries
+    as one ``derive_counters`` call (one sweep, one distance pass per
+    value stream) against 12 reference runs.
 
     The streams stay full-size even under ``--quick``: the recorded
     metrics are *ratios*, and short streams understate them because
     fixed per-evaluation overheads dominate both legs equally.
     """
     from repro.api.registry import get_architecture
-    from repro.replay.engine import replay_counters
+    from repro.replay.columns import columns_for_stream
+    from repro.replay.engine import derive_counters
 
     repeats = 3 if quick else 5
     streams = {
@@ -316,20 +319,26 @@ def measure_replay(quick: bool) -> dict:
         "icache": synthetic_fetch_stream(num_blocks=3_000, seed=1),
     }
 
+    def member(side, arch, params=None):
+        info = get_architecture(side, arch)
+        return info.controller_class().derive, info.design_point(params)
+
+    def derive(members, stream):
+        return derive_counters(members, columns_for_stream(stream))
+
     out = {"sides": {}}
     worst = None
     for side, archs in REPLAY_GROUPS.items():
         stream = streams[side]
-        infos = [get_architecture(side, arch) for arch in archs]
+        members = [member(side, arch) for arch in archs]
 
         def per_spec():
-            for info in infos:
-                info.build().process(stream)
+            for one in members:
+                derive([one], stream)
 
-        def grouped():
-            replay_counters([info.build() for info in infos], stream)
-
-        per_spec_us, grouped_us, speedup = timed_ratio(per_spec, grouped)
+        per_spec_us, grouped_us, speedup = timed_ratio(
+            per_spec, lambda: derive(members, stream)
+        )
         speedup = round(speedup, 2)
         out["sides"][side] = {
             "architectures": len(archs),
@@ -348,9 +357,10 @@ def measure_replay(quick: bool) -> dict:
     for name, side, arch in REPLAY_DERIVED:
         stream = streams[side]
         info = get_architecture(side, arch)
+        one = member(side, arch)
         reference_us, replay_us, speedup = timed_ratio(
             lambda: info.build().process_reference(stream),
-            lambda: replay_counters([info.build()], stream),
+            lambda: derive([one], stream),
         )
         stateful[name] = {
             "replay_us": round(replay_us, 1),
@@ -374,12 +384,8 @@ def measure_replay(quick: bool) -> dict:
     out["grid_speedup"] = {}
     for side, stream in streams.items():
         info = get_architecture(side, "way-memo")
-        replay_us = best_of(
-            lambda: replay_counters(
-                [info.build(params) for params in grid], stream
-            ),
-            repeats,
-        )
+        members = [member(side, "way-memo", params) for params in grid]
+        replay_us = best_of(lambda: derive(members, stream), repeats)
 
         def references():
             for params in grid:

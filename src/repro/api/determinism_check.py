@@ -41,11 +41,12 @@ def check_specs() -> List[RunSpec]:
     workload modifiers, a non-FR-V cache geometry).
 
     The shared-workload groups are deliberately wide: each side's
-    ``dct``/``fft`` group spans seven distinct architectures
-    (batchable and stateful mixed) and carries three way-memo MAB
-    geometries, so the replay engine's shared batch sweep, the
-    stateful columnar derivations, and the one-column-split-per-sweep
-    property are all exercised by every leg of this check.
+    ``dct``/``fft`` group spans seven distinct architectures (the
+    filter cache's own L1 walk beside designs deriving from the shared
+    sweep) and carries three way-memo MAB geometries, so the replay
+    engine's shared batch sweep, the filter cache's walk, and the
+    one-column-split-per-sweep property are all exercised by every
+    leg of this check.
     """
     specs = [
         RunSpec(cache=side, arch=arch, workload=benchmark)
@@ -100,9 +101,7 @@ def check_specs() -> List[RunSpec]:
 REPORT_EXPERIMENTS = ("figure4_dcache_accesses", "table2_delay")
 
 
-def _service_batch(
-    specs: List[RunSpec], workers: int
-) -> Tuple[List[str], str]:
+def _service_batch(specs: List[RunSpec]) -> Tuple[List[str], str]:
     """Evaluate ``specs`` — and render a remote report — through a
     live in-process HTTP service."""
     from repro.experiments import report
@@ -114,10 +113,8 @@ def _service_batch(
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}"
         client = ServiceClient(url)
-        results = client.evaluate_many(specs, workers=workers)
-        remote_report = report.generate(
-            list(REPORT_EXPERIMENTS), url=url, workers=workers
-        )
+        results = client.evaluate_many(specs)
+        remote_report = report.generate(list(REPORT_EXPERIMENTS), url=url)
         return [r.to_json() for r in results], remote_report
     finally:
         server.shutdown()
@@ -134,7 +131,7 @@ FAULT_PLAN = (
 )
 
 
-def _fault_leg(specs: List[RunSpec], workers: int) -> List[str]:
+def _fault_leg(specs: List[RunSpec]) -> List[str]:
     """Evaluate ``specs`` through a service under injected faults.
 
     Runs against a *fresh* temporary store and job queue so every
@@ -180,9 +177,7 @@ def _fault_leg(specs: List[RunSpec], workers: int) -> List[str]:
                     )
                     wait_until_ready(url)
                     client = ServiceClient(url, timeout=600.0)
-                    results = client.evaluate_many(
-                        specs, workers=workers
-                    )
+                    results = client.evaluate_many(specs)
                 finally:
                     server.shutdown()
                     server.server_close()
@@ -242,9 +237,7 @@ def _scenario_leg(
     thread.start()
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}"
-        results = ServiceClient(url).evaluate_many(
-            specs, workers=workers
-        )
+        results = ServiceClient(url).evaluate_many(specs)
     finally:
         server.shutdown()
         server.server_close()
@@ -382,7 +375,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.no_service:
         from repro.experiments import report
 
-        service, remote_report = _service_batch(specs, args.workers)
+        service, remote_report = _service_batch(specs)
         if serial != service:
             _report_mismatch("in-process vs service", specs, serial,
                              service)
@@ -459,7 +452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         legs += " vs telemetry on/off (incl. report render)"
     if args.faults:
-        faulted = _fault_leg(specs, args.workers)
+        faulted = _fault_leg(specs)
         if serial != faulted:
             _report_mismatch(
                 "clean vs fault-injected service", specs, serial,

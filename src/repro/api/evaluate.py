@@ -1,13 +1,15 @@
 """``evaluate(spec) -> RunResult``: the one evaluation entry point.
 
 Resolves a :class:`~repro.api.spec.RunSpec` against the central
-registry, replays the workload through a fresh controller, prices the
-counters with the paper's Equation (1) and returns a typed
-:class:`~repro.api.result.RunResult`.  ``evaluate_many`` fans a batch
-out over the shared :func:`~repro.api.parallel.parallel_map` harness
-(after warming the trace cache in the parent), deduplicating repeated
-specs and reducing in input order — results are byte-identical for
-any worker count and for cold vs. warm trace caches.
+registry into a design point, replays the workload through that
+design's fast path (or its reference loop), prices the counters with
+the paper's Equation (1) and returns a typed
+:class:`~repro.api.result.RunResult`.  ``evaluate`` is a one-spec
+``evaluate_many`` batch.  ``evaluate_many`` fans a batch out over the
+shared :func:`~repro.api.parallel.parallel_map` harness (after
+warming the trace cache in the parent), deduplicating repeated specs
+and reducing in input order — results are byte-identical for any
+worker count and for cold vs. warm trace caches.
 
 Results are cached per process by canonical spec key, so the figure
 experiments, the report generator and ad-hoc library callers share
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.config import CacheConfig
 from repro.cache.stats import AccessCounters
 from repro.energy import CachePowerModel, MABHardwareModel
-from repro.replay.engine import plan_groups, replay_specs
+from repro.replay.engine import DesignPoint, plan_groups, replay_specs
 from repro.sim import fetch_stream
 from repro.workloads import generate_synthetic, load_workload, parse_workload
 from repro.workloads.synthetic import inject_stack_traffic
@@ -116,17 +118,17 @@ class CounterInvariantError(RuntimeError):
 
 
 def _check_counters(
-    spec: RunSpec, info, params: Dict[str, object],
-    counters: AccessCounters, ways: int,
+    spec: RunSpec, point: DesignPoint, counters: AccessCounters
 ) -> None:
     """Raise :class:`CounterInvariantError` naming ``spec`` and the
-    first invariant ``counters`` break on a ``ways``-way cache.
+    first invariant ``counters`` break on ``point``'s cache.
 
     Paper-mode way memoization can go stale (a key refreshed through
     another set keeps its tag entry while its line is evicted), so
     stale hits are rejected only in ``evict_hook`` mode.
     """
     c = counters
+    ways = point.cache.ways
     checks = (
         ("hits + misses = accesses",
          c.cache_hits + c.cache_misses == c.accesses),
@@ -142,8 +144,7 @@ def _check_counters(
          c.way_accesses <= (ways + 1) * c.accesses),
         ("zero stale hits in evict_hook mode",
          not c.stale_hits
-         or info.merged_params(params).get("consistency")
-         != "evict_hook"),
+         or point.mab is None or point.mab.consistency != "evict_hook"),
     )
     for name, holds in checks:
         if not holds:
@@ -155,7 +156,7 @@ def _check_counters(
 def _finish_result(
     spec: RunSpec,
     info,
-    params: Dict[str, object],
+    point: DesignPoint,
     counters: AccessCounters,
     cycles: int,
 ) -> RunResult:
@@ -165,17 +166,21 @@ def _finish_result(
     Shared tail of the reference engine (:func:`_run`) and the replay
     engine (:func:`repro.replay.engine.replay_specs`) — one pricing
     implementation keeps the two byte-identical, and every result
-    passes :func:`_check_counters` before a caller can store it.
+    passes :func:`_check_counters` before a caller can store it.  The
+    cache geometry, the MAB and the side structure all come from the
+    spec's resolved ``point``.
     """
-    cache_config = info.cache_config(params)
-    _check_counters(spec, info, params, counters, cache_config.ways)
-    geometry = info.mab_geometry(params)
-    power = _power_model(cache_config, spec.technology).power(
+    _check_counters(spec, point, counters)
+    mab = point.mab
+    power = _power_model(point.cache, spec.technology).power(
         counters,
         cycles,
         label=spec.arch,
-        mab_model=MABHardwareModel(*geometry) if geometry else None,
-        aux_bits=info.resolved_aux_bits(params),
+        mab_model=(
+            None if mab is None
+            else MABHardwareModel(mab.tag_entries, mab.index_entries)
+        ),
+        aux_bits=None if info.aux_bits is None else info.aux_bits(point),
     )
     return RunResult(
         spec=spec, counters=counters, power=power, cycles=cycles
@@ -187,7 +192,8 @@ def _run(spec: RunSpec) -> RunResult:
 
     A fast-engine spec is a singleton replay group — the exact path it
     takes inside any batch; the reference engine runs the design's
-    ``process_reference`` loop, the executable specification.
+    ``process_reference`` loop, the executable specification, on a
+    controller built from the spec's resolved design point.
     """
     if spec.engine == "fast":
         return replay_specs([spec])[0]
@@ -197,10 +203,11 @@ def _run(spec: RunSpec) -> RunResult:
     ):
         _begin_simulation()
         info = get_architecture(spec.cache, spec.arch)
-        params = spec.param_dict
+        point = info.design_point(spec.param_dict)
         stream, cycles = _resolve_stream(spec.cache, spec.workload)
-        counters = info.build(params).process_reference(stream)
-        return _finish_result(spec, info, params, counters, cycles)
+        controller = info.controller_class().from_point(point)
+        counters = controller.process_reference(stream)
+        return _finish_result(spec, info, point, counters, cycles)
 
 
 def _default_store():
@@ -239,31 +246,15 @@ def _store_op(fn, fallback):
 
 
 def evaluate(spec: RunSpec, use_cache: bool = True) -> RunResult:
-    """Evaluate one design point (cached per process by spec key).
+    """Evaluate one design point: a one-spec :func:`evaluate_many`
+    batch, run in this process.
 
-    Misses read through to the persistent result store and fresh
-    computations are written back, so a later process asking the same
-    question of the same code skips the simulation entirely.
+    Results are cached per process by spec key; misses read through to
+    the persistent result store and fresh computations are written
+    back, so a later process asking the same question of the same code
+    skips the simulation entirely.
     """
-    if not use_cache:
-        return _run(spec)
-    key = spec.key()
-    result = _RESULTS.get(key)
-    if result is not None:
-        telemetry.counter(
-            "repro_evaluate_memo_hits_total",
-            "Evaluations served from the per-process result cache.",
-        ).inc()
-        return result
-    store = _default_store()
-    if store is not None:
-        result = _store_op(lambda: store.get(spec), None)
-    if result is None:
-        result = _run(spec)
-        if store is not None:
-            _store_op(lambda: store.put(result), None)
-    _RESULTS[key] = result
-    return result
+    return evaluate_many([spec], workers=1, use_cache=use_cache)[0]
 
 
 def _evaluate_task(payloads: Tuple[str, ...]) -> List[RunResult]:

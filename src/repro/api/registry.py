@@ -9,11 +9,13 @@ geometry for way-memo variants, auxiliary storage bits for the
 baselines' side structures).
 
 This registry is the single source of truth: callers iterate
-:func:`architectures`, read power-model metadata through
-:meth:`ArchitectureInfo.resolved_aux_bits` /
-:meth:`ArchitectureInfo.mab_geometry`, and take the baseline-comparison
-orderings (``experiments/extension_baselines.py:D_ARCHS`` /
-``I_ARCHS``) from :func:`comparison_archs`.
+:func:`architectures`, resolve a spec's params into the
+:class:`~repro.replay.engine.DesignPoint` that both the fast path and
+the power model read (:meth:`ArchitectureInfo.design_point`; a
+baseline's ``aux_bits`` formula prices its side structure from that
+point), and take the baseline-comparison orderings
+(``experiments/extension_baselines.py:D_ARCHS`` / ``I_ARCHS``) from
+:func:`comparison_archs`.
 
 Fixed-geometry labels like ``way-memo-2x8`` are presets: the same
 controller as the parametric ``way-memo`` entry with pinned defaults.
@@ -27,10 +29,15 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple,
+)
 
 from repro.cache.config import FRV_DCACHE, FRV_ICACHE, CacheConfig
 from repro.energy.technology import FRV_TECH, TechnologyParameters
+
+if TYPE_CHECKING:
+    from repro.replay.engine import DesignPoint
 
 #: Valid values of ``RunSpec.cache``.
 CACHE_SIDES: Tuple[str, ...] = ("dcache", "icache")
@@ -72,10 +79,12 @@ class ArchitectureInfo:
     :data:`GEOMETRY_PARAMS` of an entry whose cache geometry is a spec
     parameter; a :class:`~repro.api.spec.RunSpec` may override any
     subset of them (unknown keys are rejected at spec construction).
-    ``uses_mab`` marks way-memo variants whose power is priced with a
-    :class:`~repro.energy.mab_model.MABHardwareModel` of the resolved
-    ``(tag_entries, index_entries)`` geometry; ``aux_bits`` prices a
-    baseline's non-MAB side structure as a small SRAM.
+    ``uses_mab`` marks way-memo variants, whose design point carries a
+    MAB that is priced with a
+    :class:`~repro.energy.mab_model.MABHardwareModel` of its
+    ``(tag_entries, index_entries)`` geometry; ``aux_bits`` maps a
+    design point to the storage bits of a baseline's non-MAB side
+    structure, priced as a small SRAM.
     """
 
     id: str
@@ -84,7 +93,7 @@ class ArchitectureInfo:
     description: str
     defaults: Mapping[str, Any] = field(default_factory=dict)
     uses_mab: bool = False
-    aux_bits: Optional[Callable[[Mapping[str, Any]], int]] = None
+    aux_bits: Optional[Callable[["DesignPoint"], int]] = None
     #: Position in the extension_baselines comparison (None = not in it).
     comparison_rank: Optional[int] = None
     #: Parametric entries (e.g. ``way-memo``) are the sweep surface
@@ -148,9 +157,9 @@ class ArchitectureInfo:
         The side's FR-V cache, with the ``ways`` / ``size_bytes``
         overrides of an entry that takes them (ValueError for a
         geometry that cannot exist, such as 3 ways).  The one place a
-        spec's geometry resolves: the design point
-        (:meth:`design_point`), Equation (1) pricing and the counter
-        invariants all read it.
+        spec's geometry resolves: spec validation reads it, and the
+        design point (:meth:`design_point`) carries it to the fast
+        path, Equation (1) pricing and the counter invariants.
         """
         return self._resolve(params)[1]
 
@@ -162,9 +171,10 @@ class ArchitectureInfo:
     def design_point(self, params: Optional[Mapping[str, Any]] = None):
         """The :class:`~repro.replay.engine.DesignPoint` of ``params``.
 
-        The one place a spec's design resolves: a batchable design's
-        fast path derives from it without a controller instance, and
-        :meth:`build` builds from it.
+        The one place a spec's design resolves: a design's fast path
+        derives from it without a controller instance, :meth:`build`
+        builds from it, and Equation (1) pricing reads its cache, MAB
+        and side structure.
         """
         from repro.replay.engine import DesignPoint
 
@@ -190,23 +200,6 @@ class ArchitectureInfo:
     def build(self, params: Optional[Mapping[str, Any]] = None) -> object:
         """Construct a fresh controller with ``params`` overrides."""
         return self.controller_class().from_point(self.design_point(params))
-
-    def mab_geometry(
-        self, params: Optional[Mapping[str, Any]] = None
-    ) -> Optional[Tuple[int, int]]:
-        """Resolved (Nt, Ns) for way-memo variants, else None."""
-        if not self.uses_mab:
-            return None
-        merged = self.merged_params(params)
-        return (int(merged["tag_entries"]), int(merged["index_entries"]))
-
-    def resolved_aux_bits(
-        self, params: Optional[Mapping[str, Any]] = None
-    ) -> Optional[int]:
-        """Auxiliary-structure storage bits for the resolved params."""
-        if self.aux_bits is None:
-            return None
-        return self.aux_bits(self.merged_params(params))
 
 
 _REGISTRY: Dict[Tuple[str, str], ArchitectureInfo] = {}
@@ -272,22 +265,22 @@ def comparison_archs(side: str) -> Tuple[str, ...]:
 # ``Controller.from_point``.
 
 #: Storage-bit formulas for the baselines' auxiliary structures, per
-#: resolved parameters.
-def _set_buffer_bits(params: Mapping[str, Any]) -> int:
+#: design point.
+def _set_buffer_bits(point: "DesignPoint") -> int:
     # entries x (2 tags + index) per buffered set.
-    return int(params["entries"]) * (2 * 18 + 9)
+    return int(point.entries) * (2 * 18 + 9)
 
 
-def _filter_cache_bits(params: Mapping[str, Any]) -> int:
+def _filter_cache_bits(point: "DesignPoint") -> int:
     # L0 lines x (32-byte data + tag).
-    return int(params["l0_lines"]) * (32 * 8 + 27)
+    return int(point.entries) * (32 * 8 + 27)
 
 
-def _way_prediction_bits(params: Mapping[str, Any]) -> int:
+def _way_prediction_bits(point: "DesignPoint") -> int:
     return 512 * 1                       # 1 prediction bit per set
 
 
-def _ma_links_bits(params: Mapping[str, Any]) -> int:
+def _ma_links_bits(point: "DesignPoint") -> int:
     # [11]: 2 links x (1 valid + 1 way bit) per line, every line.
     return 1024 * 2 * 2
 

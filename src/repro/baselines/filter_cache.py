@@ -11,33 +11,35 @@ linger in the L0 after its L1 eviction, and a write-through on such a
 stale L0 hit would silently miss-fill L1 with uncharged energy — a
 consistency bug the fast/reference differential matrix exposed).
 
-:meth:`_FilterCache.process_columns` is the fast path the replay engine
+:func:`filter_cache_counters` is the fast path the replay engine
 drives, fed from the shared columnar pre-split
 (:mod:`repro.replay.columns`).  L0 hits skip L1, so the L1 access
 stream depends on the L0 and this design cannot ride the shared batch
 sweep.  Instead one walk visits the run heads (an access to the line of
 the access before it is an L0 hit) in stream order with the exact L0
-list, and *queues* every L1 access, L0 misses and write-through stores
-alike, in stream order.
+list, starting empty, and *queues* every L1 access, L0 misses and
+write-through stores alike, in stream order, for a fresh shadow L1 of
+the design point's geometry and policy.
 
 The L0 depends on L1 only through invalidations, and those can land at
 one kind of access only: an L0 miss into an L1 set that holds an
 L0-resident line.  A write-through always hits (the L0 is inclusive),
 so it evicts nothing; an L0 miss evicts a line of its own set, if any,
 and when no L0 line maps to that set the eviction invalidates nothing.
-At such a miss the walk runs the queue in order through the cache's
+At such a miss the walk runs the queue in order through the shadow's
 scalar loop, that miss included, and drops the evicted line from the
 L0 if the packed result names a resident one; whatever is still queued
 at the end runs as one :meth:`SetAssociativeCache.access_fast_batch`.
-Queued accesses run with the inclusion listener detached: the walk
-applies the invalidations itself, at the access they belong to, while
-the listener would check each eviction against the L0 as it is when
-the queue runs.  Detached, a 2-way LRU L1 (both FR-V caches) takes the
-vectorized sweep kernel.  The queue keeps the global L1 order, so the
-walk is exact for every geometry and replacement policy, the random
-policy's draws included, and the counters come from one tally of the
-packed results.  The per-access object-API loop is retained as the
-executable specification for the differential tests.
+The shadow has no inclusion listener: the walk applies the
+invalidations itself, at the access they belong to, while a listener
+would check each eviction against the L0 as it is when the queue runs.
+Listener-free, a 2-way LRU L1 (both FR-V caches) takes the vectorized
+sweep kernel.  The queue keeps the global L1 order, so the walk is
+exact for every geometry and replacement policy, the random policy's
+draws included, and the counters come from one tally of the packed
+results.  The per-access object-API loop is retained as the executable
+specification for the differential tests; it keeps its cache and L0
+across calls, while the fast path, like every design's, starts cold.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from repro.cache.cache import (
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.engine import Controller, DesignPoint
+from repro.replay.columns import SharedPass
+from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 
@@ -92,129 +95,6 @@ class _FilterCache(Controller):
         line = self.cache_config.join(tag, set_index)
         if line in self._l0:
             self._l0.remove(line)
-
-    # -- fast engine ----------------------------------------------------
-
-    def process_columns(self, cols) -> AccessCounters:
-        """Replay from the shared columnar pre-split (fast engine).
-
-        One walk over the run heads keeps the exact L0 list and queues
-        the L1 accesses; the queue runs with the inclusion listener
-        detached, up to each L0 miss whose L1 eviction could invalidate
-        an L0 line and in one batch at the end (see the module
-        docstring).
-        """
-        counters = AccessCounters()
-        cache = self.cache
-        n = cols.n
-        counters.accesses = n
-        counters.aux_accesses = n  # L0 probe (cheap)
-        cols.apply_load_store(counters)
-        if n == 0:
-            return counters
-
-        offset_bits, index_bits = cache.offset_bits, cache.index_bits
-        set_mask = cache.set_mask
-        lines = cols.lines_array(offset_bits, index_bits)
-        tags = cols.tags_array(offset_bits, index_bits)
-        sets = cols.sets_array(offset_bits, index_bits)
-        stores = cols.store_mask
-        if stores is None:
-            stores = np.zeros(n, dtype=bool)
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-
-        # The walk keeps L0 lines as line numbers; ``held[s]`` counts
-        # the L0 lines in L1 set ``s``.
-        l0 = [line >> offset_bits for line in self._l0]
-        held = [0] * self.cache_config.sets
-        for line in l0:
-            held[line & set_mask] += 1
-        l0_lines = self.l0_lines
-        misses: list = []  # stream positions of the L0 misses
-        flushed: list = []  # packed results of the queue prefix run so far
-        queued_misses = 0  # first queued entry of ``misses``...
-        queued_stores = 0  # ...and of the store positions
-        scalar = None  # per-position lists, built at the first flush
-
-        listeners = cache._eviction_listeners
-        cache._eviction_listeners = []
-        try:
-            for pos, line in zip(heads.tolist(), lines[heads].tolist()):
-                if line in l0:
-                    l0.remove(line)
-                    l0.append(line)
-                    continue
-                misses.append(pos)
-                s = line & set_mask
-                if held[s]:
-                    # This miss may evict an L0 line: run the queue up
-                    # to it, then apply the invalidation.
-                    if scalar is None:
-                        scalar = (
-                            tags.tolist(), sets.tolist(), stores.tolist(),
-                            np.flatnonzero(stores).tolist(),
-                        )
-                    tag_list, set_list, write_list, store_list = scalar
-                    end = bisect_right(store_list, pos, queued_stores)
-                    due = sorted({
-                        *misses[queued_misses:],
-                        *store_list[queued_stores:end],
-                    })
-                    packed = cache._batch_scalar(
-                        [tag_list[p] for p in due],
-                        [set_list[p] for p in due],
-                        [write_list[p] for p in due],
-                    )
-                    flushed += packed
-                    queued_misses = len(misses)
-                    queued_stores = end
-                    if packed[-1] & _F_EVICTED:
-                        victim = (
-                            (packed[-1] >> _F_TAG_SHIFT) << index_bits
-                        ) | s
-                        if victim in l0:
-                            l0.remove(victim)
-                            held[s] -= 1
-                l0.append(line)
-                held[s] += 1
-                if len(l0) > l0_lines:
-                    held[l0.pop(0) & set_mask] -= 1
-
-            # The L1 stream: every L0 miss and every write-through.
-            l0_miss = np.zeros(n, dtype=bool)
-            l0_miss[np.array(misses, dtype=np.int64)] = True
-            queue = np.flatnonzero(l0_miss | stores)
-            rest = queue[len(flushed):]
-            packed = np.concatenate((
-                np.array(flushed, dtype=np.int64),
-                cache.access_fast_batch(tags[rest], sets[rest], stores[rest]),
-            ))
-        finally:
-            cache._eviction_listeners = listeners
-        self._l0 = [line << offset_bits for line in l0]
-
-        missed = (packed & _F_HIT) == 0
-        if missed[~l0_miss[queue]].any():
-            raise AssertionError(
-                "write-through must hit (L0 inclusive in L1)"
-            )
-        l0_misses = len(misses)
-        cache_misses = int(np.count_nonzero(missed))
-        miss_stores = int(np.count_nonzero(l0_miss & stores))
-        counters.cache_hits = n - cache_misses
-        counters.cache_misses = cache_misses
-        counters.tag_accesses = cache.ways * l0_misses
-        # An L0 miss reads every way (a store writes one); a fill
-        # writes one more.
-        counters.way_accesses = (
-            cache.ways * l0_misses - (cache.ways - 1) * miss_stores
-            + cache_misses
-        )
-        counters.extra_cycles = l0_misses
-        return counters
 
     # -- executable specification ---------------------------------------
 
@@ -285,3 +165,117 @@ class FilterCacheICache(_FilterCache):
             counters.accesses += 1
             self._access(counters, addr)
         return counters
+
+
+@fast_path(FilterCacheDCache, FilterCacheICache)
+def filter_cache_counters(
+    cols, shared: SharedPass, point: DesignPoint
+) -> AccessCounters:
+    """Counters from one walk over the run heads (see the module
+    docstring).
+
+    The L1 is a fresh, listener-free shadow of ``point``'s cache and
+    policy and the L0 starts empty; the shared sweep is never read.
+    """
+    counters = AccessCounters()
+    n = cols.n
+    counters.accesses = n
+    counters.aux_accesses = n  # L0 probe (cheap)
+    cols.apply_load_store(counters)
+    if n == 0:
+        return counters
+
+    config = point.cache
+    cache = SetAssociativeCache(
+        config, make_policy(point.policy, config.sets, config.ways)
+    )
+    offset_bits, index_bits = config.offset_bits, config.index_bits
+    set_mask = cache.set_mask
+    lines = cols.lines_array(offset_bits, index_bits)
+    tags = cols.tags_array(offset_bits, index_bits)
+    sets = cols.sets_array(offset_bits, index_bits)
+    stores = cols.store_mask
+    if stores is None:
+        stores = np.zeros(n, dtype=bool)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+
+    # The walk keeps L0 lines as line numbers; ``held[s]`` counts the
+    # L0 lines in L1 set ``s``.
+    l0: list = []
+    held = [0] * config.sets
+    l0_lines = point.entries
+    misses: list = []  # stream positions of the L0 misses
+    flushed: list = []  # packed results of the queue prefix run so far
+    queued_misses = 0  # first queued entry of ``misses``...
+    queued_stores = 0  # ...and of the store positions
+    scalar = None  # per-position lists, built at the first flush
+
+    for pos, line in zip(heads.tolist(), lines[heads].tolist()):
+        if line in l0:
+            l0.remove(line)
+            l0.append(line)
+            continue
+        misses.append(pos)
+        s = line & set_mask
+        if held[s]:
+            # This miss may evict an L0 line: run the queue up to it,
+            # then apply the invalidation.
+            if scalar is None:
+                scalar = (
+                    tags.tolist(), sets.tolist(), stores.tolist(),
+                    np.flatnonzero(stores).tolist(),
+                )
+            tag_list, set_list, write_list, store_list = scalar
+            end = bisect_right(store_list, pos, queued_stores)
+            due = sorted({
+                *misses[queued_misses:],
+                *store_list[queued_stores:end],
+            })
+            packed = cache._batch_scalar(
+                [tag_list[p] for p in due],
+                [set_list[p] for p in due],
+                [write_list[p] for p in due],
+            )
+            flushed += packed
+            queued_misses = len(misses)
+            queued_stores = end
+            if packed[-1] & _F_EVICTED:
+                victim = ((packed[-1] >> _F_TAG_SHIFT) << index_bits) | s
+                if victim in l0:
+                    l0.remove(victim)
+                    held[s] -= 1
+        l0.append(line)
+        held[s] += 1
+        if len(l0) > l0_lines:
+            held[l0.pop(0) & set_mask] -= 1
+
+    # The L1 stream: every L0 miss and every write-through.
+    l0_miss = np.zeros(n, dtype=bool)
+    l0_miss[np.array(misses, dtype=np.int64)] = True
+    queue = np.flatnonzero(l0_miss | stores)
+    rest = queue[len(flushed):]
+    packed = np.concatenate((
+        np.array(flushed, dtype=np.int64),
+        cache.access_fast_batch(tags[rest], sets[rest], stores[rest]),
+    ))
+
+    missed = (packed & _F_HIT) == 0
+    if missed[~l0_miss[queue]].any():
+        raise AssertionError("write-through must hit (L0 inclusive in L1)")
+    l0_misses = len(misses)
+    cache_misses = int(np.count_nonzero(missed))
+    miss_stores = int(np.count_nonzero(l0_miss & stores))
+    counters.cache_hits = n - cache_misses
+    counters.cache_misses = cache_misses
+    counters.tag_accesses = config.ways * l0_misses
+    # An L0 miss reads every way (a store writes one); a fill writes
+    # one more.
+    counters.way_accesses = (
+        config.ways * l0_misses - (config.ways - 1) * miss_stores
+        + cache_misses
+    )
+    counters.extra_cycles = l0_misses
+    return counters

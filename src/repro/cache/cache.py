@@ -13,8 +13,9 @@ precomputed once in ``__init__``.  The allocation-free
 the scan.  :meth:`SetAssociativeCache.access_fast_batch` runs a
 whole pre-split stream — numpy tag and set columns and a store mask —
 through the cache and returns the packed results as an int64 array:
-the replay engine's shared sweep, from which every batchable
-controller — way memoization included — derives its counters.  For a
+the replay engine's shared sweep, from which every controller but
+the filter cache — way memoization included — derives its counters
+(the filter cache runs its own L1 stream through it).  For a
 2-way LRU cache with no eviction listener, the geometry of both FR-V
 caches, the sweep is vectorized; every other cache walks the accesses
 one by one.  The original object API (:meth:`access` returning

@@ -266,11 +266,7 @@ def _eval_specs(
 
 
 def _submit_specs(
-    document: str,
-    url: str,
-    workers: Optional[int],
-    indent: int,
-    as_async: bool = False,
+    document: str, url: str, indent: int, as_async: bool = False
 ) -> int:
     """``repro submit``: like ``eval``, but against a running service.
 
@@ -289,7 +285,7 @@ def _submit_specs(
             job_id = client.submit_async(specs)
             print(json.dumps({"job_id": job_id}, indent=indent))
             return 0
-        results = client.evaluate_many(specs, workers=workers)
+        results = client.evaluate_many(specs)
     except Exception as exc:   # noqa: BLE001 — remote failures only
         return _report_service_failure(url, exc)
     _print_results(results, single, indent)
@@ -721,11 +717,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="service endpoint (default: http://127.0.0.1:8323)",
     )
     submit_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="advisory remote pool size (the server's worker pool "
-             "owns concurrency)",
-    )
-    submit_parser.add_argument(
         "--async", action="store_true", dest="as_async",
         help="submit a durable job and print its id immediately "
              "(poll with 'repro jobs ID --wait')",
@@ -862,8 +853,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         url = args.url or f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
         return _submit_specs(
-            args.spec, url, args.workers, args.indent,
-            as_async=args.as_async,
+            args.spec, url, args.indent, as_async=args.as_async
         )
     if args.command == "jobs":
         from repro.service import DEFAULT_HOST, DEFAULT_PORT

@@ -365,6 +365,10 @@ def way_memo_counters(
     """
     config = point.cache
     mab_config = point.mab
+    # The shared sweep runs on its first read: read it before the
+    # pairs below allocate their arrays, so its temporaries never
+    # stack on theirs.
+    hits = shared.hit_count
     group = [mab_config] + [
         member.mab for member in shared.members if member.mab is not None
     ]
@@ -386,7 +390,6 @@ def way_memo_counters(
 
     n = cols.n
     nways = config.ways
-    hits = shared.hit_count
     lookups = pairs.lookups
     counters = AccessCounters()
     counters.accesses = n

@@ -252,9 +252,10 @@ def fetch_results(
     ``repro sweep`` all come here, so design points shared between
     experiments (e.g. ``ablation_energy_model`` re-prices the Figure-8
     points) are evaluated and transferred once.  Locally the batch
-    goes through :func:`repro.api.evaluate_many`; with ``url`` it goes
-    to a running service as one ``POST /v1/batch``, after a code
-    fingerprint check.
+    goes through :func:`repro.api.evaluate_many` over ``workers``
+    processes; with ``url`` it goes to a running service as one
+    ``POST /v1/batch``, after a code fingerprint check, and the
+    service's own worker pool sizes it.
     """
     unique = list({s.key(): s for s in specs}.values())
     if not unique:
@@ -274,9 +275,7 @@ def fetch_results(
             )
         return keyed_results(
             unique,
-            client.evaluate_many(
-                unique, workers=workers, claim_fingerprint=True
-            ),
+            client.evaluate_many(unique, claim_fingerprint=True),
         )
     from repro.api.evaluate import evaluate_many
 

@@ -12,18 +12,19 @@ repetition:
   with vectorized numpy and kept in process as numpy arrays end to
   end, plus the memoized LRU stack distances of a value stream.
 * :mod:`repro.replay.engine` — the one fast engine: runs *all
-  requested architectures in one pass* over the columns.
-  Architectures whose cache access stream is state-independent
-  (original, two-phase, way-prediction, Panwar, set buffer, MA-links,
-  way memoization at any MAB geometry, alone or behind a line buffer)
-  share literally one
+  requested architectures in one pass* over the columns.  Every
+  design derives its counters from the columns and its design point
+  alone, through the function it registers beside its class, so a
+  replay group builds no controller.  Architectures whose cache
+  access stream is state-independent (original, two-phase,
+  way-prediction, Panwar, set buffer, MA-links, way memoization at
+  any MAB geometry, alone or behind a line buffer) share literally
+  one
   :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
   sweep per (geometry, replacement policy) — vectorized for the 2-way
-  LRU caches the paper evaluates — and derive their counters from the
-  shared packed results and their design point alone, through the
-  function each registers beside its class, so a replay group builds
-  no controller for them; the one stateful controller, the filter
-  cache, replays its own loop but shares the columnar pre-split.
+  LRU caches the paper evaluates — and derive from its packed
+  results; the filter cache, whose L0 hits skip L1, walks its own L1
+  stream over a shadow cache of its own.
 
 Every controller's ``process`` is a singleton
 :func:`~repro.replay.engine.replay_counters` call, ``evaluate`` runs a

@@ -82,21 +82,36 @@ class SharedPass:
 
     Architectures whose access stream is state-independent all observe
     the *same* per-access (hit, way, eviction) outcomes, so the engine
-    runs the batch kernel once and hands every such architecture this
-    view of it, together with the group of ``members`` deriving from
-    it.  The hit vector, the hit count and anything the members
-    :meth:`memo`-ize are derived lazily and shared too.
+    hands every member of a (geometry, policy) group this one view,
+    together with the group of ``members`` deriving from it.  The
+    sweep itself runs on the first read of :attr:`packed`, so a group
+    whose members never read it (a filter cache, which walks its own
+    L1 stream) pays for none.  The hit vector, the hit count and
+    anything the members :meth:`memo`-ize are derived lazily and
+    shared too.
     """
 
-    __slots__ = ("packed", "members", "_hit", "_hit_count", "_memo")
+    __slots__ = (
+        "members", "_sweep", "_packed", "_hit", "_hit_count", "_memo",
+    )
 
-    def __init__(self, packed: np.ndarray, members: Sequence = ()):
-        #: The sweep's int64 packed results, one per access.
-        self.packed = packed
+    def __init__(
+        self, sweep: Callable[[], np.ndarray], members: Sequence = ()
+    ):
         self.members = tuple(members)
+        self._sweep = sweep
+        self._packed: Optional[np.ndarray] = None
         self._hit: Optional[np.ndarray] = None
         self._hit_count: Optional[int] = None
         self._memo: Dict[str, object] = {}
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The sweep's int64 packed results, one per access (the sweep
+        runs on first read)."""
+        if self._packed is None:
+            self._packed = self._sweep()
+        return self._packed
 
     @property
     def hit(self) -> np.ndarray:

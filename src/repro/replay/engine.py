@@ -2,39 +2,37 @@
 
 This is the one fast engine.  Every design has exactly two
 implementations: its readable ``process_reference`` (the executable
-specification) and one fast path that only this engine drives.
-Every controller inherits the one shared :meth:`Controller.process`,
-a singleton :func:`replay_counters` call, and ``evaluate`` routes
-every fast-engine spec through :func:`replay_specs`, so a design
-point computes the same way alone or inside a batch.
+specification) and one fast path, a function of (columns, shared
+sweep, design point) that its class registers with
+:func:`fast_path` and that only this engine drives.  Every controller
+inherits the one shared :meth:`Controller.process`, a singleton
+:func:`replay_counters` call, and ``evaluate`` routes every
+fast-engine spec through :func:`replay_specs`, so a design point
+computes the same way alone or inside a batch.
 
 Three layers:
 
-* :func:`derive_counters` — the kernel-level engine.  Its members are
-  *batchable* designs as ``(fast path, design point)`` pairs (a design
-  is batchable when its cache access stream is independent of any
-  auxiliary state, so identical geometry + replacement policy means
-  identical per-access outcomes) and built stateful controllers.
-  Batchable members sharing a (geometry, policy name) share literally
+* :func:`derive_counters` — the kernel-level engine over ``(fast
+  path, design point)`` members.  Members sharing a (geometry, policy
+  name) share one :class:`~repro.replay.columns.SharedPass`: literally
   one :meth:`~repro.cache.cache.SetAssociativeCache.access_fast_batch`
-  sweep over a fresh shadow cache; each derives its counters from the
-  shared packed results through the function its class registers with
-  :func:`fast_path`, so no controller instance takes part.  That
-  covers every design but the filter cache, whose L0 invalidations
-  feed back into what its L1 sees: it replays on its own instance, fed
-  from the shared :mod:`~repro.replay.columns` pre-split
-  (``process_columns``).
+  sweep over a fresh shadow cache, run when a member first reads it.
+  Each member derives its counters from the stream's
+  :mod:`~repro.replay.columns` and that pass, so no controller
+  instance takes part.  The filter cache never reads the pass: its L0
+  hits skip L1, so it walks its own L1 stream over a shadow cache of
+  its own, and a group of filter caches alone runs no shared sweep.
 
-* :func:`replay_counters` — the same over built controllers: a
-  batchable controller contributes its fast path and
-  :meth:`Controller.design_point` and is itself left untouched.
+* :func:`replay_counters` — the same over built controllers: each
+  contributes its fast path and :meth:`Controller.design_point` and
+  is itself left untouched.
 
 * :func:`replay_specs` — the spec-level engine behind ``evaluate`` and
   ``evaluate_many``.  All specs must share one ``(cache side,
   workload)``; the workload's columns are resolved once (through the
-  in-process column cache), each batchable spec's design point is
-  resolved from its params without building a controller, and every
-  spec's counters are priced into a
+  in-process column cache), each spec's design point is resolved once
+  from its params without building a controller, and every spec's
+  counters are priced from that point into a
   :class:`~repro.api.result.RunResult`, so grouping can never change a
   byte.
 """
@@ -43,16 +41,9 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 from repro.cache.cache import SetAssociativeCache
@@ -90,8 +81,8 @@ class DesignPoint:
     entries: int = 0
 
 
-#: A batchable design's fast path: (columns, shared sweep, design
-#: point) -> counters.
+#: A design's fast path: (columns, shared sweep, design point) ->
+#: counters.
 FastPath = Callable[[object, SharedPass, DesignPoint], AccessCounters]
 
 
@@ -99,15 +90,13 @@ class Controller:
     """Base of every cache controller: the one shared fast ``process``.
 
     A subclass provides ``process_reference`` plus exactly one fast
-    path for the engine.  A batchable design registers a function of
-    (columns, shared sweep, design point) beside its class with
-    :func:`fast_path`; it receives no instance, so it can neither read
-    nor write a controller's state.  A stateful design provides
-    ``process_columns(cols)`` instead and replays on itself.
+    path for the engine: a function of (columns, shared sweep, design
+    point) registered beside its class with :func:`fast_path`.  The
+    function receives no instance, so it can neither read nor write a
+    controller's state.
     """
 
-    #: The batchable fast path (see :func:`fast_path`), or None for a
-    #: stateful design.
+    #: The fast path (see :func:`fast_path`).
     derive: Optional[FastPath] = None
 
     @classmethod
@@ -126,10 +115,10 @@ class Controller:
     def process(self, stream) -> AccessCounters:
         """Replay ``stream`` and return the counters (fast engine).
 
-        Batchable designs — all but the filter cache — sweep a shadow
-        cache and leave this instance untouched, so every call starts
-        from a cold cache; the filter cache replays on this instance,
-        so successive calls carry its cache and L0 state forward.
+        The fast path derives from this controller's design point over
+        shadow caches and leaves the instance untouched, so every call
+        starts from a cold cache (and, for the filter cache, an empty
+        L0).
         """
         return replay_counters([self], stream)[0]
 
@@ -141,7 +130,6 @@ def fast_path(*classes: type) -> Callable[[FastPath], FastPath]:
     :class:`~repro.replay.columns.SharedPass` of the cache sweep it
     shares, its :class:`DesignPoint`) to the design's counters, which
     must equal a fresh controller's ``process_reference`` counters.
-    Registering it marks the classes batchable.
     """
 
     def register(derive: FastPath) -> FastPath:
@@ -152,92 +140,70 @@ def fast_path(*classes: type) -> Callable[[FastPath], FastPath]:
     return register
 
 
-#: One member of :func:`derive_counters`: a batchable design's
-#: ``(fast path, design point)``, or a built stateful controller.
-Member = Union[Tuple[FastPath, DesignPoint], Controller]
+def _sweep(cols, config: CacheConfig, policy: str):
+    """The packed results of one shadow-cache sweep over ``cols``."""
+    telemetry.counter(
+        "repro_replay_shared_sweeps_total",
+        "Shared cache sweeps performed by the replay engine.",
+    ).inc()
+    shadow = SetAssociativeCache(
+        config, make_policy(policy, config.sets, config.ways)
+    )
+    return shadow.access_fast_batch(
+        cols.tags_array(config.offset_bits, config.index_bits),
+        cols.sets_array(config.offset_bits, config.index_bits),
+        cols.store_mask,
+    )
 
 
-def derive_counters(members: Sequence[Member], cols) -> List[AccessCounters]:
-    """Counters of every member over the stream ``cols`` splits.
+def derive_counters(
+    members: Sequence[Tuple[FastPath, DesignPoint]], cols
+) -> List[AccessCounters]:
+    """Counters of every ``(fast path, design point)`` member over the
+    stream ``cols`` splits.
 
     Returns one :class:`~repro.cache.stats.AccessCounters` per member,
     in input order, byte-identical to running each design's
-    ``process_reference`` on a fresh controller.  Batchable members
-    derive from one shared sweep per (geometry, policy name); stateful
-    controllers replay on themselves.
+    ``process_reference`` on a fresh controller.  Members sharing a
+    (geometry, policy name) derive from one shared sweep, run the
+    first time one of them reads it.
     """
+    groups: Dict[Tuple[CacheConfig, str], List[int]] = {}
+    for index, (_, point) in enumerate(members):
+        groups.setdefault((point.cache, point.policy), []).append(index)
     out: List[AccessCounters] = [None] * len(members)
-    shared: Dict[Tuple[CacheConfig, str], List[int]] = {}
-    singles: List[int] = []
-    for index, member in enumerate(members):
-        if isinstance(member, Controller):
-            singles.append(index)
-        else:
-            point = member[1]
-            shared.setdefault((point.cache, point.policy), []).append(index)
-
-    for (config, policy), indices in shared.items():
-        shadow = SetAssociativeCache(
-            config, make_policy(policy, config.sets, config.ways)
+    for (config, policy), indices in groups.items():
+        shared = SharedPass(
+            partial(_sweep, cols, config, policy),
+            [members[index][1] for index in indices],
         )
-        packed = shadow.access_fast_batch(
-            cols.tags_array(config.offset_bits, config.index_bits),
-            cols.sets_array(config.offset_bits, config.index_bits),
-            cols.store_mask,
-        )
-        shared_pass = SharedPass(
-            packed, [members[index][1] for index in indices]
-        )
-        telemetry.counter(
-            "repro_replay_shared_sweeps_total",
-            "Shared cache sweeps performed by the replay engine.",
-        ).inc()
-        telemetry.counter(
-            "repro_replay_shared_members_total",
-            "Controllers served by a shared sweep instead of "
-            "replaying their own loop.",
-        ).inc(len(indices))
         for index in indices:
             derive, point = members[index]
-            out[index] = derive(cols, shared_pass, point)
-
-    if shared:
+            out[index] = derive(cols, shared, point)
+    if members:
         telemetry.counter(
             "repro_replay_batchable_members_total",
-            "Group members whose counters were derived from a shared "
-            "batch sweep.",
-        ).inc(sum(len(indices) for indices in shared.values()))
-    if singles:
-        telemetry.counter(
-            "repro_replay_stateful_members_total",
-            "Group members that replayed their own stateful loop "
-            "(columnar or scalar).",
-        ).inc(len(singles))
-    for index in singles:
-        out[index] = members[index].process_columns(cols)
+            "Group members whose counters were derived by their "
+            "registered fast path.",
+        ).inc(len(members))
     return out
 
 
 def replay_counters(
-    controllers: Sequence[Controller], stream, cols=None
+    controllers: Sequence[Controller], stream
 ) -> List[AccessCounters]:
     """Replay ``stream`` through every built controller in one pass.
 
-    :func:`derive_counters` over the controllers: a batchable one
-    takes part as its fast path and :meth:`Controller.design_point`
-    and keeps its own state untouched; a stateful one replays on
-    itself.  Given ``cols`` (the stream's pre-split columns),
-    ``stream`` is not read.
+    :func:`derive_counters` over each controller's fast path and
+    :meth:`Controller.design_point`; the controllers keep their own
+    state untouched.
     """
-    if cols is None:
-        cols = columns_for_stream(stream)
     return derive_counters(
         [
-            controller if controller.derive is None
-            else (controller.derive, controller.design_point())
+            (controller.derive, controller.design_point())
             for controller in controllers
         ],
-        cols,
+        columns_for_stream(stream),
     )
 
 
@@ -345,18 +311,18 @@ def replay_specs(specs: Sequence[object]) -> List[object]:
         for spec in specs:
             _evaluate._begin_simulation()
             info = get_architecture(spec.cache, spec.arch)
-            params = spec.param_dict
-            derive = info.controller_class().derive
-            member = (
-                info.build(params) if derive is None
-                else (derive, info.design_point(params))
+            resolved.append(
+                (spec, info, info.design_point(spec.param_dict))
             )
-            resolved.append((spec, info, params, member))
 
         counters = derive_counters(
-            [member for (_, _, _, member) in resolved], cols
+            [
+                (info.controller_class().derive, point)
+                for (_, info, point) in resolved
+            ],
+            cols,
         )
         return [
-            _evaluate._finish_result(spec, info, params, c, cycles)
-            for (spec, info, params, _), c in zip(resolved, counters)
+            _evaluate._finish_result(spec, info, point, c, cycles)
+            for (spec, info, point), c in zip(resolved, counters)
         ]

@@ -294,7 +294,6 @@ class ServiceClient:
     def evaluate_many(
         self,
         specs: Sequence[SpecLike],
-        workers: Optional[int] = None,
         claim_fingerprint: bool = False,
     ) -> List[RunResult]:
         """``POST /v1/batch``: results in input order, deduped remotely.
@@ -305,9 +304,7 @@ class ServiceClient:
         between a ``healthz`` pre-check and the batch itself.  Raw
         spec batches (``repro submit``) stay version-agnostic.
         """
-        payload = self._batch_payload(
-            specs, workers, claim_fingerprint
-        )
+        payload = self._batch_payload(specs, claim_fingerprint)
         response = self._request("/v1/batch", payload)
         return [
             RunResult.from_dict(document)
@@ -315,10 +312,7 @@ class ServiceClient:
         ]
 
     def _batch_payload(
-        self,
-        specs: Sequence[SpecLike],
-        workers: Optional[int],
-        claim_fingerprint: bool,
+        self, specs: Sequence[SpecLike], claim_fingerprint: bool
     ) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "specs": [_spec_dict(spec) for spec in specs],
@@ -327,8 +321,6 @@ class ServiceClient:
             from repro.store import code_fingerprint
 
             payload["fingerprint"] = code_fingerprint()
-        if workers is not None:
-            payload["workers"] = workers
         return payload
 
     # -- async jobs ----------------------------------------------------
@@ -342,7 +334,7 @@ class ServiceClient:
         immediately; poll it with :meth:`job_status` /
         :meth:`wait_job`.  The job is durable — it survives a server
         restart and completes under the next incarnation."""
-        payload = self._batch_payload(specs, None, claim_fingerprint)
+        payload = self._batch_payload(specs, claim_fingerprint)
         payload["mode"] = "async"
         return self._request("/v1/batch", payload)["job_id"]
 
@@ -421,9 +413,7 @@ class ServiceClient:
                 )
             time.sleep(poll)
 
-    def run_experiment(
-        self, name: str, workers: Optional[int] = None
-    ) -> Dict[str, RunResult]:
+    def run_experiment(self, name: str) -> Dict[str, RunResult]:
         """``POST /v1/experiments/{name}``: evaluate server-side.
 
         Returns ``{spec.key(): RunResult}`` — the mapping the
@@ -436,9 +426,7 @@ class ServiceClient:
         """
         from repro.store import code_fingerprint
 
-        payload: Dict[str, Any] = {"fingerprint": code_fingerprint()}
-        if workers is not None:
-            payload["workers"] = workers
+        payload = {"fingerprint": code_fingerprint()}
         # The server checks the claimed fingerprint BEFORE evaluating
         # (409 on skew, no wasted computation); the response echo is
         # re-checked here in case an intermediary stripped the claim.

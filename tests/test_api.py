@@ -67,11 +67,7 @@ def test_every_registered_architecture_constructs_and_evaluates():
 def test_mab_archs_have_geometry_others_have_none():
     for side in CACHE_SIDES:
         for info in architectures(side):
-            geometry = info.mab_geometry()
-            if info.uses_mab:
-                assert geometry is not None and len(geometry) == 2
-            else:
-                assert geometry is None
+            assert (info.design_point().mab is not None) == info.uses_mab
 
 
 def test_comparison_archs_match_paper_order():
@@ -87,10 +83,14 @@ def test_comparison_archs_match_paper_order():
 
 def test_registry_prices_aux_bits_and_mab_geometry():
     def aux_bits(side, arch):
-        return get_architecture(side, arch).resolved_aux_bits()
+        info = get_architecture(side, arch)
+        if info.aux_bits is None:
+            return None
+        return info.aux_bits(info.design_point())
 
     def geometry(side, arch):
-        return get_architecture(side, arch).mab_geometry()
+        mab = get_architecture(side, arch).design_point().mab
+        return (mab.tag_entries, mab.index_entries)
 
     # The historical per-architecture values, at default parameters.
     assert aux_bits("dcache", "set-buffer") == 2 * (2 * 18 + 9)
@@ -476,7 +476,8 @@ def _finish(arch, counters):
 
     spec = RunSpec(cache="dcache", arch=arch, workload=TINY["dcache"])
     info = get_architecture("dcache", arch)
-    return _finish_result(spec, info, spec.param_dict, counters, 100)
+    point = info.design_point(spec.param_dict)
+    return _finish_result(spec, info, point, counters, 100)
 
 
 @pytest.mark.parametrize("arch, overrides, check", [

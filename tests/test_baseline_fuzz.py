@@ -3,11 +3,10 @@
 Each test drives a freshly seeded access stream through the replay
 engine — a design's ``process``, or one grouped pass over many
 designs — and through each design's ``process_reference``, comparing
-every :class:`AccessCounters` field (plus the end state of the
-stateful designs, which replay on their own instance).  On a
-divergence the harness re-runs growing stream prefixes and reports the
-first offending access index, so a kernel bug pinpoints the exact
-reference the two engines disagree on.
+every :class:`AccessCounters` field.  On a divergence the harness
+re-runs growing stream prefixes and reports the first offending access
+index, so a kernel bug pinpoints the exact reference the two engines
+disagree on.
 
 The streams deliberately hammer a tiny cache (heavy conflict misses,
 evictions and write-backs) and include a 4-way geometry so the generic
@@ -33,8 +32,8 @@ from repro.workloads import synthetic_fetch_stream, synthetic_kinds
 from test_fastpath_differential import (
     COUNTER_FIELDS,
     DESIGNS,
+    assert_cache_state_equal,
     assert_counters_equal,
-    assert_state_equal,
     build_design,
 )
 
@@ -155,24 +154,18 @@ def run_replay_lockstep(factories, stream, slicer, total, context,
     ``method`` selects the per-arch leg: ``process`` (the design
     replayed alone, a singleton engine call) or ``process_reference``
     (the executable specification — the strongest check).  A group of
-    one design is exactly that design's ``process``.  Stateful members
-    replay on their own instance, so their end state is compared with
-    the per-arch leg's too.
+    one design is exactly that design's ``process``.
     """
     from repro.replay.engine import replay_counters
 
-    controllers = [factory() for factory in factories.values()]
-    grouped = replay_counters(controllers, stream)
+    grouped = replay_counters(
+        [factory() for factory in factories.values()], stream
+    )
     mismatched = {}
-    for (name, factory), controller, got in zip(
-        factories.items(), controllers, grouped
-    ):
-        expected = factory()
-        diff = _diff_counters(got, getattr(expected, method)(stream))
+    for (name, factory), got in zip(factories.items(), grouped):
+        diff = _diff_counters(got, getattr(factory(), method)(stream))
         if diff:
             mismatched[name] = diff
-        else:
-            assert_state_equal(controller, expected, f"{context} {name}")
     if not mismatched:
         return
     where = _first_replay_divergence(
@@ -249,9 +242,9 @@ def test_way_memo_dcache_lockstep_fuzz():
     )
 
 
-#: Batchable designs sweep a fresh shadow cache keyed by (geometry,
-#: replacement policy), so every policy gets its own shared sweep; the
-#: filter cache replays its L1 queue on its own instance, in order.
+#: Designs sweep a fresh shadow cache keyed by (geometry, replacement
+#: policy), so every policy gets its own shared sweep; the filter cache
+#: runs its L1 queue, in order, through a shadow cache of its own.
 NON_LRU_POLICIES = ("fifo", "plru", "random")
 
 
@@ -286,52 +279,47 @@ def test_every_design_matches_reference_under_non_lru_policies(
     "config", [TINY_1WAY, TINY_2WAY, TINY_4WAY, TINY_8WAY],
     ids=["1way", "2way", "4way", "8way"],
 )
-def test_filter_cache_carries_state_across_process_calls(
+def test_filter_cache_process_starts_cold_and_leaves_the_instance(
     config, policy, l0_lines
 ):
-    """A filter cache keeps its L0 and L1 across ``process`` calls: three
-    successive calls match three ``process_reference`` calls on a twin,
-    counters and end state after every call.  The middle call is one
-    load of the line the first call ended on, an L0 hit, so no access
-    reaches L1."""
+    """``process`` on a filter cache starts from a cold L1 and an empty
+    L0 on every call: two successive calls on one instance each match
+    a fresh controller's ``process_reference``, and leave the
+    instance's cache and L0 exactly as built."""
     data = fuzz_data_trace(808)
     fetch = fuzz_fetch_stream(909)
     half = {"dcache": len(data) // 2, "icache": len(fetch) // 2}
     calls = {
         "dcache": [
             slice_data(data, 0, half["dcache"]),
-            DataTrace(
-                base=data.base[half["dcache"] - 1:half["dcache"]],
-                disp=data.disp[half["dcache"] - 1:half["dcache"]],
-                store=np.zeros(1, dtype=bool),
-            ),
             slice_data(data, half["dcache"], len(data)),
         ],
         "icache": [
             slice_fetch(fetch, 0, half["icache"]),
-            slice_fetch(fetch, half["icache"] - 1, half["icache"]),
             slice_fetch(fetch, half["icache"], len(fetch)),
         ],
     }
     for side, streams in calls.items():
-        fast, ref = (
-            build_design(side, "filter-cache", config, policy=policy,
-                         l0_lines=l0_lines)
-            for _ in range(2)
-        )
+        def build():
+            return build_design(
+                side, "filter-cache", config, policy=policy,
+                l0_lines=l0_lines,
+            )
+
+        controller, built = build(), build()
         for index, stream in enumerate(streams):
             context = (
                 f"{side} ways={config.ways} policy={policy} "
                 f"l0_lines={l0_lines} call {index}"
             )
-            l1_accesses = ref.cache.accesses
             assert_counters_equal(
-                fast.process(stream), ref.process_reference(stream),
-                context,
+                controller.process(stream),
+                build().process_reference(stream), context,
             )
-            assert_state_equal(fast, ref, context)
-            if index == 1:
-                assert ref.cache.accesses == l1_accesses, context
+            assert_cache_state_equal(
+                controller.cache, built.cache, context
+            )
+            assert controller._l0 == [], context
 
 
 # ----------------------------------------------------------------------

@@ -208,15 +208,18 @@ def test_filter_cache_l0_invalidated_on_l1_eviction():
         (c_addr, 0, False),  # evicts a (LRU) -> must drop a from L0
         (a, 0, True),        # stale in L0 pre-fix; now a clean miss
     ])
-    for engine in ("process", "process_reference"):
-        ctrl = FilterCacheDCache()
-        counters = getattr(ctrl, engine)(trace)
-        assert counters.cache_misses == 4, engine
-        assert counters.cache_misses == ctrl.cache.misses, engine
-        assert counters.extra_cycles == 4, engine
-        # ... and the refill re-admits the line to both levels.
-        assert ctrl.cache_config.line_addr(a) in ctrl._l0, engine
-        assert ctrl.cache.probe(a) is not None, engine
+    ctrl = FilterCacheDCache()
+    counters = ctrl.process_reference(trace)
+    assert counters.cache_misses == 4
+    assert counters.cache_misses == ctrl.cache.misses
+    assert counters.extra_cycles == 4
+    # ... and the refill re-admits the line to both levels.
+    assert ctrl.cache_config.line_addr(a) in ctrl._l0
+    assert ctrl.cache.probe(a) is not None
+    # The fast path applies the same invalidation.
+    assert FilterCacheDCache().process(trace).as_dict() == (
+        counters.as_dict()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -143,13 +143,12 @@ def test_worker_crash_mid_grouped_task_completes_byte_identical(
 def test_worker_crash_mid_seven_arch_group_completes_byte_identical(
     isolated_state,
 ):
-    """The full seven-architecture replay group — batchable and
-    stateful designs mixed — on one shared workload.  The batchable
-    members derive their counters from one shared sweep and the
-    stateful filter cache replays on its own instance, so a crash
-    mid-group must not leave any of them with partial state: the
-    retry re-splits the columns and every spec still lands byte-
-    identical to the fault-free serial run."""
+    """The full seven-architecture replay group on one shared workload.
+    Six members derive their counters from one shared sweep and the
+    filter cache walks its own L1 stream, so a crash mid-group must
+    not leave any of them with partial state: the retry re-splits the
+    columns and every spec still lands byte-identical to the
+    fault-free serial run."""
     shared = "synthetic:num_accesses=512,seed=910"
     specs = [
         RunSpec(cache="dcache", arch=arch, workload=shared)

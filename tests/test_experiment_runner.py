@@ -55,7 +55,7 @@ def test_aux_structures_are_charged():
     assert buffered.aux_mw > 0
     # Every design with a priced side structure pays for it.
     for info in architectures("dcache"):
-        if info.resolved_aux_bits() or info.mab_geometry():
+        if info.aux_bits is not None or info.design_point().mab:
             power = evaluate(RunSpec("dcache", info.id, "whetstone")).power
             assert power.aux_mw > 0, info.id
 

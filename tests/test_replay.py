@@ -2,12 +2,13 @@
 
 Locks down the tentpole contracts: a grouped ``replay_counters`` pass
 reproduces each architecture's own singleton ``process`` exactly (the
-batchable designs share literally one batch sweep per geometry and
-policy); ``plan_groups`` partitions batches deterministically;
-``evaluate_many`` routes shared-workload groups through the engine
-byte-identically to evaluating each spec alone, with unchanged
-per-spec simulation accounting and store write-back; and the columnar
-pre-split is memoized per dependency, not per geometry.
+designs reading the shared sweep share literally one batch sweep per
+geometry and policy); ``plan_groups`` partitions batches
+deterministically; ``evaluate_many`` routes shared-workload groups
+through the engine byte-identically to evaluating each spec alone,
+with unchanged per-spec simulation accounting and store write-back;
+and the columnar pre-split is memoized per dependency, not per
+geometry.
 """
 
 from __future__ import annotations
@@ -74,7 +75,11 @@ def test_replay_counters_match_fresh_per_arch_process(side):
 
 def test_replay_counters_leave_input_controllers_untouched():
     """The engine evaluates shadows; callers' instances stay fresh."""
-    from repro.baselines import OriginalDCache
+    from repro.baselines import (
+        FilterCacheDCache,
+        FilterCacheICache,
+        OriginalDCache,
+    )
     from repro.core import (
         LineBufferWayMemoDCache,
         MABConfig,
@@ -91,8 +96,10 @@ def test_replay_counters_leave_input_controllers_untouched():
         "dcache": [OriginalDCache(), WayMemoDCache(),
                    WayMemoDCache(mab_config=evict),
                    LineBufferWayMemoDCache(line_buffer_entries=2),
-                   LineBufferWayMemoDCache(mab_config=evict)],
-        "icache": [WayMemoICache(), WayMemoICache(mab_config=evict)],
+                   LineBufferWayMemoDCache(mab_config=evict),
+                   FilterCacheDCache()],
+        "icache": [WayMemoICache(), WayMemoICache(mab_config=evict),
+                   FilterCacheICache()],
     }
     for side, controllers in groups.items():
         replay_counters(controllers, streams[side])
@@ -111,6 +118,7 @@ def test_replay_counters_leave_input_controllers_untouched():
             lines = getattr(controller, "line_buffer", None)
             if lines is not None:
                 assert lines.accesses == 0 and not lines._lines
+            assert getattr(controller, "_l0", []) == []
 
 
 @pytest.mark.parametrize("side", CACHE_SIDES)
@@ -159,17 +167,16 @@ def builds(monkeypatch):
     return built
 
 
-def _batchable_specs(side):
-    """Every batchable design of one side, plus parametrized points."""
-    specs = [
-        _spec(info.id, side=side) for info in architectures(side)
-        if info.controller_class().derive is not None
-    ]
+def _group_specs(side):
+    """Every registered design of one side, plus parametrized points."""
+    specs = [_spec(info.id, side=side) for info in architectures(side)]
     specs += [
         _spec("way-memo", side=side,
               params={"tag_entries": 4, "index_entries": 4,
                       "policy": "fifo"}),
         _spec("original", side=side, params={"policy": "random"}),
+        _spec("filter-cache", side=side,
+              params={"l0_lines": 3, "policy": "fifo"}),
     ]
     if side == "dcache":
         specs += [
@@ -183,10 +190,11 @@ def _batchable_specs(side):
 
 @pytest.mark.parametrize("side", CACHE_SIDES)
 def test_batchable_group_builds_no_controller(side, builds):
-    """A replay group of batchable specs derives every member from its
-    resolved design point: no ``ArchitectureInfo.build`` runs, and each
-    result equals the spec's reference-engine evaluation."""
-    specs = _batchable_specs(side)
+    """A replay group of every registered design, the filter cache
+    included, derives every member from its resolved design point: no
+    ``ArchitectureInfo.build`` runs, and each result equals the spec's
+    reference-engine evaluation."""
+    specs = _group_specs(side)
     results = replay_specs(specs)
     assert builds == []
     for spec, result in zip(specs, results):
@@ -198,15 +206,37 @@ def test_batchable_group_builds_no_controller(side, builds):
         )
 
 
-def test_filter_cache_member_is_built_once(builds):
-    """The stateful filter cache is the one member a group builds."""
-    for side in CACHE_SIDES:
-        replay_specs([
-            _spec("original", side=side),
-            _spec("filter-cache", side=side),
-            _spec("way-memo-2x8", side=side),
-        ])
-    assert builds == ["filter-cache", "filter-cache"]
+@pytest.mark.parametrize("side", CACHE_SIDES)
+def test_filter_cache_alone_runs_no_shared_sweep(side):
+    """The filter cache walks its own L1 stream, so a lone filter-cache
+    member runs no shared sweep, and grouped with designs that read
+    the sweep it leaves the group at exactly one."""
+    from repro.api.registry import get_architecture
+    from repro.replay.columns import columns_for_stream
+    from repro.replay.engine import derive_counters
+    from repro.telemetry import metrics as telemetry
+
+    if side == "dcache":
+        stream = synthetic_data_trace(num_accesses=1024, seed=13)
+    else:
+        stream = synthetic_fetch_stream(num_blocks=96, seed=13)
+    cols = columns_for_stream(stream)
+    sweeps = telemetry.counter("repro_replay_shared_sweeps_total")
+
+    def members(*archs):
+        return [
+            (info.controller_class().derive, info.design_point())
+            for info in (get_architecture(side, arch) for arch in archs)
+        ]
+
+    before = sweeps.value
+    (alone,) = derive_counters(members("filter-cache"), cols)
+    assert sweeps.value == before
+    mixed = derive_counters(
+        members("original", "filter-cache", "way-memo-2x8"), cols
+    )
+    assert sweeps.value == before + 1
+    assert mixed[1].as_dict() == alone.as_dict()
 
 
 @pytest.mark.parametrize("arch,key", [
@@ -340,10 +370,10 @@ def test_lone_way_prediction_replay_computes_tags_and_sets_only(side):
 
 
 def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
-    """The paper's 12 (Nt, Ns) way-memo geometries plus the batchable
-    baselines of one side run as one shared sweep with no stateful
-    member, and walk each LRU value stream (the MAB's key and set
-    streams, the set buffer's set stream) once for every geometry."""
+    """The paper's 12 (Nt, Ns) way-memo geometries plus the baselines
+    of one side that derive from the shared sweep run as one sweep,
+    and walk each LRU value stream (the MAB's key and set streams, the
+    set buffer's set stream) once for every geometry."""
     from repro.api.registry import get_architecture
     from repro.experiments.ablation_mab_size import (
         INDEX_ENTRIES,
@@ -366,7 +396,6 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
     }
     value_streams = {"dcache": 3, "icache": 2}
     sweeps = telemetry.counter("repro_replay_shared_sweeps_total")
-    stateful = telemetry.counter("repro_replay_stateful_members_total")
     for side, stream in streams.items():
         grid = [
             {"tag_entries": nt, "index_entries": ns}
@@ -378,10 +407,9 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
             get_architecture(side, arch).build() for arch in baselines[side]
         ]
         reset_column_stats()
-        sweeps_before, stateful_before = sweeps.value, stateful.value
+        sweeps_before = sweeps.value
         grouped = replay_counters(controllers, stream)
         assert sweeps.value - sweeps_before == 1, side
-        assert stateful.value == stateful_before, side
         assert column_stats()["distance_passes"] == value_streams[side]
         for params, counters in zip(grid, grouped):
             expected = way_memo.build(params).process_reference(stream)
@@ -391,8 +419,8 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
 def test_line_buffer_joins_the_shared_sweep():
     """The way-memo + line-buffer design derives from the shared sweep:
     grouped with plain way memo, at one- and two-line buffer depths and
-    in both consistency modes, it runs one sweep with no stateful
-    member and matches each design's reference loop."""
+    in both consistency modes, it runs one sweep and matches each
+    design's reference loop."""
     from repro.api.registry import get_architecture
     from repro.telemetry import metrics as telemetry
 
@@ -408,13 +436,11 @@ def test_line_buffer_joins_the_shared_sweep():
     ]
     infos = [(get_architecture("dcache", arch), p) for arch, p in params]
     sweeps = telemetry.counter("repro_replay_shared_sweeps_total")
-    stateful = telemetry.counter("repro_replay_stateful_members_total")
-    sweeps_before, stateful_before = sweeps.value, stateful.value
+    sweeps_before = sweeps.value
     grouped = replay_counters(
         [info.build(p) for info, p in infos], stream
     )
     assert sweeps.value - sweeps_before == 1
-    assert stateful.value == stateful_before
     for (info, p), counters in zip(infos, grouped):
         expected = info.build(p).process_reference(stream)
         assert counters.as_dict() == expected.as_dict(), (info.id, p)

@@ -207,7 +207,7 @@ def test_batch_is_byte_identical_deduped_and_ordered(client):
     spec_a = RunSpec(cache="dcache", arch="original", workload=TINY_D)
     spec_b = RunSpec(cache="icache", arch="panwar", workload=TINY_I)
     batch = [spec_a, spec_b, spec_a]       # duplicate in the batch
-    remote = client.evaluate_many(batch, workers=2)
+    remote = client.evaluate_many(batch)
     local = evaluate_many(batch, workers=2, use_cache=False)
     assert [r.to_json() for r in remote] == [
         r.to_json() for r in local
