@@ -14,9 +14,10 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_report.py --quick  # CI smoke
 
 ``--quick`` shrinks the workloads and repeat counts so the whole run
-takes a couple of seconds; it also asserts the fast engines still
-reproduce the reference engines' counters, making the smoke run a
-cheap end-to-end equivalence check for CI.
+takes a couple of seconds.  Every run first asserts that each
+registered design's fast ``process`` still reproduces its reference
+engine's counters, making the smoke run a cheap end-to-end
+equivalence check for CI.
 
 The report schema::
 
@@ -34,10 +35,11 @@ The report schema::
     }
 
 ``baseline_speedup_vs_reference`` measures each ported comparison
-baseline's fast ``process`` (a singleton call into the replay engine,
-the only fast engine) against its retained object-API
-``process_reference`` *in the same run*, so the ratio is
-machine-independent and CI can put regression floors under it.
+baseline's fast path (a singleton ``derive_counters`` call from a
+design point resolved before timing, as the spec path runs it)
+against its retained object-API ``process_reference`` *in the same
+run*, so the ratio is machine-independent and CI can put regression
+floors under it.
 
 Besides overwriting ``BENCH_report.json`` (the *latest* numbers), each
 run appends one line to ``BENCH_history.jsonl`` — commit, UTC
@@ -58,18 +60,13 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.baselines import (
-    FilterCacheDCache,
-    MaLinksICache,
-    OriginalDCache,
-    PanwarICache,
-    SetBufferDCache,
-    TwoPhaseDCache,
-    WayPredictionDCache,
-)
+from repro.api.registry import architectures, get_architecture
+from repro.baselines import OriginalDCache
 from repro.core import WayMemoDCache, WayMemoICache
 from repro.experiments.ablation_mab_size import INDEX_ENTRIES, TAG_ENTRIES
 from repro.isa import assemble
+from repro.replay.columns import columns_for_stream
+from repro.replay.engine import derive_counters
 from repro.sim import run_program
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
 
@@ -214,15 +211,28 @@ def measure(quick: bool) -> dict:
     return metrics
 
 
-#: The six comparison baselines ported to the fast kernels, with the
-#: stream kind each one replays ("data" or "fetch").
+def design_member(side: str, arch: str, params=None) -> tuple:
+    """One registered design's ``(fast path, design point)`` pair,
+    resolved before timing as ``replay_specs`` resolves it, so a timed
+    :func:`derive` call builds no controller."""
+    info = get_architecture(side, arch)
+    return info.controller_class().derive, info.design_point(params)
+
+
+def derive(members, stream):
+    """One ``derive_counters`` call over ``stream``'s column split."""
+    return derive_counters(members, columns_for_stream(stream))
+
+
+#: The six comparison baselines ported to the fast kernels: report
+#: name, cache side and registered architecture id.
 PORTED_BASELINES = (
-    ("set_buffer_dcache", SetBufferDCache, "data"),
-    ("filter_cache_dcache", FilterCacheDCache, "data"),
-    ("way_prediction_dcache", WayPredictionDCache, "data"),
-    ("two_phase_dcache", TwoPhaseDCache, "data"),
-    ("ma_links_icache", MaLinksICache, "fetch"),
-    ("panwar_icache", PanwarICache, "fetch"),
+    ("set_buffer_dcache", "dcache", "set-buffer"),
+    ("filter_cache_dcache", "dcache", "filter-cache"),
+    ("way_prediction_dcache", "dcache", "way-prediction"),
+    ("two_phase_dcache", "dcache", "two-phase"),
+    ("ma_links_icache", "icache", "ma-links"),
+    ("panwar_icache", "icache", "panwar"),
 )
 
 
@@ -230,22 +240,28 @@ def measure_baselines(quick: bool) -> dict:
     """Fast vs reference timing for every ported comparison baseline.
 
     Both engines run on the same synthetic streams in the same
-    process, in alternating rounds (:func:`timed_ratio`); each run
-    gets a fresh controller (the reference loops carry state).
-    Returns ``{name: {"fast_us", "reference_us", "speedup"}}``: each
-    leg's best run and the median per-round ratio.
+    process, in alternating rounds (:func:`timed_ratio`).  The fast
+    leg is the spec path: one :func:`derive` call from a design point
+    resolved before timing.  The reference leg builds a fresh
+    controller per run (the reference loops carry state).  Returns
+    ``{name: {"fast_us", "reference_us", "speedup"}}``: each leg's
+    best run and the median per-round ratio.
     """
     n_data = 4_000 if quick else 20_000
     n_blocks = 600 if quick else 3_000
-    data_trace = synthetic_data_trace(num_accesses=n_data, seed=1)
-    fetch = synthetic_fetch_stream(num_blocks=n_blocks, seed=1)
+    streams = {
+        "dcache": synthetic_data_trace(num_accesses=n_data, seed=1),
+        "icache": synthetic_fetch_stream(num_blocks=n_blocks, seed=1),
+    }
 
     out = {}
-    for name, factory, kind in PORTED_BASELINES:
-        stream = data_trace if kind == "data" else fetch
+    for name, side, arch in PORTED_BASELINES:
+        stream = streams[side]
+        info = get_architecture(side, arch)
+        one = design_member(side, arch)
         ref_us, fast_us, speedup = timed_ratio(
-            lambda: factory().process_reference(stream),
-            lambda: factory().process(stream),
+            lambda: info.build().process_reference(stream),
+            lambda: derive([one], stream),
         )
         out[name] = {
             "fast_us": round(fast_us, 1),
@@ -309,28 +325,17 @@ def measure_replay(quick: bool) -> dict:
     metrics are *ratios*, and short streams understate them because
     fixed per-evaluation overheads dominate both legs equally.
     """
-    from repro.api.registry import get_architecture
-    from repro.replay.columns import columns_for_stream
-    from repro.replay.engine import derive_counters
-
     repeats = 3 if quick else 5
     streams = {
         "dcache": synthetic_data_trace(num_accesses=20_000, seed=1),
         "icache": synthetic_fetch_stream(num_blocks=3_000, seed=1),
     }
 
-    def member(side, arch, params=None):
-        info = get_architecture(side, arch)
-        return info.controller_class().derive, info.design_point(params)
-
-    def derive(members, stream):
-        return derive_counters(members, columns_for_stream(stream))
-
     out = {"sides": {}}
     worst = None
     for side, archs in REPLAY_GROUPS.items():
         stream = streams[side]
-        members = [member(side, arch) for arch in archs]
+        members = [design_member(side, arch) for arch in archs]
 
         def per_spec():
             for one in members:
@@ -357,7 +362,7 @@ def measure_replay(quick: bool) -> dict:
     for name, side, arch in REPLAY_DERIVED:
         stream = streams[side]
         info = get_architecture(side, arch)
-        one = member(side, arch)
+        one = design_member(side, arch)
         reference_us, replay_us, speedup = timed_ratio(
             lambda: info.build().process_reference(stream),
             lambda: derive([one], stream),
@@ -384,7 +389,9 @@ def measure_replay(quick: bool) -> dict:
     out["grid_speedup"] = {}
     for side, stream in streams.items():
         info = get_architecture(side, "way-memo")
-        members = [member(side, "way-memo", params) for params in grid]
+        members = [
+            design_member(side, "way-memo", params) for params in grid
+        ]
         replay_us = best_of(lambda: derive(members, stream), repeats)
 
         def references():
@@ -457,33 +464,23 @@ def measure_sweep(quick: bool) -> dict:
 
 
 def check_equivalence() -> None:
-    """Assert fast engines reproduce the reference engines exactly."""
-    trace = synthetic_data_trace(
-        num_accesses=3_000, seed=7, large_disp_fraction=0.02
-    )
-    fast = WayMemoDCache().process(trace)
-    ref = WayMemoDCache().process_reference(trace)
-    if fast.as_dict() != ref.as_dict():
-        raise AssertionError(
-            f"D-cache fast/reference divergence:\n{fast.as_dict()}\n"
-            f"{ref.as_dict()}"
-        )
-
-    fetch = synthetic_fetch_stream(num_blocks=400, seed=9)
-    for name, factory, kind in PORTED_BASELINES:
-        stream = trace if kind == "data" else fetch
-        cf = factory().process(stream)
-        cr = factory().process_reference(stream)
-        if cf.as_dict() != cr.as_dict():
+    """Assert every registered design's fast ``process`` reproduces its
+    reference engine exactly, and the fast ISS its interpreter."""
+    streams = {
+        "dcache": synthetic_data_trace(
+            num_accesses=3_000, seed=7, large_disp_fraction=0.02
+        ),
+        "icache": synthetic_fetch_stream(num_blocks=400, seed=9),
+    }
+    for info in architectures():
+        stream = streams[info.side]
+        fast = info.build().process(stream).as_dict()
+        reference = info.build().process_reference(stream).as_dict()
+        if fast != reference:
             raise AssertionError(
-                f"{name} fast/reference divergence:\n{cf.as_dict()}\n"
-                f"{cr.as_dict()}"
+                f"{info.side} {info.id} fast/reference divergence:\n"
+                f"{fast}\n{reference}"
             )
-
-    fast_i = WayMemoICache().process(fetch)
-    ref_i = WayMemoICache().process_reference(fetch)
-    if fast_i.as_dict() != ref_i.as_dict():
-        raise AssertionError("I-cache fast/reference divergence")
 
     program = assemble(ISS_SOURCE.format(n=500))
     rf = run_program(program, engine="fast")

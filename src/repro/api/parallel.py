@@ -9,8 +9,8 @@ output is byte-identical for any worker count.
 
 Workers never run the ISS: :func:`warm_trace_cache` populates both the
 in-process workload cache (inherited by forked workers) and the
-versioned on-disk trace cache (``$REPRO_TRACE_CACHE``) in the parent
-first, so each worker just loads the ``.npz`` arrays.
+fingerprint-keyed on-disk trace cache (``$REPRO_TRACE_CACHE``) in the
+parent first, so each worker just loads the ``.npz`` arrays.
 """
 
 from __future__ import annotations

@@ -254,8 +254,9 @@ def fetch_results(
     points) are evaluated and transferred once.  Locally the batch
     goes through :func:`repro.api.evaluate_many` over ``workers``
     processes; with ``url`` it goes to a running service as one
-    ``POST /v1/batch``, after a code fingerprint check, and the
-    service's own worker pool sizes it.
+    ``POST /v1/batch`` that claims this client's code fingerprint, so
+    a server on other code refuses it (409) before queueing anything,
+    and the service's own worker pool sizes it.
     """
     unique = list({s.key(): s for s in specs}.values())
     if not unique:
@@ -264,10 +265,6 @@ def fetch_results(
         from repro.service import ServiceClient
 
         client = ServiceClient(url)
-        # Refuse a version-skewed server up front (usable error before
-        # any waiting); the claim sent with the batch re-checks it
-        # atomically in case the server is redeployed in between.
-        client.verify_fingerprint()
         if progress:
             print(
                 f"  fetching {len(unique)} design points from "

@@ -20,11 +20,11 @@ choice:
   result store, so a warm store regenerates the whole report with
   **zero simulations**;
 * **remotely** (``url=...`` / ``repro report --url``), against a
-  running evaluation service: after a ``GET /v1/healthz`` code-
-  fingerprint check (a version-skewed server is refused with a 409),
-  the same batch goes through one ``POST /v1/batch`` — the server
-  evaluates through *its* store and this process only tabulates and
-  renders.  (Per-experiment mappings are also served directly at
+  running evaluation service: the same batch goes through one
+  ``POST /v1/batch`` that claims this process's code fingerprint (a
+  version-skewed server refuses it with a 409 before queueing it) —
+  the server evaluates through *its* store and this process only
+  tabulates and renders.  (Per-experiment mappings are also served directly at
   ``POST /v1/experiments/{name}`` for external clients —
   :meth:`repro.service.client.ServiceClient.run_experiment`.)
 

@@ -7,7 +7,6 @@ of initialised bytes, and the symbol table produced during assembly.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -80,21 +79,6 @@ class Program:
     def symbol(self, name: str) -> int:
         """Address of label ``name`` (KeyError when undefined)."""
         return self.symbols[name]
-
-    def digest(self) -> str:
-        """Stable hex digest of everything that determines execution.
-
-        Covers the segment bases and bytes plus the entry point (not
-        the name or symbol table, which have no architectural effect).
-        Used to key the on-disk workload trace cache.
-        """
-        h = hashlib.sha256()
-        for segment in (self.text, self.data):
-            h.update(segment.base.to_bytes(4, "little"))
-            h.update(len(segment.data).to_bytes(4, "little"))
-            h.update(segment.data)
-        h.update(self.entry.to_bytes(4, "little"))
-        return h.hexdigest()
 
     def disassemble(self) -> str:
         """Return a human-readable listing of the text segment."""

@@ -299,10 +299,10 @@ class ServiceClient:
         """``POST /v1/batch``: results in input order, deduped remotely.
 
         ``claim_fingerprint`` sends this client's code fingerprint
-        with the batch, making the server refuse (409) before
-        evaluating if it runs different code — closing the window
-        between a ``healthz`` pre-check and the batch itself.  Raw
-        spec batches (``repro submit``) stay version-agnostic.
+        with the batch, making the server refuse (409) before it
+        parses or queues a spec if it runs different code: the one
+        version-skew check a remote batch needs.  Raw spec batches
+        (``repro submit``) stay version-agnostic.
         """
         payload = self._batch_payload(specs, claim_fingerprint)
         response = self._request("/v1/batch", payload)

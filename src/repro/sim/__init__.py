@@ -13,33 +13,37 @@ everything the cache architectures need to see
   entered (taken branch, indirect/link jump), from which
   :func:`repro.sim.fetch.fetch_stream` derives the per-fetch-packet
   I-cache access stream with the MAB input mux of Figure 2.
+
+Exports resolve on first access, so a process that only loads trace
+archives (:mod:`repro.sim.traceio`) imports neither the interpreter
+nor the ISA.
 """
 
-from repro.sim.cpu import CPU, CPUError, ExecutionResult, run_program
-from repro.sim.fetch import FetchKind, FetchStream, fetch_stream
-from repro.sim.memory import Memory, MemoryError
-from repro.sim.profiler import Profile, profile_trace, recommend_mab
-from repro.sim.traceio import TraceFormatError, load_traces, save_traces
-from repro.sim.trace import DataTrace, ExecutionTrace, FlowKind, FlowTrace
+from repro import _lazy_exports
 
-__all__ = [
-    "CPU",
-    "CPUError",
-    "DataTrace",
-    "ExecutionResult",
-    "ExecutionTrace",
-    "FetchKind",
-    "FetchStream",
-    "FlowKind",
-    "FlowTrace",
-    "Memory",
-    "MemoryError",
-    "Profile",
-    "TraceFormatError",
-    "load_traces",
-    "profile_trace",
-    "recommend_mab",
-    "save_traces",
-    "fetch_stream",
-    "run_program",
-]
+#: Each public name and the module that defines it, imported on first
+#: access.
+_EXPORTS = {
+    "CPU": "repro.sim.cpu",
+    "CPUError": "repro.sim.cpu",
+    "DataTrace": "repro.sim.trace",
+    "ExecutionResult": "repro.sim.cpu",
+    "ExecutionTrace": "repro.sim.trace",
+    "FetchKind": "repro.sim.fetch",
+    "FetchStream": "repro.sim.fetch",
+    "FlowKind": "repro.sim.trace",
+    "FlowTrace": "repro.sim.trace",
+    "Memory": "repro.sim.memory",
+    "MemoryError": "repro.sim.memory",
+    "Profile": "repro.sim.profiler",
+    "TraceFormatError": "repro.sim.traceio",
+    "fetch_stream": "repro.sim.fetch",
+    "load_traces": "repro.sim.traceio",
+    "profile_trace": "repro.sim.profiler",
+    "recommend_mab": "repro.sim.profiler",
+    "run_program": "repro.sim.cpu",
+    "save_traces": "repro.sim.traceio",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

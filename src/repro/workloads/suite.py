@@ -6,12 +6,13 @@ resulting traces (execution is deterministic, so caching is sound and
 keeps the full-suite experiments fast).  Two cache levels stack:
 
 * an in-process ``lru_cache`` (one ISS run per process at most), and
-* a versioned **on-disk trace cache**: the traces are persisted as a
-  ``.npz`` archive keyed by program name, the program's content
-  digest, the modelled 8-byte fetch packet and the trace format
-  version, so a *second process* (another experiment suite, a CI
-  shard, a sweep worker) skips the ISS entirely and just loads the
-  arrays.
+* an **on-disk trace cache**: the traces are persisted as a ``.npz``
+  archive named by the program and the code fingerprint
+  (:func:`repro.store.code_fingerprint`, the digest of every ``repro``
+  source that also keys the result store), so a *second process*
+  (another experiment suite, a CI shard, a sweep worker) finds the
+  archive before building anything: a hit neither assembles the
+  program nor imports the ISS.
 
 Workload names follow one grammar, ``base[:packet=N,scale=N,stack=F]``,
 parsed and canonicalised by :func:`parse_workload` alone: ``scale``
@@ -25,8 +26,10 @@ The disk cache lives in ``$REPRO_TRACE_CACHE`` when set (set it to
 ``$XDG_CACHE_HOME/repro-traces`` (default ``~/.cache/repro-traces``).
 Archives are written atomically (temp file + rename) and any
 unreadable/garbage archive is ignored and regenerated, so the cache
-can never produce wrong traces — the key includes the program digest,
-so a changed benchmark generator automatically misses.
+can never produce wrong traces — any edit under ``src/repro`` (a
+benchmark generator, the assembler, the ISS, the fetch model) changes
+the fingerprint, so the next load misses and re-runs the program.
+Archives of older code versions stay until deleted.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.cache.config import DEFAULT_FETCH_BYTES
+from repro.store.fingerprint import code_fingerprint
 
 if TYPE_CHECKING:
     from repro.isa import Program
@@ -252,8 +256,8 @@ class Workload:
 
 
 def run_benchmark(name: str) -> ExecutionResult:
-    """Assemble and execute ``name``, without caching (used by tests)."""
-    from repro.sim import run_program
+    """Assemble and execute ``name``, without caching."""
+    from repro.sim.cpu import run_program
 
     return run_program(get_benchmark(name).build())
 
@@ -274,19 +278,15 @@ def trace_cache_dir() -> Optional[Path]:
     return base / "repro-traces"
 
 
-def _trace_cache_path(name: str, program: Program) -> Optional[Path]:
-    from repro.sim.traceio import FORMAT_VERSION
-
+def _trace_cache_path(name: str) -> Optional[Path]:
+    """Program ``name``'s archive under this code version, or None
+    when the disk cache is disabled."""
     directory = trace_cache_dir()
     if directory is None:
         return None
-    # Scaled names carry ':'/'=' — keep archive names filesystem-plain
-    # (the program digest already disambiguates the content).
+    # Scaled names carry ':'/'=' — keep archive names filesystem-plain.
     safe = name.replace(":", "+").replace("=", "-")
-    return directory / (
-        f"{safe}-{program.digest()[:16]}-p{DEFAULT_FETCH_BYTES}"
-        f"-v{FORMAT_VERSION}.npz"
-    )
+    return directory / f"{safe}-{code_fingerprint()}.npz"
 
 
 def _load_cached_traces(
@@ -330,13 +330,11 @@ def _store_cached_traces(
         pass
 
 
-def _execute_workload(
-    name: str, program: Program
-) -> Tuple[ExecutionTrace, FetchStream]:
-    """Run the already-assembled ``program`` (no second build)."""
-    from repro.sim import fetch_stream, run_program
+def _execute_workload(name: str) -> Tuple[ExecutionTrace, FetchStream]:
+    """Assemble program ``name`` and run it on the ISS."""
+    from repro.sim.fetch import fetch_stream
 
-    result = run_program(program)
+    result = run_benchmark(name)
     if not result.halted:
         raise RuntimeError(f"benchmark {name} did not halt")
     return result.trace, fetch_stream(result.trace.flow)
@@ -344,15 +342,12 @@ def _execute_workload(
 
 @lru_cache(maxsize=None)
 def _load_workload_cached(name: str) -> Workload:
-    bench = get_benchmark(name)
-    program = bench.build()
-    path = _trace_cache_path(name, program)
-
+    path = _trace_cache_path(name)
     cached = _load_cached_traces(path) if path else None
     if cached is not None:
         trace, fetch = cached
     else:
-        trace, fetch = _execute_workload(name, program)
+        trace, fetch = _execute_workload(name)
         if path is not None:
             _store_cached_traces(path, trace, fetch)
     return Workload(

@@ -4,9 +4,10 @@ A client process (``repro report --url``, ``repro run --url``,
 ``repro submit``) builds specs, speaks HTTP and tabulates, so it loads
 neither NumPy nor the simulator nor the evaluation stack.  The server
 loads that stack when it starts, so its forked workers inherit it
-instead of importing it per batch.  The package ``__init__``s resolve
-their exports on first access and must still hand out the objects
-their defining modules hold.
+instead of importing it per batch.  A process over a warm trace cache
+evaluates without the ISA, the interpreter or any benchmark program.
+The package ``__init__``s resolve their exports on first access and
+must still hand out the objects their defining modules hold.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from repro.workloads import BENCHMARK_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -37,10 +40,19 @@ CLIENT_FREE_MODULES = (
     "repro.service.workers", "repro.store.store",
 )
 
+#: Modules a process whose traces all come from the trace cache does
+#: not import: the ISA package (importing any of its modules imports
+#: it), the interpreter and the benchmark programs.
+TRACE_HIT_FREE_MODULES = (
+    "repro.isa", "repro.sim.cpu", "repro.sim.fastcpu",
+    "repro.sim.profiler", "repro.sim.memory",
+    *(f"repro.workloads.{name}" for name in BENCHMARK_NAMES),
+)
+
 #: The packages whose exports resolve lazily.
 LAZY_PACKAGES = (
     "repro", "repro.api", "repro.cache", "repro.workloads",
-    "repro.service", "repro.store",
+    "repro.service", "repro.sim", "repro.store",
 )
 
 CLIENT = """
@@ -77,6 +89,17 @@ SERVER = """
 import json, sys
 import repro.service.server
 print(json.dumps(sorted(sys.modules)))
+"""
+
+EVALUATE_OVER_TRACES = """
+import json, sys
+from repro.api import RunSpec, evaluate, warm_trace_cache
+warm_trace_cache(("dct", "fft"))
+results = [
+    evaluate(RunSpec(*spec), use_cache=False).to_json()
+    for spec in json.loads(sys.stdin.read())
+]
+print(json.dumps({"results": results, "modules": sorted(sys.modules)}))
 """
 
 EVALUATE_FIRST = """
@@ -136,6 +159,33 @@ def test_server_loads_the_evaluation_stack_when_imported():
         "repro.api.evaluate", "repro.replay.engine", "repro.core",
         "repro.baselines",
     } <= modules
+
+
+def test_warm_trace_hit_imports_no_iss_and_no_program(tmp_path,
+                                                     monkeypatch):
+    """The same evaluation in two fresh interpreters over one trace
+    cache: the first runs the ISS and writes the archives, the second
+    evaluates a D-side and an I-side spec from the archives alone."""
+    from repro.api import RunSpec, evaluate
+
+    specs = [("dcache", "way-memo-2x8", "dct"),
+             ("icache", "way-memo-2x16", "fft")]
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    monkeypatch.setenv("REPRO_RESULT_STORE", "off")
+    cold, warm = [
+        _fresh_interpreter(EVALUATE_OVER_TRACES, stdin=json.dumps(specs))
+        for _ in range(2)
+    ]
+    assert cold["results"] == warm["results"] == [
+        evaluate(RunSpec(*spec), use_cache=False).to_json()
+        for spec in specs
+    ]
+    assert {"repro.isa.assembler", "repro.sim.cpu",
+            "repro.workloads.dct"} <= set(cold["modules"])
+    loaded = sorted(set(warm["modules"]) & set(TRACE_HIT_FREE_MODULES))
+    assert loaded == []
+    for name in TRACE_HIT_FREE_MODULES:
+        importlib.import_module(name)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

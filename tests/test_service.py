@@ -25,6 +25,7 @@ from repro.api import (
     RESULT_SCHEMA_VERSION,
     RunSpec,
     architecture_ids,
+    clear_result_cache,
     evaluate_many,
 )
 from repro.cli import main as cli_main
@@ -34,6 +35,7 @@ from repro.service import (
     create_server,
     wait_until_ready,
 )
+from repro.store import STORE_ENV, reset_default_stores
 
 TINY_D = "synthetic:num_accesses=512,seed=11"
 TINY_I = "synthetic:num_blocks=64,block_packets=4,seed=11"
@@ -277,6 +279,18 @@ def private_server(tmp_path, **config):
         server.server_close()
 
 
+@pytest.fixture
+def private_store(tmp_path, monkeypatch):
+    """A result store of this test's own: no earlier run's write-back
+    answers its batch before a worker runs."""
+    monkeypatch.setenv(STORE_ENV, str(tmp_path / "results.sqlite"))
+    reset_default_stores()
+    clear_result_cache()
+    yield
+    clear_result_cache()
+    reset_default_stores()
+
+
 def scrape(client, name):
     """One unlabelled sample from ``/v1/metrics`` (0 when absent)."""
     for line in client.metrics().splitlines():
@@ -285,7 +299,7 @@ def scrape(client, name):
     return 0.0
 
 
-def test_one_worker_server_forks_once_per_batch(tmp_path):
+def test_one_worker_server_forks_once_per_batch(tmp_path, private_store):
     """Three replay groups (one per synthetic stream) on a one-worker
     server: one claim takes them all, so one subprocess serves the
     batch — one per stream before claims spanned groups."""
@@ -409,6 +423,38 @@ def test_run_experiment_results_are_keyed_by_spec_json(client):
     assert response["name"] == name
     assert response["count"] == len(keys) == 35
     assert set(response["results"]) == keys
+
+
+def test_remote_batch_is_refused_by_its_fingerprint_claim(
+    tmp_path, monkeypatch
+):
+    """``fetch_results(..., url=...)`` against a server on other code:
+    the batch's own fingerprint claim is the one skew check, answered
+    409 before a spec is queued (no ``healthz`` round trip first)."""
+    import repro.store
+    from repro.experiments.registry import fetch_results
+
+    specs = [RunSpec(cache="dcache", arch="original", workload=TINY_D)]
+    paths = []
+    request = ServiceClient._request
+
+    def recording_request(self, path, payload=None):
+        paths.append(path)
+        return request(self, path, payload)
+
+    with private_server(tmp_path, workers=1) as url:
+        monkeypatch.setattr(
+            repro.store, "code_fingerprint", lambda: "f" * 16
+        )
+        monkeypatch.setattr(ServiceClient, "_request", recording_request)
+        with pytest.raises(ServiceError) as err:
+            fetch_results(specs, url=url)
+        requested = list(paths)
+        jobs = ServiceClient(url).jobs()
+    assert err.value.status == 409
+    assert "fingerprint" in err.value.message
+    assert requested == ["/v1/batch"]
+    assert jobs == []
 
 
 def test_run_experiment_refuses_version_skewed_server(

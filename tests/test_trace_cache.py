@@ -2,9 +2,11 @@
 
 A second process (simulated here by clearing the in-process
 ``lru_cache`` and forbidding ISS execution) must load traces from the
-versioned ``.npz`` archive instead of re-running the ISS, and the
-cached traces must be bit-identical to freshly executed ones.  The
-cache must also be safely disableable and robust to garbage archives.
+``.npz`` archive its code version wrote instead of re-running the ISS,
+without building the program, and the cached traces must be
+bit-identical to freshly executed ones.  An archive written by other
+code is a miss.  The cache must also be safely disableable and robust
+to garbage archives.
 """
 
 from unittest import mock
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.workloads.suite as suite
-from repro.sim.traceio import FORMAT_VERSION
+from repro.store import code_fingerprint
 from repro.workloads import load_workload
 
 
@@ -27,12 +29,40 @@ def cache_dir(tmp_path, monkeypatch):
 
 def test_cold_run_populates_cache(cache_dir):
     load_workload("dct")
-    archives = list(cache_dir.glob("dct-*.npz"))
-    assert len(archives) == 1
-    name = archives[0].name
-    assert "-p8-" in name and name.endswith(
-        f"-v{FORMAT_VERSION}.npz"
-    )
+    archives = [path.name for path in cache_dir.glob("dct-*.npz")]
+    assert archives == [f"dct-{code_fingerprint()}.npz"]
+
+
+def test_archive_of_another_code_version_is_a_miss(cache_dir):
+    """An archive another code version wrote (its fingerprint in the
+    name) is never read: the ISS runs once and writes this version's
+    own archive beside it."""
+    with mock.patch.object(
+        suite, "code_fingerprint", return_value="0123456789abcdef"
+    ):
+        load_workload("dct")
+    suite.load_workload.cache_clear()  # simulate a new process
+    with mock.patch.object(
+        suite, "_execute_workload", wraps=suite._execute_workload
+    ) as execute:
+        load_workload("dct")
+    assert execute.call_count == 1
+    assert {path.name for path in cache_dir.glob("dct-*.npz")} == {
+        "dct-0123456789abcdef.npz", f"dct-{code_fingerprint()}.npz",
+    }
+
+
+def test_warm_hit_builds_no_program(cache_dir):
+    first = load_workload("dct")
+    suite.load_workload.cache_clear()  # simulate a new process
+    with mock.patch.object(
+        suite, "get_benchmark",
+        side_effect=AssertionError("a cache hit must not build"),
+    ):
+        second = load_workload("dct")
+    assert second.cycles == first.cycles
+    assert np.array_equal(second.fetch.addr, first.fetch.addr)
+    assert np.array_equal(second.trace.data.addr, first.trace.data.addr)
 
 
 def test_second_process_skips_the_iss(cache_dir):
@@ -103,7 +133,11 @@ def test_cache_disabled_by_env(tmp_path, monkeypatch):
     suite.load_workload.cache_clear()
     try:
         assert suite.trace_cache_dir() is None
-        workload = load_workload("dct")
+        with mock.patch.object(
+            suite, "code_fingerprint",
+            side_effect=AssertionError("no key without a cache"),
+        ):
+            workload = load_workload("dct")
         assert workload.cycles > 0
     finally:
         suite.load_workload.cache_clear()
