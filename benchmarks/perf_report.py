@@ -31,7 +31,9 @@ The report schema::
       "baseline_speedup_vs_reference": {<arch>: reference / fast, ...},
       "replay": {...grouped replay, derived designs, way-memo grid...},
       "sweep_2way": {<side>: {"accesses", "batch_us", "loop_us",
-                              "speedup"}, ...}
+                              "speedup"}, ...},
+      "worker_claim": {"specs", "runs", "wall_ms", "minor_faults",
+                       "peak_rss_mib"}
     }
 
 ``baseline_speedup_vs_reference`` measures each ported comparison
@@ -39,7 +41,14 @@ baseline's fast path (a singleton ``derive_counters`` call from a
 design point resolved before timing, as the spec path runs it)
 against its retained object-API ``process_reference`` *in the same
 run*, so the ratio is machine-independent and CI can put regression
-floors under it.
+floors under it.  In full mode its streams are the replay
+derivations' streams, so a design in both tables is timed once and
+reported under both keys.
+
+``worker_claim`` forks one service worker for the paper report's 49
+design points, as the service does, and records the claim's wall
+time, minor page faults and peak RSS (Linux: the leg uses ``fork``
+and ``wait4``).
 
 Besides overwriting ``BENCH_report.json`` (the *latest* numbers), each
 run appends one line to ``BENCH_history.jsonl`` — commit, UTC
@@ -52,21 +61,28 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import multiprocessing
+import os
 import platform
 import statistics
 import subprocess
 import sys
 import time
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
+from repro.api.parallel import warm_trace_cache
 from repro.api.registry import architectures, get_architecture
+from repro.api.spec import RunSpec
 from repro.baselines import OriginalDCache
 from repro.core import WayMemoDCache, WayMemoICache
 from repro.experiments.ablation_mab_size import INDEX_ENTRIES, TAG_ENTRIES
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.isa import assemble
 from repro.replay.columns import columns_for_stream
 from repro.replay.engine import derive_counters
+from repro.service.workers import _subprocess_entry
 from repro.sim import run_program
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
 
@@ -153,8 +169,8 @@ def measure(quick: bool) -> dict:
     n_blocks = 600 if quick else 3_000
     n_loop = 4_000 if quick else 20_000
 
-    data_trace = synthetic_data_trace(num_accesses=n_data, seed=1)
-    fetch = synthetic_fetch_stream(num_blocks=n_blocks, seed=1)
+    streams = synthetic_streams(n_data, n_blocks)
+    data_trace, fetch = streams["dcache"], streams["icache"]
     program = assemble(ISS_SOURCE.format(n=n_loop))
 
     metrics = {}
@@ -211,6 +227,17 @@ def measure(quick: bool) -> dict:
     return metrics
 
 
+@lru_cache(maxsize=None)
+def synthetic_streams(n_data: int, n_blocks: int) -> dict:
+    """The seed-1 synthetic D stream of ``n_data`` accesses and I
+    stream of ``n_blocks`` fetch blocks, by cache side (built once per
+    run for each size)."""
+    return {
+        "dcache": synthetic_data_trace(num_accesses=n_data, seed=1),
+        "icache": synthetic_fetch_stream(num_blocks=n_blocks, seed=1),
+    }
+
+
 def design_member(side: str, arch: str, params=None) -> tuple:
     """One registered design's ``(fast path, design point)`` pair,
     resolved before timing as ``replay_specs`` resolves it, so a timed
@@ -222,6 +249,26 @@ def design_member(side: str, arch: str, params=None) -> tuple:
 def derive(members, stream):
     """One ``derive_counters`` call over ``stream``'s column split."""
     return derive_counters(members, columns_for_stream(stream))
+
+
+@lru_cache(maxsize=None)
+def reference_ratio(side: str, arch: str, n_data: int, n_blocks: int):
+    """:func:`timed_ratio` of a design's reference loop (a fresh
+    controller per run) against its fast path (one :func:`derive` call
+    from a design point resolved before timing) on the
+    :func:`synthetic_streams` of that size.
+
+    Timed once per run for each (design, stream): the baseline and the
+    replay-derivation tables report the same pair under both keys when
+    their streams are the same.
+    """
+    stream = synthetic_streams(n_data, n_blocks)[side]
+    info = get_architecture(side, arch)
+    one = design_member(side, arch)
+    return timed_ratio(
+        lambda: info.build().process_reference(stream),
+        lambda: derive([one], stream),
+    )
 
 
 #: The six comparison baselines ported to the fast kernels: report
@@ -249,19 +296,11 @@ def measure_baselines(quick: bool) -> dict:
     """
     n_data = 4_000 if quick else 20_000
     n_blocks = 600 if quick else 3_000
-    streams = {
-        "dcache": synthetic_data_trace(num_accesses=n_data, seed=1),
-        "icache": synthetic_fetch_stream(num_blocks=n_blocks, seed=1),
-    }
 
     out = {}
     for name, side, arch in PORTED_BASELINES:
-        stream = streams[side]
-        info = get_architecture(side, arch)
-        one = design_member(side, arch)
-        ref_us, fast_us, speedup = timed_ratio(
-            lambda: info.build().process_reference(stream),
-            lambda: derive([one], stream),
+        ref_us, fast_us, speedup = reference_ratio(
+            side, arch, n_data, n_blocks
         )
         out[name] = {
             "fast_us": round(fast_us, 1),
@@ -326,10 +365,7 @@ def measure_replay(quick: bool) -> dict:
     fixed per-evaluation overheads dominate both legs equally.
     """
     repeats = 3 if quick else 5
-    streams = {
-        "dcache": synthetic_data_trace(num_accesses=20_000, seed=1),
-        "icache": synthetic_fetch_stream(num_blocks=3_000, seed=1),
-    }
+    streams = synthetic_streams(20_000, 3_000)
 
     out = {"sides": {}}
     worst = None
@@ -360,12 +396,8 @@ def measure_replay(quick: bool) -> dict:
 
     stateful = {}
     for name, side, arch in REPLAY_DERIVED:
-        stream = streams[side]
-        info = get_architecture(side, arch)
-        one = design_member(side, arch)
-        reference_us, replay_us, speedup = timed_ratio(
-            lambda: info.build().process_reference(stream),
-            lambda: derive([one], stream),
+        reference_us, replay_us, speedup = reference_ratio(
+            side, arch, 20_000, 3_000
         )
         stateful[name] = {
             "replay_us": round(replay_us, 1),
@@ -424,14 +456,11 @@ def measure_sweep(quick: bool) -> dict:
     from repro.replay.columns import columns_for_stream
 
     repeats = 3 if quick else 5
-    streams = {
-        "dcache": (synthetic_data_trace(num_accesses=20_000, seed=1),
-                   FRV_DCACHE),
-        "icache": (synthetic_fetch_stream(num_blocks=3_000, seed=1),
-                   FRV_ICACHE),
-    }
+    streams = synthetic_streams(20_000, 3_000)
+    configs = {"dcache": FRV_DCACHE, "icache": FRV_ICACHE}
     out = {}
-    for side, (stream, config) in streams.items():
+    for side, stream in streams.items():
+        config = configs[side]
         cols = columns_for_stream(stream)
         tags = cols.tags_array(config.offset_bits, config.index_bits)
         sets = cols.sets_array(config.offset_bits, config.index_bits)
@@ -461,6 +490,97 @@ def measure_sweep(quick: bool) -> dict:
             "speedup": round(loop_us / batch_us, 2) if batch_us else 0.0,
         }
     return out
+
+
+#: The paper's own artefacts (Tables 1-3, Figures 4-8): the report's
+#: first eight experiments, whose 49 design points ``repro report
+#: --url`` of the paper sends as one batch.
+PAPER_EXPERIMENTS = EXPERIMENTS[:8]
+
+
+def paper_claim() -> tuple:
+    """The paper report's unique specs as a worker claim: spec JSONs,
+    in report order (as ``fetch_results`` sends them)."""
+    specs = {
+        spec.key(): spec for name in PAPER_EXPERIMENTS
+        for spec in get_experiment(name).specs()
+    }
+    return tuple(spec.to_json() for spec in specs.values())
+
+
+def claim_once(payload) -> dict:
+    """One forked worker running ``_subprocess_entry`` on ``payload``.
+
+    The worker is forked from this process, as the service forks one
+    from its supervisor, and its pipe is drained until it closes.
+    Returns the claim's wall time (fork to reaped exit), its minor
+    page faults and its peak resident set, both from the child's
+    ``wait4`` resource usage (a forked child's peak includes the pages
+    it shares with this process).
+    """
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    started = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            receiver.close()
+            _subprocess_entry(payload, sender)
+            status = 0
+        finally:
+            os._exit(status)
+    sender.close()
+    results = 0
+    try:
+        while True:
+            reply = receiver.recv()
+            if "error" in reply:
+                raise AssertionError(f"worker claim failed: {reply['error']}")
+            results += len(reply.get("results", ()))
+    except EOFError:
+        pass
+    finally:
+        receiver.close()
+        _, status, usage = os.wait4(pid, 0)
+    wall_ms = (time.perf_counter() - started) * 1e3
+    if status or results != len(payload):
+        raise AssertionError(
+            f"worker claim returned {results} of {len(payload)} results "
+            f"(wait status {status})"
+        )
+    return {
+        "wall_ms": wall_ms,
+        "minor_faults": usage.ru_minflt,
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mib": usage.ru_maxrss / 1024,
+    }
+
+
+def measure_worker_claim(quick: bool) -> dict:
+    """The service worker's claim of the paper report's 49 points.
+
+    Warms the trace cache in this process, as the service's supervisor
+    does before it forks, then runs :func:`claim_once` ``runs`` times.
+    Records the median of each measure: wall time, minor page faults
+    (pages the kernel zero-filled or mapped for the worker) and peak
+    RSS.
+    """
+    payload = paper_claim()
+    warm_trace_cache(tuple(dict.fromkeys(
+        RunSpec.from_json(spec).workload for spec in payload
+    )))
+    runs = [claim_once(payload) for _ in range(3 if quick else 5)]
+    return {
+        "specs": len(payload),
+        "runs": len(runs),
+        "wall_ms": round(statistics.median(r["wall_ms"] for r in runs), 1),
+        "minor_faults": int(
+            statistics.median(r["minor_faults"] for r in runs)
+        ),
+        "peak_rss_mib": round(
+            statistics.median(r["peak_rss_mib"] for r in runs), 1
+        ),
+    }
 
 
 def check_equivalence() -> None:
@@ -528,6 +648,10 @@ def append_history(report: dict, path: Path) -> None:
             side: entry["speedup"]
             for side, entry in report["sweep_2way"].items()
         },
+        "worker_claim": {
+            key: report["worker_claim"][key]
+            for key in ("wall_ms", "minor_faults", "peak_rss_mib")
+        },
     }
     try:
         with path.open("a") as handle:
@@ -554,6 +678,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     check_equivalence()
+    claim = measure_worker_claim(args.quick)
     metrics = measure(args.quick)
     baselines = measure_baselines(args.quick)
     replay = measure_replay(args.quick)
@@ -579,6 +704,7 @@ def main(argv=None) -> int:
         },
         "replay": replay,
         "sweep_2way": sweep,
+        "worker_claim": claim,
     }
 
     out = Path(args.output) if args.output else (
@@ -623,6 +749,12 @@ def main(argv=None) -> int:
         us = replay["grid_us"][side]
         print(f"  {side:28s} {us['replay']:12,.1f} us  "
               f"({speedup}x vs reference {us['reference']:,.1f} us)")
+    print(
+        f"service worker claim ({claim['specs']} paper points, median of "
+        f"{claim['runs']}): {claim['wall_ms']:,.1f} ms, "
+        f"{claim['minor_faults']:,} minor faults, "
+        f"peak RSS {claim['peak_rss_mib']} MiB"
+    )
     print("shared 2-way LRU sweep vs per-access access_fast loop:")
     for side, entry in sorted(sweep.items()):
         print(f"  {side:28s} {entry['batch_us']:12,.1f} us  "

@@ -77,6 +77,7 @@ EvictionListener = Callable[[int, int], None]
 #   bits 11..   evicted tag
 _F_HIT = 1
 _F_WAY_SHIFT = 1
+_F_WAY_FIELD = 0xFF << _F_WAY_SHIFT
 _F_EVICTED = 1 << 9
 _F_WRITEBACK = 1 << 10
 _F_TAG_SHIFT = 11
@@ -101,11 +102,13 @@ class SetAssociativeCache:
         self.set_mask = config.sets - 1
         self.ways = config.ways
         # Flat line state: tag per (set, way), -1 == invalid.
+        empty = [-1] * config.ways
         self._tags: List[List[int]] = [
-            [-1] * config.ways for _ in range(config.sets)
+            empty.copy() for _ in range(config.sets)
         ]
+        clean = [False] * config.ways
         self._dirty: List[List[bool]] = [
-            [False] * config.ways for _ in range(config.sets)
+            clean.copy() for _ in range(config.sets)
         ]
         # Direct handle on LRU recency stacks for inline touch/victim;
         # None for non-LRU policies (which go through method calls).
@@ -242,6 +245,50 @@ class SetAssociativeCache:
     ) -> np.ndarray:
         """:meth:`access_fast_batch` of a listener-free 2-way LRU cache.
 
+        An access to the line of the access just before it (same tag
+        and set) hits in that access's way and changes nothing but the
+        line's dirty bit, so only the first access of each such run is
+        swept (:meth:`_sweep_lru2`), writing iff any access of the run
+        writes; every later access of the run is a hit in the way the
+        first one resolved.  Gathering the runs' first accesses and
+        spreading their results back costs about a third of what
+        sweeping an access does, so a stream where fewer than a third
+        of the accesses repeat the line before them is swept whole
+        (over the seven programs, 8% of the D-side accesses and 73% of
+        the I-side fetches repeat).
+        """
+        n = len(tags)
+        if not n:
+            return np.zeros(0, dtype=np.int64)
+        repeat = np.empty(n, dtype=bool)
+        repeat[0] = False
+        np.equal(tags[1:], tags[:-1], out=repeat[1:])
+        repeat[1:] &= sets[1:] == sets[:-1]
+        if 3 * np.count_nonzero(repeat) < n:
+            return self._sweep_lru2(tags, sets, writes)
+        first = np.flatnonzero(~repeat)
+        first_writes = None
+        if writes is not None:
+            # A run writes iff its first access or a later one does.
+            first_writes = writes[first]
+            later = np.flatnonzero(writes & repeat)
+            first_writes[np.searchsorted(first, later) - 1] = True
+        swept = self._sweep_lru2(tags[first], sets[first], first_writes)
+        self.hits += n - len(first)
+        packed = np.repeat(
+            (swept & _F_WAY_FIELD) | _F_HIT, np.diff(first, append=n)
+        )
+        packed[first] = swept
+        return packed
+
+    def _sweep_lru2(
+        self,
+        tags: np.ndarray,
+        sets: np.ndarray,
+        writes: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The sweep behind :meth:`_batch_lru2`, exact on any stream.
+
         A 2-way LRU set holds the last two distinct lines referenced in
         it, so the sweep is a function of each set's chain of accesses
         collapsed into runs of one tag.  Warm sets enter the chain as
@@ -259,8 +306,6 @@ class SetAssociativeCache:
           every miss.
         """
         n = len(tags)
-        if not n:
-            return np.zeros(0, dtype=np.int64)
         ctags, cdirty, clru = self._tags, self._dirty, self._lru
         nsets = len(ctags)
         touched = np.flatnonzero(np.bincount(sets, minlength=nsets))

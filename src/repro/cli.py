@@ -55,7 +55,8 @@ Subcommands
     completion (``--wait``; survives transient outages).
 ``repro store {stats,gc,export,import}``
     Inspect / reclaim / dump / merge the persistent result store
-    (``$REPRO_RESULT_STORE``).  ``gc`` takes ``--max-rows`` /
+    (``$REPRO_RESULT_STORE``).  ``gc`` also deletes the trace
+    archives of older code versions, and takes ``--max-rows`` /
     ``--max-age`` for least-recently-used eviction; ``import`` merges
     another store's ``export`` archive.
 """
@@ -362,6 +363,7 @@ def _jobs_command(
 def _store_command(args) -> int:
     """``repro store {stats,gc,export,import}`` on the resolved store."""
     from repro.store import default_store, store_path
+    from repro.workloads.suite import gc_trace_cache, trace_cache_dir
 
     command = args.store_command
     if store_path() is None:
@@ -389,6 +391,10 @@ def _store_command(args) -> int:
             scope += " and least-recently-used rows"
         print(f"removed {removed} row(s) from {scope}; "
               f"{store.stats()['entries']} row(s) remain")
+        directory = trace_cache_dir()
+        if directory is not None:
+            print(f"removed {gc_trace_cache()} stale trace archive(s) "
+                  f"from {directory}")
         return 0
     if command == "export":
         output = args.output
@@ -755,8 +761,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats", help="entry counts, file size, process hit/miss"
     )
     gc_parser = store_sub.add_parser(
-        "gc", help="drop rows from older code versions / schemas "
-                   "(plus LRU eviction with --max-rows / --max-age)"
+        "gc", help="drop rows and trace archives from older code "
+                   "versions / schemas (plus LRU eviction with "
+                   "--max-rows / --max-age)"
     )
     gc_parser.add_argument(
         "--max-rows", type=int, default=None, metavar="N",

@@ -58,6 +58,7 @@ import numpy as np
 from repro.cache.config import CacheConfig
 from repro.cache.stats import AccessCounters
 from repro.core.address import PartialSum, partial_add
+from repro.replay.columns import stable_argsort
 
 CONSISTENCY_MODES = ("paper", "evict_hook")
 
@@ -421,7 +422,7 @@ class _LruSide:
     """
 
     def __init__(self, values, distances, p, q):
-        order = np.argsort(values, kind="stable")
+        order = stable_argsort(values)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         self.distances = distances[order]
@@ -463,29 +464,37 @@ class _MabPairs:
         offset_bits, index_bits = config.offset_bits, config.index_bits
         self._offset_bits = offset_bits
         self._index_bits = index_bits
-        lookup = (
-            np.arange(cols.n) if skip is None else np.flatnonzero(~skip)
-        )
-        keys = cols.keys_array(offset_bits, index_bits)[lookup]
-        sets = cols.sets_array(offset_bits, index_bits)[lookup]
+        # Every access looks up, or only those ``skip`` leaves: then the
+        # keys are computed at the lookups alone.
+        if skip is None:
+            lookup = None
+            keys = cols.keys_array(offset_bits, index_bits)
+            sets = cols.sets_array(offset_bits, index_bits)
+        else:
+            lookup = np.flatnonzero(~skip)
+            keys = cols.keys_at(offset_bits, index_bits, lookup)
+            sets = cols.sets_array(offset_bits, index_bits)[lookup]
+            if stores is not None:
+                stores = stores[lookup]
         installs = np.flatnonzero(keys >= 0)
-        self.lookups = len(lookup)
+        self.lookups = len(keys)
         self.bypasses = self.lookups - len(installs)
-        self.stores = (
-            0 if stores is None else int(np.count_nonzero(stores[lookup]))
-        )
+        self.stores = 0 if stores is None else int(np.count_nonzero(stores))
 
         # Pair every installing lookup q with its predecessor p on the
-        # same (key, set); ``earlier`` / ``later`` are their positions.
+        # same (key, set): sorting by set, then stably by key, lines
+        # each pair's lookups up in stream order.  ``earlier`` /
+        # ``later`` are their stream positions.
         k = keys[installs]
         s = sets[installs]
-        pair = (k << index_bits) | s
-        order = np.argsort(pair, kind="stable")
-        same = pair[order[1:]] == pair[order[:-1]]
+        order = stable_argsort(s)
+        order = order[stable_argsort(k[order])]
+        pair = ((k << index_bits) | s)[order]
+        same = pair[1:] == pair[:-1]
         p = installs[order[:-1][same]]
         q = installs[order[1:][same]]
-        self.earlier = lookup[p]
-        self.later = lookup[q]
+        self.earlier = p if lookup is None else lookup[p]
+        self.later = q if lookup is None else lookup[q]
 
         name = f"{stream}{offset_bits}x{index_bits}"
         tag_cap = max(mab.tag_entries for mab in group)
@@ -503,7 +512,7 @@ class _MabPairs:
         self._keys = _LruSide(keys, key_distances, p, q)
         self._sets = _LruSide(sets, set_distances, p, q)
         self.same_way = shared.same_way(self.earlier, self.later)
-        self.stored = None if stores is None else stores[self.later]
+        self.stored = None if stores is None else stores[q]
 
     def resident(self, mab_config: MABConfig) -> np.ndarray:
         """Pairs the paper's rules keep valid, per previous-lookup pair."""

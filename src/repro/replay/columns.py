@@ -18,7 +18,8 @@ depends on:
 * ``tags`` and the narrow-adder ``keys`` depend only on
   ``offset_bits + index_bits`` (the tag boundary), so every cache
   geometry with the same boundary — and every MAB size — shares one
-  array;
+  array (a MAB that skips accesses, like the I side's, takes
+  :meth:`~_ColumnsBase.keys_at` its lookups instead);
 * ``sets`` depends on the full ``(offset_bits, index_bits)`` split;
 * ``lines`` depend only on ``offset_bits``.
 
@@ -43,7 +44,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.cache import _F_EVICTED, _F_HIT, _F_TAG_SHIFT, _F_WAY_SHIFT
+from repro.cache.cache import (
+    _F_EVICTED, _F_HIT, _F_TAG_SHIFT, _F_WAY_FIELD, _F_WAY_SHIFT,
+)
 from repro.cache.write_buffer import WriteBuffer
 from repro.sim.fetch import FetchKind, FetchStream
 from repro.sim.trace import DataTrace
@@ -143,8 +146,10 @@ class SharedPass:
     def same_way(self, earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
         """Whether access ``later[i]`` hits in the way that access
         ``earlier[i]`` resolved."""
-        ways = self.ways
-        return self.hit[later] & (ways[later] == ways[earlier])
+        packed = self.packed
+        return self.hit[later] & (
+            ((packed[later] ^ packed[earlier]) & _F_WAY_FIELD) == 0
+        )
 
     def evicted_between(
         self, sets: np.ndarray, index_bits: int, lines: np.ndarray,
@@ -172,6 +177,21 @@ class SharedPass:
             np.searchsorted(sorted_events, base + earlier, "right")
             < np.searchsorted(sorted_events, base + later, "left")
         )
+
+
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of an integer array.
+
+    NumPy's stable sort of a 16-bit integer array is a radix sort,
+    linear in the length.  Values spanning fewer than 2**16 therefore
+    sort as ``values - min`` cast to ``uint16``, which orders them (and
+    breaks ties) exactly as the values themselves.
+    """
+    if len(values) > 1:
+        low = values.min()
+        if int(values.max()) - int(low) < 1 << 16:
+            return np.argsort((values - low).astype(np.uint16), kind="stable")
+    return np.argsort(values, kind="stable")
 
 
 def lru_distances(values: np.ndarray, cap: int) -> np.ndarray:
@@ -236,7 +256,7 @@ def _level_distances(runs: np.ndarray, cap: int, dtype) -> np.ndarray:
     index = np.int32 if m < np.iinfo(np.int32).max else np.int64
     dist = np.full(m, cap, dtype=dtype)
     # prev: the previous occurrence of each head's value, -2 if none.
-    order = np.argsort(runs, kind="stable").astype(index)
+    order = stable_argsort(runs).astype(index)
     repeat = runs[order[1:]] == runs[order[:-1]]
     prev = np.full(m, -2, dtype=index)
     prev[order[1:][repeat]] = order[:-1][repeat]
@@ -279,16 +299,21 @@ class _ColumnsBase:
     def _compute_sets(self, offset_bits: int, index_bits: int) -> np.ndarray:
         return (self.addr64 >> offset_bits) & ((1 << index_bits) - 1)
 
-    def _compute_keys(self, low_bits: int) -> np.ndarray:
+    def _compute_keys(
+        self, low_bits: int, at: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         # Narrow-adder datapath (paper Figure 3), vectorized: the
-        # packed MAB key per access, -1 marking a large-displacement
-        # bypass.  Depends only on (offset_bits + index_bits), i.e. on
-        # the tag boundary — every MAB size and every cache geometry
-        # with the same boundary shares one key column.
+        # packed MAB key per access (or per access of ``at``), -1
+        # marking a large-displacement bypass.  Depends only on
+        # (offset_bits + index_bits), i.e. on the tag boundary — every
+        # MAB size and every cache geometry with the same boundary
+        # shares one key column.
         low_mask = (1 << low_bits) - 1
         upper_mask = (1 << (32 - low_bits)) - 1
-        base = self.base64
-        d32 = self.disp64 & 0xFFFFFFFF
+        base, disp = self.base64, self.disp64
+        if at is not None:
+            base, disp = base[at], disp[at]
+        d32 = disp & 0xFFFFFFFF
         raw = (base & low_mask) + (d32 & low_mask)
         upper = d32 >> low_bits
         sign = np.where(upper == upper_mask, 1, 0)
@@ -332,6 +357,14 @@ class _ColumnsBase:
             f"keys{low}", "keys_computes",
             lambda: self._compute_keys(low),
         )
+
+    def keys_at(
+        self, offset_bits: int, index_bits: int, at: np.ndarray
+    ) -> np.ndarray:
+        """The narrow-adder keys of the accesses at positions ``at``
+        alone: ``keys_array(...)[at]`` without the full-length column
+        (computed on every call, not kept)."""
+        return self._compute_keys(offset_bits + index_bits, at)
 
     def lines_array(self, offset_bits: int, index_bits: int) -> np.ndarray:
         """Line numbers (``addr >> offset_bits``) per access.

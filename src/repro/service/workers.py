@@ -58,6 +58,36 @@ from repro.service.jobs import JobQueue, Task
 #: How long a stopped/hung subprocess gets between SIGTERM and SIGKILL.
 _KILL_GRACE = 5.0
 
+#: glibc ``mallopt`` parameters (``<malloc.h>``) and the worker's values.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 1 << 30
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _pin_heap() -> None:
+    """Keep a worker's freed memory in its heap until it exits.
+
+    A worker lives for one claim.  Under glibc's defaults each replay
+    group's large NumPy temporaries are mapped and unmapped, or trimmed
+    off the heap top, when freed, and the next group faults the same
+    pages back in, zero-filled by the kernel.  Serving every block
+    below 32 MiB from the heap and trimming only past 1 GiB lets later
+    groups reuse those pages; they return to the system when the worker
+    exits.  Where the C library has no ``mallopt`` (macOS, other libcs)
+    this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
 
 def _subprocess_entry(spec_jsons, pipe) -> None:
     """Worker subprocess body: one claim in, one reply per replay group.
@@ -82,6 +112,7 @@ def _subprocess_entry(spec_jsons, pipe) -> None:
     service ever spawned, not just the parent process's.  A failure
     ends the stream with ``{"error": ..., "metrics": ...}``.
     """
+    _pin_heap()
     # A forked child inherits the parent's registry; drop it so the
     # snapshot shipped back is this worker's own traffic, not a second
     # copy of everything the parent had already counted.

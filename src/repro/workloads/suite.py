@@ -29,13 +29,15 @@ unreadable/garbage archive is ignored and regenerated, so the cache
 can never produce wrong traces — any edit under ``src/repro`` (a
 benchmark generator, the assembler, the ISS, the fetch model) changes
 the fingerprint, so the next load misses and re-runs the program.
-Archives of older code versions stay until deleted.
+Archives of older code versions stay until ``repro store gc``
+(:func:`gc_trace_cache`) deletes them.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import re
 import tempfile
 import zipfile
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.cache.config import DEFAULT_FETCH_BYTES
-from repro.store.fingerprint import code_fingerprint
+from repro.store.fingerprint import FINGERPRINT_LENGTH, code_fingerprint
 
 if TYPE_CHECKING:
     from repro.isa import Program
@@ -289,6 +291,41 @@ def _trace_cache_path(name: str) -> Optional[Path]:
     return directory / f"{safe}-{code_fingerprint()}.npz"
 
 
+#: An archive name, ``<program>-<code fingerprint>.npz``; group 1 is
+#: the fingerprint.
+_ARCHIVE_NAME = re.compile(rf".+-([0-9a-f]{{{FINGERPRINT_LENGTH}}})\.npz")
+
+#: Suffix of the temporary file an archive is written to before its
+#: rename (an interrupted write leaves it behind).
+_TMP_SUFFIX = ".tmp.npz"
+
+
+def gc_trace_cache() -> int:
+    """Delete stale files from the trace cache; returns how many.
+
+    Stale are the archives of other code versions (a fingerprint other
+    than :func:`code_fingerprint` in the name) and the temporary files
+    of interrupted writes.  No other file is touched.
+    """
+    directory = trace_cache_dir()
+    if directory is None or not directory.is_dir():
+        return 0
+    current = code_fingerprint()
+    removed = 0
+    for path in directory.iterdir():
+        match = _ARCHIVE_NAME.fullmatch(path.name)
+        stale = path.name.endswith(_TMP_SUFFIX) or (
+            match is not None and match.group(1) != current
+        )
+        if stale and path.is_file():
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            removed += 1
+    return removed
+
+
 def _load_cached_traces(
     path: Path,
 ) -> Optional[Tuple[ExecutionTrace, FetchStream]]:
@@ -317,7 +354,7 @@ def _store_cached_traces(
         path.parent.mkdir(parents=True, exist_ok=True)
         # numpy appends ".npz" unless the name already ends with it.
         fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp.npz"
+            dir=str(path.parent), suffix=_TMP_SUFFIX
         )
         os.close(fd)
         try:

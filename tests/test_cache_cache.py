@@ -202,19 +202,36 @@ def test_access_fast_batch_defaults_to_loads():
 
 @st.composite
 def _lru2_cases(draw):
-    """A listener-free 2-way LRU cache, a warm-up and a stream."""
+    """A listener-free 2-way LRU cache, a warm-up and a stream.
+
+    The stream is either independent accesses or runs of accesses to
+    one (tag, set), stores anywhere inside a run: with 512 sets and
+    32-bit tags independent accesses almost never repeat a line, and
+    on a stream where a third or more of the accesses do, the kernel
+    sweeps only the first access of each run.
+    """
     sets = draw(st.sampled_from([1, 2, 16, 512]))
     max_tag = draw(st.sampled_from([3, (1 << 32) - 1]))
     writes_on = draw(st.booleans())
+    write = st.booleans() if writes_on else st.just(False)
     access = st.tuples(
-        st.integers(0, max_tag), st.integers(0, sets - 1),
-        st.booleans() if writes_on else st.just(False),
+        st.integers(0, max_tag), st.integers(0, sets - 1), write,
     )
     warm_up = draw(st.sampled_from(["cold", "prefix", "invalidated"]))
     prefix = [] if warm_up == "cold" else draw(
         st.lists(access, max_size=60)
     )
-    accesses = draw(st.lists(access, max_size=200))
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.tuples(
+            st.integers(0, max_tag), st.integers(0, sets - 1),
+            st.lists(write, min_size=1, max_size=6),
+        ), max_size=50))
+        accesses = [
+            (tag, set_index, stores)
+            for tag, set_index, run in runs for stores in run
+        ]
+    else:
+        accesses = draw(st.lists(access, max_size=200))
     return sets, warm_up, prefix, accesses, writes_on
 
 
@@ -228,13 +245,14 @@ def _assert_same_cache(batched, stepped):
 
 
 @given(_lru2_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_access_fast_batch_lru2_kernel_matches_access_fast(case):
     """The vectorized 2-way LRU kernel (no listener attached) equals an
     access_fast loop: packed results, line state, LRU order and the
     four counters, from cold sets, from sets warmed through
     access_fast, and from sets emptied by invalidate_all (which keeps
-    their LRU order, e.g. ``[1, 0]`` with no valid line)."""
+    their LRU order, e.g. ``[1, 0]`` with no valid line), on streams
+    of independent accesses and of same-line runs."""
     sets, warm_up, prefix, accesses, writes_on = case
     config = CacheConfig(size_bytes=64 * sets, ways=2, line_bytes=32)
     batched = SetAssociativeCache(config)

@@ -61,6 +61,10 @@ QUOTES = [
     ("back to back ({}× on the D side, {}× on the I side",
      [("replay.sides.dcache.speedup", 1),
       ("replay.sides.icache.speedup", 1)]),
+    ("it now takes {} minor faults ({} ms, peak RSS {} MiB)",
+     [("worker_claim.minor_faults", 1),
+      ("worker_claim.wall_ms", 1),
+      ("worker_claim.peak_rss_mib", 1)]),
 ]
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import (
     CACHE_SIDES,
@@ -27,7 +29,7 @@ from repro.api import (
 )
 from repro.api.evaluate import simulation_count
 from repro.cache.config import CacheConfig
-from repro.replay.columns import DataColumns
+from repro.replay.columns import DataColumns, stable_argsort
 from repro.replay.engine import plan_groups, replay_counters, replay_specs
 from repro.store import STORE_ENV, default_store, reset_default_stores
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
@@ -321,6 +323,62 @@ def test_columns_memoize_by_dependency_not_geometry():
     tags48 = cols.tags_array(4, 8)
     assert tags48 is tags57
     assert cols.keys_array(4, 8) is cols.keys_array(5, 7)
+
+
+@st.composite
+def _sortable(draw):
+    """int64 arrays, negative values included, whose span (max - min)
+    sits just under, at or just over 2**16, or far from it."""
+    low = draw(st.integers(-(1 << 62), 1 << 62))
+    span = draw(st.sampled_from(
+        [0, 1, 3, (1 << 16) - 2, (1 << 16) - 1, 1 << 16, 1 << 40]
+    ))
+    offsets = draw(st.lists(st.integers(0, span), max_size=300))
+    if offsets and draw(st.booleans()):
+        # Pin the span: both ends present, somewhere in the array.
+        offsets[draw(st.integers(0, len(offsets) - 1))] = 0
+        offsets.append(span)
+        offsets = draw(st.permutations(offsets))
+    return np.array(offsets, dtype=np.int64) + low
+
+
+@given(_sortable())
+@example(np.array([], dtype=np.int64))
+@example(np.array([-3], dtype=np.int64))
+@example(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]))
+@settings(max_examples=200, deadline=None)
+def test_stable_argsort_equals_numpy_stable_argsort(values):
+    """The radix-sorting helper is ``np.argsort(kind="stable")``: the
+    same permutation, ties in stream order, at every span, on empty and
+    one-element arrays, and on a span past int64's range."""
+    expected = np.argsort(values, kind="stable")
+    assert stable_argsort(values).tolist() == expected.tolist()
+
+
+def test_icache_way_memo_computes_keys_at_its_lookups_only():
+    """An I-side MAB skips intra-line fetches, so its group computes
+    the narrow-adder keys at its lookups alone and keeps no
+    full-length key column; the D side, where every access looks up,
+    keeps one."""
+    from repro.api.registry import get_architecture
+    from repro.replay.columns import column_stats, reset_column_stats
+
+    streams = {
+        "dcache": synthetic_data_trace(num_accesses=512, seed=21),
+        "icache": synthetic_fetch_stream(num_blocks=64, seed=21),
+    }
+    for side, keys in (("dcache", 1), ("icache", 0)):
+        info = get_architecture(side, "way-memo")
+        built = [
+            info.build({"tag_entries": 2, "index_entries": ns})
+            for ns in (8, 16, 32)
+        ]
+        reset_column_stats()
+        grouped = replay_counters(built, streams[side])
+        assert column_stats()["keys_computes"] == keys, side
+        for controller, counters in zip(built, grouped):
+            expected = controller.process_reference(streams[side])
+            assert counters.as_dict() == expected.as_dict(), side
 
 
 def test_way_memo_sweep_group_splits_columns_once():

@@ -345,6 +345,69 @@ def test_group_reply_beyond_the_pipe_buffer_completes(tmp_path):
     assert elapsed < 30.0, "the batch stalled until the task timeout"
 
 
+def test_worker_heap_pin_is_a_noop_without_mallopt(monkeypatch):
+    """Where the C library has no ``mallopt`` (macOS, other libcs), or
+    none can be opened, the worker keeps the allocator's defaults."""
+    import ctypes
+
+    from repro.service import workers
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    workers._pin_heap()
+
+    def unavailable(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", unavailable)
+    workers._pin_heap()
+
+
+def test_worker_heap_pin_sets_both_glibc_thresholds(monkeypatch):
+    """Under glibc the worker serves blocks below 32 MiB from its heap
+    and trims it only past 1 GiB."""
+    import ctypes
+
+    from repro.service import workers
+
+    calls = []
+
+    class LibC:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: LibC())
+    workers._pin_heap()
+    assert sorted(calls) == [(-3, 32 << 20), (-1, 1 << 30)]
+
+
+def test_one_spec_claim_through_the_worker_entry_answers_same_bytes():
+    """A forked worker, its heap pinned, answers a one-spec claim with
+    the bytes an in-process evaluation gives."""
+    import multiprocessing
+
+    from repro.service.workers import _subprocess_entry
+
+    spec = RunSpec(cache="icache", arch="way-memo-2x16", workload=TINY_I)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(
+        target=_subprocess_entry, args=((spec.to_json(),), sender)
+    )
+    worker.start()
+    sender.close()
+    try:
+        reply = receiver.recv()
+    finally:
+        receiver.close()
+        worker.join(30.0)
+    assert worker.exitcode == 0
+    assert reply["indices"] == [0]
+    local = evaluate_many([spec], workers=1, use_cache=False)
+    assert reply["results"] == [local[0].to_json()]
+
+
 # ----------------------------------------------------------------------
 # async jobs
 # ----------------------------------------------------------------------

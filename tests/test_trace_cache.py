@@ -147,3 +147,30 @@ def test_default_cache_dir_honours_xdg(monkeypatch):
     monkeypatch.delenv(suite.TRACE_CACHE_ENV, raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", "/some/cache")
     assert str(suite.trace_cache_dir()) == "/some/cache/repro-traces"
+
+
+def test_store_gc_removes_stale_archives_and_leftover_temp_files(
+    cache_dir, tmp_path_factory, monkeypatch, capsys
+):
+    """``repro store gc`` deletes exactly the archives of other code
+    versions and the temporary files of interrupted writes."""
+    from repro.cli import main as cli_main
+    from repro.store import STORE_ENV, reset_default_stores
+
+    stale = cache_dir / "dct-0123456789abcdef.npz"
+    current = cache_dir / f"dct-{code_fingerprint()}.npz"
+    leftover = cache_dir / "tmpk2x9q1.tmp.npz"
+    unrelated = cache_dir / "notes-0123456789abcdef.txt"
+    for path in (stale, current, leftover, unrelated):
+        path.write_bytes(b"x")
+    store_dir = tmp_path_factory.mktemp("store")
+    monkeypatch.setenv(STORE_ENV, str(store_dir / "results.sqlite"))
+    reset_default_stores()
+    try:
+        assert cli_main(["store", "gc"]) == 0
+    finally:
+        reset_default_stores()
+    assert "removed 2 stale trace archive(s)" in capsys.readouterr().out
+    assert sorted(path.name for path in cache_dir.iterdir()) == sorted(
+        [current.name, unrelated.name]
+    )
