@@ -30,8 +30,8 @@ The report schema::
       "speedup": {<name>: seed / current, ...},
       "baseline_speedup_vs_reference": {<arch>: reference / fast, ...},
       "replay": {...grouped replay, derived designs, way-memo grid...},
-      "sweep_2way": {<side>: {"accesses", "batch_us", "loop_us",
-                              "speedup"}, ...},
+      "sweep_2way": {<leg>: {"accesses", "batch_us", "loop_us",
+                             "speedup"}, ...},
       "worker_claim": {"specs", "runs", "wall_ms", "minor_faults",
                        "peak_rss_mib"}
     }
@@ -72,6 +72,8 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from repro.api.parallel import warm_trace_cache
 from repro.api.registry import architectures, get_architecture
 from repro.api.spec import RunSpec
@@ -84,6 +86,7 @@ from repro.replay.columns import columns_for_stream
 from repro.replay.engine import derive_counters
 from repro.service.workers import _subprocess_entry
 from repro.sim import run_program
+from repro.sim.trace import DataTrace
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
 
 #: Seed-tree timings (mean microseconds) of the identical measurement
@@ -441,15 +444,30 @@ def measure_replay(quick: bool) -> dict:
     return out
 
 
+def line_runs(trace: DataTrace) -> DataTrace:
+    """``trace`` with every access repeated once, the repeat a load but
+    for every third, a store: half the accesses repeat the line of the
+    access before them, and a sixth are stores inside such runs."""
+    store = np.repeat(trace.store, 2)
+    store[1::2] = False
+    store[1::6] = True
+    return DataTrace(
+        np.repeat(trace.base, 2), np.repeat(trace.disp, 2), store
+    )
+
+
 def measure_sweep(quick: bool) -> dict:
     """The shared 2-way LRU sweep vs a per-access ``access_fast`` loop.
 
-    Both legs replay the same columns of the synthetic D and I streams
-    through a fresh FR-V cache, built before timing, in the same
-    process: ``access_fast_batch`` takes the numpy columns as they are
-    (the vectorized kernel), the loop walks them as Python lists built
-    before timing too.  The ratio is machine-independent, so CI can put
-    a floor under it; the streams stay full-size under ``--quick``.
+    Both legs replay the same columns through a fresh FR-V cache, built
+    before timing, in the same process: ``access_fast_batch`` takes the
+    numpy columns as they are (the vectorized kernel), the loop walks
+    them as Python lists built before timing too.  The streams are the
+    synthetic D and I streams, whose D side barely repeats a line, and
+    the D stream's :func:`line_runs` (``dcache_runs``), which takes the
+    sweep's run collapse with stores in the runs.  The ratio is
+    machine-independent, so CI can put a floor under it; the streams
+    stay full-size under ``--quick``.
     """
     from repro.cache.cache import SetAssociativeCache
     from repro.cache.config import FRV_DCACHE, FRV_ICACHE
@@ -457,10 +475,13 @@ def measure_sweep(quick: bool) -> dict:
 
     repeats = 3 if quick else 5
     streams = synthetic_streams(20_000, 3_000)
-    configs = {"dcache": FRV_DCACHE, "icache": FRV_ICACHE}
+    legs = {
+        "dcache": (FRV_DCACHE, streams["dcache"]),
+        "icache": (FRV_ICACHE, streams["icache"]),
+        "dcache_runs": (FRV_DCACHE, line_runs(streams["dcache"])),
+    }
     out = {}
-    for side, stream in streams.items():
-        config = configs[side]
+    for leg, (config, stream) in legs.items():
         cols = columns_for_stream(stream)
         tags = cols.tags_array(config.offset_bits, config.index_bits)
         sets = cols.sets_array(config.offset_bits, config.index_bits)
@@ -483,7 +504,7 @@ def measure_sweep(quick: bool) -> dict:
             lambda cache: cache.access_fast_batch(tags, sets, writes)
         )
         loop_us = timed(loop)
-        out[side] = {
+        out[leg] = {
             "accesses": cols.n,
             "batch_us": round(batch_us, 1),
             "loop_us": round(loop_us, 1),
@@ -594,8 +615,8 @@ def check_equivalence() -> None:
     }
     for info in architectures():
         stream = streams[info.side]
-        fast = info.build().process(stream).as_dict()
-        reference = info.build().process_reference(stream).as_dict()
+        fast = info.build().process(stream)
+        reference = info.build().process_reference(stream)
         if fast != reference:
             raise AssertionError(
                 f"{info.side} {info.id} fast/reference divergence:\n"
@@ -645,8 +666,8 @@ def append_history(report: dict, path: Path) -> None:
             report["replay"]["stateful_speedup"],
         "replay_grid_speedup": report["replay"]["grid_speedup"],
         "sweep_2way_speedup": {
-            side: entry["speedup"]
-            for side, entry in report["sweep_2way"].items()
+            leg: entry["speedup"]
+            for leg, entry in report["sweep_2way"].items()
         },
         "worker_claim": {
             key: report["worker_claim"][key]
@@ -756,8 +777,8 @@ def main(argv=None) -> int:
         f"peak RSS {claim['peak_rss_mib']} MiB"
     )
     print("shared 2-way LRU sweep vs per-access access_fast loop:")
-    for side, entry in sorted(sweep.items()):
-        print(f"  {side:28s} {entry['batch_us']:12,.1f} us  "
+    for leg, entry in sorted(sweep.items()):
+        print(f"  {leg:28s} {entry['batch_us']:12,.1f} us  "
               f"({entry['speedup']}x vs loop {entry['loop_us']:,.1f} us, "
               f"{entry['accesses']} accesses)")
     return 0

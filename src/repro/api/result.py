@@ -30,21 +30,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from repro.cache.stats import AccessCounters
+from repro.cache.stats import COUNTER_FIELDS, AccessCounters
 from repro.energy import PowerBreakdown
 
 from repro.api.spec import RunSpec
 
 #: Version of the serialized result layout.
 RESULT_SCHEMA_VERSION = 1
-
-#: The raw integer fields of AccessCounters, in serialization order.
-COUNTER_FIELDS = (
-    "accesses", "tag_accesses", "way_accesses", "cache_hits",
-    "cache_misses", "loads", "stores", "mab_lookups", "mab_hits",
-    "mab_bypasses", "stale_hits", "aux_accesses", "extra_cycles",
-    "intra_line_hits",
-)
 
 
 @dataclass(frozen=True)

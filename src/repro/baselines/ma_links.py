@@ -32,10 +32,11 @@ from its results without replaying the link tables at all.  A link
 consult at access ``i`` hits iff the most recent prior consult ``m``
 with the same (source line, kind) key targeted the same line and
 neither that target line nor the source line was evicted strictly
-between ``m`` and ``i`` — the previous-consult structure falls out of
-a stable sort by key (the way-prediction trick), and the eviction
-windows out of a ``searchsorted`` over the shared pass's packed
-eviction events.
+between ``m`` and ``i`` — :func:`~repro.replay.columns.repeat_pairs`
+of the consult keys pairs each consult with its predecessor (as it
+pairs a way-predicting access with its set's previous one), and
+:meth:`~repro.replay.columns.SharedPass.evicted_between` answers the
+eviction windows from the shared pass's eviction events.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.columns import FetchColumns, SharedPass
+from repro.replay.columns import FetchColumns, SharedPass, repeat_pairs
 from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchKind, FetchStream
 
@@ -213,26 +214,14 @@ def ma_links_counters(
     consult = ~intra & (is_seq | is_branch)
     consult[0] = False  # no previous line to link from
 
-    # Most recent prior consult with the same (source line, kind)
-    # key: stable-sort the consult subset by key, then the
-    # predecessor within each equal-key group is the answer.
+    # Each consult ``cand`` paired with the most recent prior consult
+    # ``mm`` with the same (source line, kind) key.
     prev_line = np.empty(n, dtype=np.int64)
     prev_line[0] = -1
     prev_line[1:] = lines[:-1]
     ci = np.flatnonzero(consult)
-    keys = prev_line[ci] * 2 + is_branch[ci]
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    idx_sorted = ci[order]
-    prev_consult = np.full(len(ci), -1, dtype=np.int64)
-    if len(ci) > 1:
-        same = keys_sorted[1:] == keys_sorted[:-1]
-        prev_consult[1:] = np.where(same, idx_sorted[:-1], -1)
-    m_of = np.full(n, -1, dtype=np.int64)
-    m_of[idx_sorted] = prev_consult
-
-    cand = np.flatnonzero(m_of >= 0)
-    mm = m_of[cand]
+    earlier, later = repeat_pairs(prev_line[ci] * 2 + is_branch[ci])
+    cand, mm = ci[later], ci[earlier]
     same_target = lines[mm] == lines[cand]
     cand = cand[same_target]
     mm = mm[same_target]

@@ -8,14 +8,14 @@ performance loss the paper's MAB technique avoids.
 
 The prediction table never influences which line the cache loads —
 every access touches the cache exactly once — so the fast path derives
-the MRU table's behaviour from the packed (hit, way) results of the
-replay engine's shared :meth:`SetAssociativeCache.access_fast_batch`
-sweep *without any per-access loop* (:func:`way_prediction_counters`): a
-stable sort groups accesses by set, so each access's predicted way is
-simply the previous resident way *within its set group* — numpy shifts
-and a segment-boundary mask replace the MRU table evolution entirely.
-:meth:`process_reference` keeps the per-access object-API loop as the
-executable specification.
+the MRU table's behaviour from the replay engine's shared
+:meth:`SetAssociativeCache.access_fast_batch` sweep *without any
+per-access loop* (:func:`way_prediction_counters`): an access's
+predicted way is the way its set's previous access resolved, so
+:func:`~repro.replay.columns.repeat_pairs` of the set column pairs each
+access with that predecessor, and a prediction is correct iff the
+sweep hits in the predecessor's way.  :meth:`process_reference` keeps
+the per-access object-API loop as the executable specification.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.replay.columns import SharedPass
+from repro.replay.columns import SharedPass, repeat_pairs
 from repro.replay.engine import Controller, DesignPoint, fast_path
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
@@ -80,35 +80,19 @@ def way_prediction_counters(
     """Derive the MRU table's behaviour from the shared results.
 
     The prediction for an access is the resident way of the previous
-    access *to the same set* (or the fresh table's way 0 for a set's
-    first access).  A stable sort by set index makes that neighbour
-    adjacent, so the whole derivation is numpy shifts and boolean
-    reductions; no per-access loop.
+    access *to the same set*.  A set's first access reads the fresh
+    table's way 0, but it always misses in the fresh shadow cache, so
+    only the accesses with a same-set predecessor can predict right.
     """
     counters = AccessCounters()
     config = point.cache
     nways = config.ways
     n = cols.n
-    if n == 0:
-        cols.apply_load_store(counters)
-        return counters
-    sets = cols.sets_array(config.offset_bits, config.index_bits)
-
-    order = np.argsort(sets, kind="stable")
-    s_sorted = sets[order]
-    w_sorted = shared.ways[order]
-    h_sorted = shared.hit[order]
-    boundary = s_sorted[1:] != s_sorted[:-1]
-
-    # Predicted way = previous resident way within the set group;
-    # group heads read the fresh MRU table's way 0.
-    predicted = np.zeros(n, dtype=np.int64)
-    predicted[1:] = w_sorted[:-1]
-    predicted[1:][boundary] = 0
-
+    earlier, later = repeat_pairs(
+        cols.sets_array(config.offset_bits, config.index_bits)
+    )
     # Second phase fires on every miss and every mispredicted hit.
-    correct = h_sorted & (predicted == w_sorted)
-    second = n - int(correct.sum())
+    second = n - int(np.count_nonzero(shared.same_way(earlier, later)))
     hits = shared.hit_count
     misses = n - hits
 

@@ -83,6 +83,21 @@ _F_WRITEBACK = 1 << 10
 _F_TAG_SHIFT = 11
 
 
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of an integer array.
+
+    NumPy's stable sort of a 16-bit integer array is a radix sort,
+    linear in the length.  Values spanning fewer than 2**16 therefore
+    sort as ``values - min`` cast to ``uint16``, which orders them (and
+    breaks ties) exactly as the values themselves.
+    """
+    if len(values) > 1:
+        low = values.min()
+        if int(values.max()) - int(low) < 1 << 16:
+            return np.argsort((values - low).astype(np.uint16), kind="stable")
+    return np.argsort(values, kind="stable")
+
+
 class SetAssociativeCache:
     """A write-back, write-allocate set-associative cache model."""
 
@@ -307,8 +322,7 @@ class SetAssociativeCache:
         """
         n = len(tags)
         ctags, cdirty, clru = self._tags, self._dirty, self._lru
-        nsets = len(ctags)
-        touched = np.flatnonzero(np.bincount(sets, minlength=nsets))
+        touched = np.flatnonzero(np.bincount(sets, minlength=len(ctags)))
         touched_list = touched.tolist()
         rows = np.arange(len(touched))
         state = np.fromiter(
@@ -335,12 +349,9 @@ class SetAssociativeCache:
             (lru_tag[has_lru], mru_tag[has_mru], tags)
         )
 
-        # Stable sort by set (a radix sort on 16-bit keys): each set's
-        # chain in stream order, pseudo accesses first.
-        if nsets <= 1 << 16:
-            by_set = np.argsort(all_sets.astype(np.uint16), kind="stable")
-        else:
-            by_set = np.argsort(all_sets, kind="stable")
+        # Stable sort by set: each set's chain in stream order, pseudo
+        # accesses first.
+        by_set = stable_argsort(all_sets)
         chain_sets = all_sets[by_set]
         chain_tags = all_tags[by_set]
         m = len(by_set)

@@ -10,6 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: The raw integer fields of :class:`AccessCounters`, in serialization
+#: order (``notes`` is the one other field).
+COUNTER_FIELDS = (
+    "accesses", "tag_accesses", "way_accesses", "cache_hits",
+    "cache_misses", "loads", "stores", "mab_lookups", "mab_hits",
+    "mab_bypasses", "stale_hits", "aux_accesses", "extra_cycles",
+    "intra_line_hits",
+)
+
 
 @dataclass
 class AccessCounters:
@@ -85,25 +94,6 @@ class AccessCounters:
     def merge(self, other: "AccessCounters") -> "AccessCounters":
         """Element-wise sum (for aggregating multiple traces)."""
         merged = AccessCounters()
-        for name in (
-            "accesses", "tag_accesses", "way_accesses", "cache_hits",
-            "cache_misses", "loads", "stores", "mab_lookups", "mab_hits",
-            "mab_bypasses", "stale_hits", "aux_accesses", "extra_cycles",
-            "intra_line_hits",
-        ):
+        for name in COUNTER_FIELDS:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
         return merged
-
-    def as_dict(self) -> dict:
-        return {
-            "accesses": self.accesses,
-            "tag_accesses": self.tag_accesses,
-            "way_accesses": self.way_accesses,
-            "tags_per_access": self.tags_per_access,
-            "ways_per_access": self.ways_per_access,
-            "cache_hit_rate": self.cache_hit_rate,
-            "mab_hit_rate": self.mab_hit_rate,
-            "mab_bypasses": self.mab_bypasses,
-            "stale_hits": self.stale_hits,
-            "extra_cycles": self.extra_cycles,
-        }

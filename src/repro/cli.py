@@ -56,9 +56,9 @@ Subcommands
 ``repro store {stats,gc,export,import}``
     Inspect / reclaim / dump / merge the persistent result store
     (``$REPRO_RESULT_STORE``).  ``gc`` also deletes the trace
-    archives of older code versions, and takes ``--max-rows`` /
-    ``--max-age`` for least-recently-used eviction; ``import`` merges
-    another store's ``export`` archive.
+    archives and the job-queue rows of older code versions, and takes
+    ``--max-rows`` / ``--max-age`` for least-recently-used eviction;
+    ``import`` merges another store's ``export`` archive.
 """
 
 from __future__ import annotations
@@ -362,6 +362,9 @@ def _jobs_command(
 
 def _store_command(args) -> int:
     """``repro store {stats,gc,export,import}`` on the resolved store."""
+    import sqlite3
+
+    from repro.service.jobs import JobQueue, job_db_path
     from repro.store import default_store, store_path
     from repro.workloads.suite import gc_trace_cache, trace_cache_dir
 
@@ -395,6 +398,17 @@ def _store_command(args) -> int:
         if directory is not None:
             print(f"removed {gc_trace_cache()} stale trace archive(s) "
                   f"from {directory}")
+        queue_path = job_db_path()
+        if queue_path.exists():
+            try:
+                pruned = JobQueue(queue_path).gc()
+            except sqlite3.Error as exc:
+                print(f"cannot prune {queue_path}: {exc}", file=sys.stderr)
+                return 1
+            print(f"removed {pruned} job and task row(s) of older code "
+                  f"versions from {queue_path}" if pruned is not None else
+                  f"kept every row of {queue_path}: tasks of another code "
+                  f"version are still pending or running")
         return 0
     if command == "export":
         output = args.output
@@ -761,9 +775,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats", help="entry counts, file size, process hit/miss"
     )
     gc_parser = store_sub.add_parser(
-        "gc", help="drop rows and trace archives from older code "
-                   "versions / schemas (plus LRU eviction with "
-                   "--max-rows / --max-age)"
+        "gc", help="drop rows, trace archives and job-queue rows from "
+                   "older code versions / schemas (plus LRU eviction "
+                   "with --max-rows / --max-age)"
     )
     gc_parser.add_argument(
         "--max-rows", type=int, default=None, metavar="N",

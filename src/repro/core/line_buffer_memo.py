@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.cache.cache import _F_EVICTED, _F_TAG_SHIFT, SetAssociativeCache
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.line_buffer import LineBuffer
 from repro.cache.replacement import make_policy
@@ -59,13 +59,12 @@ def buffer_hits(
     np.equal(lines[1:], lines[:-1], out=hits[1:])
     if entries > 1:
         heads = np.flatnonzero(~hits)
-        packed = shared.packed[heads]
-        sets = cols.sets_array(config.offset_bits, config.index_bits)
-        evicted = np.where(
-            packed & _F_EVICTED,
-            config.join(packed >> _F_TAG_SHIFT, sets[heads]),
-            -1,
+        at, lost = shared.evictions(
+            cols.sets_array(config.offset_bits, config.index_bits),
+            config.index_bits,
         )
+        evicted = np.full(len(heads), -1, dtype=np.int64)
+        evicted[np.searchsorted(heads, at)] = lost << config.offset_bits
         buffer = LineBuffer(config, entries)
         served = []
         for addr, gone in zip(

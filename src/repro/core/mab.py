@@ -55,10 +55,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.cache import stable_argsort
 from repro.cache.config import CacheConfig
 from repro.cache.stats import AccessCounters
 from repro.core.address import PartialSum, partial_add
-from repro.replay.columns import stable_argsort
+from repro.replay.columns import repeat_pairs
 
 CONSISTENCY_MODES = ("paper", "evict_hook")
 
@@ -482,17 +483,12 @@ class _MabPairs:
         self.stores = 0 if stores is None else int(np.count_nonzero(stores))
 
         # Pair every installing lookup q with its predecessor p on the
-        # same (key, set): sorting by set, then stably by key, lines
-        # each pair's lookups up in stream order.  ``earlier`` /
-        # ``later`` are their stream positions.
+        # same (key, set).  ``earlier`` / ``later`` are their stream
+        # positions.
         k = keys[installs]
         s = sets[installs]
-        order = stable_argsort(s)
-        order = order[stable_argsort(k[order])]
-        pair = ((k << index_bits) | s)[order]
-        same = pair[1:] == pair[:-1]
-        p = installs[order[:-1][same]]
-        q = installs[order[1:][same]]
+        p, q = repeat_pairs(k, s)
+        p, q = installs[p], installs[q]
         self.earlier = p if lookup is None else lookup[p]
         self.later = q if lookup is None else lookup[q]
 

@@ -45,7 +45,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.cache import (
-    _F_EVICTED, _F_HIT, _F_TAG_SHIFT, _F_WAY_FIELD, _F_WAY_SHIFT,
+    _F_EVICTED, _F_HIT, _F_TAG_SHIFT, _F_WAY_FIELD, stable_argsort,
 )
 from repro.cache.write_buffer import WriteBuffer
 from repro.sim.fetch import FetchKind, FetchStream
@@ -89,14 +89,14 @@ class SharedPass:
     together with the group of ``members`` deriving from it.  The
     sweep itself runs on the first read of :attr:`packed`, so a group
     whose members never read it (a filter cache, which walks its own
-    L1 stream) pays for none.  The hit vector, the hit count and
-    anything the members :meth:`memo`-ize are derived lazily and
-    shared too.
+    L1 stream) pays for none.  The hit vector, the hit count, the
+    eviction events and anything the members :meth:`memo`-ize are
+    derived lazily and shared too.  The members read the sweep through
+    these accessors alone: this class is the one place outside the
+    cache model that decodes the packed bit layout.
     """
 
-    __slots__ = (
-        "members", "_sweep", "_packed", "_hit", "_hit_count", "_memo",
-    )
+    __slots__ = ("members", "_sweep", "_packed", "_memo")
 
     def __init__(
         self, sweep: Callable[[], np.ndarray], members: Sequence = ()
@@ -104,8 +104,6 @@ class SharedPass:
         self.members = tuple(members)
         self._sweep = sweep
         self._packed: Optional[np.ndarray] = None
-        self._hit: Optional[np.ndarray] = None
-        self._hit_count: Optional[int] = None
         self._memo: Dict[str, object] = {}
 
     @property
@@ -119,21 +117,11 @@ class SharedPass:
     @property
     def hit(self) -> np.ndarray:
         """Boolean hit vector (packed bit 0), one entry per access."""
-        if self._hit is None:
-            self._hit = (self.packed & _F_HIT) == _F_HIT
-        return self._hit
+        return self.memo("hit", lambda: (self.packed & _F_HIT) == _F_HIT)
 
     @property
     def hit_count(self) -> int:
-        if self._hit_count is None:
-            self._hit_count = int(self.hit.sum())
-        return self._hit_count
-
-    @property
-    def ways(self) -> np.ndarray:
-        """Resident way per access (packed bits 1-8): the hit way on
-        a hit, the fill way on a miss."""
-        return (self.packed >> _F_WAY_SHIFT) & 0xFF
+        return self.memo("hit-count", lambda: int(self.hit.sum()))
 
     def memo(self, key: str, compute: Callable[[], object]) -> object:
         """A value every member of the group derives alike, computed
@@ -151,6 +139,21 @@ class SharedPass:
             ((packed[later] ^ packed[earlier]) & _F_WAY_FIELD) == 0
         )
 
+    def evictions(
+        self, sets: np.ndarray, index_bits: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The sweep's eviction events: the positions of the accesses
+        that evict a line, in stream order, and the line each evicts
+        (``tag << index_bits | set``); ``sets`` is the sweep's set
+        column."""
+
+        def events() -> Tuple[np.ndarray, np.ndarray]:
+            packed = self.packed
+            at = np.flatnonzero(packed & _F_EVICTED)
+            return at, ((packed[at] >> _F_TAG_SHIFT) << index_bits) | sets[at]
+
+        return self.memo(f"evictions{index_bits}", events)
+
     def evicted_between(
         self, sets: np.ndarray, index_bits: int, lines: np.ndarray,
         earlier: np.ndarray, later: np.ndarray,
@@ -165,13 +168,11 @@ class SharedPass:
         """
         span = len(self.packed)
 
-        def events() -> np.ndarray:
-            packed = self.packed
-            at = np.flatnonzero(packed & _F_EVICTED)
-            evicted = ((packed[at] >> _F_TAG_SHIFT) << index_bits) | sets[at]
+        def keys() -> np.ndarray:
+            at, evicted = self.evictions(sets, index_bits)
             return np.sort(evicted * span + at)
 
-        sorted_events = self.memo(f"evictions{index_bits}", events)
+        sorted_events = self.memo(f"eviction-keys{index_bits}", keys)
         base = lines * span
         return (
             np.searchsorted(sorted_events, base + earlier, "right")
@@ -179,19 +180,24 @@ class SharedPass:
         )
 
 
-def stable_argsort(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` of an integer array.
+def repeat_pairs(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each element paired with the latest earlier element whose key
+    tuple, one value from each of the equal-length ``columns``, is
+    equal: the index arrays ``(earlier, later)``.
 
-    NumPy's stable sort of a 16-bit integer array is a radix sort,
-    linear in the length.  Values spanning fewer than 2**16 therefore
-    sort as ``values - min`` cast to ``uint16``, which orders them (and
-    breaks ties) exactly as the values themselves.
+    A stable sort by the key tuple, one :func:`stable_argsort` pass per
+    column from the last to the first, lines each key's elements up in
+    stream order, so the pairs are the sorted neighbours with equal
+    keys, listed in that sorted order.
     """
-    if len(values) > 1:
-        low = values.min()
-        if int(values.max()) - int(low) < 1 << 16:
-            return np.argsort((values - low).astype(np.uint16), kind="stable")
-    return np.argsort(values, kind="stable")
+    order = stable_argsort(columns[-1])
+    for column in reversed(columns[:-1]):
+        order = order[stable_argsort(column[order])]
+    same = True
+    for column in columns:
+        ranked = column[order]
+        same = same & (ranked[1:] == ranked[:-1])
+    return order[:-1][same], order[1:][same]
 
 
 def lru_distances(values: np.ndarray, cap: int) -> np.ndarray:
@@ -256,11 +262,10 @@ def _level_distances(runs: np.ndarray, cap: int, dtype) -> np.ndarray:
     index = np.int32 if m < np.iinfo(np.int32).max else np.int64
     dist = np.full(m, cap, dtype=dtype)
     # prev: the previous occurrence of each head's value, -2 if none.
-    order = stable_argsort(runs).astype(index)
-    repeat = runs[order[1:]] == runs[order[:-1]]
+    earlier, later = repeat_pairs(runs)
     prev = np.full(m, -2, dtype=index)
-    prev[order[1:][repeat]] = order[:-1][repeat]
-    del order, repeat
+    prev[later] = earlier
+    del earlier, later
     # The heads at distance >= C, with prev and last_C of each.
     alive = np.arange(m, dtype=index)
     last = alive - 1

@@ -37,6 +37,7 @@ claimed, else ``pending``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import secrets
@@ -45,7 +46,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.result import RESULT_SCHEMA_VERSION
 from repro.api.spec import RunSpec
@@ -152,6 +153,18 @@ class JobQueue:
         conn.executescript(_SCHEMA)
         return conn
 
+    @contextlib.contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """A connection inside ``BEGIN IMMEDIATE``, committed when the
+        block ends and rolled back if it raises."""
+        conn = self._connect()
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            yield conn
+            conn.execute("COMMIT")
+        finally:
+            conn.close()
+
     def _address(self) -> Tuple[int, str]:
         return RESULT_SCHEMA_VERSION, self.fingerprint
 
@@ -181,9 +194,7 @@ class JobQueue:
         job_id = secrets.token_hex(8)
         now = time.time()
         prefilled = prefilled or {}
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._transaction() as conn:
             conn.execute(
                 "INSERT INTO jobs (job_id, created_at, result_schema,"
                 " fingerprint, spec_keys) VALUES (?, ?, ?, ?, ?)",
@@ -199,9 +210,6 @@ class JobQueue:
                      DONE if document is not None else PENDING,
                      document, now),
                 )
-            conn.execute("COMMIT")
-        finally:
-            conn.close()
         telemetry.counter(
             "repro_queue_jobs_submitted_total",
             "Jobs accepted by the durable queue.",
@@ -270,9 +278,7 @@ class JobQueue:
         """
         schema, fingerprint = self._address()
         now = time.time()
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._transaction() as conn:
             rows = conn.execute(
                 "SELECT spec_key, attempts, state FROM tasks"
                 " WHERE result_schema = ? AND fingerprint = ?"
@@ -282,7 +288,6 @@ class JobQueue:
                 (schema, fingerprint, PENDING, now, RUNNING, now),
             ).fetchall()
             if not rows:
-                conn.execute("COMMIT")
                 return []
             first_key, first_attempts, _ = rows[0]
             group = self._replay_group_key(first_key)
@@ -305,11 +310,8 @@ class JobQueue:
                      spec_key, schema, fingerprint),
                 )
                 claimed.append(Task(spec_key, attempts + 1))
-            conn.execute("COMMIT")
-            self._count_claims([state for _, _, state in selected])
-            return claimed
-        finally:
-            conn.close()
+        self._count_claims([state for _, _, state in selected])
+        return claimed
 
     @classmethod
     def _guided_share(cls, rows: Sequence[tuple], workers: int) -> list:
@@ -375,9 +377,7 @@ class JobQueue:
         not_before: float = 0.0,
     ) -> None:
         schema, fingerprint = self._address()
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._transaction() as conn:
             conn.executemany(
                 "UPDATE tasks SET state = ?, result_json = ?,"
                 " error = ?, lease_deadline = NULL, not_before = ?"
@@ -387,9 +387,6 @@ class JobQueue:
                   task.spec_key, schema, fingerprint)
                  for task, result_json in zip(tasks, result_jsons)],
             )
-            conn.execute("COMMIT")
-        finally:
-            conn.close()
         with self._task_done:
             self._finished += 1
             self._task_done.notify_all()
@@ -406,9 +403,7 @@ class JobQueue:
         dead-lettering.  Returns the number of tasks re-queued.
         """
         schema, fingerprint = self._address()
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._transaction() as conn:
             requeued = conn.execute(
                 "UPDATE tasks SET state = ?, lease_deadline = NULL"
                 " WHERE state = ? AND result_schema = ?"
@@ -425,12 +420,30 @@ class JobQueue:
                 " AND fingerprint = ?",
                 (FAILED, RUNNING, schema, fingerprint),
             )
-            conn.execute("COMMIT")
-        finally:
-            conn.close()
         if requeued:
             self.work_available.set()
         return requeued
+
+    def gc(self) -> Optional[int]:
+        """Delete, in one transaction, every job and task row of another
+        result schema or code fingerprint (no query of this code reaches
+        them); returns how many.  While any such task is pending or
+        running, a server running that code may still use the file, so
+        nothing is deleted and the answer is None."""
+        other = "(result_schema != ? OR fingerprint != ?)"
+        address = self._address()
+        with self._transaction() as conn:
+            if conn.execute(
+                f"SELECT COUNT(*) FROM tasks WHERE {other}"
+                " AND state IN (?, ?)", (*address, PENDING, RUNNING),
+            ).fetchone()[0]:
+                return None
+            return sum(
+                conn.execute(
+                    f"DELETE FROM {table} WHERE {other}", address
+                ).rowcount
+                for table in ("jobs", "tasks")
+            )
 
     # -- read side -----------------------------------------------------
 

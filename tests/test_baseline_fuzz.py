@@ -25,12 +25,12 @@ import pytest
 
 from repro.baselines import OriginalDCache, OriginalICache
 from repro.cache.config import CacheConfig
+from repro.cache.stats import COUNTER_FIELDS
 from repro.sim.fetch import FetchStream
 from repro.sim.trace import DataTrace
 from repro.workloads import synthetic_fetch_stream, synthetic_kinds
 
 from test_fastpath_differential import (
-    COUNTER_FIELDS,
     DESIGNS,
     assert_cache_state_equal,
     assert_counters_equal,
@@ -490,7 +490,7 @@ def test_every_design_matches_reference_on_an_empty_stream():
         for name, factory in factories.items():
             got = factory().process(stream)
             expected = factory().process_reference(stream)
-            assert got.as_dict() == expected.as_dict(), (side, name)
+            assert got == expected, (side, name)
 
 
 # ----------------------------------------------------------------------

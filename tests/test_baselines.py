@@ -217,9 +217,7 @@ def test_filter_cache_l0_invalidated_on_l1_eviction():
     assert ctrl.cache_config.line_addr(a) in ctrl._l0
     assert ctrl.cache.probe(a) is not None
     # The fast path applies the same invalidation.
-    assert FilterCacheDCache().process(trace).as_dict() == (
-        counters.as_dict()
-    )
+    assert FilterCacheDCache().process(trace) == counters
 
 
 # ----------------------------------------------------------------------

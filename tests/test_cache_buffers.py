@@ -111,8 +111,3 @@ def test_counters_merge():
     assert merged.tag_accesses == 8
     assert merged.stale_hits == 1
 
-
-def test_counters_as_dict():
-    d = AccessCounters(accesses=1, tag_accesses=2).as_dict()
-    assert d["tags_per_access"] == 2.0
-    assert "stale_hits" in d

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.api import architectures
+from repro.cache.stats import COUNTER_FIELDS
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 from repro.isa import assemble
 from repro.sim import CPU, CPUError, run_program
@@ -38,13 +39,6 @@ from repro.workloads import (
     get_benchmark,
     synthetic_data_trace,
     synthetic_fetch_stream,
-)
-
-COUNTER_FIELDS = (
-    "accesses", "tag_accesses", "way_accesses", "cache_hits",
-    "cache_misses", "loads", "stores", "mab_lookups", "mab_hits",
-    "mab_bypasses", "stale_hits", "aux_accesses", "extra_cycles",
-    "intra_line_hits",
 )
 
 

@@ -100,7 +100,7 @@ def test_dcache_invariants_random_traces(seed, large):
     memo = WayMemoDCache(mab_config=MABConfig(2, 8))
     c = memo.process_reference(trace)
     fast = WayMemoDCache(mab_config=MABConfig(2, 8)).process(trace)
-    assert fast.as_dict() == c.as_dict()
+    assert fast == c
     memo.mab.check_invariants()
     memo.cache.check_invariants()
     assert c.stale_hits == 0
@@ -119,7 +119,7 @@ def test_icache_invariants_random_streams(seed):
     memo = WayMemoICache(mab_config=MABConfig(2, 16))
     c = memo.process_reference(fs)
     fast = WayMemoICache(mab_config=MABConfig(2, 16)).process(fs)
-    assert fast.as_dict() == c.as_dict()
+    assert fast == c
     memo.mab.check_invariants()
     assert c.stale_hits == 0
     for tag, set_index, way in memo.mab.valid_pairs():

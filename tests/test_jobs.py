@@ -11,14 +11,25 @@ property is tested in isolation.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sqlite3
 import threading
 import time
 
 import pytest
 
 from repro.api import RunSpec
-from repro.service.jobs import JOB_DB_ENV, JobQueue, job_db_path
+from repro.api.result import RESULT_SCHEMA_VERSION
+from repro.service.jobs import (
+    DONE,
+    FAILED,
+    JOB_DB_ENV,
+    PENDING,
+    RUNNING,
+    JobQueue,
+    job_db_path,
+)
 
 TINY = "synthetic:num_accesses=256,seed=3"
 
@@ -408,3 +419,113 @@ def test_job_db_path_honors_the_environment(tmp_path, monkeypatch):
         "REPRO_RESULT_STORE", str(tmp_path / "store" / "r.sqlite")
     )
     assert job_db_path() == tmp_path / "store" / "jobs.sqlite"
+
+
+# ----------------------------------------------------------------------
+# gc
+# ----------------------------------------------------------------------
+
+STATES = (PENDING, RUNNING, DONE, FAILED)
+
+
+def _addresses(queue):
+    """This code's (schema, fingerprint), then two other versions'."""
+    return [
+        (RESULT_SCHEMA_VERSION, queue.fingerprint),
+        (RESULT_SCHEMA_VERSION + 1, queue.fingerprint),
+        (RESULT_SCHEMA_VERSION, "0123456789abcdef"),
+    ]
+
+
+def _plant(queue, address, state):
+    """One job holding one task in ``state``, filed under ``address``."""
+    key = f"{address}-{state}"
+    with contextlib.closing(sqlite3.connect(queue.path)) as conn, conn:
+        conn.execute(
+            "INSERT INTO jobs (job_id, created_at, result_schema,"
+            " fingerprint, spec_keys) VALUES (?, 0, ?, ?, ?)",
+            (key, *address, json.dumps([key])),
+        )
+        conn.execute(
+            "INSERT INTO tasks (spec_key, result_schema, fingerprint,"
+            " state, created_at) VALUES (?, ?, ?, ?, 0)",
+            (key, *address, state),
+        )
+
+
+def _rows(queue):
+    with contextlib.closing(sqlite3.connect(queue.path)) as conn:
+        return {
+            table: sorted(conn.execute(
+                f"SELECT result_schema, fingerprint FROM {table}"
+            ).fetchall())
+            for table in ("jobs", "tasks")
+        }
+
+
+def test_gc_deletes_the_finished_rows_of_other_code_versions(queue):
+    """Every job and task row of another schema or fingerprint goes,
+    and this code's rows stay in every state."""
+    current, *others = _addresses(queue)
+    for state in STATES:
+        _plant(queue, current, state)
+        for address in others:
+            if state in (DONE, FAILED):
+                _plant(queue, address, state)
+    stats = queue.stats()
+    assert queue.gc() == 8          # 2 versions x 2 states x (job, task)
+    assert _rows(queue) == {"jobs": [current] * 4, "tasks": [current] * 4}
+    assert queue.stats() == stats
+    assert queue.gc() == 0
+
+
+@pytest.mark.parametrize("live", [PENDING, RUNNING])
+def test_gc_deletes_nothing_while_another_version_has_live_tasks(
+    queue, live
+):
+    """A server running other code may still use the file."""
+    current, old_schema, old_code = _addresses(queue)
+    for state in STATES:
+        _plant(queue, current, state)
+    for state in (DONE, FAILED):
+        _plant(queue, old_schema, state)
+    _plant(queue, old_code, live)
+    rows = _rows(queue)
+    assert queue.gc() is None
+    assert _rows(queue) == rows
+
+
+def test_store_gc_prunes_the_job_queue(tmp_path, monkeypatch, capsys):
+    from repro.cli import main as cli_main
+    from repro.store import STORE_ENV, reset_default_stores
+
+    monkeypatch.setenv(STORE_ENV, str(tmp_path / "results.sqlite"))
+    monkeypatch.delenv(JOB_DB_ENV, raising=False)
+    queue = JobQueue(job_db_path())
+    current, old_schema, _ = _addresses(queue)
+    _plant(queue, current, PENDING)
+    _plant(queue, old_schema, DONE)
+    reset_default_stores()
+    try:
+        assert cli_main(["store", "gc"]) == 0
+    finally:
+        reset_default_stores()
+    assert "removed 2 job and task row(s)" in capsys.readouterr().out
+    assert _rows(queue) == {"jobs": [current], "tasks": [current]}
+
+
+def test_store_gc_reports_an_unreadable_job_queue(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.cli import main as cli_main
+    from repro.store import STORE_ENV, reset_default_stores
+
+    monkeypatch.setenv(STORE_ENV, str(tmp_path / "results.sqlite"))
+    monkeypatch.setenv(JOB_DB_ENV, str(tmp_path / "jobs.sqlite"))
+    (tmp_path / "jobs.sqlite").write_bytes(b"not a database" * 100)
+    reset_default_stores()
+    try:
+        assert cli_main(["store", "gc"]) == 1
+    finally:
+        reset_default_stores()
+    assert "cannot prune" in capsys.readouterr().err

@@ -44,9 +44,12 @@ QUOTES = [
     ("two runs back — {}× (D) / {}× (I) faster than a per-access",
      [("sweep_2way.dcache.speedup", 1),
       ("sweep_2way.icache.speedup", 1)]),
+    ("and {}× on the D stream with every access repeated",
+     [("sweep_2way.dcache_runs.speedup", 1)]),
     ("the shared sweep's hit bits ({}× vs its reference loop)",
      [("replay.stateful_speedup.set_buffer_dcache", 1)]),
-    ("found by a stable sort ({}× vs its reference loop)",
+    ("previous same-key consult by `repeat_pairs` ({}× vs its reference "
+     "loop)",
      [("replay.stateful_speedup.ma_links_icache", 1)]),
     ("({}× D / {}× I vs the reference loop alone, {}× D / {}× I for the "
      "paper's 12 geometries in one group)",

@@ -28,8 +28,9 @@ from repro.api import (
     evaluate_many,
 )
 from repro.api.evaluate import simulation_count
+from repro.cache.cache import stable_argsort
 from repro.cache.config import CacheConfig
-from repro.replay.columns import DataColumns, stable_argsort
+from repro.replay.columns import DataColumns, repeat_pairs
 from repro.replay.engine import plan_groups, replay_counters, replay_specs
 from repro.store import STORE_ENV, default_store, reset_default_stores
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
@@ -72,7 +73,7 @@ def test_replay_counters_match_fresh_per_arch_process(side):
     grouped = replay_counters([info.build() for info in infos], stream)
     for info, counters in zip(infos, grouped):
         expected = info.build().process(stream)
-        assert counters.as_dict() == expected.as_dict(), info.id
+        assert counters == expected, info.id
 
 
 def test_replay_counters_leave_input_controllers_untouched():
@@ -144,9 +145,7 @@ def test_user_built_controllers_process_matches_reference(side):
         controller = cls.from_point(point)
         assert controller.design_point() == point, info.id
         expected = cls.from_point(point).process_reference(stream)
-        assert (
-            controller.process(stream).as_dict() == expected.as_dict()
-        ), info.id
+        assert controller.process(stream) == expected, info.id
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +202,7 @@ def test_batchable_group_builds_no_controller(side, builds):
         reference = evaluate(
             replace(spec, engine="reference"), use_cache=False
         )
-        assert result.counters.as_dict() == reference.counters.as_dict(), (
+        assert result.counters == reference.counters, (
             spec.key()
         )
 
@@ -238,7 +237,7 @@ def test_filter_cache_alone_runs_no_shared_sweep(side):
         members("original", "filter-cache", "way-memo-2x8"), cols
     )
     assert sweeps.value == before + 1
-    assert mixed[1].as_dict() == alone.as_dict()
+    assert mixed[1] == alone
 
 
 @pytest.mark.parametrize("arch,key", [
@@ -355,6 +354,46 @@ def test_stable_argsort_equals_numpy_stable_argsort(values):
     assert stable_argsort(values).tolist() == expected.tolist()
 
 
+@st.composite
+def _key_columns(draw):
+    """One or two equal-length int64 key columns, each drawn from a few
+    values, negative ones included, whose span sits just under, at or
+    just over 2**16, or far from it, so that keys repeat at every span."""
+    size = draw(st.integers(0, 200))
+    columns = []
+    for _ in range(draw(st.integers(1, 2))):
+        low = draw(st.integers(-(1 << 62), 1 << 62))
+        span = draw(st.sampled_from(
+            [0, 1, 3, (1 << 16) - 2, (1 << 16) - 1, 1 << 16, 1 << 40]
+        ))
+        pool = [0, span] + draw(st.lists(st.integers(0, span), max_size=6))
+        picks = draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=size, max_size=size
+        ))
+        if size > 1 and draw(st.booleans()):
+            # Pin the span: both ends present.
+            picks[0], picks[-1] = 0, 1
+        columns.append(np.array(pool, dtype=np.int64)[picks] + low)
+    return columns
+
+
+@given(_key_columns())
+@example([np.array([], dtype=np.int64)])
+@example([np.array([-3], dtype=np.int64), np.array([5], dtype=np.int64)])
+@settings(max_examples=200, deadline=None)
+def test_repeat_pairs_pairs_each_key_with_its_previous_occurrence(columns):
+    """``repeat_pairs`` pairs every element with the latest earlier one
+    of the same key tuple, as a walk that remembers each key's last
+    position does, on empty and one-element columns too."""
+    last, expected = {}, []
+    for i, key in enumerate(zip(*(column.tolist() for column in columns))):
+        if key in last:
+            expected.append((last[key], i))
+        last[key] = i
+    earlier, later = repeat_pairs(*columns)
+    assert sorted(zip(earlier.tolist(), later.tolist())) == sorted(expected)
+
+
 def test_icache_way_memo_computes_keys_at_its_lookups_only():
     """An I-side MAB skips intra-line fetches, so its group computes
     the narrow-adder keys at its lookups alone and keeps no
@@ -378,7 +417,7 @@ def test_icache_way_memo_computes_keys_at_its_lookups_only():
         assert column_stats()["keys_computes"] == keys, side
         for controller, counters in zip(built, grouped):
             expected = controller.process_reference(streams[side])
-            assert counters.as_dict() == expected.as_dict(), side
+            assert counters == expected, side
 
 
 def test_way_memo_sweep_group_splits_columns_once():
@@ -407,7 +446,7 @@ def test_way_memo_sweep_group_splits_columns_once():
         expected = get_architecture("dcache", "way-memo").build(
             {"tag_entries": nt, "index_entries": ns}
         ).process(stream)
-        assert counters.as_dict() == expected.as_dict(), (nt, ns)
+        assert counters == expected, (nt, ns)
 
 
 @pytest.mark.parametrize("side", CACHE_SIDES)
@@ -471,7 +510,7 @@ def test_way_memo_grid_group_shares_one_sweep_and_one_distance_pass():
         assert column_stats()["distance_passes"] == value_streams[side]
         for params, counters in zip(grid, grouped):
             expected = way_memo.build(params).process_reference(stream)
-            assert counters.as_dict() == expected.as_dict(), (side, params)
+            assert counters == expected, (side, params)
 
 
 def test_line_buffer_joins_the_shared_sweep():
@@ -501,7 +540,7 @@ def test_line_buffer_joins_the_shared_sweep():
     assert sweeps.value - sweeps_before == 1
     for (info, p), counters in zip(infos, grouped):
         expected = info.build(p).process_reference(stream)
-        assert counters.as_dict() == expected.as_dict(), (info.id, p)
+        assert counters == expected, (info.id, p)
 
 
 @pytest.mark.parametrize("side", CACHE_SIDES)
