@@ -445,9 +445,10 @@ def measure_replay(quick: bool) -> dict:
 
 
 def line_runs(trace: DataTrace) -> DataTrace:
-    """``trace`` with every access repeated once, the repeat a load but
-    for every third, a store: half the accesses repeat the line of the
-    access before them, and a sixth are stores inside such runs."""
+    """``trace`` with every access repeated once, so half the accesses
+    repeat the line of the access before them: the sweep's run
+    collapse.  The repeat is a load but for every third, a store (the
+    sweep reads no store flag)."""
     store = np.repeat(trace.store, 2)
     store[1::2] = False
     store[1::6] = True
@@ -465,9 +466,8 @@ def measure_sweep(quick: bool) -> dict:
     them as Python lists built before timing too.  The streams are the
     synthetic D and I streams, whose D side barely repeats a line, and
     the D stream's :func:`line_runs` (``dcache_runs``), which takes the
-    sweep's run collapse with stores in the runs.  The ratio is
-    machine-independent, so CI can put a floor under it; the streams
-    stay full-size under ``--quick``.
+    sweep's run collapse.  The ratio is machine-independent, so CI can
+    put a floor under it; the streams stay full-size under ``--quick``.
     """
     from repro.cache.cache import SetAssociativeCache
     from repro.cache.config import FRV_DCACHE, FRV_ICACHE
@@ -485,11 +485,7 @@ def measure_sweep(quick: bool) -> dict:
         cols = columns_for_stream(stream)
         tags = cols.tags_array(config.offset_bits, config.index_bits)
         sets = cols.sets_array(config.offset_bits, config.index_bits)
-        writes = cols.store_mask
-        accesses = list(zip(
-            tags.tolist(), sets.tolist(),
-            [False] * cols.n if writes is None else writes.tolist(),
-        ))
+        accesses = list(zip(tags.tolist(), sets.tolist()))
 
         def timed(run):
             caches = [SetAssociativeCache(config) for _ in range(repeats)]
@@ -497,12 +493,10 @@ def measure_sweep(quick: bool) -> dict:
 
         def loop(cache):
             access_fast = cache.access_fast
-            for tag, set_index, write in accesses:
-                access_fast(tag, set_index, write)
+            for tag, set_index in accesses:
+                access_fast(tag, set_index)
 
-        batch_us = timed(
-            lambda cache: cache.access_fast_batch(tags, sets, writes)
-        )
+        batch_us = timed(lambda cache: cache.access_fast_batch(tags, sets))
         loop_us = timed(loop)
         out[leg] = {
             "accesses": cols.n,

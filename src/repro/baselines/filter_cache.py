@@ -108,13 +108,13 @@ class _FilterCache(Controller):
             self._l0.append(line)
             counters.cache_hits += 1
             if write:
-                # Write-through to L1 state so dirtiness is tracked.
-                self.cache.access(addr, write=True)
+                # Write-through to L1, so L1 recency follows the store.
+                self.cache.access(addr)
             return
 
         # L0 miss: one stall cycle, then the full L1 access.
         counters.extra_cycles += 1
-        result = self.cache.access(addr, write=write)
+        result = self.cache.access(addr)
         counters.tag_accesses += cfg.ways
         if result.hit:
             counters.cache_hits += 1
@@ -225,19 +225,17 @@ def filter_cache_counters(
             # then apply the invalidation.
             if scalar is None:
                 scalar = (
-                    tags.tolist(), sets.tolist(), stores.tolist(),
+                    tags.tolist(), sets.tolist(),
                     np.flatnonzero(stores).tolist(),
                 )
-            tag_list, set_list, write_list, store_list = scalar
+            tag_list, set_list, store_list = scalar
             end = bisect_right(store_list, pos, queued_stores)
             due = sorted({
                 *misses[queued_misses:],
                 *store_list[queued_stores:end],
             })
             packed = cache._batch_scalar(
-                [tag_list[p] for p in due],
-                [set_list[p] for p in due],
-                [write_list[p] for p in due],
+                [tag_list[p] for p in due], [set_list[p] for p in due]
             )
             flushed += packed
             queued_misses = len(misses)
@@ -259,7 +257,7 @@ def filter_cache_counters(
     rest = queue[len(flushed):]
     packed = np.concatenate((
         np.array(flushed, dtype=np.int64),
-        cache.access_fast_batch(tags[rest], sets[rest], stores[rest]),
+        cache.access_fast_batch(tags[rest], sets[rest]),
     ))
 
     missed = (packed & _F_HIT) == 0

@@ -60,7 +60,7 @@ class OriginalDCache(Controller):
             else:
                 counters.loads += 1
             addr = (base + disp) & 0xFFFFFFFF
-            result = cache.access(addr, write=is_store)
+            result = cache.access(addr)
             counters.tag_accesses += cfg.ways
             if result.hit:
                 counters.cache_hits += 1

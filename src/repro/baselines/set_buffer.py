@@ -132,7 +132,7 @@ class SetBufferDCache(Controller):
             if buffered is not None and tag in buffered:
                 # Buffer hit with matching tag: single-way access, no
                 # cache tag reads.
-                result = cache.access(addr, write=is_store)
+                result = cache.access(addr)
                 assert result.hit, "buffered tag must be cache-resident"
                 counters.cache_hits += 1
                 counters.way_accesses += 1
@@ -142,7 +142,7 @@ class SetBufferDCache(Controller):
             # Either the set is not buffered, or the buffered tags do
             # not contain this address (which implies a cache miss,
             # since the buffer mirrors the set's tags exactly).
-            result = cache.access(addr, write=is_store)
+            result = cache.access(addr)
             counters.tag_accesses += cfg.ways
             if result.hit:
                 counters.cache_hits += 1

@@ -36,10 +36,9 @@ class _TwoPhaseCache(Controller):
 
     # -- executable specification ---------------------------------------
 
-    def _access(self, counters: AccessCounters, addr: int,
-                write: bool = False) -> None:
+    def _access(self, counters: AccessCounters, addr: int) -> None:
         cfg = self.cache_config
-        result = self.cache.access(addr, write=write)
+        result = self.cache.access(addr)
         counters.tag_accesses += cfg.ways  # phase 1
         counters.extra_cycles += 1         # serialised phases
         if result.hit:
@@ -87,7 +86,7 @@ class TwoPhaseDCache(_TwoPhaseCache):
                 counters.stores += 1
             else:
                 counters.loads += 1
-            self._access(counters, (base + disp) & 0xFFFFFFFF, is_store)
+            self._access(counters, (base + disp) & 0xFFFFFFFF)
         return counters
 
 

@@ -46,13 +46,12 @@ class _WayPredictingCache(Controller):
 
     # -- executable specification ---------------------------------------
 
-    def _access(self, counters: AccessCounters, addr: int,
-                write: bool = False) -> None:
+    def _access(self, counters: AccessCounters, addr: int) -> None:
         cfg = self.cache_config
         _, set_index, _ = cfg.split(addr)
         prediction = self._predicted[set_index]
         counters.aux_accesses += 1  # prediction table read
-        result = self.cache.access(addr, write=write)
+        result = self.cache.access(addr)
 
         # First phase: predicted way only.
         counters.tag_accesses += 1
@@ -129,7 +128,7 @@ class WayPredictionDCache(_WayPredictingCache):
                 counters.stores += 1
             else:
                 counters.loads += 1
-            self._access(counters, (base + disp) & 0xFFFFFFFF, is_store)
+            self._access(counters, (base + disp) & 0xFFFFFFFF)
         return counters
 
 

@@ -1,24 +1,26 @@
 """Behavioural set-associative cache model.
 
-Tracks tags/valid/dirty per line and replacement state; does not store
+Tracks tags/valid per line and replacement state; does not store
 data bytes (the ISS provides functional memory, the cache studies only
-need hit/way/eviction behaviour).  Eviction listeners let the
+need hit/way/eviction behaviour) and models no write-back traffic
+(Equation (1) prices tag and way accesses only, and every controller
+charges a store's single way itself).  Eviction listeners let the
 way-memoization machinery implement its ``evict_hook`` consistency
 mode.
 
 The internal state is *flat*: per-set lists of tag integers (``-1``
-means invalid) and dirty flags, with the address-split geometry
-precomputed once in ``__init__``.  The allocation-free
+means invalid), with the address-split geometry precomputed once in
+``__init__``.  The allocation-free
 :meth:`SetAssociativeCache.access_fast` is the kernel-level form of
 the scan.  :meth:`SetAssociativeCache.access_fast_batch` runs a
-whole pre-split stream — numpy tag and set columns and a store mask —
-through the cache and returns the packed results as an int64 array:
-the replay engine's shared sweep, from which every controller but
-the filter cache — way memoization included — derives its counters
-(the filter cache runs its own L1 stream through it).  For a
-2-way LRU cache with no eviction listener, the geometry of both FR-V
-caches, the sweep is vectorized; every other cache walks the accesses
-one by one.  The original object API (:meth:`access` returning
+whole pre-split stream — numpy tag and set columns — through the
+cache and returns the packed results as an int64 array: the replay
+engine's shared sweep, from which every controller but the filter
+cache — way memoization included — derives its counters (the filter
+cache runs its own L1 stream through it).  For a 2-way LRU cache
+with no eviction listener, the geometry of both FR-V caches, the
+sweep is vectorized; every other cache walks the accesses one by one.
+The original object API (:meth:`access` returning
 :class:`AccessResult`) is a thin wrapper kept for the reference
 controllers and tests.
 """
@@ -40,7 +42,6 @@ class CacheLineState:
     """Tag state of one cache line (a snapshot; not live storage)."""
 
     valid: bool = False
-    dirty: bool = False
     tag: int = 0
 
 
@@ -56,14 +57,11 @@ class AccessResult:
         The way holding the line after the access (fill way on miss).
     evicted_tag:
         Tag of the line evicted by a miss fill, or None.
-    writeback:
-        True when the evicted line was dirty (write-back traffic).
     """
 
     hit: bool
     way: int
     evicted_tag: Optional[int] = None
-    writeback: bool = False
 
 
 #: Signature of eviction listeners: (tag, set_index) of the line removed.
@@ -73,14 +71,12 @@ EvictionListener = Callable[[int, int], None]
 #   bit 0       hit
 #   bits 1..8   way
 #   bit 9       a valid line was evicted
-#   bit 10      the evicted line was dirty (writeback)
-#   bits 11..   evicted tag
+#   bits 10..   evicted tag
 _F_HIT = 1
 _F_WAY_SHIFT = 1
 _F_WAY_FIELD = 0xFF << _F_WAY_SHIFT
 _F_EVICTED = 1 << 9
-_F_WRITEBACK = 1 << 10
-_F_TAG_SHIFT = 11
+_F_TAG_SHIFT = 10
 
 
 def stable_argsort(values: np.ndarray) -> np.ndarray:
@@ -99,7 +95,8 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
 
 
 class SetAssociativeCache:
-    """A write-back, write-allocate set-associative cache model."""
+    """A set-associative cache model: every access, load or store,
+    fills its line on a miss."""
 
     def __init__(
         self,
@@ -121,10 +118,6 @@ class SetAssociativeCache:
         self._tags: List[List[int]] = [
             empty.copy() for _ in range(config.sets)
         ]
-        clean = [False] * config.ways
-        self._dirty: List[List[bool]] = [
-            clean.copy() for _ in range(config.sets)
-        ]
         # Direct handle on LRU recency stacks for inline touch/victim;
         # None for non-LRU policies (which go through method calls).
         self._lru: Optional[List[List[int]]] = (
@@ -134,7 +127,6 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.writebacks = 0
 
     # ------------------------------------------------------------------
 
@@ -156,17 +148,15 @@ class SetAssociativeCache:
         """Snapshot of one line's tag state."""
         tag = self._tags[set_index][way]
         if tag < 0:
-            return CacheLineState(valid=False, dirty=False, tag=0)
-        return CacheLineState(
-            valid=True, dirty=self._dirty[set_index][way], tag=tag
-        )
+            return CacheLineState(valid=False, tag=0)
+        return CacheLineState(valid=True, tag=tag)
 
     # ------------------------------------------------------------------
     # fast path
     # ------------------------------------------------------------------
 
-    def access_fast(self, tag: int, set_index: int, write: bool) -> int:
-        """Load/store access on a pre-split address, packed-int result.
+    def access_fast(self, tag: int, set_index: int) -> int:
+        """Access on a pre-split address, packed-int result.
 
         Returns ``hit | way << 1`` plus eviction info in the upper bits
         (see the ``_F_*`` layout above).  State changes are identical
@@ -184,8 +174,6 @@ class SetAssociativeCache:
                         order.append(way)
                 else:
                     self.policy.touch(set_index, way)
-                if write:
-                    self._dirty[set_index][way] = True
                 return _F_HIT | (way << _F_WAY_SHIFT)
 
         # Miss: choose a victim, evict, fill.
@@ -196,17 +184,12 @@ class SetAssociativeCache:
             way = self.policy.victim(set_index)
         result = way << _F_WAY_SHIFT
         evicted_tag = tags[way]
-        dirty = self._dirty[set_index]
         if evicted_tag >= 0:
             self.evictions += 1
             result |= _F_EVICTED | (evicted_tag << _F_TAG_SHIFT)
-            if dirty[way]:
-                self.writebacks += 1
-                result |= _F_WRITEBACK
             for listener in self._eviction_listeners:
                 listener(evicted_tag, set_index)
         tags[way] = tag
-        dirty[way] = write
         if lru is not None:
             order = lru[set_index]
             if order[-1] != way:
@@ -217,58 +200,44 @@ class SetAssociativeCache:
         return result
 
     def access_fast_batch(
-        self,
-        tags: np.ndarray,
-        sets: np.ndarray,
-        writes: Optional[np.ndarray] = None,
+        self, tags: np.ndarray, sets: np.ndarray
     ) -> np.ndarray:
         """Run a whole pre-split stream through the cache.
 
         ``tags`` and ``sets`` are equal-length integer arrays of
-        pre-split address components; ``writes`` is the boolean store
-        mask (all loads when None).  Returns the packed result of every
-        access (the ``_F_*`` layout) as an int64 array, in order, with
-        state changes identical to calling :meth:`access_fast` access
-        by access.
+        pre-split address components.  Returns the packed result of
+        every access (the ``_F_*`` layout) as an int64 array, in order,
+        with state changes identical to calling :meth:`access_fast`
+        access by access.
 
         This is the shared sweep behind every fast path whose cache
         access stream does not depend on auxiliary state (the
         original, two-phase, way-prediction, Panwar, set-buffer,
         MA-links, way-memo and line-buffer controllers touch the cache
         once per access no matter what their side structures hold, so
-        the whole replay collapses into this one call).  A listener-free 2-way
-        LRU cache — both FR-V caches — takes the vectorized
+        the whole replay collapses into this one call).  A listener-free
+        2-way LRU cache — both FR-V caches — takes the vectorized
         :meth:`_batch_lru2`; other geometries and policies, and caches
         with eviction listeners, walk the accesses one by one.
         """
         if (self._lru is not None and self.ways == 2
                 and not self._eviction_listeners):
-            return self._batch_lru2(tags, sets, writes)
-        write_list = (
-            [False] * len(tags) if writes is None else writes.tolist()
-        )
+            return self._batch_lru2(tags, sets)
         return np.array(
-            self._batch_scalar(tags.tolist(), sets.tolist(), write_list),
-            dtype=np.int64,
+            self._batch_scalar(tags.tolist(), sets.tolist()), dtype=np.int64
         )
 
-    def _batch_lru2(
-        self,
-        tags: np.ndarray,
-        sets: np.ndarray,
-        writes: Optional[np.ndarray],
-    ) -> np.ndarray:
+    def _batch_lru2(self, tags: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """:meth:`access_fast_batch` of a listener-free 2-way LRU cache.
 
         An access to the line of the access just before it (same tag
-        and set) hits in that access's way and changes nothing but the
-        line's dirty bit, so only the first access of each such run is
-        swept (:meth:`_sweep_lru2`), writing iff any access of the run
-        writes; every later access of the run is a hit in the way the
-        first one resolved.  Gathering the runs' first accesses and
-        spreading their results back costs about a third of what
-        sweeping an access does, so a stream where fewer than a third
-        of the accesses repeat the line before them is swept whole
+        and set) hits in that access's way and changes no state, so
+        only the first access of each such run is swept
+        (:meth:`_sweep_lru2`); every later access of the run is a hit
+        in the way the first one resolved.  Gathering the runs' first
+        accesses and spreading their results back costs about a third
+        of what sweeping an access does, so a stream where fewer than a
+        third of the accesses repeat the line before them is swept whole
         (over the seven programs, 8% of the D-side accesses and 73% of
         the I-side fetches repeat).
         """
@@ -280,15 +249,9 @@ class SetAssociativeCache:
         np.equal(tags[1:], tags[:-1], out=repeat[1:])
         repeat[1:] &= sets[1:] == sets[:-1]
         if 3 * np.count_nonzero(repeat) < n:
-            return self._sweep_lru2(tags, sets, writes)
+            return self._sweep_lru2(tags, sets)
         first = np.flatnonzero(~repeat)
-        first_writes = None
-        if writes is not None:
-            # A run writes iff its first access or a later one does.
-            first_writes = writes[first]
-            later = np.flatnonzero(writes & repeat)
-            first_writes[np.searchsorted(first, later) - 1] = True
-        swept = self._sweep_lru2(tags[first], sets[first], first_writes)
+        swept = self._sweep_lru2(tags[first], sets[first])
         self.hits += n - len(first)
         packed = np.repeat(
             (swept & _F_WAY_FIELD) | _F_HIT, np.diff(first, append=n)
@@ -296,54 +259,39 @@ class SetAssociativeCache:
         packed[first] = swept
         return packed
 
-    def _sweep_lru2(
-        self,
-        tags: np.ndarray,
-        sets: np.ndarray,
-        writes: Optional[np.ndarray],
-    ) -> np.ndarray:
+    def _sweep_lru2(self, tags: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """The sweep behind :meth:`_batch_lru2`, exact on any stream.
 
         A 2-way LRU set holds the last two distinct lines referenced in
         it, so the sweep is a function of each set's chain of accesses
         collapsed into runs of one tag.  Warm sets enter the chain as
-        pseudo accesses (the LRU line, then the MRU line, writing iff
-        dirty), and then, per set:
+        pseudo accesses (the LRU line, then the MRU line), and then,
+        per set:
 
         * every access after a run's head hits;
         * a run head hits iff its tag is the tag two runs back;
         * a head that misses with two runs behind it evicts the tag two
           runs back;
         * the way flips on every run, starting from the way of the
-          chain's first line (``order[0]`` when the set is empty);
-        * a line is dirty iff a store touched it since its fill: an OR
-          along its way's chain of runs (r, r-2, ...) that restarts at
-          every miss.
+          chain's first line (``order[0]`` when the set is empty).
         """
         n = len(tags)
-        ctags, cdirty, clru = self._tags, self._dirty, self._lru
+        ctags, clru = self._tags, self._lru
         touched = np.flatnonzero(np.bincount(sets, minlength=len(ctags)))
         touched_list = touched.tolist()
         rows = np.arange(len(touched))
         state = np.fromiter(
-            chain.from_iterable(
-                clru[s] + ctags[s] + cdirty[s] for s in touched_list
-            ),
-            dtype=np.int64, count=6 * len(touched_list),
-        ).reshape(-1, 6)
+            chain.from_iterable(clru[s] + ctags[s] for s in touched_list),
+            dtype=np.int64, count=4 * len(touched_list),
+        ).reshape(-1, 4)
         order = state[:, 0:2]
         line_tags = state[:, 2:4]
-        line_dirty = state[:, 4:6].astype(bool)
         lru_tag = line_tags[rows, order[:, 0]]
         mru_tag = line_tags[rows, order[:, 1]]
         has_lru = lru_tag >= 0
         has_mru = mru_tag >= 0
         pseudo_sets = np.concatenate((touched[has_lru], touched[has_mru]))
         npseudo = len(pseudo_sets)
-        pseudo_writes = np.concatenate((
-            line_dirty[rows, order[:, 0]][has_lru],
-            line_dirty[rows, order[:, 1]][has_mru],
-        ))
         all_sets = np.concatenate((pseudo_sets, sets))
         all_tags = np.concatenate(
             (lru_tag[has_lru], mru_tag[has_mru], tags)
@@ -379,33 +327,10 @@ class SetAssociativeCache:
         run_hit &= deep
         evict = np.flatnonzero(deep & ~run_hit)
 
-        if (writes is not None and writes.any()) or pseudo_writes.any():
-            if writes is None:
-                writes = np.zeros(n, dtype=bool)
-            chain_writes = np.concatenate((pseudo_writes, writes))[by_set]
-            run_writes = np.logical_or.reduceat(chain_writes, heads)
-            # Runs k and k + 2 are consecutive on one way of a set, or
-            # run k + 2 is one of its set's first two runs (a miss).
-            run_dirty = np.empty(runs, dtype=bool)
-            for parity in (0, 1):
-                wrote = run_writes[parity::2]
-                index = np.arange(len(wrote))
-                last_write = np.maximum.accumulate(
-                    np.where(wrote, index, -1)
-                )
-                last_fill = np.maximum.accumulate(
-                    np.where(run_hit[parity::2], 0, index)
-                )
-                run_dirty[parity::2] = last_write >= last_fill
-        else:
-            run_dirty = np.zeros(runs, dtype=bool)
-        writeback = run_dirty[evict - 2]
-
         run_packed = run_way << _F_WAY_SHIFT
         head_packed = run_packed | run_hit
         head_packed[evict] |= (
             _F_EVICTED | (run_tags[evict - 2] << _F_TAG_SHIFT)
-            | np.where(writeback, _F_WRITEBACK, 0)
         )
         chain_packed = (run_packed | _F_HIT)[np.cumsum(head) - 1]
         chain_packed[heads] = head_packed
@@ -416,34 +341,27 @@ class SetAssociativeCache:
         self.hits += n - misses
         self.misses += misses
         self.evictions += len(evict)
-        self.writebacks += int(np.count_nonzero(writeback))
 
         # Final state: the chain's last run is the MRU line, the run
         # before it (if any) the LRU line in the other way.
         last = np.append(chain_starts[1:], runs) - 1
         mru_way = run_way[last]
         line_tags[rows, mru_way] = run_tags[last]
-        line_dirty[rows, mru_way] = run_dirty[last]
         two = np.flatnonzero(depth[last] >= 1)
         line_tags[two, 1 - mru_way[two]] = run_tags[last[two] - 1]
-        line_dirty[two, 1 - mru_way[two]] = run_dirty[last[two] - 1]
-        for s, tag_row, dirty_row, lru_row in zip(
-            touched_list, line_tags.tolist(), line_dirty.tolist(),
+        for s, tag_row, lru_row in zip(
+            touched_list, line_tags.tolist(),
             np.stack((1 - mru_way, mru_way), axis=1).tolist(),
         ):
             ctags[s] = tag_row
-            cdirty[s] = dirty_row
             clru[s] = lru_row
         return packed[npseudo:]
 
-    def _batch_scalar(
-        self, tags: List[int], sets: List[int], writes: List[bool]
-    ) -> List[int]:
+    def _batch_scalar(self, tags: List[int], sets: List[int]) -> List[int]:
         """:meth:`access_fast_batch` as one tight per-access loop."""
         out: List[int] = []
         append = out.append
         ctags = self._tags
-        cdirty = self._dirty
         lru = self._lru
         nways = self.ways
         way_range = range(nways)
@@ -454,9 +372,8 @@ class SetAssociativeCache:
         hits = 0
         misses = 0
         evictions = 0
-        writebacks = 0
 
-        for tag, set_index, write in zip(tags, sets, writes):
+        for tag, set_index in zip(tags, sets):
             row = ctags[set_index]
             if two_way:
                 if row[0] == tag:
@@ -480,8 +397,6 @@ class SetAssociativeCache:
                         order.append(way)
                 else:
                     policy_touch(set_index, way)
-                if write:
-                    cdirty[set_index][way] = True
                 append(_F_HIT | (way << _F_WAY_SHIFT))
                 continue
 
@@ -494,17 +409,12 @@ class SetAssociativeCache:
                 way = policy_victim(set_index)
             result = way << _F_WAY_SHIFT
             evicted_tag = row[way]
-            dirty_row = cdirty[set_index]
             if evicted_tag >= 0:
                 evictions += 1
                 result |= _F_EVICTED | (evicted_tag << _F_TAG_SHIFT)
-                if dirty_row[way]:
-                    writebacks += 1
-                    result |= _F_WRITEBACK
                 for listener in listeners:
                     listener(evicted_tag, set_index)
             row[way] = tag
-            dirty_row[way] = write
             if lru is not None:
                 if order[-1] != way:
                     order.remove(way)
@@ -516,20 +426,18 @@ class SetAssociativeCache:
         self.hits += hits
         self.misses += misses
         self.evictions += evictions
-        self.writebacks += writebacks
         return out
 
     # ------------------------------------------------------------------
     # object API (wrapper over the fast path)
     # ------------------------------------------------------------------
 
-    def access(self, addr: int, write: bool = False) -> AccessResult:
-        """Perform a load/store access, filling on a miss."""
+    def access(self, addr: int) -> AccessResult:
+        """Perform a load or store access, filling on a miss."""
         addr &= 0xFFFFFFFF
         packed = self.access_fast(
             addr >> self.tag_shift,
             (addr >> self.offset_bits) & self.set_mask,
-            write,
         )
         evicted_tag = None
         if packed & _F_EVICTED:
@@ -538,19 +446,16 @@ class SetAssociativeCache:
             hit=bool(packed & _F_HIT),
             way=(packed >> _F_WAY_SHIFT) & 0xFF,
             evicted_tag=evicted_tag,
-            writeback=bool(packed & _F_WRITEBACK),
         )
 
     def invalidate_all(self) -> None:
         """Flush the cache (notifies eviction listeners)."""
         for set_index, tags in enumerate(self._tags):
-            dirty = self._dirty[set_index]
             for way, tag in enumerate(tags):
                 if tag >= 0:
                     for listener in self._eviction_listeners:
                         listener(tag, set_index)
                 tags[way] = -1
-                dirty[way] = False
 
     # ------------------------------------------------------------------
 

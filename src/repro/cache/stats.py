@@ -85,15 +85,3 @@ class AccessCounters:
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    @property
-    def mab_duty(self) -> float:
-        """Fraction of accesses during which the MAB was active."""
-        return self.mab_lookups / self.accesses if self.accesses else 0.0
-
-    def merge(self, other: "AccessCounters") -> "AccessCounters":
-        """Element-wise sum (for aggregating multiple traces)."""
-        merged = AccessCounters()
-        for name in COUNTER_FIELDS:
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        return merged

@@ -694,8 +694,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="default pool size for batches that do not name one "
-             "(default: 0 = all cores)",
+        help="number of worker subprocesses the service runs claims "
+             "in (default: 0 = all cores)",
     )
     serve_parser.add_argument(
         "--port-file", default=None, metavar="FILE",

@@ -120,7 +120,7 @@ class WayMemoDCache(Controller):
                     counters.mab_hits += 1
                     if is_store:
                         wbuf.push(addr)
-                    result = cache.access(addr, write=is_store)
+                    result = cache.access(addr)
                     counters.cache_hits += 1
                     counters.way_accesses += 1  # memoized way only
                     assert result.hit, "MAB hit must be a cache hit"
@@ -140,7 +140,7 @@ class WayMemoDCache(Controller):
         cfg = self.cache_config
         if is_store:
             self.write_buffer.push(addr)
-        result = self.cache.access(addr, write=is_store)
+        result = self.cache.access(addr)
         counters.tag_accesses += cfg.ways
         if result.hit:
             counters.cache_hits += 1

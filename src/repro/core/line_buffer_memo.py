@@ -142,7 +142,7 @@ class LineBufferWayMemoDCache(Controller):
                 # Line buffer hit: no cache arrays touched.  Keep the
                 # cache's replacement state in step (the line is
                 # architecturally still resident and used).
-                result = cache.access(addr, write=is_store)
+                result = cache.access(addr)
                 assert result.hit, "buffered line must be cache-resident"
                 counters.cache_hits += 1
                 continue
@@ -160,7 +160,7 @@ class LineBufferWayMemoDCache(Controller):
                 # Verify the memoized way: a tag lives in at most one
                 # way, so the access hits there iff the line is there.
                 if cache.probe(addr) == lookup.way:
-                    cache.access(addr, write=is_store)
+                    cache.access(addr)
                     counters.mab_hits += 1
                     counters.cache_hits += 1
                     counters.way_accesses += 1
@@ -175,7 +175,7 @@ class LineBufferWayMemoDCache(Controller):
 
     def _full_access(self, counters, addr, is_store, install) -> None:
         cfg = self.cache_config
-        result = self.cache.access(addr, write=is_store)
+        result = self.cache.access(addr)
         counters.tag_accesses += cfg.ways
         if result.hit:
             counters.cache_hits += 1

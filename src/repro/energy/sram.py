@@ -1,11 +1,11 @@
 """CACTI-style analytical SRAM access energy.
 
-The model charges, per array access:
+The model charges, per array access (a write is priced as a read):
 
 * the row decoder (scaling with the number of row-address bits),
 * the selected wordline (capacitance proportional to the row width),
-* every bitline pair's partial swing (read) or full swing (write),
-  with bitline capacitance proportional to the number of rows,
+* every bitline pair's partial swing, with bitline capacitance
+  proportional to the number of rows,
 * sense amplifiers / column circuitry per sensed bit,
 
 which is the standard first-order decomposition used by CACTI-class
@@ -53,22 +53,6 @@ class SRAMArray:
             * t.e_decode_per_bit_j
         return e_bitlines + e_wordline + e_sense + e_decode
 
-    def write_energy_j(self) -> float:
-        """Energy of one write access (J).
-
-        Writes drive full-swing bitlines but skip the sense amps; to
-        first order this lands close to the read energy, and the model
-        keeps them equal apart from the sense/swing exchange.
-        """
-        t = self.tech
-        c_bitline = self.rows * t.c_bitcell_f
-        e_bitlines = self.cols * c_bitline * t.vdd * t.vdd
-        e_wordline = self.cols * t.c_wordline_per_cell_f * t.vdd * t.vdd
-        e_decode = max(math.ceil(math.log2(self.rows)), 1) \
-            * t.e_decode_per_bit_j
-        # Full-swing bitlines are mitigated by half-select column gating.
-        return 0.30 * e_bitlines + e_wordline + e_decode
-
     def leakage_w(self) -> float:
         """Static power of the array (W)."""
         return self.bits * self.tech.p_leak_per_bit_w
@@ -79,7 +63,6 @@ class CacheEnergy:
     """Per-access energies of one cache (Equation 1's E_way and E_tag)."""
 
     e_way_read_j: float
-    e_way_write_j: float
     e_tag_read_j: float
     leakage_w: float
 
@@ -109,7 +92,6 @@ def cache_energy_per_access(
     )
     return CacheEnergy(
         e_way_read_j=data_array.read_energy_j(),
-        e_way_write_j=data_array.write_energy_j(),
         e_tag_read_j=tag_array.read_energy_j(),
         leakage_w=total_leak,
     )

@@ -408,7 +408,7 @@ class DataColumns(_ColumnsBase):
         self.base64 = trace.base.astype(np.int64)
         self.disp64 = trace.disp.astype(np.int64)
         self.addr64 = (self.base64 + self.disp64) & 0xFFFFFFFF
-        #: Boolean store flags: the shared sweep's ``writes`` mask.
+        #: Boolean store flags.
         self.store_mask: Optional[np.ndarray] = trace.store
         self._num_stores: Optional[int] = None
         self._coalesced: Dict[int, int] = {}
@@ -452,7 +452,7 @@ class DataColumns(_ColumnsBase):
 class FetchColumns(_ColumnsBase):
     """Columnar view of a :class:`~repro.sim.fetch.FetchStream`."""
 
-    #: Fetches never write; the shared sweep treats None as all loads.
+    #: Fetches never write.
     store_mask: Optional[np.ndarray] = None
 
     def __init__(self, fetch: FetchStream):

@@ -152,7 +152,6 @@ def _sweep(cols, config: CacheConfig, policy: str):
     return shadow.access_fast_batch(
         cols.tags_array(config.offset_bits, config.index_bits),
         cols.sets_array(config.offset_bits, config.index_bits),
-        cols.store_mask,
     )
 
 

@@ -8,10 +8,10 @@ re-runs growing stream prefixes and reports the first offending access
 index, so a kernel bug pinpoints the exact reference the two engines
 disagree on.
 
-The streams deliberately hammer a tiny cache (heavy conflict misses,
-evictions and write-backs) and include a 4-way geometry so the generic
-(non-2-way) scan paths of the batch kernel are fuzzed too.  The
-designs come from the architecture registry
+The streams deliberately hammer a tiny cache (heavy conflict misses
+and evictions, stores included) and include a 4-way geometry so the
+generic (non-2-way) scan paths of the batch kernel are fuzzed too.
+The designs come from the architecture registry
 (:data:`test_fastpath_differential.DESIGNS`), so a newly registered
 design is fuzzed without being listed here.
 """
@@ -222,7 +222,6 @@ def test_fuzz_streams_actually_stress_the_cache():
     counters = ctrl.process_reference(fuzz_data_trace(101))
     assert counters.cache_misses > 100
     assert ctrl.cache.evictions > 100
-    assert ctrl.cache.writebacks > 0
     assert counters.stores > 0
 
     ictrl = OriginalICache(TINY_2WAY)

@@ -62,6 +62,29 @@ def test_original_dcache_store_single_way():
     assert c.stores == 1
 
 
+def test_original_dcache_stores_change_only_the_way_count():
+    """The cache model treats a store like a load (it fills on a miss
+    and keeps no dirty state), so clearing every store flag leaves the
+    cache state and the hit/miss counts alone; only the store's
+    single-way data write, which the controller charges itself, moves
+    the way count."""
+    trace = synthetic_data_trace(num_accesses=2000, seed=4)
+    assert trace.store.any()
+    as_loads = DataTrace.from_lists(
+        trace.base, trace.disp, np.zeros(len(trace.store), dtype=bool)
+    )
+    with_stores, all_loads = OriginalDCache(), OriginalDCache()
+    c = with_stores.process_reference(trace)
+    loads = all_loads.process_reference(as_loads)
+    assert with_stores.cache._tags == all_loads.cache._tags
+    assert (c.cache_hits, c.cache_misses, c.tag_accesses) == (
+        loads.cache_hits, loads.cache_misses, loads.tag_accesses
+    )
+    ways = with_stores.cache_config.ways
+    assert loads.way_accesses - c.way_accesses == (ways - 1) * c.stores
+    assert OriginalDCache().process(trace) == c
+
+
 def test_original_icache_constant_cost():
     fs = fetch([(0x0, START, 0x0, 0), (0x8, SEQ, 0x0, 8)])
     c = OriginalICache().process(fs)
@@ -218,6 +241,35 @@ def test_filter_cache_l0_invalidated_on_l1_eviction():
     assert ctrl.cache.probe(a) is not None
     # The fast path applies the same invalidation.
     assert FilterCacheDCache().process(trace) == counters
+
+
+def test_filter_cache_write_through_refreshes_l1_recency():
+    """A store that hits the L0 still writes through to L1, and that
+    access makes its line the set's most recent: the next conflict miss
+    evicts the other line.  After a load hit in the L0, L1 never saw
+    the access, so the same miss evicts the loaded line instead."""
+    stride = 512 * 32  # same set, different tag
+    a, b, c_addr = 0x40000, 0x40000 + stride, 0x40000 + 2 * stride
+
+    def stream(store_a):
+        return data_trace([
+            (a, 0, False),       # L0 + L1 miss
+            (b, 0, False),       # L0 + L1 miss; a is the L1 LRU
+            (a, 0, store_a),     # L0 hit; only a store reaches L1
+            (c_addr, 0, False),  # evicts the L1 LRU (and its L0 copy)
+            (b, 0, False),       # an L0 hit only if c evicted a
+        ])
+
+    stored = FilterCacheDCache()
+    counters = stored.process_reference(stream(True))
+    assert counters.cache_misses == counters.extra_cycles == 4
+
+    loaded = FilterCacheDCache()
+    load_counters = loaded.process_reference(stream(False))
+    assert load_counters.cache_misses == load_counters.extra_cycles == 3
+
+    assert FilterCacheDCache().process(stream(True)) == counters
+    assert FilterCacheDCache().process(stream(False)) == load_counters
 
 
 # ----------------------------------------------------------------------

@@ -93,7 +93,6 @@ def test_counters_rates():
     assert c.ways_per_access == pytest.approx(1.2)
     assert c.mab_hit_rate == pytest.approx(0.75)
     assert c.cache_hit_rate == pytest.approx(0.9)
-    assert c.mab_duty == pytest.approx(0.8)
 
 
 def test_counters_zero_division_safe():
@@ -101,13 +100,4 @@ def test_counters_zero_division_safe():
     assert c.tags_per_access == 0.0
     assert c.mab_hit_rate == 0.0
     assert c.cache_hit_rate == 0.0
-
-
-def test_counters_merge():
-    a = AccessCounters(accesses=3, tag_accesses=6, stale_hits=1)
-    b = AccessCounters(accesses=2, tag_accesses=2, stale_hits=0)
-    merged = a.merge(b)
-    assert merged.accesses == 5
-    assert merged.tag_accesses == 8
-    assert merged.stale_hits == 1
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import (
+    _F_EVICTED,
+    _F_HIT,
+    _F_TAG_SHIFT,
+    _F_WAY_FIELD,
+    _F_WAY_SHIFT,
+    CacheLineState,
+    SetAssociativeCache,
+)
 from repro.cache.config import FRV_DCACHE, CacheConfig
 from repro.cache.replacement import FIFOPolicy, make_policy
 
@@ -43,29 +51,56 @@ def test_two_way_conflict_eviction_order():
     assert cache.probe(_addr(2, 5)) is None
 
 
-def test_dirty_eviction_reports_writeback():
-    cache = SetAssociativeCache(SMALL)
-    cache.access(_addr(1, 0), write=True)
-    cache.access(_addr(2, 0))
-    result = cache.access(_addr(3, 0))
-    assert result.evicted_tag == 1
-    assert result.writeback
-    assert cache.writebacks == 1
-
-
-def test_clean_eviction_no_writeback():
+def test_eviction_reports_evicted_tag():
     cache = SetAssociativeCache(SMALL)
     cache.access(_addr(1, 0))
     cache.access(_addr(2, 0))
     result = cache.access(_addr(3, 0))
-    assert not result.writeback
+    assert result.evicted_tag == 1
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 3, 1)
 
 
-def test_write_hit_marks_dirty():
+def test_line_state_reports_the_filled_line():
     cache = SetAssociativeCache(SMALL)
     res = cache.access(_addr(4, 2))
-    cache.access(_addr(4, 2), write=True)
-    assert cache.line_state(2, res.way).dirty
+    assert cache.access(_addr(4, 2)).hit
+    assert cache.line_state(2, res.way) == CacheLineState(valid=True, tag=4)
+    assert not cache.line_state(2, 1 - res.way).valid
+    cache.invalidate_all()
+    assert not cache.line_state(2, res.way).valid
+
+
+def test_packed_result_carries_full_width_evicted_tag():
+    """The packed layout: hit at bit 0, way from bit 1, the eviction
+    flag at bit 9 and the evicted tag from bit 10, wide enough for a
+    32-bit tag, from the scalar step and both batch kernels alike."""
+    big = (1 << 32) - 1
+    stream = [(big, 6), (7, 6), (9, 6), (big, 6)]
+    for ways, policy in ((2, "lru"), (2, "fifo"), (4, "lru")):
+        config = CacheConfig(size_bytes=32 * ways * 16, ways=ways,
+                             line_bytes=32)
+        stepped = SetAssociativeCache(
+            config, make_policy(policy, config.sets, ways)
+        )
+        batched = SetAssociativeCache(
+            config, make_policy(policy, config.sets, ways)
+        )
+        expected = [stepped.access_fast(tag, s) for tag, s in stream]
+        packed = batched.access_fast_batch(
+            np.int64([t for t, _ in stream]), np.int64([s for _, s in stream])
+        )
+        assert packed.tolist() == expected
+        if ways == 2:
+            # The third access evicts the full-width tag from way 0.
+            third = expected[2]
+            assert third & _F_HIT == 0
+            assert (third & _F_WAY_FIELD) >> _F_WAY_SHIFT == 0
+            assert third & _F_EVICTED
+            assert third >> _F_TAG_SHIFT == big
+            assert _F_TAG_SHIFT == 10 and _F_EVICTED == 1 << 9
+        else:
+            assert not any(p & _F_EVICTED for p in expected)
+            assert expected[3] == _F_HIT  # full-width tag hits in way 0
 
 
 def test_eviction_listener_called():
@@ -112,17 +147,17 @@ def test_hit_rate_property():
 
 
 @given(st.lists(st.tuples(
-    st.integers(0, 7), st.integers(0, 15), st.booleans()
+    st.integers(0, 7), st.integers(0, 15)
 ), max_size=200))
 @settings(max_examples=40)
 def test_no_duplicate_tags_and_hit_consistency(accesses):
     """Model check: the cache agrees with a dict-of-sets reference."""
     cache = SetAssociativeCache(SMALL)
     reference = {}  # set_index -> list of tags, LRU first
-    for tag, set_index, write in accesses:
+    for tag, set_index in accesses:
         addr = _addr(tag, set_index)
         expected_hit = tag in reference.get(set_index, [])
-        result = cache.access(addr, write=write)
+        result = cache.access(addr)
         assert result.hit == expected_hit
         tags = reference.setdefault(set_index, [])
         if expected_hit:
@@ -139,7 +174,7 @@ def test_no_duplicate_tags_and_hit_consistency(accesses):
 # ----------------------------------------------------------------------
 
 @given(st.lists(st.tuples(
-    st.integers(0, 7), st.integers(0, 15), st.booleans()
+    st.integers(0, 7), st.integers(0, 15)
 ), max_size=200), st.sampled_from([2, 4]),
     st.sampled_from(["lru", "fifo", "plru"]))
 @settings(max_examples=60)
@@ -169,35 +204,25 @@ def test_access_fast_batch_matches_access_fast(accesses, ways, policy):
 
     tags = [a[0] for a in accesses]
     sets = [a[1] % config.sets for a in accesses]
-    writes = [a[2] for a in accesses]
     packed = batched.access_fast_batch(
-        np.array(tags, dtype=np.int64), np.array(sets, dtype=np.int64),
-        np.array(writes, dtype=bool),
+        np.array(tags, dtype=np.int64), np.array(sets, dtype=np.int64)
     )
     expected = [
-        stepped.access_fast(tag, set_index, write)
-        for tag, set_index, write in zip(tags, sets, writes)
+        stepped.access_fast(tag, set_index)
+        for tag, set_index in zip(tags, sets)
     ]
     assert packed.tolist() == expected
     assert evictions == expected_evictions
     assert batched._tags == stepped._tags
-    assert batched._dirty == stepped._dirty
     assert batched._lru == stepped._lru
     # Non-LRU policies keep their victim state outside the cache.
     for attr in ("_next", "_tree"):
         assert getattr(batched.policy, attr, None) == (
             getattr(stepped.policy, attr, None)
         )
-    assert (batched.hits, batched.misses, batched.evictions,
-            batched.writebacks) == (stepped.hits, stepped.misses,
-                                    stepped.evictions, stepped.writebacks)
-
-
-def test_access_fast_batch_defaults_to_loads():
-    cache = SetAssociativeCache(SMALL)
-    packed = cache.access_fast_batch(np.int64([1, 1]), np.int64([3, 3]))
-    assert (packed[0] & 1, packed[1] & 1) == (0, 1)
-    assert not cache._dirty[3][cache.probe(_addr(1, 3))]
+    assert (batched.hits, batched.misses, batched.evictions) == (
+        stepped.hits, stepped.misses, stepped.evictions
+    )
 
 
 @st.composite
@@ -205,18 +230,14 @@ def _lru2_cases(draw):
     """A listener-free 2-way LRU cache, a warm-up and a stream.
 
     The stream is either independent accesses or runs of accesses to
-    one (tag, set), stores anywhere inside a run: with 512 sets and
-    32-bit tags independent accesses almost never repeat a line, and
-    on a stream where a third or more of the accesses do, the kernel
-    sweeps only the first access of each run.
+    one (tag, set): with 512 sets and 32-bit tags independent accesses
+    almost never repeat a line, and on a stream where a third or more
+    of the accesses do, the kernel sweeps only the first access of
+    each run.
     """
     sets = draw(st.sampled_from([1, 2, 16, 512]))
     max_tag = draw(st.sampled_from([3, (1 << 32) - 1]))
-    writes_on = draw(st.booleans())
-    write = st.booleans() if writes_on else st.just(False)
-    access = st.tuples(
-        st.integers(0, max_tag), st.integers(0, sets - 1), write,
-    )
+    access = st.tuples(st.integers(0, max_tag), st.integers(0, sets - 1))
     warm_up = draw(st.sampled_from(["cold", "prefix", "invalidated"]))
     prefix = [] if warm_up == "cold" else draw(
         st.lists(access, max_size=60)
@@ -224,24 +245,23 @@ def _lru2_cases(draw):
     if draw(st.booleans()):
         runs = draw(st.lists(st.tuples(
             st.integers(0, max_tag), st.integers(0, sets - 1),
-            st.lists(write, min_size=1, max_size=6),
+            st.integers(1, 6),
         ), max_size=50))
         accesses = [
-            (tag, set_index, stores)
-            for tag, set_index, run in runs for stores in run
+            (tag, set_index)
+            for tag, set_index, length in runs for _ in range(length)
         ]
     else:
         accesses = draw(st.lists(access, max_size=200))
-    return sets, warm_up, prefix, accesses, writes_on
+    return sets, warm_up, prefix, accesses
 
 
 def _assert_same_cache(batched, stepped):
     assert batched._tags == stepped._tags
-    assert batched._dirty == stepped._dirty
     assert batched._lru == stepped._lru
-    assert (batched.hits, batched.misses, batched.evictions,
-            batched.writebacks) == (stepped.hits, stepped.misses,
-                                    stepped.evictions, stepped.writebacks)
+    assert (batched.hits, batched.misses, batched.evictions) == (
+        stepped.hits, stepped.misses, stepped.evictions
+    )
 
 
 @given(_lru2_cases())
@@ -253,24 +273,21 @@ def test_access_fast_batch_lru2_kernel_matches_access_fast(case):
     access_fast, and from sets emptied by invalidate_all (which keeps
     their LRU order, e.g. ``[1, 0]`` with no valid line), on streams
     of independent accesses and of same-line runs."""
-    sets, warm_up, prefix, accesses, writes_on = case
+    sets, warm_up, prefix, accesses = case
     config = CacheConfig(size_bytes=64 * sets, ways=2, line_bytes=32)
     batched = SetAssociativeCache(config)
     stepped = SetAssociativeCache(config)
     for cache in (batched, stepped):
-        for tag, set_index, write in prefix:
-            cache.access_fast(tag, set_index, write)
+        for tag, set_index in prefix:
+            cache.access_fast(tag, set_index)
         if warm_up == "invalidated":
             cache.invalidate_all()
-    writes = np.array([a[2] for a in accesses], dtype=bool)
     packed = batched.access_fast_batch(
         np.array([a[0] for a in accesses], dtype=np.int64),
         np.array([a[1] for a in accesses], dtype=np.int64),
-        writes if writes_on else None,
     )
     expected = [
-        stepped.access_fast(tag, set_index, write)
-        for tag, set_index, write in accesses
+        stepped.access_fast(tag, set_index) for tag, set_index in accesses
     ]
     assert packed.tolist() == expected
     _assert_same_cache(batched, stepped)
@@ -282,19 +299,29 @@ def test_access_fast_batch_lru2_fills_lru_way_of_an_emptied_set():
     batched = SetAssociativeCache(SMALL)
     stepped = SetAssociativeCache(SMALL)
     for cache in (batched, stepped):
-        cache.access_fast(1, 3, True)
+        cache.access_fast(1, 3)
         cache.invalidate_all()
         assert cache._lru[3] == [1, 0]
     packed = batched.access_fast_batch(
         np.int64([5, 6, 5]), np.int64([3, 3, 3])
     )
     assert packed.tolist() == [
-        stepped.access_fast(5, 3, False),
-        stepped.access_fast(6, 3, False),
-        stepped.access_fast(5, 3, False),
+        stepped.access_fast(5, 3),
+        stepped.access_fast(6, 3),
+        stepped.access_fast(5, 3),
     ]
     assert (packed[0] >> 1) & 0xFF == 1
     _assert_same_cache(batched, stepped)
+
+
+def test_access_fast_batch_repeat_hits_the_filled_way():
+    cache = SetAssociativeCache(SMALL)
+    packed = cache.access_fast_batch(np.int64([1, 1]), np.int64([3, 3]))
+    way = cache.probe(_addr(1, 3))
+    assert packed.tolist() == [
+        way << _F_WAY_SHIFT, _F_HIT | way << _F_WAY_SHIFT
+    ]
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("policy", ["lru", "fifo"])
@@ -310,7 +337,7 @@ def test_access_fast_batch_takes_columns_returns_int64_array(policy):
     )
     split = (FRV_DCACHE.offset_bits, FRV_DCACHE.index_bits)
     packed = cache.access_fast_batch(
-        cols.tags_array(*split), cols.sets_array(*split), cols.store_mask
+        cols.tags_array(*split), cols.sets_array(*split)
     )
     assert isinstance(packed, np.ndarray)
     assert packed.dtype == np.int64
