@@ -77,7 +77,7 @@ import numpy as np
 from repro.api.parallel import warm_trace_cache
 from repro.api.registry import architectures, get_architecture
 from repro.api.spec import RunSpec
-from repro.baselines import OriginalDCache
+from repro.baselines import OriginalCache
 from repro.core import WayMemoDCache, WayMemoICache
 from repro.experiments.ablation_mab_size import INDEX_ENTRIES, TAG_ENTRIES
 from repro.experiments.registry import EXPERIMENTS, get_experiment
@@ -188,7 +188,7 @@ def measure(quick: bool) -> dict:
         lambda: WayMemoICache().process(fetch), repeats
     )
     metrics["dcache_original_baseline"] = best_of(
-        lambda: OriginalDCache().process(data_trace), repeats
+        lambda: OriginalCache().process(data_trace), repeats
     )
 
     # Kernel micro-ops (object API), matching benchmarks/test_micro.py.
@@ -445,15 +445,12 @@ def measure_replay(quick: bool) -> dict:
 
 
 def line_runs(trace: DataTrace) -> DataTrace:
-    """``trace`` with every access repeated once, so half the accesses
-    repeat the line of the access before them: the sweep's run
-    collapse.  The repeat is a load but for every third, a store (the
-    sweep reads no store flag)."""
-    store = np.repeat(trace.store, 2)
-    store[1::2] = False
-    store[1::6] = True
+    """``trace`` with every access repeated once, store flag and all,
+    so half the accesses repeat the line of the access before them:
+    the sweep's run collapse."""
     return DataTrace(
-        np.repeat(trace.base, 2), np.repeat(trace.disp, 2), store
+        np.repeat(trace.base, 2), np.repeat(trace.disp, 2),
+        np.repeat(trace.store, 2),
     )
 
 

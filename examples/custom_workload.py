@@ -11,7 +11,7 @@ Run:  python examples/custom_workload.py
 
 import numpy as np
 
-from repro.baselines import OriginalDCache, SetBufferDCache
+from repro.baselines import OriginalCache, SetBufferDCache
 from repro.core import LineBufferWayMemoDCache, MABConfig, WayMemoDCache
 from repro.isa import assemble
 from repro.sim import run_program
@@ -98,7 +98,7 @@ def main() -> None:
     print("numpy cross-check: OK\n")
 
     architectures = [
-        ("original", OriginalDCache()),
+        ("original", OriginalCache()),
         ("set-buffer [14]", SetBufferDCache()),
         ("way-memo 2x8", WayMemoDCache(mab_config=MABConfig(2, 8))),
         ("way-memo 2x16", WayMemoDCache(mab_config=MABConfig(2, 16))),

@@ -12,7 +12,7 @@ This walks the whole pipeline in ~40 lines of user code:
 Run:  python examples/quickstart.py
 """
 
-from repro.baselines import OriginalDCache, OriginalICache
+from repro.baselines import OriginalCache
 from repro.cache.config import FRV_DCACHE, FRV_ICACHE
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 from repro.energy import CachePowerModel, MABHardwareModel
@@ -71,8 +71,9 @@ def main() -> None:
     fetch = fetch_stream(result.trace.flow)
     cycles = len(fetch)  # one 8-byte fetch packet per cycle
 
-    # 3: replay through both architectures.
-    originals = (OriginalDCache(), OriginalICache())
+    # 3: replay through both architectures.  The original controller
+    # serves either cache, since a fetch is a load.
+    originals = (OriginalCache(FRV_DCACHE), OriginalCache(FRV_ICACHE))
     memoized = (
         WayMemoDCache(mab_config=MABConfig(2, 8)),
         WayMemoICache(mab_config=MABConfig(2, 16)),

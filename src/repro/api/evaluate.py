@@ -188,15 +188,13 @@ def _finish_result(
 
 
 def _run(spec: RunSpec) -> RunResult:
-    """Simulate one spec (no caching).
+    """Simulate one reference-engine spec (no caching).
 
-    A fast-engine spec is a singleton replay group — the exact path it
-    takes inside any batch; the reference engine runs the design's
-    ``process_reference`` loop, the executable specification, on a
-    controller built from the spec's resolved design point.
+    Runs the design's ``process_reference`` loop, the executable
+    specification, on a controller built from the spec's resolved
+    design point.  Fast-engine specs never come here: they replay in
+    groups through :func:`~repro.replay.engine.replay_specs`.
     """
-    if spec.engine == "fast":
-        return replay_specs([spec])[0]
     with trace_span(
         "simulate", cache=spec.cache, arch=spec.arch,
         workload=spec.workload, engine=spec.engine,

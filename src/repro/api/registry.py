@@ -298,7 +298,7 @@ def _mab_defaults(tag_entries: int, index_entries: int,
 # -- D-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
-    id="original", side="dcache", controller="repro.baselines.OriginalDCache",
+    id="original", side="dcache", controller="repro.baselines.OriginalCache",
     description="conventional 2-way set-associative D-cache",
     defaults={"policy": "lru"}, comparison_rank=0,
 ))
@@ -329,20 +329,20 @@ register(ArchitectureInfo(
 ))
 register(ArchitectureInfo(
     id="filter-cache", side="dcache",
-    controller="repro.baselines.FilterCacheDCache",
+    controller="repro.baselines.FilterCache",
     description="L0 filter cache [6] (extra cycle on L0 misses)",
     defaults={"l0_lines": 8, "policy": "lru"},
     aux_bits=_filter_cache_bits, comparison_rank=1,
 ))
 register(ArchitectureInfo(
     id="way-prediction", side="dcache",
-    controller="repro.baselines.WayPredictionDCache",
+    controller="repro.baselines.WayPredictionCache",
     description="MRU way prediction [9] (extra cycle on mispredict)",
     defaults={"policy": "lru"}, aux_bits=_way_prediction_bits,
     comparison_rank=2,
 ))
 register(ArchitectureInfo(
-    id="two-phase", side="dcache", controller="repro.baselines.TwoPhaseDCache",
+    id="two-phase", side="dcache", controller="repro.baselines.TwoPhaseCache",
     description="two-phase tag-then-way cache [8] (extra cycle always)",
     defaults={"policy": "lru"}, comparison_rank=3,
 ))
@@ -363,7 +363,7 @@ register(ArchitectureInfo(
 # -- I-cache -----------------------------------------------------------
 
 register(ArchitectureInfo(
-    id="original", side="icache", controller="repro.baselines.OriginalICache",
+    id="original", side="icache", controller="repro.baselines.OriginalCache",
     description="conventional 2-way set-associative I-cache",
     defaults={"policy": "lru"}, comparison_rank=0,
 ))
@@ -401,20 +401,20 @@ register(ArchitectureInfo(
 ))
 register(ArchitectureInfo(
     id="filter-cache", side="icache",
-    controller="repro.baselines.FilterCacheICache",
+    controller="repro.baselines.FilterCache",
     description="L0 filter cache [6] (extra cycle on L0 misses)",
     defaults={"l0_lines": 8, "policy": "lru"},
     aux_bits=_filter_cache_bits, comparison_rank=2,
 ))
 register(ArchitectureInfo(
     id="way-prediction", side="icache",
-    controller="repro.baselines.WayPredictionICache",
+    controller="repro.baselines.WayPredictionCache",
     description="MRU way prediction [9] (extra cycle on mispredict)",
     defaults={"policy": "lru"}, aux_bits=_way_prediction_bits,
     comparison_rank=3,
 ))
 register(ArchitectureInfo(
-    id="two-phase", side="icache", controller="repro.baselines.TwoPhaseICache",
+    id="two-phase", side="icache", controller="repro.baselines.TwoPhaseCache",
     description="two-phase tag-then-way cache [8] (extra cycle always)",
     defaults={"policy": "lru"}, comparison_rank=4,
 ))

@@ -1,5 +1,9 @@
 """Baseline cache architectures the paper compares against.
 
+Original, two-phase, way prediction and the filter cache serve both
+caches with one controller each (a fetch is a load); Panwar and
+MA-links are I-cache designs, the set buffer a D-cache one.
+
 * :mod:`repro.baselines.original` — the unmodified set-associative
   cache (all tags compared, all ways read on loads).
 * :mod:`repro.baselines.panwar` — Panwar & Rennels [4]: no tag access
@@ -18,27 +22,20 @@
   tag-then-way access (related work; one extra cycle per access).
 """
 
-from repro.baselines.filter_cache import FilterCacheDCache, FilterCacheICache
+from repro.baselines.filter_cache import FilterCache
 from repro.baselines.ma_links import MaLinksICache
-from repro.baselines.original import OriginalDCache, OriginalICache
+from repro.baselines.original import OriginalCache
 from repro.baselines.panwar import PanwarICache
 from repro.baselines.set_buffer import SetBufferDCache
-from repro.baselines.two_phase import TwoPhaseDCache, TwoPhaseICache
-from repro.baselines.way_prediction import (
-    WayPredictionDCache,
-    WayPredictionICache,
-)
+from repro.baselines.two_phase import TwoPhaseCache
+from repro.baselines.way_prediction import WayPredictionCache
 
 __all__ = [
-    "FilterCacheDCache",
-    "FilterCacheICache",
+    "FilterCache",
     "MaLinksICache",
-    "OriginalDCache",
-    "OriginalICache",
+    "OriginalCache",
     "PanwarICache",
     "SetBufferDCache",
-    "TwoPhaseDCache",
-    "TwoPhaseICache",
-    "WayPredictionDCache",
-    "WayPredictionICache",
+    "TwoPhaseCache",
+    "WayPredictionCache",
 ]

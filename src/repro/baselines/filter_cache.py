@@ -9,7 +9,9 @@ copy is invalidated through the eviction listener, so an L0 hit always
 refers to an L1-resident line (without the listener a line could
 linger in the L0 after its L1 eviction, and a write-through on such a
 stale L0 hit would silently miss-fill L1 with uncharged energy — a
-consistency bug the fast/reference differential matrix exposed).
+consistency bug the fast/reference differential matrix exposed).  A
+fetch is a load, which never writes through, so one controller serves
+both caches.
 
 :func:`filter_cache_counters` is the fast path the replay engine
 drives, fed from the shared columnar pre-split
@@ -55,23 +57,23 @@ from repro.cache.cache import (
     _F_TAG_SHIFT,
     SetAssociativeCache,
 )
-from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
+from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass
-from repro.replay.engine import Controller, DesignPoint, fast_path
-from repro.sim.fetch import FetchStream
-from repro.sim.trace import DataTrace
+from repro.replay.engine import (
+    Controller, DesignPoint, fast_path, stream_accesses,
+)
 
 #: Default filter cache size: 256 B of 32 B lines, fully associative.
 DEFAULT_L0_LINES = 8
 
 
-class _FilterCache(Controller):
-    """Shared L0 + L1 machinery."""
+class FilterCache(Controller):
+    """An L0 filter cache in front of L1, inclusive in L1."""
 
-    def __init__(self, cache_config: CacheConfig, l0_lines: int,
-                 policy: str):
+    def __init__(self, cache_config: CacheConfig = FRV_DCACHE,
+                 l0_lines: int = DEFAULT_L0_LINES, policy: str = "lru"):
         if l0_lines < 1:
             raise ValueError("filter cache needs at least one line")
         self.cache_config = cache_config
@@ -85,7 +87,7 @@ class _FilterCache(Controller):
         self.cache.add_eviction_listener(self._on_l1_evict)
 
     @classmethod
-    def from_point(cls, point: DesignPoint) -> "_FilterCache":
+    def from_point(cls, point: DesignPoint) -> "FilterCache":
         return cls(point.cache, point.entries, point.policy)
 
     def design_point(self) -> DesignPoint:
@@ -98,76 +100,40 @@ class _FilterCache(Controller):
 
     # -- executable specification ---------------------------------------
 
-    def _access(self, counters: AccessCounters, addr: int,
-                write: bool = False) -> None:
+    def process_reference(self, stream) -> AccessCounters:
+        counters = AccessCounters()
         cfg = self.cache_config
-        line = cfg.line_addr(addr)
-        counters.aux_accesses += 1  # L0 probe (cheap)
-        if line in self._l0:
-            self._l0.remove(line)
-            self._l0.append(line)
-            counters.cache_hits += 1
-            if write:
-                # Write-through to L1, so L1 recency follows the store.
-                self.cache.access(addr)
-            return
+        for addr, is_store in stream_accesses(stream, counters):
+            line = cfg.line_addr(addr)
+            counters.aux_accesses += 1  # L0 probe (cheap)
+            if line in self._l0:
+                self._l0.remove(line)
+                self._l0.append(line)
+                counters.cache_hits += 1
+                if is_store:
+                    # Write-through to L1, so L1 recency follows the
+                    # store.
+                    self.cache.access(addr)
+                continue
 
-        # L0 miss: one stall cycle, then the full L1 access.
-        counters.extra_cycles += 1
-        result = self.cache.access(addr)
-        counters.tag_accesses += cfg.ways
-        if result.hit:
-            counters.cache_hits += 1
-            counters.way_accesses += 1 if write else cfg.ways
-        else:
-            counters.cache_misses += 1
-            counters.way_accesses += (1 if write else cfg.ways) + 1
-        self._l0.append(line)
-        if len(self._l0) > self.l0_lines:
-            self._l0.pop(0)
-
-
-class FilterCacheDCache(_FilterCache):
-    """Filter cache in front of the D-cache."""
-
-    name = "filter-cache"
-
-    def __init__(self, cache_config: CacheConfig = FRV_DCACHE,
-                 l0_lines: int = DEFAULT_L0_LINES, policy: str = "lru"):
-        super().__init__(cache_config, l0_lines, policy)
-
-    def process_reference(self, trace: DataTrace) -> AccessCounters:
-        counters = AccessCounters()
-        for base, disp, is_store in zip(
-            trace.base.tolist(), trace.disp.tolist(), trace.store.tolist()
-        ):
-            counters.accesses += 1
-            if is_store:
-                counters.stores += 1
+            # L0 miss: one stall cycle, then the full L1 access.
+            counters.extra_cycles += 1
+            result = self.cache.access(addr)
+            counters.tag_accesses += cfg.ways
+            ways = 1 if is_store else cfg.ways
+            if result.hit:
+                counters.cache_hits += 1
+                counters.way_accesses += ways
             else:
-                counters.loads += 1
-            self._access(counters, (base + disp) & 0xFFFFFFFF, is_store)
+                counters.cache_misses += 1
+                counters.way_accesses += ways + 1  # refill write
+            self._l0.append(line)
+            if len(self._l0) > self.l0_lines:
+                self._l0.pop(0)
         return counters
 
 
-class FilterCacheICache(_FilterCache):
-    """Filter cache in front of the I-cache."""
-
-    name = "filter-cache"
-
-    def __init__(self, cache_config: CacheConfig = FRV_ICACHE,
-                 l0_lines: int = DEFAULT_L0_LINES, policy: str = "lru"):
-        super().__init__(cache_config, l0_lines, policy)
-
-    def process_reference(self, fetch: FetchStream) -> AccessCounters:
-        counters = AccessCounters()
-        for addr in fetch.addr.tolist():
-            counters.accesses += 1
-            self._access(counters, addr)
-        return counters
-
-
-@fast_path(FilterCacheDCache, FilterCacheICache)
+@fast_path(FilterCache)
 def filter_cache_counters(
     cols, shared: SharedPass, point: DesignPoint
 ) -> AccessCounters:
@@ -195,8 +161,6 @@ def filter_cache_counters(
     tags = cols.tags_array(offset_bits, index_bits)
     sets = cols.sets_array(offset_bits, index_bits)
     stores = cols.store_mask
-    if stores is None:
-        stores = np.zeros(n, dtype=bool)
     head = np.empty(n, dtype=bool)
     head[0] = True
     np.not_equal(lines[1:], lines[:-1], out=head[1:])

@@ -60,8 +60,6 @@ _SEQ, _BRANCH = 0, 1
 class MaLinksICache(Controller):
     """I-cache with per-line sequential and branch way links."""
 
-    name = "ma-links"
-
     def __init__(
         self,
         cache_config: CacheConfig = FRV_ICACHE,

@@ -32,8 +32,6 @@ from repro.sim.fetch import FetchKind, FetchStream
 class PanwarICache(Controller):
     """I-cache with intra-cache-line sequential-flow optimisation only."""
 
-    name = "panwar"
-
     def __init__(
         self,
         cache_config: CacheConfig = FRV_ICACHE,

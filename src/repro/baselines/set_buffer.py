@@ -41,9 +41,10 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
-from repro.cache.write_buffer import WriteBuffer
 from repro.replay.columns import DataColumns, SharedPass
-from repro.replay.engine import Controller, DesignPoint, fast_path
+from repro.replay.engine import (
+    Controller, DesignPoint, fast_path, stream_accesses,
+)
 from repro.sim.trace import DataTrace
 
 
@@ -54,8 +55,6 @@ class SetBufferDCache(Controller):
     sizing of [14] (the technique targets streaming multimedia code
     whose set-wise locality is shallow).
     """
-
-    name = "set-buffer"
 
     def __init__(
         self,
@@ -71,7 +70,6 @@ class SetBufferDCache(Controller):
             cache_config,
             make_policy(policy, cache_config.sets, cache_config.ways),
         )
-        self.write_buffer = WriteBuffer(cache_config)
         # set_index -> copy of that set's tags (way -> Optional[tag]).
         self._buffer: Dict[int, List[Optional[int]]] = {}
         self._lru: List[int] = []  # set indices, LRU first
@@ -114,19 +112,9 @@ class SetBufferDCache(Controller):
         cfg = self.cache_config
         cache = self.cache
 
-        for base, disp, is_store in zip(
-            trace.base.tolist(), trace.disp.tolist(), trace.store.tolist()
-        ):
-            counters.accesses += 1
-            if is_store:
-                counters.stores += 1
-            else:
-                counters.loads += 1
-            addr = (base + disp) & 0xFFFFFFFF
+        for addr, is_store in stream_accesses(trace, counters):
             tag, set_index, _ = cfg.split(addr)
             counters.aux_accesses += 1  # the buffer is probed every access
-            if is_store:
-                self.write_buffer.push(addr)
 
             buffered = self._buffer.get(set_index)
             if buffered is not None and tag in buffered:
@@ -169,9 +157,8 @@ def set_buffer_counters(
     membership is the LRU set of the last ``entries`` distinct set
     indices: an access is buffered iff its set's LRU stack distance is
     below ``entries`` (:meth:`DataColumns.lru_distance`, which the MAB
-    derivation uses too).  The write buffer and the snapshot refreshes
-    are side state only — no counter reads them — so the derivation
-    skips both.
+    derivation uses too).  The snapshot refreshes are side state only —
+    no counter reads them — so the derivation skips them.
     """
     counters = AccessCounters()
     config = point.cache

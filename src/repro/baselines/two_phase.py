@@ -4,6 +4,8 @@ Phase 1 compares all tags; phase 2 accesses only the hitting data way.
 This eliminates wasted way reads entirely but serialises tag and data
 access, costing a cycle of latency on every access — the performance
 loss the paper's MAB avoids while reaching similar way-access counts.
+Stores and fetches cost what loads cost, so one controller serves both
+caches.
 
 The cache sees every access exactly once whatever the phase outcome,
 so the counters derive from the totals of the replay engine's shared
@@ -17,39 +19,44 @@ executable specification.
 from __future__ import annotations
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
+from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass
-from repro.replay.engine import Controller, DesignPoint, fast_path
-from repro.sim.fetch import FetchStream
-from repro.sim.trace import DataTrace
+from repro.replay.engine import (
+    Controller, DesignPoint, fast_path, stream_accesses,
+)
 
 
-class _TwoPhaseCache(Controller):
-    def __init__(self, cache_config: CacheConfig, policy: str):
+class TwoPhaseCache(Controller):
+    """Phased cache: all tags first, then the hit way alone."""
+
+    def __init__(self, cache_config: CacheConfig = FRV_DCACHE,
+                 policy: str = "lru"):
         self.cache_config = cache_config
         self.cache = SetAssociativeCache(
             cache_config,
             make_policy(policy, cache_config.sets, cache_config.ways),
         )
 
-    # -- executable specification ---------------------------------------
+    def process_reference(self, stream) -> AccessCounters:
+        """Replay via the object-API path (spec for diff tests)."""
+        counters = AccessCounters()
+        nways = self.cache_config.ways
+        for addr, _ in stream_accesses(stream, counters):
+            result = self.cache.access(addr)
+            counters.tag_accesses += nways     # phase 1
+            counters.extra_cycles += 1         # serialised phases
+            if result.hit:
+                counters.cache_hits += 1
+                counters.way_accesses += 1     # phase 2: the hit way only
+            else:
+                counters.cache_misses += 1
+                counters.way_accesses += 1     # refill write
+        return counters
 
-    def _access(self, counters: AccessCounters, addr: int) -> None:
-        cfg = self.cache_config
-        result = self.cache.access(addr)
-        counters.tag_accesses += cfg.ways  # phase 1
-        counters.extra_cycles += 1         # serialised phases
-        if result.hit:
-            counters.cache_hits += 1
-            counters.way_accesses += 1     # phase 2: the hit way only
-        else:
-            counters.cache_misses += 1
-            counters.way_accesses += 1     # refill write
 
-
-@fast_path(_TwoPhaseCache)
+@fast_path(TwoPhaseCache)
 def two_phase_counters(
     cols, shared: SharedPass, point: DesignPoint
 ) -> AccessCounters:
@@ -65,43 +72,3 @@ def two_phase_counters(
     counters.extra_cycles = n                     # serialised phases
     cols.apply_load_store(counters)
     return counters
-
-
-class TwoPhaseDCache(_TwoPhaseCache):
-    """Phased D-cache."""
-
-    name = "two-phase"
-
-    def __init__(self, cache_config: CacheConfig = FRV_DCACHE,
-                 policy: str = "lru"):
-        super().__init__(cache_config, policy)
-
-    def process_reference(self, trace: DataTrace) -> AccessCounters:
-        counters = AccessCounters()
-        for base, disp, is_store in zip(
-            trace.base.tolist(), trace.disp.tolist(), trace.store.tolist()
-        ):
-            counters.accesses += 1
-            if is_store:
-                counters.stores += 1
-            else:
-                counters.loads += 1
-            self._access(counters, (base + disp) & 0xFFFFFFFF)
-        return counters
-
-
-class TwoPhaseICache(_TwoPhaseCache):
-    """Phased I-cache."""
-
-    name = "two-phase"
-
-    def __init__(self, cache_config: CacheConfig = FRV_ICACHE,
-                 policy: str = "lru"):
-        super().__init__(cache_config, policy)
-
-    def process_reference(self, fetch: FetchStream) -> AccessCounters:
-        counters = AccessCounters()
-        for addr in fetch.addr.tolist():
-            counters.accesses += 1
-            self._access(counters, addr)
-        return counters

@@ -4,7 +4,8 @@ A per-set MRU table predicts the way; first cycle accesses only the
 predicted way's tag + data.  On a correct prediction the access costs
 one tag and one way.  On a misprediction a second cycle probes the
 remaining ways (their tags and data), costing one extra cycle — the
-performance loss the paper's MAB technique avoids.
+performance loss the paper's MAB technique avoids.  Stores and fetches
+are predicted like loads, so one controller serves both caches.
 
 The prediction table never influences which line the cache loads —
 every access touches the cache exactly once — so the fast path derives
@@ -23,19 +24,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.config import CacheConfig, FRV_DCACHE, FRV_ICACHE
+from repro.cache.config import CacheConfig, FRV_DCACHE
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass, repeat_pairs
-from repro.replay.engine import Controller, DesignPoint, fast_path
-from repro.sim.fetch import FetchStream
-from repro.sim.trace import DataTrace
+from repro.replay.engine import (
+    Controller, DesignPoint, fast_path, stream_accesses,
+)
 
 
-class _WayPredictingCache(Controller):
-    """Shared machinery for I/D way-predicting caches."""
+class WayPredictionCache(Controller):
+    """Way-predicting cache with a per-set MRU prediction table."""
 
-    def __init__(self, cache_config: CacheConfig, policy: str):
+    def __init__(self, cache_config: CacheConfig = FRV_DCACHE,
+                 policy: str = "lru"):
         self.cache_config = cache_config
         self.cache = SetAssociativeCache(
             cache_config,
@@ -44,35 +46,37 @@ class _WayPredictingCache(Controller):
         # MRU prediction table: one way number per set.
         self._predicted = [0] * cache_config.sets
 
-    # -- executable specification ---------------------------------------
-
-    def _access(self, counters: AccessCounters, addr: int) -> None:
+    def process_reference(self, stream) -> AccessCounters:
+        """Replay via the object-API path (spec for diff tests)."""
+        counters = AccessCounters()
         cfg = self.cache_config
-        _, set_index, _ = cfg.split(addr)
-        prediction = self._predicted[set_index]
-        counters.aux_accesses += 1  # prediction table read
-        result = self.cache.access(addr)
+        for addr, _ in stream_accesses(stream, counters):
+            _, set_index, _ = cfg.split(addr)
+            prediction = self._predicted[set_index]
+            counters.aux_accesses += 1  # prediction table read
+            result = self.cache.access(addr)
 
-        # First phase: predicted way only.
-        counters.tag_accesses += 1
-        counters.way_accesses += 1
-        if result.hit and result.way == prediction:
-            counters.cache_hits += 1
-        else:
-            # Mispredict (or miss): second phase probes the remaining
-            # ways in parallel — one extra cycle.
-            counters.extra_cycles += 1
-            counters.tag_accesses += cfg.ways - 1
-            counters.way_accesses += cfg.ways - 1
-            if result.hit:
+            # First phase: predicted way only.
+            counters.tag_accesses += 1
+            counters.way_accesses += 1
+            if result.hit and result.way == prediction:
                 counters.cache_hits += 1
             else:
-                counters.cache_misses += 1
-                counters.way_accesses += 1  # refill write
-        self._predicted[set_index] = result.way
+                # Mispredict (or miss): second phase probes the
+                # remaining ways in parallel — one extra cycle.
+                counters.extra_cycles += 1
+                counters.tag_accesses += cfg.ways - 1
+                counters.way_accesses += cfg.ways - 1
+                if result.hit:
+                    counters.cache_hits += 1
+                else:
+                    counters.cache_misses += 1
+                    counters.way_accesses += 1  # refill write
+            self._predicted[set_index] = result.way
+        return counters
 
 
-@fast_path(_WayPredictingCache)
+@fast_path(WayPredictionCache)
 def way_prediction_counters(
     cols, shared: SharedPass, point: DesignPoint
 ) -> AccessCounters:
@@ -107,43 +111,3 @@ def way_prediction_counters(
     counters.way_accesses = n + second * (nways - 1) + misses
     cols.apply_load_store(counters)
     return counters
-
-
-class WayPredictionDCache(_WayPredictingCache):
-    """Way-predicting D-cache."""
-
-    name = "way-prediction"
-
-    def __init__(self, cache_config: CacheConfig = FRV_DCACHE,
-                 policy: str = "lru"):
-        super().__init__(cache_config, policy)
-
-    def process_reference(self, trace: DataTrace) -> AccessCounters:
-        counters = AccessCounters()
-        for base, disp, is_store in zip(
-            trace.base.tolist(), trace.disp.tolist(), trace.store.tolist()
-        ):
-            counters.accesses += 1
-            if is_store:
-                counters.stores += 1
-            else:
-                counters.loads += 1
-            self._access(counters, (base + disp) & 0xFFFFFFFF)
-        return counters
-
-
-class WayPredictionICache(_WayPredictingCache):
-    """Way-predicting I-cache."""
-
-    name = "way-prediction"
-
-    def __init__(self, cache_config: CacheConfig = FRV_ICACHE,
-                 policy: str = "lru"):
-        super().__init__(cache_config, policy)
-
-    def process_reference(self, fetch: FetchStream) -> AccessCounters:
-        counters = AccessCounters()
-        for addr in fetch.addr.tolist():
-            counters.accesses += 1
-            self._access(counters, addr)
-        return counters

@@ -448,24 +448,7 @@ class SetAssociativeCache:
             evicted_tag=evicted_tag,
         )
 
-    def invalidate_all(self) -> None:
-        """Flush the cache (notifies eviction listeners)."""
-        for set_index, tags in enumerate(self._tags):
-            for way, tag in enumerate(tags):
-                if tag >= 0:
-                    for listener in self._eviction_listeners:
-                        listener(tag, set_index)
-                tags[way] = -1
-
     # ------------------------------------------------------------------
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
     def check_invariants(self) -> None:
         """Assert internal consistency (used by property tests)."""

@@ -52,8 +52,6 @@ class WayMemoDCache(Controller):
         Cache replacement policy name (default ``lru``).
     """
 
-    name = "way-memo"
-
     def __init__(
         self,
         cache_config: CacheConfig = FRV_DCACHE,

@@ -49,8 +49,6 @@ class WayMemoICache(Controller):
         MAB size; the paper evaluates 2x8, 2x16 (chosen) and 2x32.
     """
 
-    name = "way-memo"
-
     def __init__(
         self,
         cache_config: CacheConfig = FRV_ICACHE,

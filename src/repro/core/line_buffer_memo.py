@@ -80,8 +80,6 @@ def buffer_hits(
 class LineBufferWayMemoDCache(Controller):
     """D-cache with line buffer + MAB way memoization stacked."""
 
-    name = "way-memo+line-buffer"
-
     def __init__(
         self,
         cache_config: CacheConfig = FRV_DCACHE,

@@ -409,7 +409,7 @@ class DataColumns(_ColumnsBase):
         self.disp64 = trace.disp.astype(np.int64)
         self.addr64 = (self.base64 + self.disp64) & 0xFFFFFFFF
         #: Boolean store flags.
-        self.store_mask: Optional[np.ndarray] = trace.store
+        self.store_mask = trace.store
         self._num_stores: Optional[int] = None
         self._coalesced: Dict[int, int] = {}
 
@@ -452,8 +452,8 @@ class DataColumns(_ColumnsBase):
 class FetchColumns(_ColumnsBase):
     """Columnar view of a :class:`~repro.sim.fetch.FetchStream`."""
 
-    #: Fetches never write.
-    store_mask: Optional[np.ndarray] = None
+    #: A fetch is a load.
+    num_stores = 0
 
     def __init__(self, fetch: FetchStream):
         super().__init__()
@@ -462,6 +462,8 @@ class FetchColumns(_ColumnsBase):
         self.disp64 = fetch.disp.astype(np.int64)
         self.addr64 = fetch.addr.astype(np.int64)
         self.kind = fetch.kind
+        #: Boolean store flags: all false.
+        self.store_mask = np.zeros(self.n, dtype=bool)
         self._intra: Dict[int, np.ndarray] = {}
 
     def intra_mask(self, offset_bits: int, index_bits: int) -> np.ndarray:

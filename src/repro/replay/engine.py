@@ -42,8 +42,10 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence,
+    Tuple,
 )
 
 from repro.cache.cache import SetAssociativeCache
@@ -51,6 +53,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.replacement import make_policy
 from repro.cache.stats import AccessCounters
 from repro.replay.columns import SharedPass, columns_for_stream
+from repro.sim.fetch import FetchStream
 from repro.telemetry import metrics as telemetry
 from repro.telemetry.tracing import span as trace_span
 
@@ -93,7 +96,9 @@ class Controller:
     path for the engine: a function of (columns, shared sweep, design
     point) registered beside its class with :func:`fast_path`.  The
     function receives no instance, so it can neither read nor write a
-    controller's state.
+    controller's state.  A ``process_reference`` loop that reads only
+    addresses and store flags takes them from :func:`stream_accesses`,
+    so one class serves either cache.
     """
 
     #: The fast path (see :func:`fast_path`).
@@ -121,6 +126,29 @@ class Controller:
         L0).
         """
         return replay_counters([self], stream)[0]
+
+
+def stream_accesses(
+    stream, counters: AccessCounters
+) -> Iterable[Tuple[int, bool]]:
+    """The ``(address, is_store)`` pairs of ``stream``, in order.
+
+    A :class:`~repro.sim.trace.DataTrace` gives its effective addresses
+    and store flags; a :class:`~repro.sim.fetch.FetchStream` gives its
+    fetch addresses, and a fetch is always a load.  Adds the stream's
+    ``accesses`` to ``counters``, and its ``loads`` / ``stores`` for a
+    data trace only: the reference-side twin of the columns'
+    ``apply_load_store``, so a fetch stream's counters keep
+    ``loads == stores == 0``.
+    """
+    addrs = stream.addr.tolist()
+    counters.accesses += len(addrs)
+    if isinstance(stream, FetchStream):
+        return zip(addrs, repeat(False))
+    stores = stream.num_stores
+    counters.stores += stores
+    counters.loads += len(addrs) - stores
+    return zip(addrs, stream.store.tolist())
 
 
 def fast_path(*classes: type) -> Callable[[FastPath], FastPath]:

@@ -70,6 +70,18 @@ def test_mab_archs_have_geometry_others_have_none():
             assert (info.design_point().mab is not None) == info.uses_mab
 
 
+@pytest.mark.parametrize(
+    "arch", ["original", "two-phase", "way-prediction", "filter-cache"]
+)
+def test_both_caches_of_a_design_name_one_controller_class(arch):
+    """A fetch is a load, so these designs serve both caches with one
+    controller class."""
+    assert (
+        get_architecture("dcache", arch).controller_class()
+        is get_architecture("icache", arch).controller_class()
+    )
+
+
 def test_comparison_archs_match_paper_order():
     assert comparison_archs("dcache") == (
         "original", "filter-cache", "way-prediction", "two-phase",

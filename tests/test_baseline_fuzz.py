@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.baselines import OriginalDCache, OriginalICache
+from repro.baselines import OriginalCache
 from repro.cache.config import CacheConfig
 from repro.cache.stats import COUNTER_FIELDS
 from repro.sim.fetch import FetchStream
@@ -218,13 +218,13 @@ def test_fuzz_icache_baseline(arch, seed, config):
 
 def test_fuzz_streams_actually_stress_the_cache():
     """The fuzz traffic must exercise misses, evictions and stores."""
-    ctrl = OriginalDCache(TINY_2WAY)
+    ctrl = OriginalCache(TINY_2WAY)
     counters = ctrl.process_reference(fuzz_data_trace(101))
     assert counters.cache_misses > 100
     assert ctrl.cache.evictions > 100
     assert counters.stores > 0
 
-    ictrl = OriginalICache(TINY_2WAY)
+    ictrl = OriginalCache(TINY_2WAY)
     icounters = ictrl.process_reference(fuzz_fetch_stream(303))
     assert icounters.cache_misses > 100
     assert ictrl.cache.evictions > 100

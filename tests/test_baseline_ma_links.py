@@ -91,8 +91,8 @@ def test_links_cut_tags_below_panwar():
 
 
 def test_functionality_unchanged(dct_workload):
-    from repro.baselines import OriginalICache
-    orig = OriginalICache().process(dct_workload.fetch)
+    from repro.baselines import OriginalCache
+    orig = OriginalCache().process(dct_workload.fetch)
     links = MaLinksICache().process(dct_workload.fetch)
     assert links.cache_hits == orig.cache_hits
     assert links.cache_misses == orig.cache_misses

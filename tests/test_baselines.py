@@ -3,16 +3,12 @@
 import numpy as np
 
 from repro.baselines import (
-    FilterCacheDCache,
-    FilterCacheICache,
-    OriginalDCache,
-    OriginalICache,
+    FilterCache,
+    OriginalCache,
     PanwarICache,
     SetBufferDCache,
-    TwoPhaseDCache,
-    TwoPhaseICache,
-    WayPredictionDCache,
-    WayPredictionICache,
+    TwoPhaseCache,
+    WayPredictionCache,
 )
 from repro.sim.fetch import FetchKind, FetchStream
 from repro.sim.trace import DataTrace
@@ -44,7 +40,7 @@ def fetch(records):
 # ----------------------------------------------------------------------
 
 def test_original_dcache_load_touches_all_ways():
-    c = OriginalDCache().process(data_trace([
+    c = OriginalCache().process(data_trace([
         (0x40000, 0, False),   # miss: 2 tags, 2 ways + refill
         (0x40000, 4, False),   # hit: 2 tags, 2 ways
     ]))
@@ -54,7 +50,7 @@ def test_original_dcache_load_touches_all_ways():
 
 def test_original_dcache_store_single_way():
     """The write-back buffer resolves the way before the data write."""
-    c = OriginalDCache().process(data_trace([
+    c = OriginalCache().process(data_trace([
         (0x40000, 0, False),
         (0x40000, 0, True),
     ]))
@@ -73,7 +69,7 @@ def test_original_dcache_stores_change_only_the_way_count():
     as_loads = DataTrace.from_lists(
         trace.base, trace.disp, np.zeros(len(trace.store), dtype=bool)
     )
-    with_stores, all_loads = OriginalDCache(), OriginalDCache()
+    with_stores, all_loads = OriginalCache(), OriginalCache()
     c = with_stores.process_reference(trace)
     loads = all_loads.process_reference(as_loads)
     assert with_stores.cache._tags == all_loads.cache._tags
@@ -82,12 +78,12 @@ def test_original_dcache_stores_change_only_the_way_count():
     )
     ways = with_stores.cache_config.ways
     assert loads.way_accesses - c.way_accesses == (ways - 1) * c.stores
-    assert OriginalDCache().process(trace) == c
+    assert OriginalCache().process(trace) == c
 
 
 def test_original_icache_constant_cost():
     fs = fetch([(0x0, START, 0x0, 0), (0x8, SEQ, 0x0, 8)])
-    c = OriginalICache().process(fs)
+    c = OriginalCache().process(fs)
     assert c.tags_per_access == 2.0
     assert c.way_accesses == (2 + 1) + 2
 
@@ -119,7 +115,7 @@ def test_panwar_branch_always_full():
 
 
 def test_panwar_between_original_and_nothing(workload):
-    original = OriginalICache().process(workload.fetch)
+    original = OriginalCache().process(workload.fetch)
     panwar = PanwarICache().process(workload.fetch)
     assert panwar.tag_accesses < original.tag_accesses
     assert panwar.way_accesses < original.way_accesses
@@ -169,7 +165,7 @@ def test_set_buffer_lru_eviction():
 # ----------------------------------------------------------------------
 
 def test_way_prediction_correct_is_cheap():
-    c = WayPredictionDCache().process(data_trace([
+    c = WayPredictionCache().process(data_trace([
         (0x40000, 0, False),   # miss + mispredict path
         (0x40000, 0, False),   # hit, prediction correct
     ]))
@@ -180,7 +176,7 @@ def test_way_prediction_correct_is_cheap():
 
 def test_way_prediction_penalty_on_mispredict():
     stride = 512 * 32
-    c = WayPredictionDCache().process(data_trace([
+    c = WayPredictionCache().process(data_trace([
         (0x40000, 0, False),            # fills way 0, predicts 0
         (0x40000 + stride, 0, False),   # same set, fills way 1
         (0x40000, 0, False),            # predicted 1, actual 0: penalty
@@ -189,7 +185,7 @@ def test_way_prediction_penalty_on_mispredict():
 
 
 def test_way_prediction_icache(workload):
-    c = WayPredictionICache().process(workload.fetch)
+    c = WayPredictionCache().process(workload.fetch)
     assert c.extra_cycles > 0
     assert c.tags_per_access < 2.0
 
@@ -199,7 +195,7 @@ def test_way_prediction_icache(workload):
 # ----------------------------------------------------------------------
 
 def test_filter_cache_l0_hit_skips_l1():
-    c = FilterCacheDCache(l0_lines=1).process(data_trace([
+    c = FilterCache(l0_lines=1).process(data_trace([
         (0x40000, 0, False),   # L0 miss: stall + full L1
         (0x40000, 4, False),   # L0 hit: free
     ]))
@@ -209,7 +205,7 @@ def test_filter_cache_l0_hit_skips_l1():
 
 
 def test_filter_cache_icache_penalty_counted(workload):
-    c = FilterCacheICache().process(workload.fetch)
+    c = FilterCache().process(workload.fetch)
     assert c.extra_cycles > 0
     assert c.tag_accesses < 2 * c.accesses
 
@@ -231,7 +227,7 @@ def test_filter_cache_l0_invalidated_on_l1_eviction():
         (c_addr, 0, False),  # evicts a (LRU) -> must drop a from L0
         (a, 0, True),        # stale in L0 pre-fix; now a clean miss
     ])
-    ctrl = FilterCacheDCache()
+    ctrl = FilterCache()
     counters = ctrl.process_reference(trace)
     assert counters.cache_misses == 4
     assert counters.cache_misses == ctrl.cache.misses
@@ -240,7 +236,7 @@ def test_filter_cache_l0_invalidated_on_l1_eviction():
     assert ctrl.cache_config.line_addr(a) in ctrl._l0
     assert ctrl.cache.probe(a) is not None
     # The fast path applies the same invalidation.
-    assert FilterCacheDCache().process(trace) == counters
+    assert FilterCache().process(trace) == counters
 
 
 def test_filter_cache_write_through_refreshes_l1_recency():
@@ -260,16 +256,16 @@ def test_filter_cache_write_through_refreshes_l1_recency():
             (b, 0, False),       # an L0 hit only if c evicted a
         ])
 
-    stored = FilterCacheDCache()
+    stored = FilterCache()
     counters = stored.process_reference(stream(True))
     assert counters.cache_misses == counters.extra_cycles == 4
 
-    loaded = FilterCacheDCache()
+    loaded = FilterCache()
     load_counters = loaded.process_reference(stream(False))
     assert load_counters.cache_misses == load_counters.extra_cycles == 3
 
-    assert FilterCacheDCache().process(stream(True)) == counters
-    assert FilterCacheDCache().process(stream(False)) == load_counters
+    assert FilterCache().process(stream(True)) == counters
+    assert FilterCache().process(stream(False)) == load_counters
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +274,7 @@ def test_filter_cache_write_through_refreshes_l1_recency():
 
 def test_two_phase_always_one_way_one_cycle():
     trace = synthetic_data_trace(num_accesses=1000, seed=9)
-    c = TwoPhaseDCache().process(trace)
+    c = TwoPhaseCache().process(trace)
     assert c.extra_cycles == c.accesses
     assert c.way_accesses == c.accesses     # exactly one way each
     assert c.tag_accesses == 2 * c.accesses
@@ -286,6 +282,6 @@ def test_two_phase_always_one_way_one_cycle():
 
 def test_two_phase_icache():
     fs = synthetic_fetch_stream(num_blocks=200, seed=2)
-    c = TwoPhaseICache().process(fs)
+    c = TwoPhaseCache().process(fs)
     assert c.extra_cycles == c.accesses
     assert c.ways_per_access == 1.0

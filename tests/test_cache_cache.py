@@ -66,8 +66,6 @@ def test_line_state_reports_the_filled_line():
     assert cache.access(_addr(4, 2)).hit
     assert cache.line_state(2, res.way) == CacheLineState(valid=True, tag=4)
     assert not cache.line_state(2, 1 - res.way).valid
-    cache.invalidate_all()
-    assert not cache.line_state(2, res.way).valid
 
 
 def test_packed_result_carries_full_width_evicted_tag():
@@ -122,28 +120,9 @@ def test_probe_does_not_disturb_lru():
     assert result.evicted_tag == 1
 
 
-def test_invalidate_all_notifies():
-    cache = SetAssociativeCache(SMALL)
-    events = []
-    cache.add_eviction_listener(lambda tag, s: events.append((tag, s)))
-    cache.access(_addr(1, 0))
-    cache.access(_addr(2, 4))
-    cache.invalidate_all()
-    assert sorted(events) == [(1, 0), (2, 4)]
-    assert cache.probe(_addr(1, 0)) is None
-
-
 def test_policy_geometry_mismatch_rejected():
     with pytest.raises(ValueError):
         SetAssociativeCache(SMALL, FIFOPolicy(sets=4, ways=2))
-
-
-def test_hit_rate_property():
-    cache = SetAssociativeCache(SMALL)
-    cache.access(0x0)
-    cache.access(0x0)
-    cache.access(0x0)
-    assert cache.hit_rate == pytest.approx(2 / 3)
 
 
 @given(st.lists(st.tuples(
@@ -238,7 +217,7 @@ def _lru2_cases(draw):
     sets = draw(st.sampled_from([1, 2, 16, 512]))
     max_tag = draw(st.sampled_from([3, (1 << 32) - 1]))
     access = st.tuples(st.integers(0, max_tag), st.integers(0, sets - 1))
-    warm_up = draw(st.sampled_from(["cold", "prefix", "invalidated"]))
+    warm_up = draw(st.sampled_from(["cold", "prefix"]))
     prefix = [] if warm_up == "cold" else draw(
         st.lists(access, max_size=60)
     )
@@ -253,7 +232,7 @@ def _lru2_cases(draw):
         ]
     else:
         accesses = draw(st.lists(access, max_size=200))
-    return sets, warm_up, prefix, accesses
+    return sets, prefix, accesses
 
 
 def _assert_same_cache(batched, stepped):
@@ -269,19 +248,16 @@ def _assert_same_cache(batched, stepped):
 def test_access_fast_batch_lru2_kernel_matches_access_fast(case):
     """The vectorized 2-way LRU kernel (no listener attached) equals an
     access_fast loop: packed results, line state, LRU order and the
-    four counters, from cold sets, from sets warmed through
-    access_fast, and from sets emptied by invalidate_all (which keeps
-    their LRU order, e.g. ``[1, 0]`` with no valid line), on streams
-    of independent accesses and of same-line runs."""
-    sets, warm_up, prefix, accesses = case
+    three counters, from cold sets and from sets warmed through
+    access_fast, on streams of independent accesses and of same-line
+    runs."""
+    sets, prefix, accesses = case
     config = CacheConfig(size_bytes=64 * sets, ways=2, line_bytes=32)
     batched = SetAssociativeCache(config)
     stepped = SetAssociativeCache(config)
     for cache in (batched, stepped):
         for tag, set_index in prefix:
             cache.access_fast(tag, set_index)
-        if warm_up == "invalidated":
-            cache.invalidate_all()
     packed = batched.access_fast_batch(
         np.array([a[0] for a in accesses], dtype=np.int64),
         np.array([a[1] for a in accesses], dtype=np.int64),
@@ -290,27 +266,6 @@ def test_access_fast_batch_lru2_kernel_matches_access_fast(case):
         stepped.access_fast(tag, set_index) for tag, set_index in accesses
     ]
     assert packed.tolist() == expected
-    _assert_same_cache(batched, stepped)
-
-
-def test_access_fast_batch_lru2_fills_lru_way_of_an_emptied_set():
-    """After invalidate_all a set keeps LRU order ``[1, 0]``: its next
-    fill goes to way 1, not way 0."""
-    batched = SetAssociativeCache(SMALL)
-    stepped = SetAssociativeCache(SMALL)
-    for cache in (batched, stepped):
-        cache.access_fast(1, 3)
-        cache.invalidate_all()
-        assert cache._lru[3] == [1, 0]
-    packed = batched.access_fast_batch(
-        np.int64([5, 6, 5]), np.int64([3, 3, 3])
-    )
-    assert packed.tolist() == [
-        stepped.access_fast(5, 3),
-        stepped.access_fast(6, 3),
-        stepped.access_fast(5, 3),
-    ]
-    assert (packed[0] >> 1) & 0xFF == 1
     _assert_same_cache(batched, stepped)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import RunSpec, architectures, evaluate
-from repro.baselines import OriginalDCache, OriginalICache, PanwarICache
+from repro.baselines import OriginalCache, PanwarICache
 from repro.core import MABConfig, WayMemoDCache, WayMemoICache
 from repro.workloads import BENCHMARK_NAMES, synthetic_data_trace
 
@@ -22,12 +22,12 @@ from repro.workloads import BENCHMARK_NAMES, synthetic_data_trace
 def test_cache_hit_behaviour_is_architecture_independent(workload):
     """Way memoization must not change WHAT the cache does, only how
     many arrays are touched: hit/miss counts match the original."""
-    orig = OriginalDCache().process(workload.trace.data)
+    orig = OriginalCache().process(workload.trace.data)
     memo = evaluate(RunSpec("dcache", "way-memo-2x8", workload.name)).counters
     assert memo.cache_hits == orig.cache_hits
     assert memo.cache_misses == orig.cache_misses
 
-    orig_i = OriginalICache().process(workload.fetch)
+    orig_i = OriginalCache().process(workload.fetch)
     memo_i = evaluate(
         RunSpec("icache", "way-memo-2x16", workload.name)
     ).counters
@@ -72,7 +72,7 @@ def test_way_access_bounds(workload):
 
 def test_tag_ordering_original_panwar_memo(workload):
     """The paper's Figure 6 ordering holds on every benchmark."""
-    orig = OriginalICache().process(workload.fetch)
+    orig = OriginalCache().process(workload.fetch)
     panwar = PanwarICache().process(workload.fetch)
     memo = evaluate(RunSpec("icache", "way-memo-2x16", workload.name)).counters
     assert memo.tag_accesses < panwar.tag_accesses < orig.tag_accesses

@@ -30,8 +30,12 @@ from repro.api import (
 from repro.api.evaluate import simulation_count
 from repro.cache.cache import stable_argsort
 from repro.cache.config import CacheConfig
-from repro.replay.columns import DataColumns, repeat_pairs
-from repro.replay.engine import plan_groups, replay_counters, replay_specs
+from repro.cache.stats import AccessCounters
+from repro.replay.columns import DataColumns, FetchColumns, repeat_pairs
+from repro.replay.engine import (
+    plan_groups, replay_counters, replay_specs, stream_accesses,
+)
+from repro.sim.trace import DataTrace
 from repro.store import STORE_ENV, default_store, reset_default_stores
 from repro.workloads import synthetic_data_trace, synthetic_fetch_stream
 
@@ -76,13 +80,43 @@ def test_replay_counters_match_fresh_per_arch_process(side):
         assert counters == expected, info.id
 
 
+def test_stream_accesses_of_a_data_trace():
+    """A data trace gives its 32-bit effective addresses, wrapping on
+    negative displacements and past 2**32, with its store flags, and
+    counts its accesses, loads and stores."""
+    base = [0x40000, 0x10, 0xFFFFFFF0, 0, 0x80000000]
+    disp = [-8, -0x20, 0x40, -4, 12]
+    store = [False, True, True, False, True]
+    trace = DataTrace.from_lists(base, disp, store)
+    counters = AccessCounters()
+    pairs = list(stream_accesses(trace, counters))
+    assert pairs == [
+        ((b + d) & 0xFFFFFFFF, s) for b, d, s in zip(base, disp, store)
+    ]
+    assert [addr for addr, _ in pairs] == [
+        0x3FFF8, 0xFFFFFFF0, 0x30, 0xFFFFFFFC, 0x8000000C
+    ]
+    assert (counters.accesses, counters.loads, counters.stores) == (5, 2, 3)
+
+
+def test_stream_accesses_of_a_fetch_stream_are_loads():
+    """A fetch is a load: every flag is False and the load/store split
+    stays zero, as the fetch columns' all-false store mask has it."""
+    fetch = synthetic_fetch_stream(num_blocks=16, seed=3)
+    counters = AccessCounters()
+    pairs = list(stream_accesses(fetch, counters))
+    assert [addr for addr, _ in pairs] == fetch.addr.tolist()
+    assert not any(is_store for _, is_store in pairs)
+    assert counters.accesses == len(fetch)
+    assert counters.loads == counters.stores == 0
+    cols = FetchColumns(fetch)
+    assert cols.store_mask.shape == (len(fetch),)
+    assert not cols.store_mask.any() and cols.num_stores == 0
+
+
 def test_replay_counters_leave_input_controllers_untouched():
     """The engine evaluates shadows; callers' instances stay fresh."""
-    from repro.baselines import (
-        FilterCacheDCache,
-        FilterCacheICache,
-        OriginalDCache,
-    )
+    from repro.baselines import FilterCache, OriginalCache
     from repro.core import (
         LineBufferWayMemoDCache,
         MABConfig,
@@ -96,13 +130,13 @@ def test_replay_counters_leave_input_controllers_untouched():
     }
     evict = MABConfig(2, 8, "evict_hook")
     groups = {
-        "dcache": [OriginalDCache(), WayMemoDCache(),
+        "dcache": [OriginalCache(), WayMemoDCache(),
                    WayMemoDCache(mab_config=evict),
                    LineBufferWayMemoDCache(line_buffer_entries=2),
                    LineBufferWayMemoDCache(mab_config=evict),
-                   FilterCacheDCache()],
+                   FilterCache()],
         "icache": [WayMemoICache(), WayMemoICache(mab_config=evict),
-                   FilterCacheICache()],
+                   FilterCache()],
     }
     for side, controllers in groups.items():
         replay_counters(controllers, streams[side])
